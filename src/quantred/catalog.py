@@ -13,7 +13,7 @@ entries ignore it at this level (the CLI applies a tensor power instead).
 from __future__ import annotations
 
 from .cohomology import RingPresentation
-from .fixedpoint import FixedComponent, GroupKind, ProblemInstance
+from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, SchemaError
 
 
 class UnknownCatalogError(KeyError):
@@ -53,7 +53,7 @@ def cp1(k: int = 2) -> ProblemInstance:
     zero, which validation rejects for the residue computations.
     """
     if k < 0:
-        raise ValueError("bundle degree must be >= 0")
+        raise SchemaError("bundle degree must be >= 0")
     if k == 1:
         hi, lo = 2, 1
     elif k % 2 == 0:
@@ -101,7 +101,7 @@ def cp2(k: int = 4) -> ProblemInstance:
     square roots of unity are then constant in the power.
     """
     if k < 1:
-        raise ValueError("bundle degree must be >= 1")
+        raise SchemaError("bundle degree must be >= 1")
     shift = 2 if k == 1 else 3 * ((k + 1) // 2)
     moments = (shift, shift - k, shift - 3 * k)
     return ProblemInstance(
@@ -164,7 +164,7 @@ def so3_coadjoint(k: int = 2) -> ProblemInstance:
     full moment map is empty, so both counts vanish; the interest is in the
     Weyl-factor residues conspiring to zero."""
     if k < 1:
-        raise ValueError("moment radius must be >= 1")
+        raise SchemaError("moment radius must be >= 1")
     return ProblemInstance(
         GroupKind.SO3,
         [_pt("north", k, [1]), _pt("south", -k, [-1])],
@@ -193,7 +193,7 @@ def su2_sphere(k: int = 1) -> ProblemInstance:
     hypotheses fail and the verdict is NOT-ASSERTED, though for this family
     both sides happen to vanish anyway."""
     if k < 1:
-        raise ValueError("moment radius must be >= 1")
+        raise SchemaError("moment radius must be >= 1")
     return ProblemInstance(
         GroupKind.SU2,
         [_pt("north", k, [2]), _pt("south", -k, [-2])],
@@ -247,7 +247,7 @@ def catalog(name: str, k: int | None = None) -> ProblemInstance:
         return _PARAMETRIC[name]() if k is None else _PARAMETRIC[name](k)
     if name in _FIXED:
         if k is not None:
-            raise ValueError(
+            raise SchemaError(
                 f"catalog entry {name!r} is not parametrized; apply "
                 "tensor_power for bundle powers"
             )

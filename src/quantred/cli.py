@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import UnknownCatalogError, catalog, catalog_names, is_parametric
-from .exactnum import Cyclotomic, NotRationalError
+from .exactnum import Cyclotomic
 from .fixedpoint import (
     InvalidInstanceError,
     SchemaError,
@@ -30,8 +30,7 @@ from .fixedpoint import (
     tensor_power,
     validate,
 )
-from .lefschetz import NonIntegerResultError
-from .oracle import StabilizationError, SymmetryError, character_polynomial
+from .oracle import character_polynomial
 from .reduction import Report, residue_table, verify_quantization
 
 EXIT_OK = 0
@@ -301,11 +300,10 @@ def main(argv=None) -> int:
     except (SchemaError, UnknownCatalogError, FileNotFoundError, InvalidInstanceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (StabilizationError, SymmetryError, NonIntegerResultError,
-            NotRationalError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # every input check raises one of the types above, so anything else
+        # (non-stabilizing expansions, non-integer counts, internal bugs) is a
+        # failure of the computation
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

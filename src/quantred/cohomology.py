@@ -316,11 +316,6 @@ class CohomologyClass:
                 total = total + v * weight
         return total
 
-    def map_scalars(self, fn) -> "CohomologyClass":
-        return CohomologyClass(
-            self.presentation, {e: fn(v) for e, v in self.coeffs.items()}
-        )
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             other = self.presentation.constant(other)

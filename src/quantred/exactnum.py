@@ -369,10 +369,6 @@ def rational_part(x) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def is_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction, Cyclotomic))
-
-
 def root_order(n: int, k: int) -> int:
     """Multiplicative order of zeta_n**k."""
     return n // gcd(n, k % n or n)

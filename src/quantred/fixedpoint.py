@@ -180,9 +180,10 @@ def validate(p: ProblemInstance) -> list[Finding]:
     """Structured findings about an instance.
 
     ERROR-level findings make the residue computations meaningless (a fixed
-    component sitting on the zero level, a zero normal weight, moments not
-    mirrored for a nonabelian group).  WARN findings flag instances for which
-    the two sides are not asserted to agree; INFO findings are informational.
+    component sitting on the zero level, a zero normal weight, components
+    disagreeing about dim M, moments not mirrored for a nonabelian group).
+    WARN findings flag instances for which the two sides are not asserted to
+    agree; INFO findings are informational.
     """
     findings = []
     for f in p.components:
@@ -196,6 +197,11 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 "ERROR", "weight-zero",
                 "zero normal weight: the circle must act nontrivially on "
                 "every normal direction", f.name))
+    dims = sorted({f.dimension for f in p.components})
+    if len(dims) > 1:
+        findings.append(Finding(
+            "ERROR", "dimension-mismatch",
+            f"components disagree about dim M: {dims}"))
     if all(abs(b) == 1 for f in p.components for b in f.weights):
         findings.append(Finding(
             "INFO", "quasi-free",
@@ -256,7 +262,7 @@ def tensor_power(p: ProblemInstance, k: int) -> ProblemInstance:
     """Replace the line bundle by its k-th tensor power: every moment and
     every omega scales by k.  Weights and Chern data are untouched."""
     if k < 1:
-        raise ValueError("tensor power must be a positive integer")
+        raise SchemaError("tensor power must be a positive integer")
     comps = [
         FixedComponent(
             f.name, f.ring, f.moment * k, f.weights, f.normal_chern,
@@ -364,8 +370,10 @@ def _parse_ring(obj, where) -> RingPresentation:
     for g in gens:
         if not (isinstance(g, (list, tuple)) and len(g) == 2):
             raise SchemaError(f"{where}.generators: entries are [name, order]")
+        if not isinstance(g[1], int) or isinstance(g[1], bool):
+            raise SchemaError(f"{where}.generators: order {g[1]!r} is not an integer")
         names.append(str(g[0]))
-        orders.append(int(g[1]))
+        orders.append(g[1])
     top = obj.get("top_degree", 0)
     if not isinstance(top, int):
         raise SchemaError(f"{where}.top_degree: expected an integer")
@@ -376,7 +384,10 @@ def _parse_ring(obj, where) -> RingPresentation:
         raw = {"1": 1} if not names and top == 0 else {}
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}.integrals: expected a map")
-    probe = RingPresentation(names, orders, top, {})
+    try:
+        probe = RingPresentation(names, orders, top, {})
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
     table = {}
     for key, value in raw.items():
         expo = _parse_monomial(key, probe, f"{where}.integrals.{key}")
@@ -465,6 +476,8 @@ def load_instance(path) -> ProblemInstance:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     import os
 
     name = os.path.splitext(os.path.basename(str(path)))[0]

@@ -192,9 +192,6 @@ class RingSeries:
             inv.append(-(lead_inv * acc))
         return RingSeries(self.chart, self.presentation, -self.low, inv)
 
-    def map_coefficients(self, fn) -> "RingSeries":
-        return RingSeries(self.chart, self.presentation, self.low, [fn(c) for c in self.coeffs])
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -216,10 +213,6 @@ class RingSeries:
 def series_constant(chart, presentation, value: CohomologyClass, order: int) -> RingSeries:
     coeffs = [value] + [presentation.zero()] * order
     return RingSeries(chart, presentation, 0, coeffs)
-
-
-def series_one(chart, presentation, order: int) -> RingSeries:
-    return series_constant(chart, presentation, presentation.one(), order)
 
 
 def scalar_exp_series(chart, presentation, rate, order: int) -> RingSeries:
@@ -259,11 +252,6 @@ def laurent_polynomial_series(poly, chart, presentation, order: int) -> RingSeri
         piece = piece * (presentation.constant(chart.zeta_power(r) * v))
         out = piece if out is None else out + piece
     return out
-
-
-def t_power_series(mu: int, chart, presentation, order: int) -> RingSeries:
-    """The function t**mu written in the chart."""
-    return laurent_polynomial_series({mu: Fraction(1)}, chart, presentation, order)
 
 
 # ---------------------------------------------------------------------------

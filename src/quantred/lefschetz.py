@@ -190,9 +190,16 @@ def rr_invariant(p: ProblemInstance) -> Fraction:
             "; ".join(str(f) for f in findings if f.level == "ERROR")
         )
     weyl = WeylFactor.for_group(p.group)
+    return invariant_from_residues(
+        [residue_of_h(f, "infinity", weyl) for f in p.components]
+    )
+
+
+def invariant_from_residues(infinity_residues) -> Fraction:
+    """Minus the sum of the given residues at infinity (one per component):
+    the invariant count.  Raises NonIntegerResultError unless integral."""
     total = Fraction(0)
-    for f in p.components:
-        value = residue_of_h(f, "infinity", weyl)
+    for value in infinity_residues:
         total -= rational_part(value)
     if total.denominator != 1:
         raise NonIntegerResultError(

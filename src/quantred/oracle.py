@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fixedpoint import GroupKind, ProblemInstance
+from .fixedpoint import GroupKind, InvalidInstanceError, ProblemInstance
 
 
 class StabilizationError(ArithmeticError):
@@ -163,7 +163,7 @@ def character_polynomial(
         series: dict[int, dict] = {-f.moment: base}
         for b, chern in zip(f.weights, f.normal_chern):
             if b == 0:
-                raise ValueError(f"component {f.name!r} has a zero weight")
+                raise InvalidInstanceError(f"component {f.name!r} has a zero weight")
             c = _as_dict(chern)
             lowest = min(series)
             span = top - lowest

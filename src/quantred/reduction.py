@@ -3,6 +3,10 @@ over positive-moment components (the smooth main term), plus correction
 terms at the other roots of unity lying on some component's wall set (the
 orbifold corrections), and the verification report comparing everything
 against the invariant count and the brute-force oracle.
+
+Every residue comes from one table (components x pole sites); the report
+reads both the invariant count (its infinity column) and the reduced count
+off a single such table.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .fixedpoint import (
     validate,
     wall_set,
 )
-from .lefschetz import WeylFactor, residue_of_h, rr_invariant
+from .lefschetz import WeylFactor, invariant_from_residues, residue_of_h
 from .oracle import character_polynomial, invariant_multiplicity
 
 
@@ -41,74 +45,47 @@ class ReducedRR:
     total: Fraction
 
 
-def _positive_components(p: ProblemInstance):
-    return [f for f in p.components if f.moment > 0]
-
-
-def rr_reduced_main(p: ProblemInstance) -> Fraction:
-    """Sum over positive-moment components of the residue of Weyl * h_F at
-    t = 1: the evaluation of the Todd class against the reduced space, which
-    is the full answer exactly when the action on the zero level is free."""
+def _require_valid(p: ProblemInstance) -> list:
+    """The validation findings; raises InvalidInstanceError on any ERROR."""
     findings = validate(p)
     if has_errors(findings):
         raise InvalidInstanceError(
             "; ".join(str(f) for f in findings if f.level == "ERROR")
         )
-    weyl = WeylFactor.for_group(p.group)
-    n = p.conductor
-    total = Fraction(0)
-    for f in _positive_components(p):
-        total += rational_part(residue_of_h(f, 0, weyl, conductor=n))
-    return total
-
-
-def kawasaki_residues(p: ProblemInstance) -> dict[int, object]:
-    """Individual residues at the nontrivial wall roots of unity: exponent
-    k of zeta_N**k mapped to the (generally cyclotomic) sum over
-    positive-moment components whose wall set contains that root.  Roots on
-    no wall are skipped: those residues vanish identically."""
-    weyl = WeylFactor.for_group(p.group)
-    n = p.conductor
-    walls_by_component = {
-        f.name: set(wall_set(f, n)) for f in p.components
-    }
-    out: dict[int, object] = {}
-    for k in range(1, n):
-        active = [
-            f for f in _positive_components(p)
-            if k in walls_by_component[f.name]
-        ]
-        if not active:
-            continue
-        value = Fraction(0)
-        for f in active:
-            value = value + residue_of_h(f, k, weyl, conductor=n)
-        out[k] = value
-    return out
-
-
-def kawasaki_corrections(p: ProblemInstance) -> dict[int, Fraction]:
-    """Correction terms grouped by Galois orbit: the key is the order d > 1
-    of the primitive roots in the orbit, the value the exact rational orbit
-    sum.  An irrational orbit sum raises NotRationalError (it would mean an
-    incomplete orbit, i.e. a bug or corrupted data)."""
-    findings = validate(p)
-    if has_errors(findings):
-        raise InvalidInstanceError(
-            "; ".join(str(f) for f in findings if f.level == "ERROR")
-        )
-    n = p.conductor
-    per_orbit: dict[int, object] = {}
-    for k, value in kawasaki_residues(p).items():
-        d = n // gcd(n, k)
-        per_orbit[d] = per_orbit.get(d, Fraction(0)) + value
-    return {d: rational_part(v) for d, v in sorted(per_orbit.items())}
+    return findings
 
 
 def reduced_rr(p: ProblemInstance) -> ReducedRR:
-    main = rr_reduced_main(p)
-    residues = kawasaki_residues(p)
+    _require_valid(p)
+    return _reduced_from_table(p, residue_table(p))
+
+
+def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
+    """The reduced count read off a residue table of ``p``.
+
+    The main term is the sum over positive-moment rows of the t = 1 column:
+    the evaluation of the Todd class against the reduced space, which is the
+    full answer exactly when the action on the zero level is free.  The
+    residue at a nontrivial root zeta_N**k sums the positive-moment rows
+    whose own wall set contains k; roots on no such wall are left out (their
+    residues vanish identically).  The residues are then grouped by Galois
+    orbit: an irrational orbit sum raises NotRationalError (it would mean an
+    incomplete orbit, i.e. a bug or corrupted data).
+    """
     n = p.conductor
+    sites = pole_labels(p)
+    main = Fraction(0)
+    residues: dict[int, object] = {}
+    for f, row in zip(p.components, table):
+        if f.moment <= 0:
+            continue
+        walls = wall_set(f, n)
+        for site, (_, value) in zip(sites, row.entries):
+            if site == 0:
+                main += rational_part(value)
+            elif isinstance(site, int) and site in walls:
+                residues[site] = residues.get(site, Fraction(0)) + value
+    residues = dict(sorted(residues.items()))
     per_orbit: dict[int, object] = {}
     for k, value in residues.items():
         d = n // gcd(n, k)
@@ -116,6 +93,24 @@ def reduced_rr(p: ProblemInstance) -> ReducedRR:
     corrections = {d: rational_part(v) for d, v in sorted(per_orbit.items())}
     total = main + sum(corrections.values(), Fraction(0))
     return ReducedRR(main, corrections, residues, total)
+
+
+def rr_reduced_main(p: ProblemInstance) -> Fraction:
+    """Sum over positive-moment components of the residue of Weyl * h_F at
+    t = 1 (the smooth term of the reduced count)."""
+    return reduced_rr(p).main
+
+
+def kawasaki_residues(p: ProblemInstance) -> dict[int, object]:
+    """Residues at the nontrivial wall roots of unity, keyed by the exponent
+    k of zeta_N**k (generally cyclotomic)."""
+    return reduced_rr(p).residues_by_exponent
+
+
+def kawasaki_corrections(p: ProblemInstance) -> dict[int, Fraction]:
+    """Correction terms keyed by the order d > 1 of the primitive roots in
+    each Galois orbit, valued in the exact rational orbit sum."""
+    return reduced_rr(p).corrections
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +133,7 @@ class Report:
     group: str
     n_components: int
     conductor: int
-    dimension: int | None
+    dimension: int
     findings: list
     hypotheses_ok: bool
     lefschetz: Fraction | None
@@ -172,11 +167,12 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     row sums (zero, by the residue theorem on the sphere)."""
     weyl = WeylFactor.for_group(p.group)
     n = p.conductor
+    sites = pole_labels(p)
     rows = []
     for f in p.components:
         entries = []
         total = Fraction(0)
-        for site in pole_labels(p):
+        for site in sites:
             value = residue_of_h(f, site, weyl, conductor=n)
             label = site if isinstance(site, str) else _root_label(n, site)
             entries.append((label, value))
@@ -201,30 +197,22 @@ def verify_quantization(p: ProblemInstance, degree_bound: int | None = None) -> 
     InvalidInstanceError instead of producing a report.  ``degree_bound``
     raises (never lowers) the oracle's expansion bound.
     """
-    findings = validate(p)
-    if has_errors(findings):
-        raise InvalidInstanceError(
-            "; ".join(str(f) for f in findings if f.level == "ERROR")
-        )
+    findings = _require_valid(p)
     ok = hypotheses_hold(findings)
     timings = {}
 
     t0 = time.perf_counter()
-    lefschetz_value = rr_invariant(p)
-    timings["lefschetz_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    reduced = reduced_rr(p)
-    timings["reduction_s"] = time.perf_counter() - t0
+    table = residue_table(p)
+    lefschetz_value = invariant_from_residues(
+        [dict(row.entries)["infinity"] for row in table]
+    )
+    reduced = _reduced_from_table(p, table)
+    timings["residues_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     character = character_polynomial(p, degree_bound)
     oracle_value = invariant_multiplicity(character, p.group)
     timings["oracle_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    table = residue_table(p)
-    timings["residue_table_s"] = time.perf_counter() - t0
 
     agree = lefschetz_value == reduced.total == oracle_value
     if not ok:
@@ -233,16 +221,12 @@ def verify_quantization(p: ProblemInstance, degree_bound: int | None = None) -> 
         verdict = "PASS"
     else:
         verdict = "FAIL"
-    try:
-        dim = p.dimension()
-    except ValueError:
-        dim = None
     return Report(
         instance_name=p.name,
         group=p.group.value,
         n_components=len(p.components),
         conductor=p.conductor,
-        dimension=dim,
+        dimension=p.dimension(),
         findings=findings,
         hypotheses_ok=ok,
         lefschetz=lefschetz_value,

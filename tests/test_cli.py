@@ -75,6 +75,58 @@ def test_malformed_json_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "line" in err
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "UTF-8" in err
+
+
+def test_dimension_mismatch_exit_two(capsys, tmp_path):
+    # a point with two normal directions next to one with a single one: the
+    # components disagree about dim M, which validation rejects up front
+    doc = instance_to_dict(catalog("cp1-k", 2))
+    doc["components"][0]["weights"] = [1, 1]
+    doc["components"][0]["normal_chern"] = [{}, {}]
+    path = tmp_path / "mixed_dims.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "residues"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert "dim M" in err
+
+
+def test_zero_weight_character_exit_two(capsys, tmp_path):
+    doc = instance_to_dict(catalog("cp1-k", 2))
+    doc["components"][0]["weights"] = [0]
+    path = tmp_path / "zero_weight.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "character", str(path))
+    assert code == 2
+    assert "zero weight" in err
+
+
+def test_bad_bundle_power_exit_two(capsys):
+    for argv in (("--catalog", "cp1xcp1", "--k", "0"),
+                 ("--catalog", "cp1-k", "--k", "-1"),
+                 ("--catalog", "cp2-k", "--k", "0")):
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert "input error" in err
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    # an error that is not an input check must not be reported as bad input
+    import quantred.cli as cli_mod
+    from quantred import SymmetryError
+
+    for exc in (ValueError("internal bug"), SymmetryError("asymmetric character")):
+        def broken(p, degree_bound=None, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "verify_quantization", broken)
+        code, _, err = run(capsys, "verify", "--catalog", "cp1-k", "--k", "2")
+        assert code == 3, exc
+        assert "computation error" in err
 
 
 def test_missing_input_and_catalog(capsys):

@@ -225,6 +225,13 @@ def test_floats_rejected():
     doc["components"][0]["omega"] = {"1": 0.5}
     with pytest.raises(SchemaError, match="float"):
         instance_from_dict(doc)
+    # generator orders: no float truncation, no bool or string coercion,
+    # and an out-of-range order is a schema error too
+    for order in (2.7, 2.0, True, "2", None, 0):
+        doc = instance_to_dict(catalog("cp1xcp1"))
+        doc["components"][0]["ring"]["generators"][0][1] = order
+        with pytest.raises(SchemaError, match="generators|order"):
+            instance_from_dict(doc)
 
 
 def test_float_moment_rejected():

@@ -196,8 +196,37 @@ def test_report_contents():
     assert report.n_components == 2
     assert report.dimension == 2
     assert report.character == {-1: 1, 1: 1}
-    assert set(report.timings) >= {"lefschetz_s", "reduction_s", "oracle_s"}
+    assert set(report.timings) == {"residues_s", "oracle_s"}
     assert report.reduced.residues_by_exponent.keys() == {2}
+
+
+def test_verify_computes_each_residue_and_validates_once(monkeypatch):
+    import quantred.lefschetz as lef
+    import quantred.reduction as red
+
+    residue_calls, validate_calls = [], []
+    real_residue, real_validate = lef.residue_of_h, lef.validate
+
+    def counted_residue(f, at, *args, **kwargs):
+        residue_calls.append((f.name, at))
+        return real_residue(f, at, *args, **kwargs)
+
+    def counted_validate(p):
+        validate_calls.append(p)
+        return real_validate(p)
+
+    for module in (lef, red):
+        monkeypatch.setattr(module, "residue_of_h", counted_residue)
+        monkeypatch.setattr(module, "validate", counted_validate)
+    for name in ("cp1-triple", "cp2-k", "so3-s2xs2"):
+        p = catalog(name)
+        residue_calls.clear()
+        validate_calls.clear()
+        report = red.verify_quantization(p)
+        assert report.verdict == "PASS", name
+        cells = [(f.name, site) for f in p.components for site in red.pole_labels(p)]
+        assert sorted(residue_calls, key=repr) == sorted(cells, key=repr), name
+        assert len(validate_calls) == 1, name
 
 
 def test_verify_raises_on_invalid():
