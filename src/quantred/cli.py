@@ -25,13 +25,11 @@ from .exactnum import Cyclotomic
 from .fixedpoint import (
     InvalidInstanceError,
     SchemaError,
-    has_errors,
     load_instance,
     tensor_power,
-    validate,
 )
 from .oracle import character_polynomial
-from .reduction import Report, residue_table, verify_quantization
+from .reduction import Report, require_valid, residue_table, verify_quantization
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -125,7 +123,10 @@ def resolve_instance(args):
             return p
         p = catalog(args.catalog)
     else:
-        p = load_instance(args.input)
+        try:
+            p = load_instance(args.input)
+        except OSError as exc:  # missing, a directory, unreadable, ...
+            raise SchemaError(str(exc)) from exc
     if args.k is not None:
         p = tensor_power(p, args.k)
     return p
@@ -181,13 +182,7 @@ def report_to_json(report: Report) -> dict:
 
 
 def cmd_verify(args) -> int:
-    p = resolve_instance(args)
-    findings = validate(p)
-    if has_errors(findings):
-        print("invalid instance:", file=sys.stderr)
-        _print_findings(findings, sys.stderr)
-        return EXIT_INPUT
-    report = verify_quantization(p, args.degree_bound)
+    report = verify_quantization(resolve_instance(args), args.degree_bound)
     if args.json:
         print(json.dumps(report_to_json(report), indent=2))
     else:
@@ -239,11 +234,7 @@ def _column_sums(rows):
 
 def cmd_residues(args) -> int:
     p = resolve_instance(args)
-    findings = validate(p)
-    if has_errors(findings):
-        print("invalid instance:", file=sys.stderr)
-        _print_findings(findings, sys.stderr)
-        return EXIT_INPUT
+    require_valid(p)
     rows = residue_table(p)
     col_sums = _column_sums(rows)
     grand = sum((row.total for row in rows), Fraction(0))
@@ -297,7 +288,14 @@ def main(argv=None) -> int:
         if args.command == "character":
             return cmd_character(args)
         return cmd_residues(args)
-    except (SchemaError, UnknownCatalogError, FileNotFoundError, InvalidInstanceError) as exc:
+    except InvalidInstanceError as exc:
+        if exc.findings:
+            print("invalid instance:", file=sys.stderr)
+            _print_findings(exc.findings, sys.stderr)
+        else:
+            print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (SchemaError, UnknownCatalogError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ArithmeticError) as exc:

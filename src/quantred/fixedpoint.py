@@ -43,7 +43,14 @@ class SchemaError(ValueError):
 
 
 class InvalidInstanceError(ValueError):
-    """Validation found errors that block computation."""
+    """Validation found errors that block computation.
+
+    ``findings`` holds every finding of the validation that failed (empty
+    when another input check raised the error)."""
+
+    def __init__(self, message, findings=()):
+        super().__init__(message)
+        self.findings = list(findings)
 
 
 @dataclass(frozen=True)

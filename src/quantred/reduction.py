@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .exactnum import rational_part
+from .exactnum import Cyclotomic, rational_part
 from .fixedpoint import (
     InvalidInstanceError,
     ProblemInstance,
@@ -45,18 +45,19 @@ class ReducedRR:
     total: Fraction
 
 
-def _require_valid(p: ProblemInstance) -> list:
-    """The validation findings; raises InvalidInstanceError on any ERROR."""
+def require_valid(p: ProblemInstance) -> list:
+    """The validation findings; raises InvalidInstanceError, carrying them,
+    on any ERROR."""
     findings = validate(p)
     if has_errors(findings):
         raise InvalidInstanceError(
-            "; ".join(str(f) for f in findings if f.level == "ERROR")
+            "; ".join(str(f) for f in findings if f.level == "ERROR"), findings
         )
     return findings
 
 
 def reduced_rr(p: ProblemInstance) -> ReducedRR:
-    _require_valid(p)
+    require_valid(p)
     return _reduced_from_table(p, residue_table(p))
 
 
@@ -164,16 +165,35 @@ def pole_labels(p: ProblemInstance) -> list:
 
 def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     """Residues of Weyl * h_F at every pole site, per component, with the
-    row sums (zero, by the residue theorem on the sphere)."""
+    row sums (zero, by the residue theorem on the sphere).
+
+    At the roots of unity on F's walls the residue is computed once per
+    Galois orbit: chi_F has rational data, so the residue at
+    zeta_N**k = zeta_d**(k/g) (g = gcd(N, k), d = N/g) is the image under
+    z -> z**(k/g) of the residue at zeta_d, computed in Q(zeta_d) and then
+    embedded in Q(zeta_N).  Every other site is computed directly.
+    """
     weyl = WeylFactor.for_group(p.group)
     n = p.conductor
     sites = pole_labels(p)
     rows = []
     for f in p.components:
+        walls = set(wall_set(f, n))
+        at_primitive: dict[int, Cyclotomic] = {}  # d -> residue at zeta_d
         entries = []
         total = Fraction(0)
         for site in sites:
-            value = residue_of_h(f, site, weyl, conductor=n)
+            if isinstance(site, int) and site and site in walls:
+                g = gcd(n, site)
+                d = n // g
+                if d not in at_primitive:
+                    r = residue_of_h(f, 1, weyl, conductor=d)
+                    if not isinstance(r, Cyclotomic):
+                        r = Cyclotomic.from_rational(d, r)
+                    at_primitive[d] = r
+                value = at_primitive[d].galois(site // g).promoted(n)
+            else:
+                value = residue_of_h(f, site, weyl, conductor=n)
             label = site if isinstance(site, str) else _root_label(n, site)
             entries.append((label, value))
             total = total + value
@@ -197,7 +217,7 @@ def verify_quantization(p: ProblemInstance, degree_bound: int | None = None) -> 
     InvalidInstanceError instead of producing a report.  ``degree_bound``
     raises (never lowers) the oracle's expansion bound.
     """
-    findings = _require_valid(p)
+    findings = require_valid(p)
     ok = hypotheses_hold(findings)
     timings = {}
 

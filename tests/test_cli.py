@@ -60,13 +60,53 @@ def test_verify_fail_maps_to_exit_one(capsys, monkeypatch):
 
 
 def test_verify_invalid_instance_exit_two(capsys, tmp_path):
+    # every finding of the failed validation, carried by InvalidInstanceError
     doc = instance_to_dict(catalog("cp1-k", 2))
     doc["components"][0]["moment"] = 0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "verify", str(path))
+    expected = (
+        "invalid instance:\n"
+        "  ERROR [north]: moment value 0: the component meets the zero level, "
+        "so 0 is not a regular value\n"
+        "  INFO: all weights are +1/-1: the action is quasi-free and no "
+        "corrections at nontrivial roots of unity arise\n"
+    )
+    for command in ("verify", "residues"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", expected), command
+
+
+def test_verify_validates_once(capsys, monkeypatch):
+    import quantred.cli as cli_mod
+    import quantred.fixedpoint as fp
+    import quantred.lefschetz as lef
+    import quantred.reduction as red
+
+    calls = []
+    real = fp.validate
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (fp, cli_mod, lef, red):  # wherever the name is bound
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", counted)
+    code, _, _ = run(capsys, "verify", "--catalog", "cp1-double", "--json")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_unreadable_input_exit_two(capsys, tmp_path):
+    # a directory (or any file the OS refuses to read) is bad input, not FAIL
+    code, out, err = run(capsys, "verify", str(tmp_path))
     assert code == 2
-    assert "moment" in err
+    assert out == ""
+    assert err.startswith("input error:")
+    code, _, err = run(capsys, "residues", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert err.startswith("input error:")
 
 
 def test_malformed_json_exit_two(capsys, tmp_path):

@@ -212,6 +212,21 @@ def test_galois_fixes_rationals():
     assert x.galois(5) == Fraction(7, 5)
 
 
+@settings(max_examples=40)
+@given(st.data())
+def test_galois_commutes_with_embedding(data):
+    # sigma_j on Q(zeta_d) followed by the embedding is sigma_a on Q(zeta_N)
+    # for every lift a = j (mod d) coprime to N: the identity that lets a
+    # residue computed at zeta_d fill its whole orbit in Q(zeta_N)
+    d, n = data.draw(st.sampled_from([(3, 12), (4, 12), (5, 20), (7, 84), (12, 84), (7, 140)]))
+    x = data.draw(cyclotomics(d))
+    j = data.draw(st.sampled_from([j for j in range(1, d) if gcd(j, d) == 1]))
+    lifts = [a for a in range(1, n) if a % d == j and gcd(a, n) == 1]
+    assert lifts
+    for a in lifts:
+        assert x.galois(j).promoted(n) == x.promoted(n).galois(a), (d, n, j, a)
+
+
 def test_round_trip_to_rational():
     # an element with only a constant term round-trips to Fraction
     x = Cyclotomic(6, [Fraction(3, 2)])

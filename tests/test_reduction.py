@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,17 +15,24 @@ from quantred import (
     catalog_names,
     kawasaki_corrections,
     kawasaki_residues,
+    load_instance,
+    pole_labels,
     rational_part,
     reduced_rr,
     residue_of_h,
     residue_table,
     root_of_unity,
+    root_order,
     rr_invariant,
     rr_reduced_main,
     tensor_power,
     verify_quantization,
+    wall_set,
 )
 
+INSTANCES = Path(__file__).resolve().with_name("golden") / "instances"
+SPHERE_N60 = INSTANCES / "sphere-pm30.json"
+PLANE_N84 = INSTANCES / "plane-037-k1-c2.json"
 POINT = RingPresentation.point()
 
 
@@ -200,6 +208,12 @@ def test_report_contents():
     assert report.reduced.residues_by_exponent.keys() == {2}
 
 
+def _wall_orders(f):
+    """Orders d > 1 of the roots of unity on F's walls: the divisors of its
+    weights (an independent restatement of wall_set)."""
+    return {d for b in f.weights for d in range(2, abs(b) + 1) if b % d == 0}
+
+
 def test_verify_computes_each_residue_and_validates_once(monkeypatch):
     import quantred.lefschetz as lef
     import quantred.reduction as red
@@ -207,9 +221,9 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
     residue_calls, validate_calls = [], []
     real_residue, real_validate = lef.residue_of_h, lef.validate
 
-    def counted_residue(f, at, *args, **kwargs):
-        residue_calls.append((f.name, at))
-        return real_residue(f, at, *args, **kwargs)
+    def counted_residue(f, at, weyl=None, twist=0, conductor=None):
+        residue_calls.append((f.name, at, conductor))
+        return real_residue(f, at, weyl, twist, conductor)
 
     def counted_validate(p):
         validate_calls.append(p)
@@ -218,15 +232,57 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
     for module in (lef, red):
         monkeypatch.setattr(module, "residue_of_h", counted_residue)
         monkeypatch.setattr(module, "validate", counted_validate)
-    for name in ("cp1-triple", "cp2-k", "so3-s2xs2"):
-        p = catalog(name)
+    instances = [catalog(name) for name in
+                 ("cp1-triple", "cp2-k", "so3-s2xs2", "cp2-line-double")]
+    instances.append(load_instance(PLANE_N84))
+    for p in instances:
+        n = p.conductor
         residue_calls.clear()
         validate_calls.clear()
         report = red.verify_quantization(p)
-        assert report.verdict == "PASS", name
-        cells = [(f.name, site) for f in p.components for site in red.pole_labels(p)]
-        assert sorted(residue_calls, key=repr) == sorted(cells, key=repr), name
-        assert len(validate_calls) == 1, name
+        assert report.verdict == "PASS", p.name
+        orders = {f.name: _wall_orders(f) for f in p.components}
+        expected = []
+        for f in p.components:
+            # zero, t = 1, infinity and the roots off F's walls, in Q(zeta_N)
+            expected += [
+                (f.name, site, n) for site in red.pole_labels(p)
+                if not (isinstance(site, int) and root_order(n, site) in orders[f.name])
+            ]
+            # one residue per wall order d > 1, at zeta_d in Q(zeta_d)
+            expected += [(f.name, 1, d) for d in orders[f.name]]
+        assert sorted(residue_calls, key=repr) == sorted(expected, key=repr), p.name
+        for name, at, conductor in residue_calls:
+            if isinstance(at, int) and root_order(conductor, at) in orders[name]:
+                assert at == 1, (p.name, name, at, conductor)  # never zeta_N**k
+        assert len(validate_calls) == 1, p.name
+
+
+def test_wall_cells_equal_direct_residues():
+    # each wall cell, filled from one residue per Galois orbit, equals the
+    # residue computed directly at that root in Q(zeta_N); the orbit sums of
+    # the direct values are the rational corrections of the report
+    instances = [catalog(name) for name in catalog_names()]
+    instances += [load_instance(SPHERE_N60), load_instance(PLANE_N84)]
+    checked = 0
+    for p in instances:
+        n = p.conductor
+        weyl = WeylFactor.for_group(p.group)
+        orbit_sums = {}
+        for f, row in zip(p.components, residue_table(p)):
+            walls = wall_set(f, n)
+            for site, (_, value) in zip(pole_labels(p), row.entries):
+                if not (isinstance(site, int) and site in walls and site):
+                    continue
+                direct = residue_of_h(f, site, weyl, conductor=n)
+                assert value == direct, (p.name, f.name, site)
+                checked += 1
+                if f.moment > 0:
+                    d = root_order(n, site)
+                    orbit_sums[d] = orbit_sums.get(d, Fraction(0)) + direct
+        expected = {d: rational_part(v) for d, v in sorted(orbit_sums.items())}
+        assert kawasaki_corrections(p) == expected, p.name
+    assert checked == 96  # wall cells over these instances; none skipped
 
 
 def test_verify_raises_on_invalid():
