@@ -26,7 +26,6 @@ from .cohomology import (
 from .exactnum import (
     Cyclotomic,
     NotRationalError,
-    Rational,
     cyclotomic_polynomial,
     invert,
     lcm,

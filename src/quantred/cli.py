@@ -26,10 +26,11 @@ from .fixedpoint import (
     InvalidInstanceError,
     SchemaError,
     load_instance,
+    require_valid,
     tensor_power,
 )
 from .oracle import character_polynomial
-from .reduction import Report, require_valid, residue_table, verify_quantization
+from .reduction import Report, residue_table, verify_quantization
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -145,6 +146,14 @@ def _findings_json(findings):
     ]
 
 
+def _row_json(row) -> dict:
+    return {
+        "component": row.component,
+        "values": {label: scalar_json(v) for label, v in row.entries},
+        "sum": scalar_json(row.total),
+    }
+
+
 def report_to_json(report: Report) -> dict:
     reduced = report.reduced
     return {
@@ -168,14 +177,7 @@ def report_to_json(report: Report) -> dict:
         },
         "oracle": scalar_json(Fraction(report.oracle)),
         "character": {str(m): c for m, c in sorted(report.character.coefficients.items())},
-        "residues": [
-            {
-                "component": row.component,
-                "values": {label: scalar_json(v) for label, v in row.entries},
-                "sum": scalar_json(row.total),
-            }
-            for row in report.residue_table
-        ],
+        "residues": [_row_json(row) for row in report.residue_table],
         "verdict": report.verdict,
         "timings": report.timings,
     }
@@ -241,14 +243,7 @@ def cmd_residues(args) -> int:
     if args.json:
         print(json.dumps({
             "instance": p.name,
-            "rows": [
-                {
-                    "component": row.component,
-                    "values": {label: scalar_json(v) for label, v in row.entries},
-                    "sum": scalar_json(row.total),
-                }
-                for row in rows
-            ],
+            "rows": [_row_json(row) for row in rows],
             "column_sums": {
                 label: scalar_json(v)
                 for (label, _), v in zip(rows[0].entries, col_sums)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
+from math import factorial
 
 from .exactnum import Cyclotomic
 
@@ -278,7 +279,7 @@ class CohomologyClass:
         term = self.presentation.one()
         for n in range(bound + 1):
             sign = -1 if n % 2 else 1
-            out = out + term * Fraction(sign, _factorial(n + 1))
+            out = out + term * Fraction(sign, factorial(n + 1))
             term = term * self
             if term.is_zero():
                 break
@@ -347,13 +348,6 @@ class CohomologyClass:
         return " + ".join(parts)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 _TODD: list[Fraction] = [Fraction(1)]
 
 
@@ -369,7 +363,7 @@ def todd_coefficients(order: int) -> list[Fraction]:
         # g[k] = (-1)^k / (k+1)!; recurrence t[n] = -sum_{k>=1} g[k] t[n-k]
         acc = Fraction(0)
         for k in range(1, n + 1):
-            g_k = Fraction((-1) ** k, _factorial(k + 1))
+            g_k = Fraction((-1) ** k, factorial(k + 1))
             acc += g_k * _TODD[n - k]
         _TODD.append(-acc)
     return _TODD[: order + 1]

@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-Rational = Fraction
-
 
 class NotRationalError(ArithmeticError):
     """A cyclotomic value was expected to be rational and is not."""
@@ -372,7 +370,3 @@ def rational_part(x) -> Fraction:
 def root_order(n: int, k: int) -> int:
     """Multiplicative order of zeta_n**k."""
     return n // gcd(n, k % n or n)
-
-
-Scalar = Fraction | Cyclotomic
-

@@ -155,10 +155,7 @@ class ProblemInstance:
     def conductor(self) -> int:
         """lcm of 4 and every |weight|: the one cyclotomic field in which all
         wall roots of unity (and i) live."""
-        values = [4] + [abs(b) for f in self.components for b in f.weights]
-        if self.group is GroupKind.SU2:
-            values.append(2)
-        return lcm(*values)
+        return lcm(4, *(abs(b) for f in self.components for b in f.weights))
 
     def dimension(self) -> int:
         dims = {f.dimension for f in self.components}
@@ -249,6 +246,17 @@ def hypotheses_hold(findings) -> bool:
 
 def has_errors(findings) -> bool:
     return any(f.level == "ERROR" for f in findings)
+
+
+def require_valid(p: ProblemInstance) -> list[Finding]:
+    """The validation findings; raises InvalidInstanceError, carrying them,
+    on any ERROR."""
+    findings = validate(p)
+    if has_errors(findings):
+        raise InvalidInstanceError(
+            "; ".join(str(f) for f in findings if f.level == "ERROR"), findings
+        )
+    return findings
 
 
 def wall_set(f: FixedComponent, conductor: int | None = None) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .cohomology import CohomologyClass, RingPresentation, todd_coefficients
 from .exactnum import Cyclotomic, root_of_unity
@@ -164,10 +165,6 @@ class RingSeries:
 
     __rmul__ = __mul__
 
-    def shifted(self, n: int) -> "RingSeries":
-        """Multiply by variable**n (exact reindexing)."""
-        return RingSeries(self.chart, self.presentation, self.low + n, self.coeffs)
-
     def truncated(self, order: int) -> "RingSeries":
         if order < self.low:
             raise TruncationError("cannot truncate below the lowest exponent")
@@ -215,16 +212,6 @@ def series_constant(chart, presentation, value: CohomologyClass, order: int) -> 
     return RingSeries(chart, presentation, 0, coeffs)
 
 
-def scalar_exp_series(chart, presentation, rate, order: int) -> RingSeries:
-    """exp(rate * var) as a power series with constant ring coefficients."""
-    coeffs = []
-    term = Fraction(1)
-    for n in range(order + 1):
-        coeffs.append(presentation.constant(term))
-        term = term * rate / (n + 1)
-    return RingSeries(chart, presentation, 0, coeffs)
-
-
 def laurent_polynomial_series(poly, chart, presentation, order: int) -> RingSeries:
     """A finite Laurent polynomial sum a_r t**r rewritten in the chart.
 
@@ -246,12 +233,15 @@ def laurent_polynomial_series(poly, chart, presentation, order: int) -> RingSeri
         for r, v in poly.items():
             coeffs[sign * r - low] = presentation.constant(v)
         return RingSeries(chart, presentation, low, coeffs)
-    out = None
-    for r, v in poly.items():
-        piece = scalar_exp_series(chart, presentation, Fraction(r), order)
-        piece = piece * (presentation.constant(chart.zeta_power(r) * v))
-        out = piece if out is None else out + piece
-    return out
+    # the coefficient of u**n is sum_r a_r zeta**r r**n / n!
+    scaled = [(r, chart.zeta_power(r) * v) for r, v in poly.items()]
+    coeffs = []
+    for n in range(order + 1):
+        acc = presentation.zero()
+        for r, a in scaled:
+            acc = acc + presentation.constant(a * Fraction(r**n, factorial(n)))
+        coeffs.append(acc)
+    return RingSeries(chart, presentation, 0, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,71 +283,32 @@ def _geometric_factor(beta, c, chart, order):
 
 
 def _root_factor(beta, c, chart, order):
+    if not chart.is_wall_for(beta):
+        return lefschetz_denominator(beta, c, chart, order).reciprocal()
+    # zeta**beta = 1: the factor is f(beta*u + c) with f(y) = 1/(1 - e^{-y})
+    # = sum_j td_j y^(j-1).  By nilpotency Taylor's formula in c is the finite
+    # sum sum_k f^(k)(beta*u) c^k / k!, whose u^e coefficient is
+    # beta^e sum_k C(e+k, k) td_{e+k+1} c^k, k below the pole depth.
     pres = c.presentation
-    if chart.is_wall_for(beta):
-        # zeta**beta = 1: the factor is 1/(1 - e^{-(beta*u + c)}).  Write
-        # v = beta*u + c; then the factor is Td(v)/v with Td(x) = x/(1-e^{-x}).
-        # 1/v = sum_k (-1)^k c^k beta^{-k-1} u^{-k-1}, finite by nilpotency.
-        inv_coeffs = []
-        c_power = pres.one()
-        b = Fraction(1, beta)
-        b_power = b
-        while True:
-            sign = -1 if len(inv_coeffs) % 2 else 1
-            inv_coeffs.append(c_power * b_power * sign)
-            c_power = c_power * c
-            b_power = b_power * b
-            if c_power.is_zero():
-                break
-        depth = len(inv_coeffs)  # pole order of 1/v
-        inv_coeffs.reverse()  # now ascending exponents -depth .. -1
-        inv_v = RingSeries(
-            chart, pres, -depth,
-            inv_coeffs + [pres.zero()] * (order + depth + 1),
-        )
-        # Td(beta*u + c) as a power series in u, to order + depth so the
-        # product with 1/v stays valid through the requested order
-        td_order = order + depth
-        max_j = td_order + pres.nilpotency_bound + 1
-        td = todd_coefficients(max_j)
-        acc = [pres.zero() for _ in range(td_order + 1)]
-        # power = (beta*u + c)^j maintained as a list of u-coefficients
-        power = [pres.one()]
-        for j in range(max_j + 1):
-            if td[j]:
-                for i, cls in enumerate(power):
-                    if i <= td_order and not cls.is_zero():
-                        acc[i] = acc[i] + cls * td[j]
-            new_len = min(len(power) + 1, td_order + 1)
-            new_power = [pres.zero() for _ in range(new_len)]
-            for i, cls in enumerate(power):
-                if cls.is_zero():
-                    continue
-                up = cls * c
-                if i < new_len and not up.is_zero():
-                    new_power[i] = new_power[i] + up
-                if i + 1 < new_len:
-                    new_power[i + 1] = new_power[i + 1] + cls * beta
-            power = new_power
-            if all(p.is_zero() for p in power):
-                break
-        td_series = RingSeries(chart, pres, 0, acc)
-        return (inv_v * td_series).truncated(order)
-    # regular point: invert the power series 1 - zeta**(-beta) e^{-beta u} e^{-c}
-    z = chart.zeta_power(-beta)
-    exp_neg_c = (-c).exp()
+    c_powers = []
+    power = pres.one()
+    while not power.is_zero():
+        c_powers.append(power)
+        power = power * c
+    depth = len(c_powers)
+    td = todd_coefficients(order + depth)
     coeffs = []
-    rate = Fraction(1)
-    for n in range(order + 1):
-        scalar_term = z * rate  # zeta^{-beta} * (-beta)^n / n!
-        cls = exp_neg_c * scalar_term
-        if n == 0:
-            cls = pres.one() - cls
-        else:
-            cls = -cls
-        coeffs.append(cls)
-        rate = rate * (-beta) / (n + 1)
-    return RingSeries(chart, pres, 0, coeffs).reciprocal()
+    for e in range(-depth, order + 1):
+        acc = pres.zero()
+        binom = Fraction(1)  # C(e+k, k) = (e+k)(e+k-1)...(e+1) / k!
+        for k, c_power in enumerate(c_powers):
+            if k:
+                binom = binom * (e + k) / k
+            j = e + k + 1
+            if j >= 0 and binom and td[j]:
+                acc = acc + c_power * (binom * td[j])
+        coeffs.append(acc * Fraction(beta) ** e)
+    return RingSeries(chart, pres, -depth, coeffs)
 
 
 def expand_lefschetz_factor(beta: int, c: CohomologyClass, chart: Chart, order: int) -> RingSeries:
@@ -368,6 +319,14 @@ def expand_lefschetz_factor(beta: int, c: CohomologyClass, chart: Chart, order: 
     where zeta**beta = 1 the result has a pole: the scalar part is a simple
     pole in u and nilpotent corrections deepen it by at most the ring's
     nilpotency bound.
+
+    At t = 1 with beta = 1 on a point this is 1/(1 - e^{-u}):
+
+    >>> from quantred.cohomology import RingPresentation
+    >>> point = RingPresentation.point()
+    >>> s = expand_lefschetz_factor(1, point.zero(), Chart.at_one(), 3)
+    >>> [s.coefficient(n) for n in range(-1, 4)]
+    [1, 1/2, 1/12, 0, -1/720]
     """
     if beta == 0:
         raise ValueError("zero weight")
@@ -380,7 +339,8 @@ def expand_lefschetz_factor(beta: int, c: CohomologyClass, chart: Chart, order: 
 
 def lefschetz_denominator(beta: int, c: CohomologyClass, chart: Chart, order: int) -> RingSeries:
     """The finite expression 1 - t**(-beta) exp(-c) itself, written in the
-    chart.  Mostly useful for checking factor * denominator == 1."""
+    chart.  Its reciprocal is the factor at a root that is not on the wall;
+    elsewhere it checks factor * denominator == 1."""
     if beta == 0:
         raise ValueError("zero weight")
     pres = c.presentation

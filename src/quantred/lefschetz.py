@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import lcm, rational_part
-from .fixedpoint import (
-    FixedComponent,
-    GroupKind,
-    InvalidInstanceError,
-    ProblemInstance,
-    has_errors,
-    validate,
-)
+from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
 from .laurent import (
     Chart,
     RingSeries,
@@ -184,11 +177,7 @@ def rr_invariant(p: ProblemInstance) -> Fraction:
 
     Always an integer for consistent data; a non-integer result raises.
     """
-    findings = validate(p)
-    if has_errors(findings):
-        raise InvalidInstanceError(
-            "; ".join(str(f) for f in findings if f.level == "ERROR")
-        )
+    require_valid(p)
     weyl = WeylFactor.for_group(p.group)
     return invariant_from_residues(
         [residue_of_h(f, "infinity", weyl) for f in p.components]

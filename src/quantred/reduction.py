@@ -17,14 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exactnum import Cyclotomic, rational_part
-from .fixedpoint import (
-    InvalidInstanceError,
-    ProblemInstance,
-    has_errors,
-    hypotheses_hold,
-    validate,
-    wall_set,
-)
+from .fixedpoint import ProblemInstance, hypotheses_hold, require_valid, wall_set
 from .lefschetz import WeylFactor, invariant_from_residues, residue_of_h
 from .oracle import character_polynomial, invariant_multiplicity
 
@@ -43,17 +36,6 @@ class ReducedRR:
     corrections: dict[int, Fraction]
     residues_by_exponent: dict[int, object]
     total: Fraction
-
-
-def require_valid(p: ProblemInstance) -> list:
-    """The validation findings; raises InvalidInstanceError, carrying them,
-    on any ERROR."""
-    findings = validate(p)
-    if has_errors(findings):
-        raise InvalidInstanceError(
-            "; ".join(str(f) for f in findings if f.level == "ERROR"), findings
-        )
-    return findings
 
 
 def reduced_rr(p: ProblemInstance) -> ReducedRR:

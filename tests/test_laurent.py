@@ -22,6 +22,12 @@ from conftest import ring_classes
 
 POINT = RingPresentation.point()
 P1 = RingPresentation.projective_line()
+# c^2, c^3 != 0: walled factors with pole depth up to 4, so the Taylor terms
+# in c with k >= 2 are exercised
+DEEP_RINGS = [
+    RingPresentation(("x",), (4,), 6, {(3,): 1}),
+    RingPresentation(("x", "y"), (2, 3), 6, {(1, 2): 1}),
+]
 
 CHARTS = [
     Chart.at_zero(),
@@ -152,7 +158,7 @@ def test_chart_mismatch():
 def test_factor_inverts_denominator(data):
     chart = data.draw(st.sampled_from(CHARTS))
     beta = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
-    pres = data.draw(st.sampled_from([POINT, P1]))
+    pres = data.draw(st.sampled_from([POINT, P1, *DEEP_RINGS]))
     if pres.rank:
         c = data.draw(ring_classes(pres, nilpotent=True))
     else:
@@ -174,7 +180,7 @@ def test_factor_inverts_denominator(data):
 def test_truncation_monotone(data):
     chart = data.draw(st.sampled_from(CHARTS))
     beta = data.draw(st.sampled_from([-3, -1, 1, 2, 3]))
-    pres = data.draw(st.sampled_from([POINT, P1]))
+    pres = data.draw(st.sampled_from([POINT, P1, *DEEP_RINGS]))
     c = data.draw(ring_classes(pres, nilpotent=True)) if pres.rank else pres.zero()
     lo_order = 4
     hi_order = data.draw(st.integers(min_value=5, max_value=9))

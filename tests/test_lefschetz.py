@@ -174,8 +174,10 @@ def test_rr_invariant_on_tensor_powers():
 
 def test_rr_invariant_requires_valid_instance():
     p = ProblemInstance(GroupKind.U1, [point_component("f", 0, [1])])
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(InvalidInstanceError) as excinfo:
         rr_invariant(p)
+    # the error carries the findings, as it does from the reduced side
+    assert [f.code for f in excinfo.value.findings] == ["moment-zero", "quasi-free"]
 
 
 def test_non_integer_result_detected():

@@ -215,11 +215,12 @@ def _wall_orders(f):
 
 
 def test_verify_computes_each_residue_and_validates_once(monkeypatch):
+    import quantred.fixedpoint as fp
     import quantred.lefschetz as lef
     import quantred.reduction as red
 
     residue_calls, validate_calls = [], []
-    real_residue, real_validate = lef.residue_of_h, lef.validate
+    real_residue, real_validate = lef.residue_of_h, fp.validate
 
     def counted_residue(f, at, weyl=None, twist=0, conductor=None):
         residue_calls.append((f.name, at, conductor))
@@ -231,7 +232,7 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
 
     for module in (lef, red):
         monkeypatch.setattr(module, "residue_of_h", counted_residue)
-        monkeypatch.setattr(module, "validate", counted_validate)
+    monkeypatch.setattr(fp, "validate", counted_validate)
     instances = [catalog(name) for name in
                  ("cp1-triple", "cp2-k", "so3-s2xs2", "cp2-line-double")]
     instances.append(load_instance(PLANE_N84))
