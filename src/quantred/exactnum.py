@@ -113,6 +113,23 @@ def lcm(*values: int) -> int:
     return out
 
 
+def _mobius_over_phi(m: int) -> Fraction:
+    """mu(m)/phi(m): the product of -1/(p - 1) over the primes p of m when m
+    is squarefree, else 0."""
+    out = Fraction(1)
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return Fraction(0)
+            out /= 1 - p
+        p += 1
+    if m > 1:
+        out /= 1 - m
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -286,9 +303,14 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+        # equal values in different fields must hash alike, so hash the
+        # normalized trace Tr(x)/phi(N): Tr(z**k) is the Ramanujan sum
+        # mu(N/g) phi(N)/phi(N/g), g = gcd(N, k).  It is the same in every
+        # Q(zeta_M) that contains x, and it is x itself when x is rational.
+        n = self.conductor
+        return hash(sum(
+            c * _mobius_over_phi(n // gcd(n, k)) for k, c in enumerate(self.coeffs) if c
+        ))
 
     def __bool__(self):
         return not self.is_zero()

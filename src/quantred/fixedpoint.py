@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import lcm
@@ -265,11 +266,11 @@ def wall_set(f: FixedComponent, conductor: int | None = None) -> tuple[int, ...]
     (the point t = 1)."""
     if conductor is None:
         conductor = lcm(4, *(abs(b) for b in f.weights))
-    walls = set()
-    for k in range(conductor):
-        if any(b and (k * b) % conductor == 0 for b in f.weights):
-            walls.add(k)
-    walls.add(0)
+    # k * beta = 0 (mod N) exactly for the multiples of N / gcd(N, beta)
+    walls = {0}
+    for b in f.weights:
+        if b:
+            walls.update(range(0, conductor, conductor // gcd(conductor, b)))
     return tuple(sorted(walls))
 
 
@@ -390,7 +391,7 @@ def _parse_ring(obj, where) -> RingPresentation:
         names.append(str(g[0]))
         orders.append(g[1])
     top = obj.get("top_degree", 0)
-    if not isinstance(top, int):
+    if not isinstance(top, int) or isinstance(top, bool):
         raise SchemaError(f"{where}.top_degree: expected an integer")
     raw = obj.get("integrals")
     if raw is None:

@@ -178,14 +178,16 @@ class RingSeries:
     def reciprocal(self) -> "RingSeries":
         """Inverse series, defined when the leading (lowest) coefficient has
         an invertible constant term.  The window length is preserved."""
-        lead = self.coeffs[0]
-        lead_inv = lead.inverse()  # raises if the scalar part vanishes
-        n_terms = len(self.coeffs)
+        lead_inv = self.coeffs[0].inverse()  # raises if the scalar part vanishes
+        # inv[n] = -lead^{-1} sum_{k=1..n} a_k inv[n-k], over the nonzero a_k
+        tail = [(k, a) for k, a in enumerate(self.coeffs) if k and not a.is_zero()]
         inv = [lead_inv]
-        for n in range(1, n_terms):
+        for n in range(1, len(self.coeffs)):
             acc = self.presentation.zero()
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * inv[n - k]
+            for k, a in tail:
+                if k > n:
+                    break
+                acc = acc + a * inv[n - k]
             inv.append(-(lead_inv * acc))
         return RingSeries(self.chart, self.presentation, -self.low, inv)
 
@@ -248,43 +250,7 @@ def laurent_polynomial_series(poly, chart, presentation, order: int) -> RingSeri
 # the Lefschetz denominator factor 1 / (1 - t**(-beta) * exp(-c))
 # ---------------------------------------------------------------------------
 
-def _geometric_factor(beta, c, chart, order):
-    """Expansion of 1/(1 - t**(-beta) e^{-c}) in the 0 or inf chart.
-
-    Writing var for the chart variable, t**(-beta) is var**e with e = -beta
-    at zero and e = +beta at infinity.  For e > 0 the factor tends to 1 at
-    the center and the plain geometric series applies; for e < 0 we flip
-    first:  1/(1 - var**(-m) X) = -var**m X^{-1} / (1 - var**m X^{-1}).
-    """
-    pres = c.presentation
-    e = -beta if chart.kind == "zero" else beta
-    if e > 0:
-        exp_neg_c = (-c).exp()
-        coeffs = [pres.zero() for _ in range(order + 1)]
-        power = pres.one()
-        n = 0
-        while n * e <= order:
-            coeffs[n * e] = power
-            power = power * exp_neg_c
-            n += 1
-        return RingSeries(chart, pres, 0, coeffs)
-    m = -e
-    if order < m:
-        raise TruncationError("truncation order too small for a flipped factor")
-    exp_c = c.exp()
-    coeffs = [pres.zero() for _ in range(order - m + 1)]
-    power = pres.one()
-    n = 1
-    while n * m <= order:
-        power = power * exp_c
-        coeffs[n * m - m] = -power
-        n += 1
-    return RingSeries(chart, pres, m, coeffs)
-
-
-def _root_factor(beta, c, chart, order):
-    if not chart.is_wall_for(beta):
-        return lefschetz_denominator(beta, c, chart, order).reciprocal()
+def _wall_factor(beta, c, chart, order):
     # zeta**beta = 1: the factor is f(beta*u + c) with f(y) = 1/(1 - e^{-y})
     # = sum_j td_j y^(j-1).  By nilpotency Taylor's formula in c is the finite
     # sum sum_k f^(k)(beta*u) c^k / k!, whose u^e coefficient is
@@ -318,7 +284,8 @@ def expand_lefschetz_factor(beta: int, c: CohomologyClass, chart: Chart, order: 
     ``beta`` the integer weight of the circle action on it.  At a root chart
     where zeta**beta = 1 the result has a pole: the scalar part is a simple
     pole in u and nilpotent corrections deepen it by at most the ring's
-    nilpotency bound.
+    nilpotency bound.  Off a wall, in every chart, the factor is the
+    reciprocal of :func:`lefschetz_denominator`, cut back to ``order``.
 
     At t = 1 with beta = 1 on a point this is 1/(1 - e^{-u}):
 
@@ -332,15 +299,15 @@ def expand_lefschetz_factor(beta: int, c: CohomologyClass, chart: Chart, order: 
         raise ValueError("zero weight")
     if not c.is_nilpotent():
         raise ValueError("Chern class must have zero constant term")
-    if chart.kind == "root":
-        return _root_factor(beta, c, chart, order)
-    return _geometric_factor(beta, c, chart, order)
+    if chart.is_wall_for(beta):
+        return _wall_factor(beta, c, chart, order)
+    return lefschetz_denominator(beta, c, chart, order).reciprocal().truncated(order)
 
 
 def lefschetz_denominator(beta: int, c: CohomologyClass, chart: Chart, order: int) -> RingSeries:
     """The finite expression 1 - t**(-beta) exp(-c) itself, written in the
-    chart.  Its reciprocal is the factor at a root that is not on the wall;
-    elsewhere it checks factor * denominator == 1."""
+    chart.  Its reciprocal is the factor everywhere off a wall; at a wall
+    it checks factor * denominator == 1."""
     if beta == 0:
         raise ValueError("zero weight")
     pres = c.presentation

@@ -1,6 +1,13 @@
 """Independent verification path: assemble the full character as a finite
-Laurent polynomial by brute-force geometric expansion at t -> infinity, then
-read off invariant multiplicities by elementary character theory.
+Laurent polynomial by expanding every fixed component's contribution at
+t -> infinity (in w = 1/t), then read off invariant multiplicities by
+elementary character theory.
+
+Each normal factor 1/(1 - w^b e^{-c}) is applied to the running series s by
+the recurrence it defines, s[e] = num[e] + X s[e - m], one exponent at a
+time up to a checked tail window; a negative weight is first rewritten as
+-w^m e^{c} / (1 - w^m e^{c}) with m = -b.  The summed expansion must vanish
+in that tail, which certifies the data.
 
 This module deliberately re-implements its own tiny monomial arithmetic on
 plain dictionaries instead of reusing the series/ring machinery: the point
@@ -151,6 +158,12 @@ def character_polynomial(
     allowed to end; the expansion itself is carried a full extra bound
     further, and any nonzero coefficient in that checked window raises
     :class:`StabilizationError`.
+
+    The sphere with the degree-2 bundle carries the weights -1, 0, 1:
+
+    >>> from quantred.catalog import catalog
+    >>> print(character_polynomial(catalog("cp1-k", 2)))
+    t^-1 + 1 + t
     """
     auto = automatic_degree_bound(p)
     bound = auto if degree_bound is None else max(int(degree_bound), auto)
@@ -158,41 +171,29 @@ def character_polynomial(
     total: dict[int, Fraction] = {}
     for f in p.components:
         orders = f.ring.orders
-        rank = f.ring.rank
         base = _mono_mul(_mono_exp(_as_dict(f.omega), orders), _as_dict(f.todd), orders)
         series: dict[int, dict] = {-f.moment: base}
         for b, chern in zip(f.weights, f.normal_chern):
             if b == 0:
                 raise InvalidInstanceError(f"component {f.name!r} has a zero weight")
-            c = _as_dict(chern)
-            lowest = min(series)
-            span = top - lowest
-            terms = []
-            if b > 0:
-                exp_step = _mono_exp(_mono_scale(c, Fraction(-1)), orders)
-                power = {(0,) * rank: Fraction(1)}
-                n = 0
-                while n * b <= span:
-                    terms.append((n * b, power))
-                    power = _mono_mul(power, exp_step, orders)
-                    n += 1
-            else:
-                exp_step = _mono_exp(c, orders)
-                power = {(0,) * rank: Fraction(1)}
-                n = 1
-                while n * (-b) <= span:
-                    power = _mono_mul(power, exp_step, orders)
-                    terms.append((n * (-b), _mono_scale(power, Fraction(-1))))
-                    n += 1
+            # the factor 1/(1 - w^b e^{-c}), applied by its recurrence
+            # s[e] = num[e] + X s[e - m]: for b > 0, num is the series,
+            # X = e^{-c} and m = b; for b < 0 the factor is
+            # -w^m e^{c} / (1 - w^m e^{c}) with m = -b, so num is
+            # -w^m e^{c} times the series and X = e^{c}
+            m = abs(b)
+            step = _mono_exp(_mono_scale(_as_dict(chern), Fraction(-1 if b > 0 else 1)), orders)
+            num = series
+            if b < 0:
+                lift = _mono_scale(step, Fraction(-1))
+                num = {e + m: _mono_mul(cls, lift, orders) for e, cls in series.items()}
             new: dict[int, dict] = {}
-            for w_exp, cls in series.items():
-                for dw, factor in terms:
-                    e = w_exp + dw
-                    if e > top:
-                        continue
-                    piece = _mono_mul(cls, factor, orders)
-                    if piece:
-                        new[e] = _mono_add(new.get(e, {}), piece)
+            for e in range(min(num), top + 1):
+                cls = num.get(e, {})
+                if e - m in new:
+                    cls = _mono_add(cls, _mono_mul(new[e - m], step, orders))
+                if cls:
+                    new[e] = cls
             series = new
         table = f.ring.integrals
         for w_exp, cls in series.items():

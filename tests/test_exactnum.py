@@ -155,8 +155,22 @@ def test_embedding_commutes_with_arithmetic(data):
     b = data.draw(cyclotomics(m))
     assert (a + b).promoted(n) == a.promoted(n) + b.promoted(n)
     assert (a * b).promoted(n) == a.promoted(n) * b.promoted(n)
+    assert hash(a.promoted(n)) == hash(a)
     if not a.is_zero():
         assert a.inverse().promoted(n) == a.promoted(n).inverse()
+
+
+def test_hash_agrees_with_equality():
+    # i in Q(zeta_4) and zeta_8^2 in Q(zeta_8) are equal, so a set holds one
+    assert root_of_unity(4, 1) == root_of_unity(8, 2)
+    assert len({root_of_unity(4, 1), root_of_unity(8, 2)}) == 1
+    assert len({root_of_unity(3, 1), root_of_unity(12, 4), root_of_unity(6, 2)}) == 1
+    # a rational value hashes like its Fraction, in any field
+    for n in FIELDS:
+        for value in (Fraction(0), Fraction(1), Fraction(-7, 3)):
+            x = Cyclotomic.from_rational(n, value)
+            assert hash(x) == hash(value)
+            assert len({x, value}) == 1
 
 
 def test_mixed_conductor_arithmetic():

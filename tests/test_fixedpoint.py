@@ -232,6 +232,12 @@ def test_floats_rejected():
         doc["components"][0]["ring"]["generators"][0][1] = order
         with pytest.raises(SchemaError, match="generators|order"):
             instance_from_dict(doc)
+    # the top degree takes no bool (false is not 0), float or string either
+    for top in (False, True, 2.0, "2"):
+        doc = instance_to_dict(catalog("cp1-k", 2))
+        doc["components"][0]["ring"]["top_degree"] = top
+        with pytest.raises(SchemaError, match="top_degree"):
+            instance_from_dict(doc)
 
 
 def test_float_moment_rejected():

@@ -54,6 +54,25 @@ def test_geometric_series_at_infinity():
     assert s.low == 0
     for n in range(6):
         assert s.coefficient(n) == 1  # 1 + w + w^2 + ...
+    # both outer charts, both signs: with var^e = t^(-beta) (e = beta at
+    # infinity, -beta at zero) the factor is sum_n e^{-nc} var^(n e) for
+    # e > 0 and -sum_{n >= 1} e^{nc} var^(n m) for e = -m < 0
+    deep = DEEP_RINGS[1]
+    classes = [POINT.zero(), P1.gen("x"), -3 * P1.gen("x"), deep.gen("x") + 2 * deep.gen("y")]
+    order = 13
+    for c in classes:
+        for chart, sign in ((Chart.at_infinity(), 1), (Chart.at_zero(), -1)):
+            for beta in (-3, -1, 1, 2):
+                e = sign * beta
+                if e > 0:
+                    expected = {n * e: (-n * c).exp() for n in range(order // e + 1)}
+                else:
+                    expected = {-n * e: -(n * c).exp() for n in range(1, order // -e + 1)}
+                s = expand_lefschetz_factor(beta, c, chart, order)
+                assert (s.low, s.order) == (max(0, -e), order)
+                for n in range(s.low, order + 1):
+                    assert s.coefficient(n) == expected.get(n, c.presentation.zero()), (
+                        chart, beta, c, n)
 
 
 def test_todd_type_pole_at_one():
