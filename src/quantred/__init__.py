@@ -58,7 +58,6 @@ from .laurent import (
     expand_lefschetz_factor,
     lefschetz_denominator,
     residue,
-    series_product,
 )
 from .lefschetz import (
     NonIntegerResultError,

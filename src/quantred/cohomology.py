@@ -42,6 +42,8 @@ class RingPresentation:
         orders = tuple(int(m) for m in orders)
         if len(generators) != len(orders):
             raise ValueError("one nilpotency order per generator")
+        if len(set(generators)) != len(generators):
+            raise ValueError(f"generator names {list(generators)} are not distinct")
         if any(m < 1 for m in orders):
             raise ValueError("nilpotency orders must be >= 1")
         if top_degree < 0 or top_degree % 2:
@@ -263,23 +265,6 @@ class CohomologyClass:
         for n in range(bound + 1):
             if coeffs[n]:
                 out = out + term * coeffs[n]
-            term = term * self
-            if term.is_zero():
-                break
-        return out
-
-    def todd_inverse_factor(self, order: int | None = None) -> "CohomologyClass":
-        """(1 - exp(-a)) / a, the reciprocal series of the Todd factor."""
-        if not self.is_nilpotent():
-            raise ValueError("needs a class with zero constant term")
-        bound = self.presentation.nilpotency_bound
-        if order is not None:
-            bound = min(bound, order)
-        out = self.presentation.zero()
-        term = self.presentation.one()
-        for n in range(bound + 1):
-            sign = -1 if n % 2 else 1
-            out = out + term * Fraction(sign, factorial(n + 1))
             term = term * self
             if term.is_zero():
                 break

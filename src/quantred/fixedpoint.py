@@ -308,7 +308,8 @@ def tensor_power(p: ProblemInstance, k: int) -> ProblemInstance:
 # Polynomials are maps from monomial strings ("1", "x", "x^2*y") to exact
 # rational literals ("7/3" or integers).  Floats are rejected.
 
-_MONO_PART = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_MONO_PART = re.compile(rf"^({_NAME})(?:\^(\d+))?$")
 
 
 def _parse_rational(value, where):
@@ -388,7 +389,9 @@ def _parse_ring(obj, where) -> RingPresentation:
             raise SchemaError(f"{where}.generators: entries are [name, order]")
         if not isinstance(g[1], int) or isinstance(g[1], bool):
             raise SchemaError(f"{where}.generators: order {g[1]!r} is not an integer")
-        names.append(str(g[0]))
+        if not (isinstance(g[0], str) and re.fullmatch(_NAME, g[0])):
+            raise SchemaError(f"{where}.generators: name {g[0]!r} is not an identifier")
+        names.append(g[0])
         orders.append(g[1])
     top = obj.get("top_degree", 0)
     if not isinstance(top, int) or isinstance(top, bool):

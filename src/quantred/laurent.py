@@ -175,21 +175,41 @@ class RingSeries:
             self.coeffs[: order - self.low + 1],
         )
 
+    def __truediv__(self, other: "RingSeries") -> "RingSeries":
+        """Quotient series by long division, defined when the divisor's
+        leading (lowest) coefficient has an invertible constant term.  The
+        window starts at ``self.low - other.low`` and is as long as the
+        shorter of the two windows.
+
+        At infinity, 1/(1 - w) = 1 + w + w^2 + ...:
+
+        >>> pt = RingPresentation.point()
+        >>> def series(*values):
+        ...     return RingSeries(Chart.at_infinity(), pt, 0, [pt.constant(v) for v in values])
+        >>> q = series(1, 0, 0, 0) / series(1, -1, 0, 0)
+        >>> q.low, [q.coefficient(n) for n in range(4)]
+        (0, [1, 1, 1, 1])
+        """
+        self._check(other)
+        lead_inv = other.coeffs[0].inverse()  # raises if the scalar part vanishes
+        # q[n] = lead^{-1} (a[n] - sum_{k=1..n} d_k q[n-k]), over the nonzero d_k
+        tail = [(k, d) for k, d in enumerate(other.coeffs) if k and not d.is_zero()]
+        q = []
+        for n in range(min(len(self.coeffs), len(other.coeffs))):
+            acc = self.coeffs[n]
+            for k, d in tail:
+                if k > n:
+                    break
+                acc = acc - d * q[n - k]
+            q.append(lead_inv * acc)
+        return RingSeries(self.chart, self.presentation, self.low - other.low, q)
+
     def reciprocal(self) -> "RingSeries":
         """Inverse series, defined when the leading (lowest) coefficient has
         an invertible constant term.  The window length is preserved."""
-        lead_inv = self.coeffs[0].inverse()  # raises if the scalar part vanishes
-        # inv[n] = -lead^{-1} sum_{k=1..n} a_k inv[n-k], over the nonzero a_k
-        tail = [(k, a) for k, a in enumerate(self.coeffs) if k and not a.is_zero()]
-        inv = [lead_inv]
-        for n in range(1, len(self.coeffs)):
-            acc = self.presentation.zero()
-            for k, a in tail:
-                if k > n:
-                    break
-                acc = acc + a * inv[n - k]
-            inv.append(-(lead_inv * acc))
-        return RingSeries(self.chart, self.presentation, -self.low, inv)
+        one = series_constant(self.chart, self.presentation, self.presentation.one(),
+                              len(self.coeffs) - 1)
+        return one / self
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -285,7 +305,8 @@ def expand_lefschetz_factor(beta: int, c: CohomologyClass, chart: Chart, order: 
     where zeta**beta = 1 the result has a pole: the scalar part is a simple
     pole in u and nilpotent corrections deepen it by at most the ring's
     nilpotency bound.  Off a wall, in every chart, the factor is the
-    reciprocal of :func:`lefschetz_denominator`, cut back to ``order``.
+    reciprocal of :func:`lefschetz_denominator`, cut back to ``order``
+    (chart expansions divide by that denominator and call this at walls only).
 
     At t = 1 with beta = 1 on a point this is 1/(1 - e^{-u}):
 
@@ -306,8 +327,8 @@ def expand_lefschetz_factor(beta: int, c: CohomologyClass, chart: Chart, order: 
 
 def lefschetz_denominator(beta: int, c: CohomologyClass, chart: Chart, order: int) -> RingSeries:
     """The finite expression 1 - t**(-beta) exp(-c) itself, written in the
-    chart.  Its reciprocal is the factor everywhere off a wall; at a wall
-    it checks factor * denominator == 1."""
+    chart.  Off a wall the factor is one over it, and chart expansions
+    divide by it; at a wall it checks factor * denominator == 1."""
     if beta == 0:
         raise ValueError("zero weight")
     pres = c.presentation
@@ -349,7 +370,3 @@ def residue(series: RingSeries) -> CohomologyClass:
         return series.coefficient(0)
     return -series.coefficient(0)
 
-
-def series_product(a: RingSeries, b: RingSeries) -> RingSeries:
-    """Cauchy product; windows combine to the weakest common validity."""
-    return a * b

@@ -24,6 +24,7 @@ from .laurent import (
     RingSeries,
     expand_lefschetz_factor,
     laurent_polynomial_series,
+    lefschetz_denominator,
     residue,
     series_constant,
 )
@@ -101,7 +102,9 @@ def component_series(
     order: int = 0,
 ) -> RingSeries:
     """Chart expansion of chi_F(t) * (multiplier Laurent polynomial), as a
-    ring-valued series valid at least up to ``order``."""
+    ring-valued series valid at least up to ``order``: t**mu * multiplier *
+    e^omega Td(F), multiplied by each normal factor's Taylor sum at a wall
+    and divided by its ``lefschetz_denominator`` everywhere else."""
     poly = {f.moment: Fraction(1)}
     if multiplier:
         poly = {}
@@ -110,30 +113,22 @@ def component_series(
                 poly[f.moment + r] = poly.get(f.moment + r, Fraction(0)) + a
     if not poly:
         return series_constant(chart, f.ring, f.ring.zero(), max(order, 0) + 1)
-    lows = [_poly_low(chart, poly)]
-    lows += [_piece_low(chart, f, b) for b in f.weights]
-    total_low = sum(lows)
+    poly_low = _poly_low(chart, poly)
+    total_low = poly_low + sum(_piece_low(chart, f, b) for b in f.weights)
     if total_low > order:
         # the product provably starts above every exponent of interest;
         # report a window of certified zeros just below it
         return RingSeries(chart, f.ring, total_low - 1, [f.ring.zero()])
-    pieces = []
-    for i, low_i in enumerate(lows):
-        order_i = order - (total_low - low_i) + 1
-        if i == 0:
-            pieces.append(
-                laurent_polynomial_series(poly, chart, f.ring, max(order_i, low_i))
-            )
+    # every factor below keeps the running window length, so the result is
+    # valid from its true low exponent (>= total_low) up to at least order
+    out = laurent_polynomial_series(poly, chart, f.ring, order - total_low + poly_low)
+    out = out * (f.omega.exp() * f.todd)
+    for b, c in zip(f.weights, f.normal_chern):
+        n = len(out.coeffs) - 1
+        if chart.is_wall_for(b):
+            out = out * expand_lefschetz_factor(b, c, chart, n)
         else:
-            b = f.weights[i - 1]
-            c = f.normal_chern[i - 1]
-            pieces.append(
-                expand_lefschetz_factor(b, c, chart, max(order_i, low_i))
-            )
-    const = f.omega.exp() * f.todd
-    out = series_constant(chart, f.ring, const, max(order - total_low, 0) + 1)
-    for piece in pieces:
-        out = out * piece
+            out = out / lefschetz_denominator(b, c, chart, n)
     return out
 
 
@@ -213,8 +208,6 @@ def character_from_chart(p: ProblemInstance, kind: str, top: int) -> dict[int, F
         series = component_series(f, chart, None, order=top)
         for m in range(-top, top + 1):
             e = m if kind == "zero" else -m
-            if e > series.order:
-                continue
             v = series.coefficient(e).integrate()
             if v:
                 out[m] = out.get(m, Fraction(0)) + v

@@ -135,6 +135,17 @@ def test_dimension_mismatch_exit_two(capsys, tmp_path):
         assert "dim M" in err
 
 
+def test_repeated_generator_name_exit_two(capsys, tmp_path):
+    doc = instance_to_dict(catalog("cp1xcp1"))
+    doc["components"][0]["ring"]["generators"] = [["x", 2], ["x", 2]]
+    path = tmp_path / "repeated_generator.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "not distinct" in err
+
+
 def test_zero_weight_character_exit_two(capsys, tmp_path):
     doc = instance_to_dict(catalog("cp1-k", 2))
     doc["components"][0]["weights"] = [0]

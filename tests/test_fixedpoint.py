@@ -240,6 +240,28 @@ def test_floats_rejected():
             instance_from_dict(doc)
 
 
+def test_ring_generator_names_checked():
+    # a repeated name could never be referenced (every lookup finds the
+    # first), and a name outside the monomial grammar could never be parsed
+    with pytest.raises(ValueError, match="distinct"):
+        RingPresentation(("x", "x"), (2, 2), 4, {(1, 1): 1})
+    bad = (
+        ([["x", 2], ["x", 2]], "distinct"),
+        ([["x y", 2]], "identifier"),
+        ([[3, 2]], "identifier"),
+        ([["x^2", 2]], "identifier"),
+        ([["1", 2]], "identifier"),
+        ([["", 2]], "identifier"),
+        ([[None, 2]], "identifier"),
+        ([["\u00e9", 2]], "identifier"),
+    )
+    for gens, match in bad:
+        doc = instance_to_dict(catalog("cp1xcp1"))
+        doc["components"][0]["ring"]["generators"] = gens
+        with pytest.raises(SchemaError, match=match):
+            instance_from_dict(doc)
+
+
 def test_float_moment_rejected():
     doc = instance_to_dict(catalog("cp1-k", 2))
     doc["components"][0]["moment"] = 1.0

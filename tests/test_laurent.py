@@ -15,10 +15,9 @@ from quantred import (
     lefschetz_denominator,
     residue,
     root_of_unity,
-    series_product,
 )
 
-from conftest import ring_classes
+from conftest import cyclotomics, ring_classes, small_fractions
 
 POINT = RingPresentation.point()
 P1 = RingPresentation.projective_line()
@@ -140,7 +139,7 @@ def test_residue_needs_enough_truncation():
 def test_product_cancels_poles():
     u_inv = scalar_series(Chart.at_one(), -1, [1], order=2)
     u = scalar_series(Chart.at_one(), 1, [1], order=4)
-    prod = series_product(u_inv, u)
+    prod = u_inv * u
     assert prod.coefficient(0) == 1
     assert prod.coefficient(1) == 0
 
@@ -190,6 +189,42 @@ def test_factor_inverts_denominator(data):
     for n in range(prod.low, min(prod.order, 4) + 1):
         expected = pres.one() if n == 0 else pres.zero()
         assert prod.coefficient(n) == expected, (chart, beta, n)
+
+
+# -- long division ---------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_division_inverts_multiplication(data):
+    chart = data.draw(st.sampled_from(CHARTS))
+    pres = data.draw(st.sampled_from([P1, *DEEP_RINGS]))
+    scalars = cyclotomics(chart.conductor) if chart.conductor > 1 else small_fractions
+    a = RingSeries(
+        chart, pres, data.draw(st.integers(-3, 3)),
+        data.draw(st.lists(ring_classes(pres, scalars=scalars), min_size=1, max_size=5)),
+    )
+    c = data.draw(ring_classes(pres, nilpotent=True))
+    unit = pres.constant(data.draw(small_fractions.filter(bool))) + c
+    divisors = [RingSeries(
+        chart, pres, data.draw(st.integers(-3, 3)),
+        [unit] + data.draw(st.lists(ring_classes(pres), max_size=4)),
+    )]
+    # denominators off a wall: lead 1, -e^{-c} (0-chart, beta > 0) or, at a
+    # regular root, 1 - zeta^{-beta} e^{-c} with a cyclotomic scalar part
+    divisors += [
+        lefschetz_denominator(beta, c, chart, data.draw(st.integers(0, 5)))
+        for beta in (-3, -2, -1, 1, 2, 3) if not chart.is_wall_for(beta)
+    ]
+    for d in divisors:
+        q = a / d
+        assert q.low == a.low - d.low
+        assert q.order == q.low + min(len(a.coeffs), len(d.coeffs)) - 1
+        back = q * d
+        assert (back.low, back.order) == (a.low, a.low + len(q.coeffs) - 1)
+        for n in range(back.low, back.order + 1):
+            assert back.coefficient(n) == a.coefficient(n), (chart, d, n)
+    with pytest.raises(ZeroDivisionError):
+        a / RingSeries(chart, pres, 0, [c, pres.one()])
 
 
 # -- truncation monotonicity ------------------------------------------------------
