@@ -1,4 +1,5 @@
 import cmath
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +18,7 @@ from quantred import (
     root_order,
 )
 
-from conftest import cyclotomics, mobius
+from conftest import cyclotomics, mobius, small_fractions
 
 FIELDS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -251,3 +252,96 @@ def test_immutability():
     z = root_of_unity(4, 1)
     with pytest.raises(AttributeError):
         z.conductor = 8
+
+
+# -- independent cross-check against sympy (optional dependency) --------------
+# sympy is not a dependency of quantred; these cases skip when it is missing.
+# Each conductor N <= 60 gets seeded random elements, and every result is
+# recomputed with sympy's cyclotomic_poly and polynomial rem/invert over QQ.
+
+SYMPY_CONDUCTORS = range(1, 61)
+
+
+def _random_element(rng, n, terms=None):
+    # dense by default; a few small terms keep the Euclidean inverse cheap
+    coeffs = [Fraction(0)] * phi_degree(n)
+    for k in rng.sample(range(len(coeffs)), min(terms or len(coeffs), len(coeffs))):
+        coeffs[k] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Cyclotomic(n, coeffs)
+
+
+def _sympy_field(n):
+    sp = pytest.importorskip("sympy")
+    z = sp.Symbol("z")
+    return sp, z, sp.Poly(sp.cyclotomic_poly(n, z), z, domain=sp.QQ)
+
+
+def _to_sympy(sp, z, terms):
+    # the polynomial sum of c * z**k over the (k, c) pairs, unreduced
+    poly = {}
+    for k, c in terms:
+        poly[(k,)] = poly.get((k,), 0) + sp.Rational(c.numerator, c.denominator)
+    return sp.Poly.from_dict(poly, z, domain=sp.QQ)
+
+
+def _from_sympy(poly, n):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    coeffs += [Fraction(0)] * (phi_degree(n) - len(coeffs))
+    return tuple(coeffs[:phi_degree(n)])
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    for n in SYMPY_CONDUCTORS:
+        sp, z, phi = _sympy_field(n)
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(phi.all_coeffs())), n
+
+
+def test_product_and_inverse_match_sympy():
+    rng = random.Random(1)
+    for n in SYMPY_CONDUCTORS:
+        sp, z, phi = _sympy_field(n)
+        a, b = _random_element(rng, n), _random_element(rng, n)
+        pa, pb = _to_sympy(sp, z, enumerate(a.coeffs)), _to_sympy(sp, z, enumerate(b.coeffs))
+        assert (a * b).coeffs == _from_sympy((pa * pb).rem(phi), n), n
+        c = _random_element(rng, n, terms=3)
+        if not c.is_zero():
+            pc = _to_sympy(sp, z, enumerate(c.coeffs))
+            assert c.inverse().coeffs == _from_sympy(pc.invert(phi), n), n
+
+
+def test_galois_matches_sympy():
+    rng = random.Random(2)
+    for n in SYMPY_CONDUCTORS:
+        sp, z, phi = _sympy_field(n)
+        a = _random_element(rng, n)
+        units = [j for j in range(1, n + 1) if gcd(j, n) == 1]
+        for j in rng.sample(units, min(3, len(units))):
+            # z -> z**j, with exponents taken modulo N since zeta_N**N = 1
+            image = _to_sympy(sp, z, ((k * j % n, c) for k, c in enumerate(a.coeffs)))
+            assert a.galois(j).coeffs == _from_sympy(image.rem(phi), n), (n, j)
+
+
+def test_promoted_matches_sympy():
+    rng = random.Random(3)
+    for m in SYMPY_CONDUCTORS:
+        sp, z, phi_m = _sympy_field(m)
+        for n in (n for n in range(1, m + 1) if m % n == 0):
+            a = _random_element(rng, n)
+            image = _to_sympy(sp, z, ((k * (m // n), c) for k, c in enumerate(a.coeffs)))
+            assert a.promoted(m).coeffs == _from_sympy(image.rem(phi_m), m), (n, m)
+
+
+# -- construction reduces any coefficient list ---------------------------------
+
+@settings(max_examples=40)
+@given(st.data())
+def test_long_coefficient_lists_reduce_like_sums_of_roots(data):
+    # Cyclotomic(N, cs) is sum_k cs[k] zeta_N^k for lists longer than
+    # phi(N), than N and than 2N, where exponents wrap around modulo N
+    n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 20, 21]))
+    length = data.draw(st.sampled_from(
+        [phi_degree(n) + 1, phi_degree(n) + 3, n + 1, n + 2, 2 * n + 1, 3 * n - 1]))
+    coeffs = data.draw(st.lists(small_fractions, min_size=length, max_size=length))
+    expected = sum((root_of_unity(n, k) * c for k, c in enumerate(coeffs)),
+                   Cyclotomic.from_rational(n, 0))
+    assert Cyclotomic(n, coeffs) == expected
