@@ -6,6 +6,8 @@ conductor ``N`` is an element of Q[z]/Phi_N(z), where ``Phi_N`` is the N-th
 cyclotomic polynomial, so ``z`` stands for a primitive N-th root of unity.
 Working modulo ``Phi_N`` (rather than modulo ``z^N - 1``) keeps the ring a
 field, which is what lets us divide by factors like ``1 - zeta**(-b)``.
+Every reduction modulo ``Phi_N`` (products, embeddings, Galois images,
+roots of unity) sums cached integer rows of ``z**k mod Phi_N``.
 
 Floating point never appears here; Python integers give us arbitrary
 precision for free.
@@ -20,6 +22,9 @@ from math import gcd
 
 class NotRationalError(ArithmeticError):
     """A cyclotomic value was expected to be rational and is not."""
+
+
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -43,20 +48,6 @@ def _int_poly_div_exact(num, den):
     if any(num[:dd]):
         raise ArithmeticError("non-exact polynomial division")
     return out
-
-
-def _poly_mod(coeffs, modulus):
-    # remainder of a Fraction polynomial modulo a monic integer polynomial
-    deg_m = len(modulus) - 1
-    rem = [Fraction(c) for c in coeffs]
-    for i in range(len(rem) - 1, deg_m - 1, -1):
-        q = rem[i]
-        if q:
-            for j in range(deg_m + 1):
-                rem[i - deg_m + j] -= q * modulus[j]
-    rem = rem[:deg_m]
-    rem += [Fraction(0)] * (deg_m - len(rem))
-    return rem
 
 
 def _poly_trim(p):
@@ -97,6 +88,66 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k holds z**k mod Phi_n, 0 <= k < n, as sparse (index, integer) pairs.
+
+    Rows below phi(n) are unit vectors.  Each later row is the one before
+    shifted up by one degree, with the z**phi(n) that overflows replaced by
+    minus the lower terms of the monic Phi_n.
+    """
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    rows = [((k, 1),) for k in range(d)]
+    row = [0] * d
+    row[-1] = 1
+    for _ in range(d, n):
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            for i in range(d):
+                row[i] -= top * phi[i]
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+    return tuple(rows)
+
+
+def _reduce(n: int, terms, out=None) -> tuple:
+    """``out`` (phi(n) Fractions, zero if None) plus the sum of c * z**k over
+    the (k, c) pairs, modulo Phi_n: each pair adds c times row k mod n of the
+    power table.  This is the one reduction of the field."""
+    rows = _power_table(n)
+    if out is None:
+        out = [_ZERO] * phi_degree(n)
+    for k, c in terms:
+        if c:
+            for i, r in rows[k % n]:
+                if r == 1:
+                    out[i] += c
+                elif r == -1:
+                    out[i] -= c
+                else:
+                    out[i] += c * r
+    return tuple(out)
+
+
+def _reduce_dense(n: int, coeffs: list) -> tuple:
+    """A Fraction coefficient list of any length, reduced: the part below
+    phi(n) is kept as it is and only the higher coefficients add rows."""
+    d = phi_degree(n)
+    low = coeffs[:d]
+    low += [_ZERO] * (d - len(low))
+    return _reduce(n, enumerate(coeffs[d:], d), low)
+
+
+def _element(n: int, coeffs: tuple) -> "Cyclotomic":
+    # wrap an already reduced tuple of phi(n) Fractions, without converting
+    # or reducing it again
+    out = object.__new__(Cyclotomic)
+    object.__setattr__(out, "conductor", n)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 def phi_degree(n: int) -> int:
@@ -145,10 +196,9 @@ class Cyclotomic:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs) -> None:
-        modulus = cyclotomic_polynomial(conductor)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(
-            self, "coeffs", tuple(_poly_mod(list(coeffs), modulus))
+            self, "coeffs", _reduce_dense(conductor, [Fraction(c) for c in coeffs])
         )
 
     def __setattr__(self, *args):
@@ -158,7 +208,7 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, conductor: int, value) -> "Cyclotomic":
-        return cls(conductor, [Fraction(value)])
+        return _element(conductor, _reduce_dense(conductor, [Fraction(value)]))
 
     def promoted(self, conductor: int) -> "Cyclotomic":
         """The image of self under the canonical embedding into Q(zeta_M).
@@ -174,10 +224,9 @@ class Cyclotomic:
                 f"Q(zeta_{conductor})"
             )
         step = conductor // self.conductor
-        poly = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for k, c in enumerate(self.coeffs):
-            poly[k * step] += c
-        return Cyclotomic(conductor, poly)
+        return _element(conductor, _reduce(
+            conductor, ((k * step, c) for k, c in enumerate(self.coeffs))
+        ))
 
     def _pair(self, other):
         if isinstance(other, Cyclotomic):
@@ -193,18 +242,23 @@ class Cyclotomic:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return Cyclotomic(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        # adding a zero coefficient is skipped: it would only copy the other
+        return _element(a.conductor, tuple(
+            x + y if x and y else x or y for x, y in zip(a.coeffs, b.coeffs)
+        ))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-c for c in self.coeffs])
+        return _element(self.conductor, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return Cyclotomic(a.conductor, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return _element(a.conductor, tuple(
+            x - y if y else x for x, y in zip(a.coeffs, b.coeffs)
+        ))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -213,13 +267,13 @@ class Cyclotomic:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        prod = [_ZERO] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         prod[i + j] += x * y
-        return Cyclotomic(a.conductor, prod)
+        return _element(a.conductor, _reduce_dense(a.conductor, prod))
 
     __rmul__ = __mul__
 
@@ -248,7 +302,8 @@ class Cyclotomic:
             )
             r0, r1, s0, s1 = r1, r, s1, s_next
         unit = r1[0]
-        return Cyclotomic(self.conductor, [c / unit for c in s1])
+        n = self.conductor
+        return _element(n, _reduce_dense(n, [c / unit for c in s1]))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -289,10 +344,9 @@ class Cyclotomic:
         n = self.conductor
         if gcd(a, n) != 1:
             raise ValueError(f"{a} is not coprime to the conductor {n}")
-        out = [Fraction(0)] * (n + 1)
-        for k, c in enumerate(self.coeffs):
-            out[(k * a) % n] += c
-        return Cyclotomic(n, out)
+        return _element(n, _reduce(
+            n, ((k * a, c) for k, c in enumerate(self.coeffs))
+        ))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -360,8 +414,7 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     """
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    k %= n
-    return Cyclotomic(n, [Fraction(0)] * k + [Fraction(1)])
+    return _element(n, _reduce(n, [(k, Fraction(1))]))
 
 
 def invert(x):

@@ -17,6 +17,7 @@ from quantred import (
     root_of_unity,
     root_order,
 )
+from quantred.exactnum import _power_table
 
 from conftest import cyclotomics, mobius, small_fractions
 
@@ -258,8 +259,10 @@ def test_immutability():
 # sympy is not a dependency of quantred; these cases skip when it is missing.
 # Each conductor N <= 60 gets seeded random elements, and every result is
 # recomputed with sympy's cyclotomic_poly and polynomial rem/invert over QQ.
+# N = 105 is added as the first conductor whose Phi_N (and power table) has
+# a coefficient other than 0 and +-1.
 
-SYMPY_CONDUCTORS = range(1, 61)
+SYMPY_CONDUCTORS = [*range(1, 61), 105]
 
 
 def _random_element(rng, n, terms=None):
@@ -294,6 +297,18 @@ def test_cyclotomic_polynomial_matches_sympy():
     for n in SYMPY_CONDUCTORS:
         sp, z, phi = _sympy_field(n)
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(phi.all_coeffs())), n
+
+
+def test_power_table_rows_match_sympy():
+    # row k of the table is z**k mod Phi_N as sparse integer pairs
+    for n in SYMPY_CONDUCTORS:
+        sp, z, phi = _sympy_field(n)
+        rows = _power_table(n)
+        assert len(rows) == n
+        for k, row in enumerate(rows):
+            expected = sp.Poly(z**k, z, domain=sp.QQ).rem(phi)
+            assert dict(row) == {i: int(c) for (i,), c in expected.terms() if c}, (n, k)
+            assert all(c for _, c in row) and all(type(c) is int for _, c in row)
 
 
 def test_product_and_inverse_match_sympy():
