@@ -155,6 +155,25 @@ def phi_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+def totient(n: int) -> int:
+    """Euler's totient phi(n), the degree of Q(zeta_n), by trial division:
+    unlike :func:`phi_degree` it never builds Phi_n.
+
+    >>> totient(1092)
+    288
+    """
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
 def lcm(*values: int) -> int:
     out = 1
     for v in values:

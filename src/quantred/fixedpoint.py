@@ -26,7 +26,15 @@ from fractions import Fraction
 from math import gcd
 
 from .cohomology import CohomologyClass, RingPresentation
-from .exactnum import lcm
+from .exactnum import lcm, totient
+
+
+# The largest field degree phi(N) an instance may need.  Building Phi_N, its
+# power table and the wall residues grows quickly with N: measured on one
+# core, phi(N) = 288 (the plane (0,7,13), N = 1092) verifies in 0.2 s and
+# 18 MB, phi(N) = 512 (a +-2040 sphere) in 2.7 s and 47 MB, and phi(N) = 960
+# (a +-2310 sphere, N = 4620) in 6 s and 207 MB, almost all of it the table.
+MAX_FIELD_DEGREE = 512
 
 
 class GroupKind(Enum):
@@ -186,7 +194,8 @@ def validate(p: ProblemInstance) -> list[Finding]:
 
     ERROR-level findings make the residue computations meaningless (a fixed
     component sitting on the zero level, a zero normal weight, components
-    disagreeing about dim M, moments not mirrored for a nonabelian group).
+    disagreeing about dim M, moments not mirrored for a nonabelian group) or
+    too costly (a cyclotomic field of degree above ``MAX_FIELD_DEGREE``).
     WARN findings flag instances for which the two sides are not asserted to
     agree; INFO findings are informational.
     """
@@ -202,6 +211,13 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 "ERROR", "weight-zero",
                 "zero normal weight: the circle must act nontrivially on "
                 "every normal direction", f.name))
+    n = p.conductor
+    # phi(n) >= sqrt(n/2), so a conductor above 2 * limit**2 fails unfactored
+    if n > 2 * MAX_FIELD_DEGREE**2 or totient(n) > MAX_FIELD_DEGREE:
+        findings.append(Finding(
+            "ERROR", "field-degree",
+            f"the wall roots of unity need Q(zeta_{n}), whose degree phi({n}) "
+            f"is above the limit of {MAX_FIELD_DEGREE}"))
     dims = sorted({f.dimension for f in p.components})
     if len(dims) > 1:
         findings.append(Finding(
@@ -435,6 +451,8 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
         if not isinstance(cd, dict):
             raise SchemaError(f"{where}: expected an object")
         cname = cd.get("name", f"F{i}")
+        if not isinstance(cname, str):
+            raise SchemaError(f"{where}.name: expected a string")
         ring = _parse_ring(cd.get("ring", {}), f"{where}.ring")
         moment = cd.get("moment")
         if not isinstance(moment, int) or isinstance(moment, bool):

@@ -146,6 +146,20 @@ def test_repeated_generator_name_exit_two(capsys, tmp_path):
     assert "not distinct" in err
 
 
+def test_field_degree_limit_exit_two(capsys, tmp_path):
+    # weights +-10^6 need Q(zeta_1000000); without the limit, building
+    # Phi_1000000 alone runs for minutes
+    doc = instance_to_dict(catalog("cp1-k", 2))
+    doc["components"][0]["weights"] = [10**6]
+    doc["components"][1]["weights"] = [-10**6]
+    path = tmp_path / "huge_field.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "residues"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert "phi(1000000)" in err and "limit of 512" in err
+
+
 def test_zero_weight_character_exit_two(capsys, tmp_path):
     doc = instance_to_dict(catalog("cp1-k", 2))
     doc["components"][0]["weights"] = [0]

@@ -20,6 +20,8 @@ from quantred import (
     wall_set,
 )
 from quantred.catalog import UnknownCatalogError
+from quantred.exactnum import totient
+from quantred.fixedpoint import MAX_FIELD_DEGREE
 
 POINT = RingPresentation.point()
 
@@ -80,6 +82,23 @@ def test_validate_clean_on_catalog_defaults():
 
 # -- wall sets ------------------------------------------------------------
 # walls are returned as exponents k of zeta_N**k; exponent 0 is the point t=1
+
+def test_field_degree_limit():
+    # a +-10^6 sphere needs Q(zeta_1000000), of degree 400000: validation
+    # rejects it, naming the bound, before any cyclotomic work
+    def sphere(q):
+        return ProblemInstance(GroupKind.U1, [
+            point_component("north", q, [q]), point_component("south", -q, [-q]),
+        ])
+
+    for q in (10**6, 2310, 10**40 + 1):
+        errors = [f for f in validate(sphere(q)) if f.code == "field-degree"]
+        assert [f.level for f in errors] == ["ERROR"], q
+        assert str(MAX_FIELD_DEGREE) in errors[0].message
+    # N = 2040 sits exactly at the limit and is admitted
+    assert totient(2040) == MAX_FIELD_DEGREE
+    assert not has_errors(validate(sphere(2040)))
+
 
 def test_wall_set_quasi_free():
     f = point_component("f", 1, [1, -1])
@@ -260,6 +279,19 @@ def test_ring_generator_names_checked():
         doc["components"][0]["ring"]["generators"] = gens
         with pytest.raises(SchemaError, match=match):
             instance_from_dict(doc)
+
+
+def test_component_names_must_be_strings():
+    # a name is printed in every report row; str() of a number, a list or
+    # null would silently invent one
+    for name in (3, ["a"], None, 1.5, True, {"n": 1}):
+        doc = instance_to_dict(catalog("cp1-k", 2))
+        doc["components"][0]["name"] = name
+        with pytest.raises(SchemaError, match=r"components\[0\]\.name"):
+            instance_from_dict(doc)
+    doc = instance_to_dict(catalog("cp1-k", 2))
+    del doc["components"][1]["name"]
+    assert instance_from_dict(doc).components[1].name == "F1"
 
 
 def test_float_moment_rejected():
