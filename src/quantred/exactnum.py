@@ -132,15 +132,6 @@ def _reduce(n: int, terms, out=None) -> tuple:
     return tuple(out)
 
 
-def _reduce_dense(n: int, coeffs: list) -> tuple:
-    """A Fraction coefficient list of any length, reduced: the part below
-    phi(n) is kept as it is and only the higher coefficients add rows."""
-    d = phi_degree(n)
-    low = coeffs[:d]
-    low += [_ZERO] * (d - len(low))
-    return _reduce(n, enumerate(coeffs[d:], d), low)
-
-
 def _element(n: int, coeffs: tuple) -> "Cyclotomic":
     # wrap an already reduced tuple of phi(n) Fractions, without converting
     # or reducing it again
@@ -215,9 +206,13 @@ class Cyclotomic:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs) -> None:
+        # the part below phi(N) is kept as it is; only higher terms add rows
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        d = phi_degree(conductor)
+        low = coeffs[:d] + [_ZERO] * (d - len(coeffs))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(
-            self, "coeffs", _reduce_dense(conductor, [Fraction(c) for c in coeffs])
+            self, "coeffs", _reduce(conductor, enumerate(coeffs[d:], d), low)
         )
 
     def __setattr__(self, *args):
@@ -227,7 +222,7 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, conductor: int, value) -> "Cyclotomic":
-        return _element(conductor, _reduce_dense(conductor, [Fraction(value)]))
+        return cls(conductor, [Fraction(value)])
 
     def promoted(self, conductor: int) -> "Cyclotomic":
         """The image of self under the canonical embedding into Q(zeta_M).
@@ -292,7 +287,7 @@ class Cyclotomic:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         prod[i + j] += x * y
-        return _element(a.conductor, _reduce_dense(a.conductor, prod))
+        return Cyclotomic(a.conductor, prod)
 
     __rmul__ = __mul__
 
@@ -321,8 +316,7 @@ class Cyclotomic:
             )
             r0, r1, s0, s1 = r1, r, s1, s_next
         unit = r1[0]
-        n = self.conductor
-        return _element(n, _reduce_dense(n, [c / unit for c in s1]))
+        return Cyclotomic(self.conductor, [c / unit for c in s1])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -433,7 +427,8 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     """
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    return _element(n, _reduce(n, [(k, Fraction(1))]))
+    k %= n
+    return Cyclotomic(n, [_ZERO] * k + [Fraction(1)])
 
 
 def invert(x):
