@@ -256,23 +256,25 @@ class Cyclotomic:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        # adding a zero coefficient is skipped: it would only copy the other
-        return _element(a.conductor, tuple(
+        # adding a zero coefficient is skipped: it would only copy the other.
+        # tuple() of a list allocates once; of a generator it grows and
+        # shrinks the tuple, which left warm runs about 0.4 MB larger
+        return _element(a.conductor, tuple([
             x + y if x and y else x or y for x, y in zip(a.coeffs, b.coeffs)
-        ))
+        ]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.conductor, tuple(-c for c in self.coeffs))
+        return _element(self.conductor, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return _element(a.conductor, tuple(
+        return _element(a.conductor, tuple([
             x - y if y else x for x, y in zip(a.coeffs, b.coeffs)
-        ))
+        ]))
 
     def __rsub__(self, other):
         return (-self) + other

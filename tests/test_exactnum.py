@@ -360,3 +360,6 @@ def test_long_coefficient_lists_reduce_like_sums_of_roots(data):
     expected = sum((root_of_unity(n, k) * c for k, c in enumerate(coeffs)),
                    Cyclotomic.from_rational(n, 0))
     assert Cyclotomic(n, coeffs) == expected
+    # every reduced coefficient is a Fraction, also for integer input
+    for x in (Cyclotomic(n, coeffs), Cyclotomic(n, [1] * length), expected):
+        assert all(type(c) is Fraction for c in x.coeffs)
