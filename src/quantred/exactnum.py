@@ -31,25 +31,6 @@ _ZERO = Fraction(0)
 # integer / rational polynomial helpers (little-endian coefficient lists)
 # ---------------------------------------------------------------------------
 
-def _int_poly_div_exact(num, den):
-    # exact division of integer polynomials; raises if the division leaves
-    # a remainder (it never does for cyclotomic factors of z^n - 1)
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        q, r = divmod(num[i], lead)
-        if r:
-            raise ArithmeticError("non-exact polynomial division")
-        out[i - dd] = q
-        for j in range(dd + 1):
-            num[i - dd + j] -= q * den[j]
-    if any(num[:dd]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 def _poly_trim(p):
     while p and not p[-1]:
         p.pop()
@@ -71,23 +52,60 @@ def _poly_divmod(a, b):
     return q, _poly_trim(a)
 
 
+def _primes(n: int) -> list[int]:
+    """The distinct primes of n, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, lowest degree first.
 
-    Computed by exact division of z^n - 1 by Phi_d over all proper
-    divisors d of n.
+    With r the product of the primes of n, Phi_n(z) = Phi_r(z^(n/r)), and
+    Phi_r(z) is the Moebius product of the z^(r/d) - 1 over the divisors d
+    of r: the factors with mu(d) = 1 multiply, then those with mu(d) = -1
+    divide.  Multiplying or dividing by a binomial touches each coefficient
+    once.
 
     >>> cyclotomic_polynomial(4)
     (1, 0, 1)
     """
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    primes = _primes(n)
+    r = 1
+    for p in primes:
+        r *= p
+    # the exponents r/d over the squarefree divisors d, by the sign of mu(d)
+    up, down = [r], []
+    for p in primes:
+        up, down = up + [k // p for k in down], down + [k // p for k in up]
+    poly = [1]
+    for k in up:  # times z^k - 1
+        out = [0] * (len(poly) + k)
+        for i, c in enumerate(poly):
+            out[i] -= c
+            out[i + k] += c
+        poly = out
+    for k in down:  # divided by z^k - 1: p[i] = q[i - k] - q[i]
+        q = []
+        for i in range(len(poly) - k):
+            q.append((q[i - k] if i >= k else 0) - poly[i])
+        if any(poly[i] != (q[i - k] if i >= k else 0) for i in range(len(q), len(poly))):
+            raise ArithmeticError("non-exact polynomial division")
+        poly = q
+    out = [0] * ((len(poly) - 1) * (n // r) + 1)
+    out[:: n // r] = poly
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -153,15 +171,9 @@ def totient(n: int) -> int:
     >>> totient(1092)
     288
     """
-    out, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            out -= out // p
-        p += 1
-    if n > 1:
-        out -= out // n
+    out = n
+    for p in _primes(n):
+        out -= out // p
     return out
 
 

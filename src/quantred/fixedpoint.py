@@ -29,12 +29,21 @@ from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import lcm, totient
 
 
-# The largest field degree phi(N) an instance may need.  Building Phi_N, its
-# power table and the wall residues grows quickly with N: measured on one
+# The largest field degree phi(N) an instance may need.  Building the power
+# table of Phi_N and the wall residues grows quickly with N: measured on one
 # core, phi(N) = 288 (the plane (0,7,13), N = 1092) verifies in 0.2 s and
-# 18 MB, phi(N) = 512 (a +-2040 sphere) in 2.7 s and 47 MB, and phi(N) = 960
-# (a +-2310 sphere, N = 4620) in 6 s and 207 MB, almost all of it the table.
+# 18 MB, phi(N) = 512 (a +-2040 sphere) in 2.0 s and 46 MB, and phi(N) = 960
+# (a +-2310 sphere, N = 4620) in 4.6 s and 206 MB, almost all of it the table.
 MAX_FIELD_DEGREE = 512
+
+# The largest expansion window (see :func:`expansion_window`) an instance
+# may need.  The oracle's series and the residue engine's infinity-chart
+# windows grow with it, and so does the cost, linearly: measured on one
+# core, windows of 10^4 verify in 0.85-1.25 s and 23-28 MB, windows of
+# 2 * 10^4 (a +-20000 sphere, the 10000th power of the plane with a fixed
+# line) in 1.6-2.5 s and 30-41 MB.  Catalog, golden and benchmark
+# instances need at most 197.
+MAX_EXPANSION_WINDOW = 20000
 
 
 class GroupKind(Enum):
@@ -185,6 +194,17 @@ class ProblemInstance:
         )
 
 
+def expansion_window(p: ProblemInstance) -> int:
+    """Support bound for the character, from the data alone: beyond
+    max(|moment| + sum |weights| * (1 + top_degree/2)) + 1 every coefficient
+    of the expansion at t -> infinity must vanish."""
+    bound = 0
+    for f in p.components:
+        slack = 1 + f.ring.top_degree // 2
+        bound = max(bound, abs(f.moment) + slack * sum(abs(b) for b in f.weights))
+    return bound + 1
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -195,7 +215,8 @@ def validate(p: ProblemInstance) -> list[Finding]:
     ERROR-level findings make the residue computations meaningless (a fixed
     component sitting on the zero level, a zero normal weight, components
     disagreeing about dim M, moments not mirrored for a nonabelian group) or
-    too costly (a cyclotomic field of degree above ``MAX_FIELD_DEGREE``).
+    too costly (a cyclotomic field of degree above ``MAX_FIELD_DEGREE``, an
+    expansion window above ``MAX_EXPANSION_WINDOW``).
     WARN findings flag instances for which the two sides are not asserted to
     agree; INFO findings are informational.
     """
@@ -218,6 +239,12 @@ def validate(p: ProblemInstance) -> list[Finding]:
             "ERROR", "field-degree",
             f"the wall roots of unity need Q(zeta_{n}), whose degree phi({n}) "
             f"is above the limit of {MAX_FIELD_DEGREE}"))
+    window = expansion_window(p)
+    if window > MAX_EXPANSION_WINDOW:
+        findings.append(Finding(
+            "ERROR", "expansion-window",
+            f"the expansion at t -> infinity needs a window of {window} "
+            f"exponents, above the limit of {MAX_EXPANSION_WINDOW}"))
     dims = sorted({f.dimension for f in p.components})
     if len(dims) > 1:
         findings.append(Finding(

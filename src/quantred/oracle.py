@@ -9,17 +9,36 @@ time up to a checked tail window; a negative weight is first rewritten as
 -w^m e^{c} / (1 - w^m e^{c}) with m = -b.  The summed expansion must vanish
 in that tail, which certifies the data.
 
-This module deliberately re-implements its own tiny monomial arithmetic on
-plain dictionaries instead of reusing the series/ring machinery: the point
-is to certify the residue engine against a path that shares nothing with it
-beyond exact scalar arithmetic and the input data model.
+The arithmetic is in integers.  A class is a flat list of ints indexed by
+monomial, a series in w is a list of classes indexed by exponent offset, and
+each component carries one positive denominator D for its whole series.
+Before a normal factor is applied, L = K! den(c)^K (K the largest power of
+c that is nonzero) makes L e^{+-c} integral; the numerators are scaled by
+L, D becomes D L, and the recurrence reads S[e] = L num[e] + (L X) S[e - m] / L,
+where the division is exact (a remainder raises ``ArithmeticError``).
+Fractions appear only for the input data and when the components' integrals
+are summed over one common denominator.
+
+This module deliberately re-implements this small ring arithmetic instead of
+reusing the series/ring machinery: the point is to certify the residue
+engine against a path that shares nothing with it beyond the input data
+model.  It imports only :mod:`quantred.fixedpoint` and the standard library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product as _cartesian
+from math import factorial, gcd, lcm
 
-from .fixedpoint import GroupKind, InvalidInstanceError, ProblemInstance
+from .fixedpoint import (
+    MAX_EXPANSION_WINDOW,
+    GroupKind,
+    InvalidInstanceError,
+    ProblemInstance,
+    expansion_window,
+)
 
 
 class StabilizationError(ArithmeticError):
@@ -32,65 +51,96 @@ class SymmetryError(ValueError):
     under negation of weights."""
 
 
-# -- minimal monomial-dict ring -------------------------------------------
-# a class is {exponent tuple: Fraction}; truncation orders come from the
-# component's ring presentation
+# -- integer classes ----------------------------------------------------------
+# A class is a flat list of ints indexed by monomial, in mixed radix over the
+# ring's truncation orders (the last generator fastest); a rational class is
+# carried as such a list together with one positive denominator.
 
-def _mono_mul(a, b, orders):
-    out = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if any(x >= m for x, m in zip(e, orders)):
-                continue
-            out[e] = out.get(e, Fraction(0)) + v1 * v2
-    return {e: v for e, v in out.items() if v}
+@lru_cache(maxsize=None)
+def _monomials(orders: tuple) -> tuple:
+    """(index of each exponent vector, product table).  Row i of the table
+    lists the pairs (j, k) with monomial i times monomial j equal to monomial
+    k; products that the truncation kills are left out."""
+    monos = list(_cartesian(*(range(m) for m in orders)))
+    index = {e: i for i, e in enumerate(monos)}
+    rows = tuple(
+        tuple(
+            (j, index[e])
+            for j, e in enumerate(tuple(x + y for x, y in zip(e1, e2)) for e2 in monos)
+            if e in index
+        )
+        for e1 in monos
+    )
+    return index, rows
 
 
-def _mono_scale(a, s):
-    return {e: v * s for e, v in a.items() if v * s}
-
-
-def _mono_add(a, b):
-    out = dict(a)
-    for e, v in b.items():
-        w = out.get(e, Fraction(0)) + v
-        if w:
-            out[e] = w
-        else:
-            out.pop(e, None)
+def _mul(a, b, rows):
+    out = [0] * len(a)
+    for x, row in zip(a, rows):
+        if x:
+            for j, k in row:
+                out[k] += x * b[j]
     return out
 
 
-def _mono_exp(a, orders):
-    rank = len(orders)
-    out = {(0,) * rank: Fraction(1)}
-    term = {(0,) * rank: Fraction(1)}
-    n = 0
+def _integer_class(coeffs, index):
+    """(d, A) with A / d the class with these {exponent: rational}
+    coefficients, A a flat integer class and d the lcm of the
+    denominators."""
+    values = {index[e]: Fraction(v) for e, v in coeffs.items()}
+    d = lcm(*(v.denominator for v in values.values()))
+    out = [0] * len(index)
+    for i, v in values.items():
+        out[i] = v.numerator * (d // v.denominator)
+    return d, out
+
+
+def _scaled_exp(cls, index, rows, sign=1):
+    """(L, E) with E = L * exp(sign * cls) a flat integer class.
+
+    With cls = A / d nilpotent and K the largest k with A^k != 0,
+    L = K! d^K and E = sum_k (K!/k!) d^(K-k) (sign A)^k.  Every
+    L exp(j * cls), j an integer, is integral for this L, which is what
+    makes the division in the recurrence exact."""
+    d, a = _integer_class(cls.coeffs, index)
+    if sign < 0:
+        a = [-x for x in a]
+    powers = [[1] + [0] * (len(a) - 1)]
     while True:
-        n += 1
-        term = _mono_scale(_mono_mul(term, a, orders), Fraction(1, n))
-        if not term:
+        nxt = _mul(powers[-1], a, rows)
+        if not any(nxt):
             break
-        out = _mono_add(out, term)
+        powers.append(nxt)
+    top = len(powers) - 1
+    scale = factorial(top) * d**top
+    out = [0] * len(a)
+    for k, power in enumerate(powers):
+        c = factorial(top) // factorial(k) * d ** (top - k)
+        for i, x in enumerate(power):
+            out[i] += c * x
+    return scale, out
+
+
+def _divided(a, n):
+    # exact division of an integer class by n
+    if n == 1:
+        return a
+    out = []
+    for x in a:
+        q, r = divmod(x, n)
+        if r:
+            raise ArithmeticError(f"inexact division by {n} in the oracle recurrence")
+        out.append(q)
     return out
-
-
-def _as_dict(cls):
-    return {e: Fraction(v) for e, v in cls.coeffs.items()}
 
 
 # -- character assembly -----------------------------------------------------
 
 def automatic_degree_bound(p: ProblemInstance) -> int:
     """Support bound for the character, from the data alone: beyond
-    max(|moment| + sum |weights| * (1 + top_degree/2)) + 1 every coefficient
-    of the summed expansion must vanish."""
-    bound = 0
-    for f in p.components:
-        slack = 1 + f.ring.top_degree // 2
-        bound = max(bound, abs(f.moment) + slack * sum(abs(b) for b in f.weights))
-    return bound + 1
+    :func:`~quantred.fixedpoint.expansion_window` every coefficient of the
+    summed expansion must vanish."""
+    return expansion_window(p)
 
 
 class CharacterPolynomial:
@@ -167,12 +217,25 @@ def character_polynomial(
     """
     auto = automatic_degree_bound(p)
     bound = auto if degree_bound is None else max(int(degree_bound), auto)
+    if bound > MAX_EXPANSION_WINDOW:
+        raise InvalidInstanceError(
+            f"the character expansion bound {bound} is above the limit of "
+            f"{MAX_EXPANSION_WINDOW}"
+        )
     top = bound + auto + 4  # checked tail window: (bound, top]
-    total: dict[int, Fraction] = {}
+    parts = []  # (denominator, {w exponent: integer numerator}) per component
     for f in p.components:
-        orders = f.ring.orders
-        base = _mono_mul(_mono_exp(_as_dict(f.omega), orders), _as_dict(f.todd), orders)
-        series: dict[int, dict] = {-f.moment: base}
+        index, rows = _monomials(f.ring.orders)
+        # the series in w is s[e] = S[e - low] / den: a list of integer
+        # classes (None for zero) over one positive denominator
+        scale, expo = _scaled_exp(f.omega, index, rows)
+        todd_den, todd = _integer_class(f.todd.coeffs, index)
+        base = _mul(expo, todd, rows)
+        den = scale * todd_den
+        g = gcd(den, *base)
+        series = [[x // g for x in base]]
+        den //= g
+        low = -f.moment
         for b, chern in zip(f.weights, f.normal_chern):
             if b == 0:
                 raise InvalidInstanceError(f"component {f.name!r} has a zero weight")
@@ -180,28 +243,45 @@ def character_polynomial(
             # s[e] = num[e] + X s[e - m]: for b > 0, num is the series,
             # X = e^{-c} and m = b; for b < 0 the factor is
             # -w^m e^{c} / (1 - w^m e^{c}) with m = -b, so num is
-            # -w^m e^{c} times the series and X = e^{c}
+            # -w^m e^{c} times the series and X = e^{c}.  With L X
+            # integral, the new denominator is den * L and the recurrence
+            # reads S[e] = L num[e] + (L X) S[e - m] / L.
             m = abs(b)
-            step = _mono_exp(_mono_scale(_as_dict(chern), Fraction(-1 if b > 0 else 1)), orders)
-            num = series
-            if b < 0:
-                lift = _mono_scale(step, Fraction(-1))
-                num = {e + m: _mono_mul(cls, lift, orders) for e, cls in series.items()}
-            new: dict[int, dict] = {}
-            for e in range(min(num), top + 1):
-                cls = num.get(e, {})
-                if e - m in new:
-                    cls = _mono_add(cls, _mono_mul(new[e - m], step, orders))
-                if cls:
-                    new[e] = cls
+            scale, step = _scaled_exp(chern, index, rows, -1 if b > 0 else 1)
+            if b > 0:
+                num = [cls and [scale * x for x in cls] for cls in series]
+            else:
+                num = [cls and [-x for x in _mul(step, cls, rows)] for cls in series]
+                low += m
+            den *= scale
+            new = []
+            for i in range(top - low + 1):
+                cls = num[i] if i < len(num) else None
+                prev = new[i - m] if i >= m else None
+                if prev:
+                    if chern.coeffs:  # else X = 1
+                        prev = _divided(_mul(step, prev, rows), scale)
+                    cls = prev if cls is None else [x + y for x, y in zip(cls, prev)]
+                new.append(cls if cls and any(cls) else None)
             series = new
-        table = f.ring.integrals
-        for w_exp, cls in series.items():
-            value = Fraction(0)
-            for expo, weight in table.items():
-                value += cls.get(expo, Fraction(0)) * weight
-            if value:
-                total[w_exp] = total.get(w_exp, Fraction(0)) + value
+        # integrate with the weights of the ring over their common
+        # denominator; the component's values are then over den * wden
+        wden, weights = _integer_class(f.ring.integrals, index)
+        weights = [(j, w) for j, w in enumerate(weights) if w]
+        values = {}
+        for i, cls in enumerate(series):
+            if cls:
+                value = sum(cls[j] * w for j, w in weights)
+                if value:
+                    values[low + i] = value
+        parts.append((den * wden, values))
+    # sum the components over one common denominator
+    common = lcm(*(d for d, _ in parts))
+    total: dict[int, int] = {}
+    for d, values in parts:
+        s = common // d
+        for w_exp, value in values.items():
+            total[w_exp] = total.get(w_exp, 0) + value * s
     total = {e: v for e, v in total.items() if v}
     bad = [e for e in total if e > bound]
     if bad:
@@ -212,12 +292,13 @@ def character_polynomial(
         )
     coeffs = {}
     for w_exp, v in total.items():
-        if v.denominator != 1:
+        count, rest = divmod(v, common)
+        if rest:
             raise StabilizationError(
-                f"character coefficient at t^{-w_exp} is {v}, not an integer; "
-                "inconsistent fixed-point data"
+                f"character coefficient at t^{-w_exp} is {Fraction(v, common)}, "
+                "not an integer; inconsistent fixed-point data"
             )
-        coeffs[-w_exp] = int(v)
+        coeffs[-w_exp] = count
     return CharacterPolynomial(coeffs)
 
 

@@ -160,6 +160,29 @@ def test_field_degree_limit_exit_two(capsys, tmp_path):
         assert "phi(1000000)" in err and "limit of 512" in err
 
 
+def test_expansion_window_limit_exit_two(capsys, tmp_path):
+    # moments +-10^6 with weights +-1: the field is Q(i), but the expansion
+    # windows grow with |moment| and would run for minutes
+    doc = instance_to_dict(catalog("cp1-k", 2))
+    doc["components"][0]["moment"] = 10**6
+    doc["components"][1]["moment"] = -10**6
+    path = tmp_path / "huge_moment.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "residues", "character"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert "1000002" in err and "limit of 20000" in err, command
+
+
+def test_degree_bound_above_limit_exit_two(capsys):
+    for command in ("verify", "character"):
+        code, _, err = run(capsys, command, "--catalog", "cp1-k", "--degree-bound", "20001")
+        assert code == 2, command
+        assert "input error" in err and "limit of 20000" in err, command
+    code, _, _ = run(capsys, "character", "--catalog", "cp1-k", "--degree-bound", "20000")
+    assert code == 0
+
+
 def test_zero_weight_character_exit_two(capsys, tmp_path):
     doc = instance_to_dict(catalog("cp1-k", 2))
     doc["components"][0]["weights"] = [0]

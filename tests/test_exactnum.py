@@ -17,7 +17,7 @@ from quantred import (
     root_of_unity,
     root_order,
 )
-from quantred.exactnum import _power_table
+from quantred.exactnum import _power_table, totient
 
 from conftest import cyclotomics, mobius, small_fractions
 
@@ -45,6 +45,28 @@ def test_phi_12_by_exact_division_oracle():
         product = poly_mul(product, list(cyclotomic_polynomial(d)))
     assert product == [-1] + [0] * 11 + [1]
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)  # z^4 - z^2 + 1
+
+
+def test_phi_products_over_divisors_at_large_conductors():
+    # sympy-free check of the radical construction at conductors with many
+    # primes: the product of Phi_d over all d | N is z^N - 1, and Phi_N has
+    # degree phi(N)
+    def sparse_mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    out[i + j] += x * y
+        return out
+
+    for n in (1092, 2244, 2310):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = sparse_mul(product, list(cyclotomic_polynomial(d)))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+        assert len(cyclotomic_polynomial(n)) - 1 == totient(n), n
 
 
 def test_phi_degree_is_totient():

@@ -21,7 +21,7 @@ from quantred import (
 )
 from quantred.catalog import UnknownCatalogError
 from quantred.exactnum import totient
-from quantred.fixedpoint import MAX_FIELD_DEGREE
+from quantred.fixedpoint import MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, expansion_window
 
 POINT = RingPresentation.point()
 
@@ -98,6 +98,24 @@ def test_field_degree_limit():
     # N = 2040 sits exactly at the limit and is admitted
     assert totient(2040) == MAX_FIELD_DEGREE
     assert not has_errors(validate(sphere(2040)))
+
+
+def test_expansion_window_limit():
+    # moments +-10^6 with weights +-1 need only Q(i), but the expansion
+    # window grows with |moment|: validation rejects it, naming the bound
+    def sphere(q):
+        return ProblemInstance(GroupKind.U1, [
+            point_component("north", q, [1]), point_component("south", -q, [-1]),
+        ])
+
+    errors = [f for f in validate(sphere(10**6)) if f.level == "ERROR"]
+    assert [f.code for f in errors] == ["expansion-window"]
+    assert str(MAX_EXPANSION_WINDOW) in errors[0].message
+    assert "1000002" in errors[0].message
+    # the window of a +-q sphere with weights +-1 is q + 2
+    assert expansion_window(sphere(MAX_EXPANSION_WINDOW - 2)) == MAX_EXPANSION_WINDOW
+    assert not has_errors(validate(sphere(MAX_EXPANSION_WINDOW - 2)))
+    assert has_errors(validate(sphere(MAX_EXPANSION_WINDOW - 1)))
 
 
 def test_wall_set_quasi_free():

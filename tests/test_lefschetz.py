@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from quantred import (
+    CohomologyClass,
     FixedComponent,
     GroupKind,
     InvalidInstanceError,
@@ -193,18 +194,49 @@ def test_non_integer_result_detected():
 
 # -- two-chart agreement and finiteness --------------------------------------------
 
-def test_charts_assemble_the_same_polynomial():
-    for name in ("cp1-k", "cp1-double", "cp2-k", "cp1xcp1", "cp2-line",
-                  "cp2-line-double", "so3-s2xs2"):
-        p = catalog(name)
-        from quantred import automatic_degree_bound
+def rescaled(p, s):
+    """The same instance written in the generators y = s*x: a class's
+    coefficient at a monomial of total degree k is divided by s**k and each
+    integral multiplied by s**k, so every integral of a product is unchanged
+    while c, omega and the Todd class get denominators."""
+    def cls(c, ring):
+        return CohomologyClass(ring, {e: v / s ** sum(e) for e, v in c.coeffs.items()})
 
+    comps = []
+    for f in p.components:
+        ring = RingPresentation(
+            f.ring.generators, f.ring.orders, f.ring.top_degree,
+            {e: v * s ** sum(e) for e, v in f.ring.integrals.items()},
+        )
+        comps.append(FixedComponent(
+            f.name, ring, f.moment, f.weights,
+            [cls(c, ring) for c in f.normal_chern], cls(f.omega, ring), cls(f.todd, ring),
+        ))
+    return ProblemInstance(p.group, comps, f"{p.name}/{s}")
+
+
+def test_charts_assemble_the_same_polynomial():
+    cases = [(name, catalog(name)) for name in (
+        "cp1-k", "cp1-double", "cp2-k", "cp1xcp1", "cp2-line",
+        "cp2-line-double", "so3-s2xs2")]
+    # the oracle keeps one denominator per component: give it some
+    cases += [(f"{name}/{s}", rescaled(catalog(name), s))
+              for name in ("cp2-line", "cp2-line-double", "cp1xcp1") for s in (2, 3)]
+    assert all(
+        any(v.denominator > 1 for f in p.components
+            for c in (f.omega, f.todd, *f.normal_chern) for v in c.coeffs.values())
+        for name, p in cases if "/" in name
+    )
+    from quantred import automatic_degree_bound
+
+    for name, p in cases:
         top = automatic_degree_bound(p)
         from_inf = character_from_chart(p, "infinity", top)
         from_zero = character_from_chart(p, "zero", top)
         assert from_inf == from_zero, name
         oracle = {m: Fraction(c) for m, c in character_polynomial(p).coefficients.items()}
         assert from_inf == oracle, name
+        assert character_polynomial(p) == character_polynomial(catalog(name.split("/")[0])), name
 
 
 def test_infinity_tail_vanishes_beyond_bound():
