@@ -63,15 +63,15 @@ def _monomials(orders: tuple) -> tuple:
     k; products that the truncation kills are left out."""
     monos = list(_cartesian(*(range(m) for m in orders)))
     index = {e: i for i, e in enumerate(monos)}
-    rows = tuple(
-        tuple(
-            (j, index[e])
-            for j, e in enumerate(tuple(x + y for x, y in zip(e1, e2)) for e2 in monos)
-            if e in index
-        )
-        for e1 in monos
-    )
-    return index, rows
+    rows = []
+    for e1 in monos:
+        row = []
+        for j, e2 in enumerate(monos):
+            k = index.get(tuple(x + y for x, y in zip(e1, e2)))
+            if k is not None:
+                row.append((j, k))
+        rows.append(tuple(row))
+    return index, tuple(rows)
 
 
 def _mul(a, b, rows):
