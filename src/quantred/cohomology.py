@@ -14,10 +14,13 @@ empty monomial integrating to 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _cartesian
 from math import factorial
 
 from .exactnum import Cyclotomic
+
+_SCALARS = (int, Fraction, Cyclotomic)
 
 
 class PresentationMismatch(ValueError):
@@ -32,10 +35,59 @@ def _as_scalar(x):
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+class _ProductRow(dict):
+    """Products of one left monomial with right monomials, filled on first
+    use: the exponent sum, or None when it reaches a nilpotency order."""
+
+    __slots__ = ("left", "orders")
+
+    def __init__(self, left, orders):
+        super().__init__()
+        self.left = left
+        self.orders = orders
+
+    def __missing__(self, right):
+        e = tuple([a + b for a, b in zip(self.left, right)])
+        if any(x >= m for x, m in zip(e, self.orders)):
+            e = None  # nilpotent truncation
+        self[right] = e
+        return e
+
+
+class _ProductTable(dict):
+    """Left monomial -> its :class:`_ProductRow`, filled on first use."""
+
+    __slots__ = ("orders",)
+
+    def __init__(self, orders):
+        super().__init__()
+        self.orders = orders
+
+    def __missing__(self, left):
+        row = self[left] = _ProductRow(left, self.orders)
+        return row
+
+
+@lru_cache(maxsize=None)
+def _product_table(orders: tuple) -> _ProductTable:
+    # monomial products depend on the nilpotency orders alone, so equal
+    # orders share one table
+    return _ProductTable(orders)
+
+
+def _class(presentation, coeffs: dict) -> "CohomologyClass":
+    # wrap a dict the ring operations built, {exponent tuple: nonzero
+    # scalar}, without converting or cleaning it again
+    out = object.__new__(CohomologyClass)
+    object.__setattr__(out, "presentation", presentation)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
+
+
 class RingPresentation:
     """Shared, immutable description of one component's cohomology ring."""
 
-    __slots__ = ("generators", "orders", "top_degree", "_integrals")
+    __slots__ = ("generators", "orders", "top_degree", "_integrals", "_unit", "_products")
 
     def __init__(self, generators, orders, top_degree, integrals):
         generators = tuple(generators)
@@ -66,6 +118,10 @@ class RingPresentation:
         object.__setattr__(
             self, "_integrals", tuple(sorted(table.items()))
         )
+        # the exponent of the monomial 1, and the cached monomial products;
+        # neither takes part in equality or hashing
+        object.__setattr__(self, "_unit", (0,) * len(generators))
+        object.__setattr__(self, "_products", _product_table(orders))
 
     def __setattr__(self, *args):
         raise AttributeError("presentations are immutable")
@@ -96,21 +152,22 @@ class RingPresentation:
         return _cartesian(*(range(m) for m in self.orders))
 
     def zero(self) -> "CohomologyClass":
-        return CohomologyClass(self, {})
+        return _class(self, {})
 
     def one(self) -> "CohomologyClass":
-        return self.constant(1)
+        return _class(self, {self._unit: Fraction(1)})
 
     def constant(self, scalar) -> "CohomologyClass":
-        return CohomologyClass(self, {(0,) * self.rank: _as_scalar(scalar)})
+        scalar = _as_scalar(scalar)
+        return _class(self, {self._unit: scalar} if scalar else {})
 
     def gen(self, name: str) -> "CohomologyClass":
         i = self.generators.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.rank))
-        return CohomologyClass(self, {expo: Fraction(1)})
+        return _class(self, {expo: Fraction(1)})
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingPresentation)
             and self.generators == other.generators
             and self.orders == other.orders
@@ -131,7 +188,11 @@ class RingPresentation:
 
 
 class CohomologyClass:
-    """An element of a presentation's ring: sparse map monomial -> scalar."""
+    """An element of a presentation's ring: sparse map monomial -> scalar.
+
+    ``coeffs`` holds nonzero scalars only, under exponent tuples.  The
+    constructor cleans outside input; the ring operations drop zero sums as
+    they appear and wrap their results without a second pass."""
 
     __slots__ = ("presentation", "coeffs")
 
@@ -148,35 +209,51 @@ class CohomologyClass:
         raise AttributeError("cohomology classes are immutable")
 
     def _check(self, other):
-        if self.presentation != other.presentation:
+        if (self.presentation is not other.presentation
+                and self.presentation != other.presentation):
             raise PresentationMismatch(
                 "classes live in different ring presentations"
             )
 
+    def _operand(self, other):
+        # a class of the same presentation, a scalar as a constant class, or
+        # None for anything else
+        if isinstance(other, CohomologyClass):
+            self._check(other)
+            return other
+        if isinstance(other, _SCALARS):
+            return self.presentation.constant(other)
+        return None
+
+    def _sum(self, other, subtract):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.coeffs)
+        for expo, value in other.coeffs.items():
+            total = out.get(expo)
+            if total is None:
+                out[expo] = -value if subtract else value
+                continue
+            total = total - value if subtract else total + value
+            if total:
+                out[expo] = total
+            else:
+                del out[expo]
+        return _class(self.presentation, out)
+
     # -- additive structure ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = self.presentation.constant(other)
-        if not isinstance(other, CohomologyClass):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for expo, value in other.coeffs.items():
-            out[expo] = out.get(expo, 0) + value
-        return CohomologyClass(self.presentation, out)
+        return self._sum(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CohomologyClass(
-            self.presentation, {e: -v for e, v in self.coeffs.items()}
-        )
+        return _class(self.presentation, {e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = self.presentation.constant(other)
-        return self + (-other)
+        return self._sum(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -184,23 +261,27 @@ class CohomologyClass:
     # -- multiplicative structure ----------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return CohomologyClass(
-                self.presentation,
-                {e: v * other for e, v in self.coeffs.items()},
-            )
+        pres = self.presentation
         if not isinstance(other, CohomologyClass):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            if not other:
+                return _class(pres, {})
+            return _class(pres, {e: v * other for e, v in self.coeffs.items()})
         self._check(other)
-        orders = self.presentation.orders
+        # one cached lookup per pair of terms: the exponent of the product
+        # monomial, or None when it is truncated by nilpotency
+        products = pres._products
+        right = other.coeffs.items()
         out = {}
         for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(x >= m for x, m in zip(e, orders)):
-                    continue  # nilpotent truncation
-                out[e] = out.get(e, 0) + v1 * v2
-        return CohomologyClass(self.presentation, out)
+            row = products[e1]
+            for e2, v2 in right:
+                e = row[e2]
+                if e is not None:
+                    total = out.get(e)
+                    out[e] = v1 * v2 if total is None else total + v1 * v2
+        return _class(pres, {e: v for e, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -224,17 +305,26 @@ class CohomologyClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def is_one(self) -> bool:
+        """Whether this is the class 1 with the rational scalar 1."""
+        coeffs = self.coeffs
+        if len(coeffs) != 1:
+            return False
+        value = coeffs.get(self.presentation._unit)
+        return type(value) is Fraction and value == 1
+
     def constant_term(self):
-        return self.coeffs.get((0,) * self.presentation.rank, Fraction(0))
+        value = self.coeffs.get(self.presentation._unit)
+        return Fraction(0) if value is None else value
 
     def is_nilpotent(self) -> bool:
         return not self.constant_term()
 
     def nilpotent_part(self) -> "CohomologyClass":
-        zero = (0,) * self.presentation.rank
-        return CohomologyClass(
+        unit = self.presentation._unit
+        return _class(
             self.presentation,
-            {e: v for e, v in self.coeffs.items() if e != zero},
+            {e: v for e, v in self.coeffs.items() if e != unit},
         )
 
     def exp(self) -> "CohomologyClass":
@@ -242,13 +332,11 @@ class CohomologyClass:
         if not self.is_nilpotent():
             raise ValueError("exp needs a class with zero constant term")
         out = self.presentation.one()
-        term = self.presentation.one()
-        bound = self.presentation.nilpotency_bound
-        for n in range(1, bound + 1):
-            term = term * self / n
-            if term.is_zero():
-                break
+        term, n = self, 1
+        while term.coeffs:  # a^n vanishes beyond the nilpotency bound
             out = out + term
+            n += 1
+            term = term * self / n
         return out
 
     def todd_factor(self, order: int | None = None) -> "CohomologyClass":
@@ -274,22 +362,15 @@ class CohomologyClass:
         """Inverse of a class with invertible (nonzero) constant term:
         (s + n)^(-1) = s^(-1) * sum (-n/s)^k, a finite sum."""
         s = self.constant_term()
-        if isinstance(s, Cyclotomic):
-            if s.is_zero():
-                raise ZeroDivisionError("class has nilpotent constant term")
-            s_inv = s.inverse()
-        else:
-            if not s:
-                raise ZeroDivisionError("class has nilpotent constant term")
-            s_inv = 1 / s
-        n = self.nilpotent_part()
+        if not s:
+            raise ZeroDivisionError("class has nilpotent constant term")
+        s_inv = s.inverse() if isinstance(s, Cyclotomic) else 1 / s
+        step = self.nilpotent_part() * -s_inv
         out = self.presentation.one()
-        term = self.presentation.one()
-        for _ in range(self.presentation.nilpotency_bound):
-            term = term * n * s_inv * (-1)
-            if term.is_zero():
-                break
+        term = step
+        while term.coeffs:  # step^k vanishes beyond the nilpotency bound
             out = out + term
+            term = term * step
         return out * s_inv
 
     def integrate(self):
@@ -303,13 +384,14 @@ class CohomologyClass:
         return total
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
+        if isinstance(other, _SCALARS):
             other = self.presentation.constant(other)
         if not isinstance(other, CohomologyClass):
             return NotImplemented
+        # both maps hold nonzero scalars only, so equal classes have equal maps
         return (
             self.presentation == other.presentation
-            and (self - other).is_zero()
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):

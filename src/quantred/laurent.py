@@ -142,7 +142,7 @@ class RingSeries:
         if isinstance(other, (int, Fraction, Cyclotomic, CohomologyClass)):
             return RingSeries(
                 self.chart, self.presentation, self.low,
-                [c * other for c in self.coeffs],
+                [c * other if c.coeffs else c for c in self.coeffs],
             )
         self._check(other)
         low = self.low + other.low
@@ -191,17 +191,26 @@ class RingSeries:
         (0, [1, 1, 1, 1])
         """
         self._check(other)
-        lead_inv = other.coeffs[0].inverse()  # raises if the scalar part vanishes
-        # q[n] = lead^{-1} (a[n] - sum_{k=1..n} d_k q[n-k]), over the nonzero d_k
-        tail = [(k, d) for k, d in enumerate(other.coeffs) if k and not d.is_zero()]
+        lead = other.coeffs[0]
+        # a term equal to 1 is never multiplied by, and a lead equal to 1 is
+        # not inverted: in the 0 and infinity charts every divisor is
+        # 1 - w^m e^{-c}, with the 1 first or last
+        lead_inv = None if lead.is_one() else lead.inverse()  # raises if the scalar part vanishes
+        # q[n] = lead^{-1} (a[n] - sum_{k=1..n} d_k q[n-k]), over the nonzero
+        # d_k and the nonzero q[n-k]: a two-term divisor leaves all but every
+        # m-th quotient term zero, so most products would be by zero
+        tail = [(k, None if d.is_one() else d)
+                for k, d in enumerate(other.coeffs) if k and not d.is_zero()]
         q = []
         for n in range(min(len(self.coeffs), len(other.coeffs))):
             acc = self.coeffs[n]
             for k, d in tail:
                 if k > n:
                     break
-                acc = acc - d * q[n - k]
-            q.append(lead_inv * acc)
+                prev = q[n - k]
+                if prev.coeffs:
+                    acc = acc - (prev if d is None else d * prev)
+            q.append(acc if lead_inv is None or not acc.coeffs else lead_inv * acc)
         return RingSeries(self.chart, self.presentation, self.low - other.low, q)
 
     def reciprocal(self) -> "RingSeries":

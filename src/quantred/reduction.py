@@ -17,7 +17,14 @@ from fractions import Fraction
 from math import gcd
 
 from .exactnum import Cyclotomic, rational_part
-from .fixedpoint import ProblemInstance, hypotheses_hold, require_valid, wall_set
+from .fixedpoint import (
+    MAX_EXPANSION_WINDOW,
+    InvalidInstanceError,
+    ProblemInstance,
+    hypotheses_hold,
+    require_valid,
+    wall_set,
+)
 from .lefschetz import WeylFactor, invariant_from_residues, residue_of_h
 from .oracle import character_polynomial, invariant_multiplicity
 
@@ -197,9 +204,17 @@ def verify_quantization(p: ProblemInstance, degree_bound: int | None = None) -> 
     NOT-ASSERTED when a hypothesis fails (the values are still reported but
     equality is not claimed), FAIL otherwise.  ERROR-level findings raise
     InvalidInstanceError instead of producing a report.  ``degree_bound``
-    raises (never lowers) the oracle's expansion bound.
+    raises (never lowers) the oracle's expansion bound; one above the limit
+    is rejected before any residue is computed.
     """
     findings = require_valid(p)
+    # the oracle's limit (validation keeps the automatic bound below it),
+    # checked before any residue is computed
+    if degree_bound is not None and int(degree_bound) > MAX_EXPANSION_WINDOW:
+        raise InvalidInstanceError(
+            f"the character expansion bound {int(degree_bound)} is above the "
+            f"limit of {MAX_EXPANSION_WINDOW}"
+        )
     ok = hypotheses_hold(findings)
     timings = {}
 

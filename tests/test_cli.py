@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from quantred import (
     Cyclotomic,
     catalog,
@@ -181,6 +183,28 @@ def test_degree_bound_above_limit_exit_two(capsys):
         assert "input error" in err and "limit of 20000" in err, command
     code, _, _ = run(capsys, "character", "--catalog", "cp1-k", "--degree-bound", "20000")
     assert code == 0
+
+
+def test_degree_bound_checked_before_residues(capsys, monkeypatch):
+    # the oracle's limit on --degree-bound is checked before the residue table
+    import quantred.reduction as reduction_mod
+
+    def residue_table(p):
+        raise AssertionError("residue_table called for a rejected degree bound")
+
+    monkeypatch.setattr(reduction_mod, "residue_table", residue_table)
+    code, _, err = run(capsys, "verify", "--catalog", "cp2-line-double", "--k", "64",
+                       "--degree-bound", "20001")
+    assert code == 2
+    assert "input error" in err
+    # the oracle's own message for the same bound
+    from quantred.fixedpoint import InvalidInstanceError, tensor_power
+    from quantred.oracle import character_polynomial
+
+    with pytest.raises(InvalidInstanceError) as rejected:
+        character_polynomial(tensor_power(catalog("cp2-line-double"), 64), 20001)
+    assert str(rejected.value) == "the character expansion bound 20001 is above the limit of 20000"
+    assert str(rejected.value) in err
 
 
 def test_zero_weight_character_exit_two(capsys, tmp_path):

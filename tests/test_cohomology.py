@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantred import (
+    CohomologyClass,
+    Cyclotomic,
     PresentationMismatch,
     RingPresentation,
     exp_class,
@@ -15,7 +17,7 @@ from quantred import (
     todd_series,
 )
 
-from conftest import bernoulli_plus, ring_classes
+from conftest import bernoulli_plus, cyclotomics, ring_classes, small_fractions
 
 POINT = RingPresentation.point()
 P1 = RingPresentation.projective_line()
@@ -190,3 +192,126 @@ def test_class_inverse(data):
 def test_inverse_of_nilpotent_constant_raises():
     with pytest.raises(ZeroDivisionError):
         P1.gen("x").inverse()
+
+
+# -- the class kernel against a naive reference ---------------------------------
+# The reference adds exponent vectors and drops any that reach a nilpotency
+# order, one pair of terms at a time, with no cache.
+
+def _ref_clean(coeffs):
+    return {e: v for e, v in coeffs.items() if v}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + sign * v
+    return _ref_clean(out)
+
+
+def _ref_mul(orders, a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if all(x < m for x, m in zip(e, orders)):
+                out[e] = out.get(e, 0) + v1 * v2
+    return _ref_clean(out)
+
+
+def _ref_power_sum(pres, a, coefficients):
+    # sum_n coefficients[n] * a^n, each power by the reference product
+    unit = (0,) * pres.rank
+    out, power = {}, {unit: Fraction(1)}
+    for c in coefficients:
+        out = _ref_add(out, {e: v * c for e, v in power.items()})
+        power = _ref_mul(pres.orders, power, a)
+    return out
+
+
+def _assert_clean(cls):
+    for expo, value in cls.coeffs.items():
+        assert type(expo) is tuple and len(expo) == cls.presentation.rank, expo
+        assert all(type(e) is int for e in expo), expo
+        assert isinstance(value, (Fraction, Cyclotomic)) and value, (expo, value)
+
+
+@st.composite
+def _rings(draw):
+    orders = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=3))
+    top = tuple(m - 1 for m in orders)
+    names = [f"x{i}" for i in range(len(orders))]
+    return RingPresentation(names, orders, 2 * sum(top), {top: 1})
+
+
+def _scalars(conductor):
+    if conductor is None:
+        return small_fractions
+    return st.one_of(small_fractions, cyclotomics(conductor), st.integers(-3, 3))
+
+
+def _classes(pres, scalars, nilpotent=False):
+    monos = [e for e in pres.monomials() if not (nilpotent and not any(e))]
+    if not monos:
+        return st.just(pres.zero())
+    return st.dictionaries(st.sampled_from(monos), scalars, max_size=5).map(
+        lambda coeffs: CohomologyClass(pres, coeffs)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_class_kernel_matches_naive_reference(data):
+    pres = data.draw(_rings())
+    scalars = _scalars(data.draw(st.sampled_from([None, 3, 4, 5])))
+    a = data.draw(_classes(pres, scalars))
+    b = data.draw(_classes(pres, scalars))
+    n = data.draw(_classes(pres, scalars, nilpotent=True))
+    s = data.draw(scalars)
+    for cls in (a, b, n):
+        _assert_clean(cls)
+    orders = pres.orders
+    cases = [
+        (a * b, _ref_mul(orders, a.coeffs, b.coeffs)),
+        (a + b, _ref_add(a.coeffs, b.coeffs)),
+        (a - b, _ref_add(a.coeffs, b.coeffs, -1)),
+        (a - a, {}),
+        (-a, _ref_add({}, a.coeffs, -1)),
+        (a * s, _ref_clean({e: v * s for e, v in a.coeffs.items()})),
+        (s * a, _ref_clean({e: v * s for e, v in a.coeffs.items()})),
+        (a + s, _ref_add(a.coeffs, {(0,) * pres.rank: s})),
+        # the lowest-degree terms of n cancel inside the product
+        ((1 + n) * (1 - n), _ref_add({(0,) * pres.rank: 1}, _ref_mul(orders, n.coeffs, n.coeffs), -1)),
+    ]
+    bound = pres.nilpotency_bound
+    exp_coefficients = [Fraction(1, factorial(k)) for k in range(bound + 1)]
+    cases.append((n.exp(), _ref_power_sum(pres, n.coeffs, exp_coefficients)))
+    todd = [bernoulli_plus(k) / factorial(k) for k in range(bound + 1)]
+    cases.append((n.todd_factor(), _ref_power_sum(pres, n.coeffs, todd)))
+    if s:
+        unit = pres.constant(s) + n
+        inverse = unit.inverse()
+        cases.append((inverse, inverse.coeffs))
+        assert _ref_mul(orders, unit.coeffs, inverse.coeffs) == {(0,) * pres.rank: 1}
+    for got, want in cases:
+        _assert_clean(got)
+        assert got.coeffs == want
+
+
+def test_equal_presentations_survive_the_product_cache():
+    make = lambda: RingPresentation(("x", "y"), (3, 2), 6, {(2, 1): 1})  # noqa: E731
+    p, q = make(), make()
+    assert p is not q and p == q and hash(p) == hash(q)
+    x, y = p.gen("x"), p.gen("y")
+    square = (1 + x + y) * (1 + x + y) * (2 + x * y)
+    assert p == q and hash(p) == hash(q)
+    # classes built on either presentation combine, compare and hash alike
+    u, v = q.gen("x"), q.gen("y")
+    other = (1 + u + v) * (1 + u + v) * (2 + u * v)
+    assert square == other and hash(square) == hash(other)
+    assert (square - other).is_zero()
+    # equal orders share the product cache, but not equality
+    r = RingPresentation(("x", "y"), (3, 2), 6, {(2, 1): 2})
+    assert r != p
+    with pytest.raises(PresentationMismatch):
+        r.gen("x") * x
