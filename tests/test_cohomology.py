@@ -299,8 +299,7 @@ def test_class_kernel_matches_naive_reference(data):
 
 
 def test_equal_presentations_survive_the_product_cache():
-    make = lambda: RingPresentation(("x", "y"), (3, 2), 6, {(2, 1): 1})  # noqa: E731
-    p, q = make(), make()
+    p, q = (RingPresentation(("x", "y"), (3, 2), 6, {(2, 1): 1}) for _ in range(2))
     assert p is not q and p == q and hash(p) == hash(q)
     x, y = p.gen("x"), p.gen("y")
     square = (1 + x + y) * (1 + x + y) * (2 + x * y)
