@@ -17,18 +17,12 @@ from .cohomology import (
     CohomologyClass,
     PresentationMismatch,
     RingPresentation,
-    exp_class,
-    integrate,
-    ring_mul,
     todd_coefficients,
-    todd_series,
 )
 from .exactnum import (
     Cyclotomic,
     NotRationalError,
     cyclotomic_polynomial,
-    invert,
-    lcm,
     phi_degree,
     rational_part,
     root_of_unity,
@@ -61,10 +55,8 @@ from .laurent import (
 )
 from .lefschetz import (
     NonIntegerResultError,
-    NotIsolatedError,
     WeylFactor,
     character_from_chart,
-    chi_isolated,
     component_series,
     residue_of_h,
     rr_invariant,
@@ -81,7 +73,6 @@ from .reduction import (
     ReducedRR,
     Report,
     kawasaki_corrections,
-    kawasaki_residues,
     pole_labels,
     reduced_rr,
     residue_table,

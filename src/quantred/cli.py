@@ -250,7 +250,7 @@ def cmd_residues(args) -> int:
             },
         }, indent=2))
         return EXIT_OK
-    labels = rows[0].labels() if rows else []
+    labels = rows[0].labels()
     headers = ["component"] + labels + ["sum"]
     body = []
     for row in rows:
@@ -265,7 +265,7 @@ def cmd_residues(args) -> int:
         + [scalar_str(grand, args.decimal)]
     )
     widths = [
-        max(len(headers[i]), *(len(r[i]) for r in body)) if body else len(headers[i])
+        max(len(headers[i]), *(len(r[i]) for r in body))
         for i in range(len(headers))
     ]
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))

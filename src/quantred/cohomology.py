@@ -164,7 +164,7 @@ class RingPresentation:
     def gen(self, name: str) -> "CohomologyClass":
         i = self.generators.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.rank))
-        return _class(self, {expo: Fraction(1)})
+        return CohomologyClass(self, {expo: 1})
 
     def __eq__(self, other):
         return self is other or (
@@ -190,18 +190,23 @@ class RingPresentation:
 class CohomologyClass:
     """An element of a presentation's ring: sparse map monomial -> scalar.
 
-    ``coeffs`` holds nonzero scalars only, under exponent tuples.  The
-    constructor cleans outside input; the ring operations drop zero sums as
-    they appear and wrap their results without a second pass."""
+    ``coeffs`` holds nonzero scalars only, under exponent tuples below the
+    nilpotency orders.  The constructor cleans outside input, dropping the
+    monomials that are zero in the ring; the ring operations drop zero sums
+    as they appear and wrap their results without a second pass."""
 
     __slots__ = ("presentation", "coeffs")
 
     def __init__(self, presentation, coeffs):
+        orders = presentation.orders
         clean = {}
         for expo, value in coeffs.items():
+            expo = tuple(expo)
+            if any(e >= m for e, m in zip(expo, orders)):
+                continue  # nilpotent: the monomial is zero in the ring
             value = _as_scalar(value)
             if value:
-                clean[tuple(expo)] = value
+                clean[expo] = value
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "coeffs", clean)
 
@@ -339,14 +344,12 @@ class CohomologyClass:
             term = term * self / n
         return out
 
-    def todd_factor(self, order: int | None = None) -> "CohomologyClass":
+    def todd_factor(self) -> "CohomologyClass":
         """a / (1 - exp(-a)) = 1 + a/2 + a^2/12 - a^4/720 + ..., truncated
-        by nilpotency.  ``order`` caps how many series terms are used."""
+        by nilpotency."""
         if not self.is_nilpotent():
             raise ValueError("Todd factor needs a class with zero constant term")
         bound = self.presentation.nilpotency_bound
-        if order is not None:
-            bound = min(bound, order)
         coeffs = todd_coefficients(bound)
         out = self.presentation.zero()
         term = self.presentation.one()
@@ -435,21 +438,3 @@ def todd_coefficients(order: int) -> list[Fraction]:
         _TODD.append(-acc)
     return _TODD[: order + 1]
 
-
-# -- spec-facing aliases ------------------------------------------------------
-
-def ring_mul(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Cup product (commutative, truncated by nilpotency)."""
-    return a * b
-
-
-def exp_class(a: CohomologyClass) -> CohomologyClass:
-    return a.exp()
-
-
-def todd_series(a: CohomologyClass, order: int | None = None) -> CohomologyClass:
-    return a.todd_factor(order)
-
-
-def integrate(a: CohomologyClass):
-    return a.integrate()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class NotRationalError(ArithmeticError):
@@ -159,30 +159,19 @@ def _element(n: int, coeffs: tuple) -> "Cyclotomic":
     return out
 
 
+@lru_cache(maxsize=None)
 def phi_degree(n: int) -> int:
-    """Degree of Phi_n, i.e. Euler's totient of n."""
-    return len(cyclotomic_polynomial(n)) - 1
+    """Euler's totient phi(n), the degree of Phi_n and of Q(zeta_n), by trial
+    division: it never builds Phi_n.
 
-
-def totient(n: int) -> int:
-    """Euler's totient phi(n), the degree of Q(zeta_n), by trial division:
-    unlike :func:`phi_degree` it never builds Phi_n.
-
-    >>> totient(1092)
+    >>> phi_degree(1092)
     288
     """
+    if n < 1:
+        raise ValueError("conductor must be a positive integer")
     out = n
     for p in _primes(n):
         out -= out // p
-    return out
-
-
-def lcm(*values: int) -> int:
-    out = 1
-    for v in values:
-        v = abs(v)
-        if v:
-            out = out * v // gcd(out, v)
     return out
 
 
@@ -443,16 +432,6 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
         raise ValueError("conductor must be a positive integer")
     k %= n
     return Cyclotomic(n, [_ZERO] * k + [Fraction(1)])
-
-
-def invert(x):
-    """Exact multiplicative inverse of a Fraction or Cyclotomic."""
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    x = Fraction(x)
-    if not x:
-        raise ZeroDivisionError("inverse of zero")
-    return 1 / x
 
 
 def rational_part(x) -> Fraction:

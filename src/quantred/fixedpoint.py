@@ -23,10 +23,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cohomology import CohomologyClass, RingPresentation
-from .exactnum import lcm, totient
+from .exactnum import phi_degree
 
 
 # The largest field degree phi(N) an instance may need.  Building the power
@@ -137,10 +137,6 @@ class FixedComponent:
         return sum(-b for b in self.weights if b < 0)
 
     @property
-    def is_isolated(self) -> bool:
-        return self.ring.rank == 0
-
-    @property
     def dimension(self) -> int:
         """Real dimension of the ambient manifold seen from this component."""
         return self.ring.top_degree + 2 * len(self.weights)
@@ -171,9 +167,10 @@ class ProblemInstance:
 
     @property
     def conductor(self) -> int:
-        """lcm of 4 and every |weight|: the one cyclotomic field in which all
-        wall roots of unity (and i) live."""
-        return lcm(4, *(abs(b) for f in self.components for b in f.weights))
+        """lcm of 4 and every nonzero |weight|: the one cyclotomic field in
+        which all wall roots of unity (and i) live.  This is the only place
+        that chooses the field; everything else is handed the conductor."""
+        return lcm(4, *(abs(b) for f in self.components for b in f.weights if b))
 
     def dimension(self) -> int:
         dims = {f.dimension for f in self.components}
@@ -234,7 +231,7 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 "every normal direction", f.name))
     n = p.conductor
     # phi(n) >= sqrt(n/2), so a conductor above 2 * limit**2 fails unfactored
-    if n > 2 * MAX_FIELD_DEGREE**2 or totient(n) > MAX_FIELD_DEGREE:
+    if n > 2 * MAX_FIELD_DEGREE**2 or phi_degree(n) > MAX_FIELD_DEGREE:
         findings.append(Finding(
             "ERROR", "field-degree",
             f"the wall roots of unity need Q(zeta_{n}), whose degree phi({n}) "
@@ -303,12 +300,10 @@ def require_valid(p: ProblemInstance) -> list[Finding]:
     return findings
 
 
-def wall_set(f: FixedComponent, conductor: int | None = None) -> tuple[int, ...]:
-    """Exponents k (mod the conductor N) of the roots of unity zeta_N**k
-    with zeta**beta = 1 for some normal weight beta.  Always contains 0
-    (the point t = 1)."""
-    if conductor is None:
-        conductor = lcm(4, *(abs(b) for b in f.weights))
+def wall_set(f: FixedComponent, conductor: int) -> tuple[int, ...]:
+    """Exponents k (mod the conductor N, normally the instance's
+    ``conductor``) of the roots of unity zeta_N**k with zeta**beta = 1 for
+    some normal weight beta.  Always contains 0 (the point t = 1)."""
     # k * beta = 0 (mod N) exactly for the multiples of N / gcd(N, beta)
     walls = {0}
     for b in f.weights:
@@ -395,8 +390,6 @@ def _parse_class(obj, pres, where) -> CohomologyClass:
     coeffs = {}
     for key, value in obj.items():
         expo = _parse_monomial(key, pres, f"{where}.{key}")
-        if any(e >= m for e, m in zip(expo, pres.orders)):
-            continue  # nilpotent: the monomial is zero in the ring
         coeffs[expo] = coeffs.get(expo, 0) + _parse_rational(value, f"{where}.{key}")
     return CohomologyClass(pres, coeffs)
 
@@ -409,13 +402,9 @@ def _format_monomial(expo, pres) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def _class_to_dict(cls: CohomologyClass) -> dict:
     return {
-        _format_monomial(e, cls.presentation): _format_rational(v)
+        _format_monomial(e, cls.presentation): str(v)
         for e, v in sorted(cls.coeffs.items())
     }
 
@@ -517,7 +506,7 @@ def instance_to_dict(p: ProblemInstance) -> dict:
             "generators": [[g, m] for g, m in zip(f.ring.generators, f.ring.orders)],
             "top_degree": f.ring.top_degree,
             "integrals": {
-                _format_monomial(e, f.ring): _format_rational(v)
+                _format_monomial(e, f.ring): str(v)
                 for e, v in sorted(f.ring.integrals.items())
             },
         }

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import lcm, rational_part
+from .exactnum import rational_part
 from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
 from .laurent import (
     Chart,
@@ -28,10 +28,6 @@ from .laurent import (
     residue,
     series_constant,
 )
-
-
-class NotIsolatedError(ValueError):
-    pass
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -58,17 +54,6 @@ class WeylFactor:
     @classmethod
     def for_group(cls, group: GroupKind) -> "WeylFactor":
         return cls(group)
-
-
-def chi_isolated(f: FixedComponent) -> tuple[int, tuple[int, ...]]:
-    """Exact symbolic form of chi_F for an isolated fixed point: the pair
-    (numerator exponent, denominator weights) of
-    t**mu / prod_j (1 - t**(-beta_j))."""
-    if not f.is_isolated:
-        raise NotIsolatedError(
-            f"component {f.name!r} is not an isolated point"
-        )
-    return f.moment, f.weights
 
 
 # ---------------------------------------------------------------------------
@@ -132,33 +117,36 @@ def component_series(
     return out
 
 
-def _chart_for(at, conductor: int | None, f: FixedComponent) -> Chart:
+def _chart_for(at, conductor: int | None) -> Chart:
     if at == "zero":
         return Chart.at_zero()
     if at in ("infinity", "inf"):
         return Chart.at_infinity()
     if isinstance(at, int):
-        if conductor is None:
-            conductor = lcm(4, *(abs(b) for b in f.weights))
-        return Chart.at_root(conductor, at)
+        if conductor is not None:
+            return Chart.at_root(conductor, at)
+        if at == 0:
+            return Chart.at_one()
+        raise ValueError(f"the root zeta^{at} needs a conductor")
     raise ValueError(f"unknown pole location {at!r}")
 
 
 def residue_of_h(
     f: FixedComponent,
     at,
-    weyl: WeylFactor | dict | None = None,
+    weyl: WeylFactor | None = None,
     twist: int = 0,
     conductor: int | None = None,
 ):
     """Exact residue of (weyl factor) * t**twist * h_F at a pole site.
 
     ``at`` is "zero", "infinity", or an integer k meaning the root of unity
-    zeta_N**k (N the conductor).  The returned scalar is rational at 0, 1
-    and infinity, and cyclotomic at other roots of unity.
+    zeta_N**k (N the conductor, required unless k = 0, the point t = 1).
+    The returned scalar is rational at 0, 1 and infinity, and cyclotomic at
+    other roots of unity.
     """
-    chart = _chart_for(at, conductor, f)
-    poly = weyl.poly if isinstance(weyl, WeylFactor) else dict(weyl or {0: Fraction(1)})
+    chart = _chart_for(at, conductor)
+    poly = weyl.poly if weyl is not None else {0: Fraction(1)}
     if twist:
         poly = {r + twist: a for r, a in poly.items()}
     target = -1 if chart.kind == "root" else 0

@@ -14,9 +14,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
-from .exactnum import Cyclotomic, rational_part
+from .exactnum import Cyclotomic, rational_part, root_order
 from .fixedpoint import (
     MAX_EXPANSION_WINDOW,
     InvalidInstanceError,
@@ -78,7 +77,7 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
     residues = dict(sorted(residues.items()))
     per_orbit: dict[int, object] = {}
     for k, value in residues.items():
-        d = n // gcd(n, k)
+        d = root_order(n, k)
         per_orbit[d] = per_orbit.get(d, Fraction(0)) + value
     corrections = {d: rational_part(v) for d, v in sorted(per_orbit.items())}
     total = main + sum(corrections.values(), Fraction(0))
@@ -89,12 +88,6 @@ def rr_reduced_main(p: ProblemInstance) -> Fraction:
     """Sum over positive-moment components of the residue of Weyl * h_F at
     t = 1 (the smooth term of the reduced count)."""
     return reduced_rr(p).main
-
-
-def kawasaki_residues(p: ProblemInstance) -> dict[int, object]:
-    """Residues at the nontrivial wall roots of unity, keyed by the exponent
-    k of zeta_N**k (generally cyclotomic)."""
-    return reduced_rr(p).residues_by_exponent
 
 
 def kawasaki_corrections(p: ProblemInstance) -> dict[int, Fraction]:
@@ -158,9 +151,9 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
 
     At the roots of unity on F's walls the residue is computed once per
     Galois orbit: chi_F has rational data, so the residue at
-    zeta_N**k = zeta_d**(k/g) (g = gcd(N, k), d = N/g) is the image under
-    z -> z**(k/g) of the residue at zeta_d, computed in Q(zeta_d) and then
-    embedded in Q(zeta_N).  Every other site is computed directly.
+    zeta_N**k = zeta_d**(k*d/N) (d the order of zeta_N**k) is the image
+    under z -> z**(k*d/N) of the residue at zeta_d, computed in Q(zeta_d)
+    and then embedded in Q(zeta_N).  Every other site is computed directly.
     """
     weyl = WeylFactor.for_group(p.group)
     n = p.conductor
@@ -173,14 +166,13 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
         total = Fraction(0)
         for site in sites:
             if isinstance(site, int) and site and site in walls:
-                g = gcd(n, site)
-                d = n // g
+                d = root_order(n, site)
                 if d not in at_primitive:
                     r = residue_of_h(f, 1, weyl, conductor=d)
                     if not isinstance(r, Cyclotomic):
                         r = Cyclotomic.from_rational(d, r)
                     at_primitive[d] = r
-                value = at_primitive[d].galois(site // g).promoted(n)
+                value = at_primitive[d].galois(site * d // n).promoted(n)
             else:
                 value = residue_of_h(f, site, weyl, conductor=n)
             label = site if isinstance(site, str) else _root_label(n, site)

@@ -7,7 +7,6 @@ from quantred import (
     Cyclotomic,
     catalog,
     instance_to_dict,
-    kawasaki_residues,
     rr_invariant,
     reduced_rr,
 )
@@ -292,7 +291,7 @@ def test_json_report_cyclotomic_diagnostics_round_trip(capsys):
     code, out, _ = run(capsys, "verify", "--catalog", "cp1-triple", "--json")
     assert code == 0
     doc = json.loads(out)
-    residues = kawasaki_residues(p)
+    residues = reduced_rr(p).residues_by_exponent
     for k, entry in doc["reduction"]["residues_by_exponent"].items():
         rebuilt = Cyclotomic(entry["conductor"], [Fraction(c) for c in entry["coeffs"]])
         assert rebuilt == residues[int(k)]

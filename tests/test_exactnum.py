@@ -11,13 +11,12 @@ from quantred import (
     Cyclotomic,
     NotRationalError,
     cyclotomic_polynomial,
-    invert,
     phi_degree,
     rational_part,
     root_of_unity,
     root_order,
 )
-from quantred.exactnum import _power_table, totient
+from quantred.exactnum import _power_table
 
 from conftest import cyclotomics, mobius, small_fractions
 
@@ -66,7 +65,7 @@ def test_phi_products_over_divisors_at_large_conductors():
             if n % d == 0:
                 product = sparse_mul(product, list(cyclotomic_polynomial(d)))
         assert product == [-1] + [0] * (n - 1) + [1], n
-        assert len(cyclotomic_polynomial(n)) - 1 == totient(n), n
+        assert len(cyclotomic_polynomial(n)) - 1 == phi_degree(n), n
 
 
 def test_phi_degree_is_totient():
@@ -75,9 +74,17 @@ def test_phi_degree_is_totient():
         assert phi_degree(n) == t
 
 
+def test_phi_degree_is_the_degree_of_phi_n():
+    # phi_degree counts by trial division; the polynomial is built apart
+    for n in range(1, 201):
+        assert phi_degree(n) == len(cyclotomic_polynomial(n)) - 1, n
+
+
 def test_conductor_must_be_positive():
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+    with pytest.raises(ValueError):
+        phi_degree(0)
     with pytest.raises(ValueError):
         root_of_unity(-3, 1)
 
@@ -116,15 +123,15 @@ def test_root_order():
 
 def test_invert_trivial_units():
     one = root_of_unity(4, 0)
-    assert invert(one) == 1
-    assert invert(-one) == -1
+    assert one.inverse() == 1
+    assert (-one).inverse() == -1
 
 
 def test_invert_one_minus_zeta3():
     # (1 - zeta_3)^(-1) = (2 + zeta_3)/3, since (1 - z)(2 + z) = 2 - z - z^2 = 3
     z = root_of_unity(3, 1)
     x = 1 - z
-    inv = invert(x)
+    inv = x.inverse()
     assert x * inv == 1
     assert inv == (2 + z) / 3
 
@@ -132,7 +139,7 @@ def test_invert_one_minus_zeta3():
 def test_invert_zero_raises():
     zero = root_of_unity(4, 0) - 1
     with pytest.raises(ZeroDivisionError):
-        invert(zero)
+        zero.inverse()
 
 
 # -- rational part ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from quantred import (
     wall_set,
 )
 from quantred.catalog import UnknownCatalogError
-from quantred.exactnum import totient
+from quantred.exactnum import phi_degree
 from quantred.fixedpoint import MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, expansion_window
 
 POINT = RingPresentation.point()
@@ -96,7 +97,7 @@ def test_field_degree_limit():
         assert [f.level for f in errors] == ["ERROR"], q
         assert str(MAX_FIELD_DEGREE) in errors[0].message
     # N = 2040 sits exactly at the limit and is admitted
-    assert totient(2040) == MAX_FIELD_DEGREE
+    assert phi_degree(2040) == MAX_FIELD_DEGREE
     assert not has_errors(validate(sphere(2040)))
 
 
@@ -120,18 +121,18 @@ def test_expansion_window_limit():
 
 def test_wall_set_quasi_free():
     f = point_component("f", 1, [1, -1])
-    assert wall_set(f) == (0,)
+    assert wall_set(f, 4) == (0,)
 
 
 def test_wall_set_weight_two():
     f = point_component("f", 1, [2])
-    assert wall_set(f) == (0, 2)  # conductor 4: {1, -1}
+    assert wall_set(f, 4) == (0, 2)  # conductor 4: {1, -1}
 
 
 def test_wall_set_weights_two_three():
     f = point_component("f", 1, [2, 3])
     # conductor 12: 1, zeta_3, -1, zeta_3^2
-    assert wall_set(f) == (0, 4, 6, 8)
+    assert wall_set(f, 12) == (0, 4, 6, 8)
 
 
 def test_wall_set_respects_instance_conductor():
@@ -139,6 +140,53 @@ def test_wall_set_respects_instance_conductor():
     assert p.conductor == 12
     e0 = p.component("e0")  # weights 1, 3
     assert wall_set(e0, p.conductor) == (0, 4, 8)
+
+
+# (conductor, [(level, code, component)]) of every catalog entry and golden
+# instance, frozen: moving the wall-field rule must not change either
+CONDUCTORS_AND_FINDINGS = {
+    "cp1-k": (4, [("INFO", "quasi-free", None)]),
+    "cp2-k": (12, []),
+    "so3-coadjoint": (4, [("INFO", "quasi-free", None)]),
+    "su2-sphere": (4, [("WARN", "su2-small-moments", None)]),
+    "cp1-double": (4, []),
+    "cp1-triple": (12, []),
+    "cp1xcp1": (4, [("INFO", "quasi-free", None)]),
+    "cp2-line": (4, [("INFO", "quasi-free", None)]),
+    "cp2-line-double": (4, []),
+    "so3-s2xs2": (4, [("INFO", "quasi-free", None)]),
+    "su2-excluded": (4, [
+        ("INFO", "quasi-free", None), ("WARN", "su2-small-moments", None),
+        ("WARN", "su2-excluded-component", "north"),
+        ("WARN", "su2-excluded-component", "south"),
+    ]),
+    "cp2-line-double-k64": (4, []),
+    "plane-037-k1-c2": (84, []),
+    "plane-057-k1-c3": (140, []),
+    "plane-0711-k1-c2": (308, []),
+    "plane-0713-k1-c2": (1092, []),
+    "so3-s2xs2-k32": (4, [("INFO", "quasi-free", None)]),
+    "sphere-pm30": (60, []),
+}
+
+
+def test_conductor_and_findings_are_unchanged():
+    golden = Path(__file__).resolve().parent / "golden" / "instances"
+    instances = [catalog(name) for name in catalog_names()]
+    instances += [load_instance(path) for path in sorted(golden.glob("*.json"))]
+    assert len(instances) == len(CONDUCTORS_AND_FINDINGS)
+    for p in instances:
+        got = (p.conductor, [(f.level, f.code, f.component) for f in validate(p)])
+        assert got == CONDUCTORS_AND_FINDINGS[p.name.split("(")[0]], p.name
+
+
+def test_zero_weights_leave_the_conductor_at_four():
+    p = ProblemInstance(GroupKind.U1, [
+        point_component("a", 1, [0]), point_component("b", -1, [0]),
+    ])
+    assert p.conductor == 4
+    codes = [(f.code, f.component) for f in validate(p) if f.level == "ERROR"]
+    assert codes == [("weight-zero", "a"), ("weight-zero", "b")]
 
 
 # -- catalog ----------------------------------------------------------------
@@ -262,6 +310,13 @@ def test_floats_rejected():
     doc["components"][0]["omega"] = {"1": 0.5}
     with pytest.raises(SchemaError, match="float"):
         instance_from_dict(doc)
+    # a monomial that is zero in the ring still needs an exact literal
+    doc = instance_to_dict(catalog("cp2-line"))
+    doc["components"][0]["omega"] = {"x^2": 0.5}
+    with pytest.raises(SchemaError, match="float"):
+        instance_from_dict(doc)
+    doc["components"][0]["omega"] = {"x^2": "1/2"}
+    assert instance_from_dict(doc).components[0].omega.is_zero()
     # generator orders: no float truncation, no bool or string coercion,
     # and an out-of-range order is a schema error too
     for order in (2.7, 2.0, True, "2", None, 0):

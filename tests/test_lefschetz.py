@@ -20,7 +20,6 @@ from quantred import (
     catalog_names,
     character_from_chart,
     character_polynomial,
-    chi_isolated,
     invariant_multiplicity,
     rational_part,
     residue_of_h,
@@ -28,7 +27,7 @@ from quantred import (
     tensor_power,
     wall_set,
 )
-from quantred.lefschetz import NonIntegerResultError, NotIsolatedError
+from quantred.lefschetz import NonIntegerResultError
 
 POINT = RingPresentation.point()
 
@@ -48,20 +47,6 @@ def test_calibration_cp1_degree2():
     assert character_from_chart(p, "infinity", 5) == expected
     assert character_from_chart(p, "zero", 5) == expected
     assert rr_invariant(p) == 1
-
-
-# -- symbolic form of isolated contributions ------------------------------------
-
-def test_chi_isolated_reads_off_data():
-    assert chi_isolated(point_component("f", 1, [1])) == (1, (1,))
-    assert chi_isolated(point_component("f", -1, [-1])) == (-1, (-1,))
-    assert chi_isolated(point_component("f", 3, [1, 2])) == (3, (1, 2))
-
-
-def test_chi_isolated_rejects_curves():
-    f = catalog("cp1xcp1").component("top")
-    with pytest.raises(NotIsolatedError):
-        chi_isolated(f)
 
 
 # -- per-component residues -------------------------------------------------------
@@ -93,6 +78,14 @@ def test_three_chart_sum_negative_moment():
     rinf = residue_of_h(f, "infinity")
     assert (r0, r1, rinf) == (-1, 1, 0)
     assert r0 + r1 + rinf == 0
+
+
+def test_nontrivial_root_needs_a_conductor():
+    # the instance's conductor is the one wall-field rule; t = 1 needs none
+    f = point_component("f", 1, [2])
+    with pytest.raises(ValueError, match="conductor"):
+        residue_of_h(f, 2)
+    assert residue_of_h(f, 0) == residue_of_h(f, 0, conductor=4) == Fraction(1, 2)
 
 
 def test_residue_sum_over_all_poles_is_zero_per_component():

@@ -210,10 +210,8 @@ def arbitrary_components(draw):
     twist=st.integers(min_value=-2, max_value=2),
 )
 def test_residue_theorem_for_arbitrary_components(f, group, twist):
-    from quantred import lcm
-
     weyl = WeylFactor.for_group(group)
-    n = lcm(4, *(abs(b) for b in f.weights))
+    n = ProblemInstance(group, [f]).conductor
     total = residue_of_h(f, "zero", weyl, twist=twist, conductor=n)
     total = total + residue_of_h(f, "infinity", weyl, twist=twist, conductor=n)
     for k in wall_set(f, n):

@@ -14,7 +14,6 @@ from quantred import (
     catalog,
     catalog_names,
     kawasaki_corrections,
-    kawasaki_residues,
     load_instance,
     pole_labels,
     rational_part,
@@ -85,7 +84,7 @@ def test_cp1_double_correction():
 
 def test_cp1_triple_galois_orbit():
     p = catalog("cp1-triple")
-    residues = kawasaki_residues(p)  # conductor 12: order-3 roots at k = 4, 8
+    residues = reduced_rr(p).residues_by_exponent  # conductor 12: order-3 roots at k = 4, 8
     assert set(residues) == {4, 8}
     z3 = root_of_unity(12, 4)
     assert residues[4] == z3 / 3
@@ -102,7 +101,7 @@ def test_corrections_ignore_negative_moment_components():
     north = p.component("north")
     # the correction equals the north residue alone: south sits at negative
     # moment and is filtered out even though -1 lies on its wall set
-    assert kawasaki_residues(p)[2] == residue_of_h(north, 2, weyl, conductor=4)
+    assert reduced_rr(p).residues_by_exponent[2] == residue_of_h(north, 2, weyl, conductor=4)
     south = p.component("south")
     assert residue_of_h(south, 2, weyl, conductor=4) != 0
 
