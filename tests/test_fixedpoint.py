@@ -161,6 +161,8 @@ CONDUCTORS_AND_FINDINGS = {
         ("WARN", "su2-excluded-component", "south"),
     ]),
     "cp2-line-double-k64": (4, []),
+    "cp3-plane": (4, [("INFO", "quasi-free", None)]),
+    "cp3-plane-double": (4, []),
     "plane-037-k1-c2": (84, []),
     "plane-057-k1-c3": (140, []),
     "plane-0711-k1-c2": (308, []),

@@ -351,3 +351,23 @@ def test_residue_table_quasi_free_has_no_extra_columns():
 def test_residue_table_shows_wall_columns():
     rows = residue_table(catalog("cp1-double"))
     assert rows[0].labels() == ["zero", "t=1", "zeta_4^2", "infinity"]
+
+
+def test_residue_table_cell_types():
+    # cells at zero, t = 1 and infinity are rational; a cell at a root on the
+    # component's own walls is a Cyclotomic over rational coefficients, and
+    # one at a root off them is a rational zero (no pole there)
+    instances = [catalog(name) for name in catalog_names()]
+    instances += [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
+    for p in instances:
+        n = p.conductor
+        for f, row in zip(p.components, residue_table(p)):
+            walls = wall_set(f, n)
+            for site, (label, value) in zip(pole_labels(p), row.entries):
+                where = (p.name, f.name, label)
+                if isinstance(site, int) and site and site in walls:
+                    assert type(value) is Cyclotomic, where
+                    assert all(type(c) is Fraction for c in value.coeffs), where
+                else:
+                    assert type(value) is Fraction, where
+                    assert value == 0 or not isinstance(site, int) or site == 0, where
