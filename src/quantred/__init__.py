@@ -49,15 +49,17 @@ from .laurent import (
     ChartMismatch,
     RingSeries,
     TruncationError,
-    expand_lefschetz_factor,
-    lefschetz_denominator,
+    factor_series,
+    form_residue,
+    outer_expansion,
     residue,
 )
 from .lefschetz import (
     NonIntegerResultError,
     WeylFactor,
+    ComponentForm,
     character_from_chart,
-    component_series,
+    component_form,
     residue_of_h,
     rr_invariant,
 )

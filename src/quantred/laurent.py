@@ -1,5 +1,4 @@
-"""One-variable formal Laurent series with cohomology-class coefficients,
-in one of three expansion charts on the Riemann sphere:
+"""Expansions on the Riemann sphere in three charts:
 
 * ``t -> 0``    series in t itself, on the punctured disk inside the circle;
 * ``t -> inf``  series in w = 1/t, outside the circle;
@@ -10,19 +9,30 @@ residue of f(t) dt/t at t = zeta is literally the u^{-1} coefficient, with
 no stray factors of i.  At infinity, t = 1/w gives dt/t = -dw/w, so that
 residue is minus the w^0 coefficient.  At zero it is the t^0 coefficient.
 
-Coefficients are :class:`~quantred.cohomology.CohomologyClass` values whose
-scalars are rational in the 0/inf charts and cyclotomic at nontrivial roots
-of unity.
+The residue engine expands one scalar rational function per fixed
+component, N(t) / prod_beta (1 - t**(-beta))**M with N a Laurent polynomial
+over Q (built in :mod:`quantred.lefschetz`).  At zero and at infinity the
+expansion is a sign, a shift and one adding recurrence per factor.  At a
+root of unity the residue is one coefficient of a product of short Taylor
+series, as long as the pole order; the denominator factors' series depend on
+their shape alone and are cached for the whole process.  Scalars are
+rational in the 0/inf charts and at t = 1, cyclotomic at other roots.
+
+:class:`RingSeries`, a window of a Laurent expansion with cohomology-class
+coefficients, keeps its arithmetic but is no longer on the engine's path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .cohomology import CohomologyClass, RingPresentation, todd_coefficients
 from .exactnum import Cyclotomic, root_of_unity
+
+_ZERO = Fraction(0)
 
 
 class TruncationError(ArithmeticError):
@@ -63,15 +73,6 @@ class Chart:
     @classmethod
     def at_one(cls) -> "Chart":
         return cls("root", 1, 0)
-
-    def zeta_power(self, r: int):
-        """zeta**r as an exact scalar (Fraction fast path at zeta = 1)."""
-        if self.kind != "root":
-            raise ValueError("zeta_power only makes sense at a root chart")
-        k = (self.exponent * r) % self.conductor
-        if k == 0:
-            return Fraction(1)
-        return root_of_unity(self.conductor, k)
 
     def is_wall_for(self, beta: int) -> bool:
         """Whether zeta**beta == 1, i.e. the factor with weight beta has a
@@ -220,9 +221,6 @@ class RingSeries:
                               len(self.coeffs) - 1)
         return one / self
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def __repr__(self):
         var = self.chart.variable
         parts = [
@@ -234,131 +232,195 @@ class RingSeries:
         return f"<series {body} + O({var}^{self.order + 1})>"
 
 
-# ---------------------------------------------------------------------------
-# constructors
-# ---------------------------------------------------------------------------
-
 def series_constant(chart, presentation, value: CohomologyClass, order: int) -> RingSeries:
     coeffs = [value] + [presentation.zero()] * order
     return RingSeries(chart, presentation, 0, coeffs)
 
 
-def laurent_polynomial_series(poly, chart, presentation, order: int) -> RingSeries:
-    """A finite Laurent polynomial sum a_r t**r rewritten in the chart.
+# ---------------------------------------------------------------------------
+# scalar expansions of N(t) / prod_beta (1 - t**(-beta))**M
+# ---------------------------------------------------------------------------
+#
+# ``numerator`` is a Laurent polynomial {exponent: Fraction} and
+# ``denominator`` a map {beta: M} of nonzero weights to positive multiplicities.
 
-    * at 0:        t**r is the monomial t**r;
-    * at infinity: t**r is w**(-r);
-    * at a root:   t**r = zeta**r * exp(r*u), a power series in u.
+def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -> list:
+    """Coefficients of var**e, low <= e <= high, of N(t) / prod (1 - t**(-beta))**M
+    expanded at zero (var = t) or at infinity (var = 1/t).
+
+    With t**(-beta) = var**(-b), a factor with b > 0 is
+    -var**(-b) (1 - var**b): it gives a sign and a shift, and every factor
+    is then one over 1 - var**a with a > 0.  Dividing by that is the
+    recurrence q[n] += q[n - a], which only adds.
+
+    At infinity, 1/(1 - 1/t) is the geometric series in w = 1/t:
+
+    >>> outer_expansion({0: Fraction(1)}, {1: 1}, Chart.at_infinity(), 0, 3)
+    [Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
     """
-    poly = {int(r): v for r, v in dict(poly).items() if v}
-    if not poly:
-        return series_constant(chart, presentation, presentation.zero(), order)
-    if chart.kind in ("zero", "inf"):
-        sign = 1 if chart.kind == "zero" else -1
-        exps = [sign * r for r in poly]
-        low = min(exps)
-        # a finite polynomial is exactly zero above its top exponent, so the
-        # window can extend to any requested order
-        top = max(max(exps), order)
-        coeffs = [presentation.zero() for _ in range(top - low + 1)]
-        for r, v in poly.items():
-            coeffs[sign * r - low] = presentation.constant(v)
-        return RingSeries(chart, presentation, low, coeffs)
-    # the coefficient of u**n is sum_r a_r zeta**r r**n / n!
-    scaled = [(r, chart.zeta_power(r) * v) for r, v in poly.items()]
-    coeffs = []
-    for n in range(order + 1):
-        acc = presentation.zero()
-        for r, a in scaled:
-            acc = acc + presentation.constant(a * Fraction(r**n, factorial(n)))
-        coeffs.append(acc)
-    return RingSeries(chart, presentation, 0, coeffs)
+    if chart.kind not in ("zero", "inf"):
+        raise ValueError("outer expansions are taken at zero or at infinity")
+    sigma = 1 if chart.kind == "zero" else -1
+    negate, shift, steps = False, 0, []
+    for beta, m in denominator.items():
+        b = sigma * beta
+        if b > 0:
+            negate ^= m % 2 == 1
+            shift += b * m
+        steps += [abs(b)] * m
+    terms = {sigma * r: a for r, a in numerator.items()}
+    out = [_ZERO] * (high - low + 1)
+    if not terms:
+        return out
+    # the var-exponents lo .. top of N(var) / prod (1 - var**a) that land
+    # in the window after the shift
+    lo, top = min(terms), high - shift
+    if top < lo:
+        return out
+    q = [_ZERO] * (top - lo + 1)
+    for e, a in terms.items():
+        if e <= top:
+            q[e - lo] += a
+    for a in steps:
+        for i in range(a, len(q)):
+            if q[i - a]:
+                q[i] += q[i - a]
+    for e in range(max(low, lo + shift), high + 1):
+        v = q[e - shift - lo]
+        out[e - low] = -v if negate else v
+    return out
 
 
-# ---------------------------------------------------------------------------
-# the Lefschetz denominator factor 1 / (1 - t**(-beta) * exp(-c))
-# ---------------------------------------------------------------------------
-
-def _wall_factor(beta, c, chart, order):
-    # zeta**beta = 1: the factor is f(beta*u + c) with f(y) = 1/(1 - e^{-y})
-    # = sum_j td_j y^(j-1).  By nilpotency Taylor's formula in c is the finite
-    # sum sum_k f^(k)(beta*u) c^k / k!, whose u^e coefficient is
-    # beta^e sum_k C(e+k, k) td_{e+k+1} c^k, k below the pole depth.
-    pres = c.presentation
-    c_powers = []
-    power = pres.one()
-    while not power.is_zero():
-        c_powers.append(power)
-        power = power * c
-    depth = len(c_powers)
-    td = todd_coefficients(order + depth)
-    coeffs = []
-    for e in range(-depth, order + 1):
-        acc = pres.zero()
-        binom = Fraction(1)  # C(e+k, k) = (e+k)(e+k-1)...(e+1) / k!
-        for k, c_power in enumerate(c_powers):
-            if k:
-                binom = binom * (e + k) / k
-            j = e + k + 1
-            if j >= 0 and binom and td[j]:
-                acc = acc + c_power * (binom * td[j])
-        coeffs.append(acc * Fraction(beta) ** e)
-    return RingSeries(chart, pres, -depth, coeffs)
+def _power(series, m: int, length: int) -> tuple:
+    out = series
+    for _ in range(m - 1):
+        out = truncated_product(out, series, length)
+    return tuple(out)
 
 
-def expand_lefschetz_factor(beta: int, c: CohomologyClass, chart: Chart, order: int) -> RingSeries:
-    """Series of 1/(1 - t**(-beta) * exp(-c)) in the given chart.
+@lru_cache(maxsize=None)
+def _wall_series(beta: int, m: int, length: int) -> tuple:
+    # (u / (1 - e^{-beta u}))**m, with u / (1 - e^{-beta u}) = sum_i td_i
+    # beta**(i-1) u**i (td the Todd coefficients of x / (1 - e^{-x}))
+    td = todd_coefficients(length - 1)
+    beta = Fraction(beta)
+    return _power([td[i] * beta ** (i - 1) for i in range(length)], m, length)
 
-    ``c`` is the first Chern class of one normal line direction (nilpotent);
-    ``beta`` the integer weight of the circle action on it.  At a root chart
-    where zeta**beta = 1 the result has a pole: the scalar part is a simple
-    pole in u and nilpotent corrections deepen it by at most the ring's
-    nilpotency bound.  Off a wall, in every chart, the factor is the
-    reciprocal of :func:`lefschetz_denominator`, cut back to ``order``
-    (chart expansions divide by that denominator and call this at walls only).
 
-    At t = 1 with beta = 1 on a point this is 1/(1 - e^{-u}):
+@lru_cache(maxsize=None)
+def _regular_series(conductor: int, k: int, beta: int, m: int, length: int) -> tuple:
+    # (1 - z e^{-beta u})**(-m) with z = zeta_conductor**k != 1: the
+    # reciprocal of d_0 + d_1 u + ..., d_0 = 1 - z, d_i = -z (-beta)**i / i!
+    z = root_of_unity(conductor, k)
+    d = [1 - z] + [z * Fraction(-((-beta) ** i), factorial(i)) for i in range(1, length)]
+    lead = d[0].inverse()
+    inv = [lead]
+    for i in range(1, length):
+        acc = d[1] * inv[i - 1]
+        for j in range(2, i + 1):
+            acc = acc + d[j] * inv[i - j]
+        inv.append(-(lead * acc))
+    return _power(inv, m, length)
 
-    >>> from quantred.cohomology import RingPresentation
-    >>> point = RingPresentation.point()
-    >>> s = expand_lefschetz_factor(1, point.zero(), Chart.at_one(), 3)
-    >>> [s.coefficient(n) for n in range(-1, 4)]
-    [1, 1/2, 1/12, 0, -1/720]
+
+def factor_series(beta: int, m: int, chart: Chart, length: int) -> tuple:
+    """Taylor coefficients u**0 .. u**(length-1) of one denominator factor
+    at t = zeta*e^u: (1 - zeta**(-beta) e^{-beta u})**(-m), times u**m when
+    zeta**beta = 1 (a wall: the factor has a pole of order m there).
+
+    The series depends on the shape (conductor, zeta**(-beta), beta, m,
+    length) alone, so one process-wide cache serves every component.  At a
+    wall it is rational.  At t = 1, u / (1 - e^{-u}) is the Todd series:
+
+    >>> [str(c) for c in factor_series(1, 1, Chart.at_one(), 5)]
+    ['1', '1/2', '1/12', '0', '-1/720']
     """
     if beta == 0:
         raise ValueError("zero weight")
-    if not c.is_nilpotent():
-        raise ValueError("Chern class must have zero constant term")
-    if chart.is_wall_for(beta):
-        return _wall_factor(beta, c, chart, order)
-    return lefschetz_denominator(beta, c, chart, order).reciprocal().truncated(order)
+    if chart.kind != "root":
+        raise ValueError("factor series are taken at a root of unity")
+    k = -chart.exponent * beta % chart.conductor
+    if k == 0:
+        return _wall_series(beta, m, length)
+    return _regular_series(chart.conductor, k, beta, m, length)
 
 
-def lefschetz_denominator(beta: int, c: CohomologyClass, chart: Chart, order: int) -> RingSeries:
-    """The finite expression 1 - t**(-beta) exp(-c) itself, written in the
-    chart.  Off a wall the factor is one over it, and chart expansions
-    divide by it; at a wall it checks factor * denominator == 1."""
-    if beta == 0:
-        raise ValueError("zero weight")
-    pres = c.presentation
-    exp_neg_c = (-c).exp()
-    if chart.kind in ("zero", "inf"):
-        s = 1 if chart.kind == "zero" else -1
-        m = -s * beta
-        low = min(0, m)
-        coeffs = [pres.zero() for _ in range(max(0, m) - low + 1)]
-        coeffs[0 - low] = coeffs[0 - low] + pres.one()
-        coeffs[m - low] = coeffs[m - low] - exp_neg_c
-        coeffs += [pres.zero()] * order
-        return RingSeries(chart, pres, low, coeffs)
-    z = chart.zeta_power(-beta)
-    coeffs = []
-    rate = Fraction(1)
-    for n in range(order + 1):
-        cls = exp_neg_c * (z * rate)
-        coeffs.append((pres.one() - cls) if n == 0 else -cls)
-        rate = rate * (-beta) / (n + 1)
-    return RingSeries(chart, pres, 0, coeffs)
+@lru_cache(maxsize=None)
+def _denominator_series(chart: Chart, denominator: tuple, length: int) -> tuple:
+    # the product of every factor_series of one denominator shape; the
+    # rational wall factors first, so that fewer products are cyclotomic
+    out = None
+    for beta, m in sorted(denominator, key=lambda bm: not chart.is_wall_for(bm[0])):
+        series = factor_series(beta, m, chart, length)
+        out = series if out is None else truncated_product(out, series, length)
+    return tuple(out)
+
+
+def truncated_product(a, b, length: int) -> list:
+    """The first ``length`` Taylor coefficients of the product of two series."""
+    return [_dot(a, b, i) for i in range(length)]
+
+
+def _dot(a, b, i: int):
+    # sum_j a[j] b[i-j], without a rational 0 + Cyclotomic promotion
+    acc = None
+    for j in range(i + 1):
+        x, y = a[j], b[i - j]
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    return _ZERO if acc is None else acc
+
+
+def taylor_at_root(numerator, chart: Chart, length: int) -> list:
+    """Taylor coefficients u**0 .. u**(length-1) of N(zeta*e^u): the
+    coefficient of u**i is sum_r a_r zeta**r r**i / i!.  Rational at
+    t = 1, one ``Cyclotomic`` each elsewhere."""
+    n, k = chart.conductor, chart.exponent
+    # sums[c][i]: sum of a_r r**i over the r with zeta**r = zeta_n**c
+    sums: dict[int, list] = {}
+    for r, a in numerator.items():
+        row = sums.setdefault(k * r % n, [_ZERO] * length)
+        for i in range(length):
+            row[i] += a
+            a *= r
+    out = []
+    for i in range(length):
+        scale = factorial(i)
+        if k == 0:
+            out.append(sums[0][i] / scale if sums else _ZERO)
+            continue
+        vector = [_ZERO] * n
+        for c, row in sums.items():
+            vector[c] = row[i] / scale
+        out.append(Cyclotomic(n, vector))
+    return out
+
+
+def form_residue(numerator, denominator, chart: Chart):
+    """Residue of N(t) / prod (1 - t**(-beta))**M * dt/t at the chart's point.
+
+    * zero: the t**0 coefficient of the expansion;
+    * infinity: dt/t = -dw/w, so minus the w**0 coefficient;
+    * t = zeta*e^u: dt/t = du.  The pole order P is the sum of M over the
+      walls (zeta**beta = 1), and the residue is the u**(P-1) coefficient of
+      N(zeta*e^u) times every ``factor_series``.  Off every wall P = 0 and
+      the residue is 0 at no cost.
+
+    Rational at zero, t = 1 and infinity; cyclotomic at other roots with a
+    pole.
+
+    >>> form_residue({1: Fraction(1)}, {1: 1}, Chart.at_one())
+    Fraction(1, 1)
+    """
+    if chart.kind == "zero":
+        return outer_expansion(numerator, denominator, chart, 0, 0)[0]
+    if chart.kind == "inf":
+        return -outer_expansion(numerator, denominator, chart, 0, 0)[0]
+    order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
+    if not order or not numerator:
+        return _ZERO
+    product = _denominator_series(chart, tuple(sorted(denominator.items())), order)
+    return _dot(taylor_at_root(numerator, chart, order), product, order - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,27 +7,31 @@ The contribution of a fixed component F is the meromorphic function
     chi_F(t) = t**mu_F * integral_F( e^omega Td(F) /
                                      prod_j (1 - t**(-beta_j) e^{-c_j}) )
 
-and h_F = chi_F(t) dt/t as a 1-form on the Riemann sphere.  Everything here
-builds chart expansions of chi_F (times an optional Laurent multiplier) and
-extracts exact residues.
+and h_F = chi_F(t) dt/t as a 1-form on the Riemann sphere.  With
+x_j = e^{-c_j} - 1 and s_j = t**(-beta_j), nilpotency makes each factor a
+finite sum, 1/(1 - s_j e^{-c_j}) = sum_k s_j**k x_j**k / (1 - s_j)**(k+1).
+So the integral is one table I_k = integral_F e^omega Td(F) prod_j x_j**k_j,
+and chi_F (times a Laurent multiplier such as the Weyl factor) is one exact
+rational function
+
+    N_F(t) / prod_beta (1 - t**(-beta))**M_beta,
+    N_F = t**mu * multiplier * sum_k I_k prod_j s_j**k_j (1 - s_j)**(K_j - k_j),
+
+with K_j the largest k_j of a nonzero I_k and M_beta the sum of K_j + 1 over
+the directions of weight beta.  All ring work is the table; every residue
+is scalar work in :mod:`quantred.laurent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from .exactnum import rational_part
 from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
-from .laurent import (
-    Chart,
-    RingSeries,
-    expand_lefschetz_factor,
-    laurent_polynomial_series,
-    lefschetz_denominator,
-    residue,
-    series_constant,
-)
+from .laurent import Chart, form_residue, outer_expansion
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -57,63 +61,87 @@ class WeylFactor:
 
 
 # ---------------------------------------------------------------------------
-# chart assembly
+# one rational function per component
 # ---------------------------------------------------------------------------
 
-def _piece_low(chart: Chart, f: FixedComponent, beta: int) -> int:
-    """Conservative (never too high) lowest exponent of one denominator
-    factor's expansion in the chart."""
-    if chart.kind == "inf":
-        return 0 if beta > 0 else -beta
-    if chart.kind == "zero":
-        return beta if beta > 0 else 0
-    if chart.is_wall_for(beta):
-        return -(1 + f.ring.nilpotency_bound)
-    return 0
+@dataclass(frozen=True)
+class ComponentForm:
+    """chi_F(t) times a Laurent multiplier, as N(t) / prod (1 - t**(-beta))**M:
+    ``numerator`` maps t-exponents to nonzero Fractions, ``denominator``
+    maps each weight beta to its multiplicity M."""
+
+    numerator: dict
+    denominator: dict
+
+    def residue(self, chart: Chart):
+        return form_residue(self.numerator, self.denominator, chart)
 
 
-def _poly_low(chart: Chart, poly: dict[int, Fraction]) -> int:
-    if chart.kind == "zero":
-        return min(poly)
-    if chart.kind == "inf":
-        return -max(poly)
-    return 0
+def _integral_table(f: FixedComponent) -> dict:
+    """{k: I_k} over the multi-indices k with I_k != 0, where
+    I_k = integral_F e^omega Td(F) prod_j x_j**k_j and x_j = e^{-c_j} - 1."""
+    base = f.omega.exp() * f.todd if f.omega.coeffs else f.todd
+    xs = {}
+    classes = {(): base}
+    for c in f.normal_chern:
+        if c not in xs:
+            xs[c] = (-c).exp() - 1 if c.coeffs else c
+        x = xs[c]
+        grown = {}
+        for k, cls in classes.items():
+            grown[k + (0,)] = cls
+            if not x.coeffs:
+                continue
+            term, power = cls * x, 1
+            while term.coeffs:  # x is nilpotent
+                grown[k + (power,)] = term
+                term, power = term * x, power + 1
+        classes = grown
+    table = {}
+    for k, cls in classes.items():
+        value = cls.integrate()
+        if value:
+            table[k] = value
+    return table
 
 
-def component_series(
-    f: FixedComponent,
-    chart: Chart,
-    multiplier: dict[int, Fraction] | None = None,
-    order: int = 0,
-) -> RingSeries:
-    """Chart expansion of chi_F(t) * (multiplier Laurent polynomial), as a
-    ring-valued series valid at least up to ``order``: t**mu * multiplier *
-    e^omega Td(F), multiplied by each normal factor's Taylor sum at a wall
-    and divided by its ``lefschetz_denominator`` everywhere else."""
-    poly = {f.moment: Fraction(1)}
-    if multiplier:
-        poly = {}
-        for r, a in multiplier.items():
-            if a:
-                poly[f.moment + r] = poly.get(f.moment + r, Fraction(0)) + a
-    if not poly:
-        return series_constant(chart, f.ring, f.ring.zero(), max(order, 0) + 1)
-    poly_low = _poly_low(chart, poly)
-    total_low = poly_low + sum(_piece_low(chart, f, b) for b in f.weights)
-    if total_low > order:
-        # the product provably starts above every exponent of interest;
-        # report a window of certified zeros just below it
-        return RingSeries(chart, f.ring, total_low - 1, [f.ring.zero()])
-    # every factor below keeps the running window length, so the result is
-    # valid from its true low exponent (>= total_low) up to at least order
-    out = laurent_polynomial_series(poly, chart, f.ring, order - total_low + poly_low)
-    out = out * (f.omega.exp() * f.todd)
-    for b, c in zip(f.weights, f.normal_chern):
-        n = len(out.coeffs) - 1
-        if chart.is_wall_for(b):
-            out = out * expand_lefschetz_factor(b, c, chart, n)
-        else:
-            out = out / lefschetz_denominator(b, c, chart, n)
+@lru_cache(maxsize=None)
+def _binomial_terms(beta: int, k: int, top: int) -> tuple:
+    # s**k (1 - s)**(top - k) with s = t**(-beta), as (t-exponent, integer) pairs
+    return tuple((-beta * (k + i), (-1) ** i * comb(top - k, i)) for i in range(top - k + 1))
+
+
+def component_form(f: FixedComponent, multiplier: dict | None = None) -> ComponentForm:
+    """chi_F(t) * multiplier(t) as one rational function (see the module
+    docstring): the integral table is the only ring work."""
+    table = _integral_table(f)
+    if not table:
+        return ComponentForm({}, {})
+    tops = [max(k[j] for k in table) for j in range(len(f.weights))]
+    body: dict[int, Fraction] = {}
+    for k, value in table.items():
+        poly = {0: value}
+        for beta, kj, top in zip(f.weights, k, tops):
+            if top:
+                poly = _times(poly, _binomial_terms(beta, kj, top))
+        for r, a in poly.items():
+            body[r] = body.get(r, 0) + a
+    numerator: dict[int, Fraction] = {}
+    for r, a in (multiplier or {0: Fraction(1)}).items():
+        for e, v in body.items():
+            e += f.moment + r
+            numerator[e] = numerator.get(e, 0) + a * v
+    denominator: dict[int, int] = {}
+    for beta, top in zip(f.weights, tops):
+        denominator[beta] = denominator.get(beta, 0) + top + 1
+    return ComponentForm({e: v for e, v in numerator.items() if v}, denominator)
+
+
+def _times(poly: dict, terms) -> dict:
+    out: dict = {}
+    for r, a in poly.items():
+        for e, c in terms:
+            out[r + e] = out.get(r + e, 0) + a * c
     return out
 
 
@@ -149,9 +177,7 @@ def residue_of_h(
     poly = weyl.poly if weyl is not None else {0: Fraction(1)}
     if twist:
         poly = {r + twist: a for r, a in poly.items()}
-    target = -1 if chart.kind == "root" else 0
-    series = component_series(f, chart, poly, order=target)
-    return residue(series).integrate()
+    return component_form(f, poly).residue(chart)
 
 
 def rr_invariant(p: ProblemInstance) -> Fraction:
@@ -182,9 +208,11 @@ def invariant_from_residues(infinity_residues) -> Fraction:
 
 
 def character_from_chart(p: ProblemInstance, kind: str, top: int) -> dict[int, Fraction]:
-    """Coefficients of sum_F chi_F read from one chart's expansion; used to
-    check that the 0-chart and the infinity-chart assemble the same finite
-    Laurent polynomial.  Returns {t-exponent: coefficient} for |m| <= top."""
+    """Coefficients of sum_F chi_F read from one chart's expansion of every
+    component's rational function, by the recurrence the residues use; used
+    to check that the 0-chart and the infinity-chart assemble the same
+    finite Laurent polynomial.  Returns {t-exponent: coefficient} for
+    |m| <= top."""
     if kind == "zero":
         chart = Chart.at_zero()
     elif kind in ("inf", "infinity"):
@@ -192,11 +220,11 @@ def character_from_chart(p: ProblemInstance, kind: str, top: int) -> dict[int, F
     else:
         raise ValueError("chart kind must be 'zero' or 'infinity'")
     out: dict[int, Fraction] = {}
+    sign = 1 if chart.kind == "zero" else -1
     for f in p.components:
-        series = component_series(f, chart, None, order=top)
-        for m in range(-top, top + 1):
-            e = m if kind == "zero" else -m
-            v = series.coefficient(e).integrate()
+        form = component_form(f)
+        coeffs = outer_expansion(form.numerator, form.denominator, chart, -top, top)
+        for e, v in enumerate(coeffs, -top):
             if v:
-                out[m] = out.get(m, Fraction(0)) + v
+                out[sign * e] = out.get(sign * e, Fraction(0)) + v
     return {m: v for m, v in out.items() if v}

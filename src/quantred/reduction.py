@@ -24,7 +24,8 @@ from .fixedpoint import (
     require_valid,
     wall_set,
 )
-from .lefschetz import WeylFactor, invariant_from_residues, residue_of_h
+from .laurent import Chart
+from .lefschetz import WeylFactor, component_form, invariant_from_residues
 from .oracle import character_polynomial, invariant_multiplicity
 
 
@@ -62,17 +63,16 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
     incomplete orbit, i.e. a bug or corrupted data).
     """
     n = p.conductor
-    sites = pole_labels(p)
+    sites = _sites([row.walls for row in table])
     main = Fraction(0)
     residues: dict[int, object] = {}
     for f, row in zip(p.components, table):
         if f.moment <= 0:
             continue
-        walls = wall_set(f, n)
         for site, (_, value) in zip(sites, row.entries):
             if site == 0:
                 main += rational_part(value)
-            elif isinstance(site, int) and site in walls:
+            elif isinstance(site, int) and site in row.walls:
                 residues[site] = residues.get(site, Fraction(0)) + value
     residues = dict(sorted(residues.items()))
     per_orbit: dict[int, object] = {}
@@ -105,6 +105,7 @@ class ResidueRow:
     component: str
     entries: list  # [(pole label, exact scalar)]
     total: object  # exact scalar; zero by the global residue theorem
+    walls: tuple = ()  # the component's wall_set
 
     def labels(self):
         return [label for label, _ in self.entries]
@@ -141,44 +142,56 @@ def pole_labels(p: ProblemInstance) -> list:
     """Column order for residue tables: 0, the wall roots of unity
     (t = 1 first), then infinity."""
     n = p.conductor
-    walls = sorted(set().union(*(wall_set(f, n) for f in p.components)))
-    return ["zero"] + walls + ["infinity"]
+    return _sites([wall_set(f, n) for f in p.components])
+
+
+def _sites(walls) -> list:
+    return ["zero"] + sorted(set().union(*walls)) + ["infinity"]
 
 
 def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     """Residues of Weyl * h_F at every pole site, per component, with the
     row sums (zero, by the residue theorem on the sphere).
 
-    At the roots of unity on F's walls the residue is computed once per
-    Galois orbit: chi_F has rational data, so the residue at
-    zeta_N**k = zeta_d**(k*d/N) (d the order of zeta_N**k) is the image
-    under z -> z**(k*d/N) of the residue at zeta_d, computed in Q(zeta_d)
-    and then embedded in Q(zeta_N).  Every other site is computed directly.
+    Each component's rational function (``component_form``) is built once
+    and every cell is read off it.  At the roots of unity on F's walls the
+    residue is computed once per Galois orbit: chi_F has rational data, so
+    the residue at zeta_N**k = zeta_d**(k*d/N) (d the order of zeta_N**k)
+    is the image under z -> z**(k*d/N) of the residue at zeta_d, computed in
+    Q(zeta_d) and then embedded in Q(zeta_N).  A root off F's walls is no
+    pole of F's form, so its cell is 0.
     """
-    weyl = WeylFactor.for_group(p.group)
+    weyl = WeylFactor.for_group(p.group).poly
     n = p.conductor
-    sites = pole_labels(p)
+    walls = [wall_set(f, n) for f in p.components]
+    sites = _sites(walls)
     rows = []
-    for f in p.components:
-        walls = set(wall_set(f, n))
+    for f, f_walls in zip(p.components, walls):
+        form = component_form(f, weyl)
         at_primitive: dict[int, Cyclotomic] = {}  # d -> residue at zeta_d
         entries = []
         total = Fraction(0)
         for site in sites:
-            if isinstance(site, int) and site and site in walls:
+            if site == "zero":
+                value = form.residue(Chart.at_zero())
+            elif site == "infinity":
+                value = form.residue(Chart.at_infinity())
+            elif site == 0:
+                value = form.residue(Chart.at_one())
+            elif site in f_walls:
                 d = root_order(n, site)
                 if d not in at_primitive:
-                    r = residue_of_h(f, 1, weyl, conductor=d)
+                    r = form.residue(Chart.at_root(d, 1))
                     if not isinstance(r, Cyclotomic):
                         r = Cyclotomic.from_rational(d, r)
                     at_primitive[d] = r
                 value = at_primitive[d].galois(site * d // n).promoted(n)
             else:
-                value = residue_of_h(f, site, weyl, conductor=n)
+                value = Fraction(0)
             label = site if isinstance(site, str) else _root_label(n, site)
             entries.append((label, value))
             total = total + value
-        rows.append(ResidueRow(f.name, entries, total))
+        rows.append(ResidueRow(f.name, entries, total, f_walls))
     return rows
 
 

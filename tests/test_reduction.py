@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from quantred import (
+    Chart,
     Cyclotomic,
     FixedComponent,
     GroupKind,
@@ -218,43 +219,47 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
     import quantred.lefschetz as lef
     import quantred.reduction as red
 
-    residue_calls, validate_calls = [], []
-    real_residue, real_validate = lef.residue_of_h, fp.validate
+    form_calls, residue_calls, validate_calls = [], [], []
+    names = {}  # id of a form -> its component
+    real_form, real_residue = lef.component_form, lef.ComponentForm.residue
+    real_validate = fp.validate
 
-    def counted_residue(f, at, weyl=None, twist=0, conductor=None):
-        residue_calls.append((f.name, at, conductor))
-        return real_residue(f, at, weyl, twist, conductor)
+    def counted_form(f, multiplier=None):
+        form = real_form(f, multiplier)
+        form_calls.append(f.name)
+        names[id(form)] = f.name
+        return form
+
+    def counted_residue(form, chart):
+        residue_calls.append((names[id(form)], chart))
+        return real_residue(form, chart)
 
     def counted_validate(p):
         validate_calls.append(p)
         return real_validate(p)
 
-    for module in (lef, red):
-        monkeypatch.setattr(module, "residue_of_h", counted_residue)
+    monkeypatch.setattr(red, "component_form", counted_form)
+    monkeypatch.setattr(lef.ComponentForm, "residue", counted_residue)
     monkeypatch.setattr(fp, "validate", counted_validate)
     instances = [catalog(name) for name in
                  ("cp1-triple", "cp2-k", "so3-s2xs2", "cp2-line-double")]
     instances.append(load_instance(PLANE_N84))
     for p in instances:
-        n = p.conductor
+        form_calls.clear()
         residue_calls.clear()
         validate_calls.clear()
         report = red.verify_quantization(p)
         assert report.verdict == "PASS", p.name
-        orders = {f.name: _wall_orders(f) for f in p.components}
+        # one rational function per component
+        assert sorted(form_calls) == sorted(f.name for f in p.components), p.name
         expected = []
         for f in p.components:
-            # zero, t = 1, infinity and the roots off F's walls, in Q(zeta_N)
-            expected += [
-                (f.name, site, n) for site in red.pole_labels(p)
-                if not (isinstance(site, int) and root_order(n, site) in orders[f.name])
-            ]
+            # zero, t = 1 and infinity; the roots off F's walls cost nothing
+            expected += [(f.name, Chart.at_zero()), (f.name, Chart.at_one()),
+                         (f.name, Chart.at_infinity())]
             # one residue per wall order d > 1, at zeta_d in Q(zeta_d)
-            expected += [(f.name, 1, d) for d in orders[f.name]]
+            expected += [(f.name, Chart.at_root(d, 1)) for d in _wall_orders(f)]
         assert sorted(residue_calls, key=repr) == sorted(expected, key=repr), p.name
-        for name, at, conductor in residue_calls:
-            if isinstance(at, int) and root_order(conductor, at) in orders[name]:
-                assert at == 1, (p.name, name, at, conductor)  # never zeta_N**k
         assert len(validate_calls) == 1, p.name
 
 
