@@ -371,7 +371,7 @@ def _dot(a, b, i: int):
     return _ZERO if acc is None else acc
 
 
-def taylor_at_root(numerator, chart: Chart, length: int) -> list:
+def _taylor_at_root(numerator, chart: Chart, length: int) -> list:
     """Taylor coefficients u**0 .. u**(length-1) of N(zeta*e^u): the
     coefficient of u**i is sum_r a_r zeta**r r**i / i!.  Rational at
     t = 1, one ``Cyclotomic`` each elsewhere."""
@@ -420,7 +420,7 @@ def form_residue(numerator, denominator, chart: Chart):
     if not order or not numerator:
         return _ZERO
     product = _denominator_series(chart, tuple(sorted(denominator.items())), order)
-    return _dot(taylor_at_root(numerator, chart, order), product, order - 1)
+    return _dot(_taylor_at_root(numerator, chart, order), product, order - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ def _binomial_terms(beta: int, k: int, top: int) -> tuple:
 def component_form(f: FixedComponent, multiplier: dict | None = None) -> ComponentForm:
     """chi_F(t) * multiplier(t) as one rational function (see the module
     docstring): the integral table is the only ring work."""
+    if 0 in f.weights:
+        raise ValueError(f"component {f.name!r} has a zero weight")
     table = _integral_table(f)
     if not table:
         return ComponentForm({}, {})

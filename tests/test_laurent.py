@@ -154,6 +154,8 @@ def test_zero_weight_rejected():
         factor_series(1, 1, Chart.at_zero(), 3)
     with pytest.raises(ValueError):
         outer_expansion({0: Fraction(1)}, {1: 1}, Chart.at_one(), 0, 3)
+    with pytest.raises(ValueError):
+        component_form(point_with_weight(0, POINT.zero()))
 
 
 # -- residue extraction --------------------------------------------------------
