@@ -57,7 +57,6 @@ from .laurent import (
 from .lefschetz import (
     NonIntegerResultError,
     WeylFactor,
-    ComponentForm,
     character_from_chart,
     component_form,
     residue_of_h,

@@ -64,19 +64,6 @@ class WeylFactor:
 # one rational function per component
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentForm:
-    """chi_F(t) times a Laurent multiplier, as N(t) / prod (1 - t**(-beta))**M:
-    ``numerator`` maps t-exponents to nonzero Fractions, ``denominator``
-    maps each weight beta to its multiplicity M."""
-
-    numerator: dict
-    denominator: dict
-
-    def residue(self, chart: Chart):
-        return form_residue(self.numerator, self.denominator, chart)
-
-
 def _integral_table(f: FixedComponent) -> dict:
     """{k: I_k} over the multi-indices k with I_k != 0, where
     I_k = integral_F e^omega Td(F) prod_j x_j**k_j and x_j = e^{-c_j} - 1."""
@@ -111,14 +98,16 @@ def _binomial_terms(beta: int, k: int, top: int) -> tuple:
     return tuple((-beta * (k + i), (-1) ** i * comb(top - k, i)) for i in range(top - k + 1))
 
 
-def component_form(f: FixedComponent, multiplier: dict | None = None) -> ComponentForm:
-    """chi_F(t) * multiplier(t) as one rational function (see the module
-    docstring): the integral table is the only ring work."""
+def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[dict, dict]:
+    """chi_F(t) * multiplier(t) as one rational function N(t) /
+    prod (1 - t**(-beta))**M (see the module docstring): the pair
+    (numerator, denominator) of {t-exponent: nonzero Fraction} and
+    {beta: M}.  The integral table is the only ring work."""
     if 0 in f.weights:
         raise ValueError(f"component {f.name!r} has a zero weight")
     table = _integral_table(f)
     if not table:
-        return ComponentForm({}, {})
+        return {}, {}
     tops = [max(k[j] for k in table) for j in range(len(f.weights))]
     body: dict[int, Fraction] = {}
     for k, value in table.items():
@@ -136,7 +125,7 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> Compone
     denominator: dict[int, int] = {}
     for beta, top in zip(f.weights, tops):
         denominator[beta] = denominator.get(beta, 0) + top + 1
-    return ComponentForm({e: v for e, v in numerator.items() if v}, denominator)
+    return {e: v for e, v in numerator.items() if v}, denominator
 
 
 def _times(poly: dict, terms) -> dict:
@@ -179,7 +168,7 @@ def residue_of_h(
     poly = weyl.poly if weyl is not None else {0: Fraction(1)}
     if twist:
         poly = {r + twist: a for r, a in poly.items()}
-    return component_form(f, poly).residue(chart)
+    return form_residue(*component_form(f, poly), chart)
 
 
 def rr_invariant(p: ProblemInstance) -> Fraction:
@@ -224,8 +213,7 @@ def character_from_chart(p: ProblemInstance, kind: str, top: int) -> dict[int, F
     out: dict[int, Fraction] = {}
     sign = 1 if chart.kind == "zero" else -1
     for f in p.components:
-        form = component_form(f)
-        coeffs = outer_expansion(form.numerator, form.denominator, chart, -top, top)
+        coeffs = outer_expansion(*component_form(f), chart, -top, top)
         for e, v in enumerate(coeffs, -top):
             if v:
                 out[sign * e] = out.get(sign * e, Fraction(0)) + v

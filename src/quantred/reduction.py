@@ -24,7 +24,7 @@ from .fixedpoint import (
     require_valid,
     wall_set,
 )
-from .laurent import Chart
+from .laurent import Chart, form_residue
 from .lefschetz import WeylFactor, component_form, invariant_from_residues
 from .oracle import character_polynomial, invariant_multiplicity
 
@@ -105,7 +105,7 @@ class ResidueRow:
     component: str
     entries: list  # [(pole label, exact scalar)]
     total: object  # exact scalar; zero by the global residue theorem
-    walls: tuple = ()  # the component's wall_set
+    walls: tuple  # the component's wall_set
 
     def labels(self):
         return [label for label, _ in self.entries]
@@ -167,21 +167,21 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     sites = _sites(walls)
     rows = []
     for f, f_walls in zip(p.components, walls):
-        form = component_form(f, weyl)
+        numerator, denominator = component_form(f, weyl)
         at_primitive: dict[int, Cyclotomic] = {}  # d -> residue at zeta_d
         entries = []
         total = Fraction(0)
         for site in sites:
             if site == "zero":
-                value = form.residue(Chart.at_zero())
+                value = form_residue(numerator, denominator, Chart.at_zero())
             elif site == "infinity":
-                value = form.residue(Chart.at_infinity())
+                value = form_residue(numerator, denominator, Chart.at_infinity())
             elif site == 0:
-                value = form.residue(Chart.at_one())
+                value = form_residue(numerator, denominator, Chart.at_one())
             elif site in f_walls:
                 d = root_order(n, site)
                 if d not in at_primitive:
-                    r = form.residue(Chart.at_root(d, 1))
+                    r = form_residue(numerator, denominator, Chart.at_root(d, 1))
                     if not isinstance(r, Cyclotomic):
                         r = Cyclotomic.from_rational(d, r)
                     at_primitive[d] = r

@@ -111,7 +111,7 @@ def test_geometric_series_at_infinity():
                 else:
                     expected = {-n * e: -(n * c).exp() for n in range(1, order // -e + 1)}
                 form = component_form(point_with_weight(beta, c))
-                s = outer_expansion(form.numerator, form.denominator, chart, -2, order)
+                s = outer_expansion(*form, chart, -2, order)
                 for n in range(-2, order + 1):
                     want = expected[n].integrate() if n in expected else 0
                     assert s[n + 2] == want, (chart, beta, c, n)

@@ -220,26 +220,26 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
     import quantred.reduction as red
 
     form_calls, residue_calls, validate_calls = [], [], []
-    names = {}  # id of a form -> its component
-    real_form, real_residue = lef.component_form, lef.ComponentForm.residue
+    names = {}  # id of a numerator -> its component
+    real_form, real_residue = lef.component_form, red.form_residue
     real_validate = fp.validate
 
     def counted_form(f, multiplier=None):
         form = real_form(f, multiplier)
         form_calls.append(f.name)
-        names[id(form)] = f.name
+        names[id(form[0])] = f.name
         return form
 
-    def counted_residue(form, chart):
-        residue_calls.append((names[id(form)], chart))
-        return real_residue(form, chart)
+    def counted_residue(numerator, denominator, chart):
+        residue_calls.append((names[id(numerator)], chart))
+        return real_residue(numerator, denominator, chart)
 
     def counted_validate(p):
         validate_calls.append(p)
         return real_validate(p)
 
     monkeypatch.setattr(red, "component_form", counted_form)
-    monkeypatch.setattr(lef.ComponentForm, "residue", counted_residue)
+    monkeypatch.setattr(red, "form_residue", counted_residue)
     monkeypatch.setattr(fp, "validate", counted_validate)
     instances = [catalog(name) for name in
                  ("cp1-triple", "cp2-k", "so3-s2xs2", "cp2-line-double")]
