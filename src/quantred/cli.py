@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import UnknownCatalogError, catalog, catalog_names, is_parametric
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, polynomial_text
 from .fixedpoint import (
     InvalidInstanceError,
     SchemaError,
@@ -56,10 +56,11 @@ def scalar_str(x, decimal=False) -> str:
 
 def scalar_json(x):
     if isinstance(x, Cyclotomic) and not x.is_rational():
+        coeffs = x.coefficient_strings()
         return {
             "conductor": x.conductor,
-            "coeffs": [str(c) for c in x.coeffs],
-            "str": str(x),
+            "coeffs": coeffs,
+            "str": polynomial_text(coeffs),
         }
     if isinstance(x, Cyclotomic):
         x = x.rational_part()
@@ -224,14 +225,19 @@ def cmd_character(args) -> int:
     return EXIT_OK
 
 
+def _sum_nonzero(values):
+    # a zero cell adds nothing: a rational 0 would only be promoted into
+    # Q(zeta_N)
+    total = Fraction(0)
+    for value in values:
+        if value:
+            total = total + value
+    return total
+
+
 def _column_sums(rows):
-    sums = []
-    for i in range(len(rows[0].entries)):
-        total = Fraction(0)
-        for row in rows:
-            total = total + row.entries[i][1]
-        sums.append(total)
-    return sums
+    return [_sum_nonzero(row.entries[i][1] for row in rows)
+            for i in range(len(rows[0].entries))]
 
 
 def cmd_residues(args) -> int:
@@ -239,7 +245,7 @@ def cmd_residues(args) -> int:
     require_valid(p)
     rows = residue_table(p)
     col_sums = _column_sums(rows)
-    grand = sum((row.total for row in rows), Fraction(0))
+    grand = _sum_nonzero(row.total for row in rows)
     if args.json:
         print(json.dumps({
             "instance": p.name,

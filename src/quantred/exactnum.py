@@ -6,8 +6,14 @@ conductor ``N`` is an element of Q[z]/Phi_N(z), where ``Phi_N`` is the N-th
 cyclotomic polynomial, so ``z`` stands for a primitive N-th root of unity.
 Working modulo ``Phi_N`` (rather than modulo ``z^N - 1``) keeps the ring a
 field, which is what lets us divide by factors like ``1 - zeta**(-b)``.
-Every reduction modulo ``Phi_N`` (products, embeddings, Galois images,
-roots of unity) sums cached integer rows of ``z**k mod Phi_N``.
+
+A ``Cyclotomic`` stores phi(N) integer numerators over one positive
+denominator, in lowest terms (the layout of FLINT's ``fmpq_poly``): an
+operation works on integers and pays one gcd for the whole vector, where
+``Fraction`` coefficients would pay one per coefficient.  Every reduction
+modulo ``Phi_N`` (products, embeddings, Galois images, roots of unity) sums
+cached integer rows of ``z**k mod Phi_N``; an inverse runs a fraction-free
+extended Euclidean algorithm against the monic ``Phi_N``.
 
 Floating point never appears here; Python integers give us arbitrary
 precision for free.
@@ -17,39 +23,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 class NotRationalError(ArithmeticError):
     """A cyclotomic value was expected to be rational and is not."""
 
 
-_ZERO = Fraction(0)
-
-
 # ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (little-endian coefficient lists)
+# integer helpers (polynomials are little-endian lists of integers)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and not p[-1]:
+def _trim(p: list) -> list:
+    while len(p) > 1 and not p[-1]:
         p.pop()
     return p
-
-
-def _poly_divmod(a, b):
-    a = [Fraction(c) for c in a]
-    b = _poly_trim([Fraction(c) for c in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q, _poly_trim(a)
 
 
 def _primes(n: int) -> list[int]:
@@ -131,32 +119,42 @@ def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _reduce(n: int, terms, out=None) -> tuple:
-    """``out`` (phi(n) Fractions, zero if None) plus the sum of c * z**k over
-    the (k, c) pairs, modulo Phi_n: each pair adds c times row k mod n of the
-    power table.  This is the one reduction of the field."""
+def _reduce(n: int, terms, out=None) -> list:
+    """``out`` (phi(n) integers, zero if None) plus the sum of c * z**k over
+    the integer (k, c) pairs, modulo Phi_n: each pair adds c times row k mod n
+    of the power table.  This is the one reduction of the field."""
     rows = _power_table(n)
     if out is None:
-        out = [_ZERO] * phi_degree(n)
+        out = [0] * phi_degree(n)
     for k, c in terms:
         if c:
             for i, r in rows[k % n]:
-                if r == 1:
-                    out[i] += c
-                elif r == -1:
-                    out[i] -= c
-                else:
-                    out[i] += c * r
-    return tuple(out)
-
-
-def _element(n: int, coeffs: tuple) -> "Cyclotomic":
-    # wrap an already reduced tuple of phi(n) Fractions, without converting
-    # or reducing it again
-    out = object.__new__(Cyclotomic)
-    object.__setattr__(out, "conductor", n)
-    object.__setattr__(out, "coeffs", coeffs)
+                out[i] += c * r
     return out
+
+
+def _pseudo_divmod(a: list, b: list) -> tuple[int, list, list]:
+    """(m, q, r) with m * a = q * b + r, deg r < deg b, all integer and
+    m > 0: before each quotient digit the running remainder is scaled by
+    just enough (|lead(b)| / gcd) for the digit to be exact, and m collects
+    the scales."""
+    lead, db = b[-1], len(b) - 1
+    m, q, r = 1, [0] * (len(a) - db), list(a)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+        scale = lead // g
+        if scale != 1:
+            m *= scale
+            q = [x * scale for x in q]
+            r = [x * scale for x in r[: i + 1]]
+        t = c // g
+        q[i - db] = t
+        for j, y in enumerate(b, i - db):
+            r[j] -= t * y
+    return m, q, _trim(r[:db])
 
 
 @lru_cache(maxsize=None)
@@ -175,21 +173,29 @@ def phi_degree(n: int) -> int:
     return out
 
 
-def _mobius_over_phi(m: int) -> Fraction:
-    """mu(m)/phi(m): the product of -1/(p - 1) over the primes p of m when m
-    is squarefree, else 0."""
-    out = Fraction(1)
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return Fraction(0)
-            out /= 1 - p
-        p += 1
-    if m > 1:
-        out /= 1 - m
-    return out
+@lru_cache(maxsize=None)
+def _trace_row(n: int) -> tuple[int, ...]:
+    """Tr(z**k) for 0 <= k < phi(n), z a primitive n-th root of unity: the
+    Ramanujan sum mu(m) phi(n)/phi(m) with m = n/gcd(n, k), an integer."""
+    out = []
+    for k in range(phi_degree(n)):
+        m = n // gcd(n, k)
+        primes = _primes(m)
+        mu = (-1) ** len(primes) if prod(primes) == m else 0
+        out.append(mu * (phi_degree(n) // phi_degree(m)))
+    return tuple(out)
+
+
+def _canonical(n: int, num: list, den: int) -> "Cyclotomic":
+    # num / den in lowest terms: gcd(den, *num) = 1 and den > 0, so zero is
+    # stored over 1
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _new(n, tuple(num), den)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +203,28 @@ def _mobius_over_phi(m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class Cyclotomic:
-    """An element of Q(zeta_N), stored as a vector modulo Phi_N.
+    """An element of Q(zeta_N): sum_k num[k] z**k / den.
 
-    Instances are immutable.  Arithmetic with ``int`` and ``Fraction``
-    coerces those into the field; arithmetic between different conductors
-    promotes both operands into Q(zeta_lcm).
+    ``num`` holds phi(N) integers and ``den`` one positive integer, with
+    gcd(den, *num) = 1 (zero is stored over 1).  This form is unique, so
+    ``==`` in one field compares the integers.  ``coeffs`` gives the
+    coefficients as ``Fraction``s.  Instances are immutable.  Arithmetic with
+    ``int`` and ``Fraction`` coerces those into the field; arithmetic between
+    different conductors promotes both operands into Q(zeta_lcm).
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs) -> None:
-        # the part below phi(N) is kept as it is; only higher terms add rows
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        d = phi_degree(conductor)
-        low = coeffs[:d] + [_ZERO] * (d - len(coeffs))
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(
-            self, "coeffs", _reduce(conductor, enumerate(coeffs[d:], d), low)
-        )
+        # rationals over their common denominator, then reduced like
+        # from_integers
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        x = Cyclotomic.from_integers(
+            conductor, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        _set_conductor(self, conductor)
+        _set_num(self, x.num)
+        _set_den(self, x.den)
 
     def __setattr__(self, *args):
         raise AttributeError("Cyclotomic values are immutable")
@@ -222,8 +232,45 @@ class Cyclotomic:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
+    def from_integers(cls, conductor: int, numerators, denominator: int = 1) -> "Cyclotomic":
+        """sum_k numerators[k] z**k / denominator, for any number of integer
+        numerators: the part below phi(N) is kept as it is; only higher
+        terms add rows of the power table."""
+        d = phi_degree(conductor)
+        low = list(numerators[:d])
+        low += [0] * (d - len(low))
+        return _canonical(
+            conductor, _reduce(conductor, enumerate(numerators[d:], d), low), denominator)
+
+    @classmethod
     def from_rational(cls, conductor: int, value) -> "Cyclotomic":
-        return cls(conductor, [Fraction(value)])
+        value = Fraction(value)
+        num = [0] * phi_degree(conductor)
+        num[0] = value.numerator
+        return _new(conductor, tuple(num), value.denominator)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients num[k] / den, as ``Fraction``s."""
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.num])
+
+    def substituted(self, conductor: int, k: int) -> "Cyclotomic":
+        """The image of self under z -> zeta_M**k, M the given conductor, in
+        one pass over the power table of M.
+
+        zeta_M**k must be a primitive N-th root of unity (N = self.conductor),
+        which makes the map a field embedding: ``galois(a)`` is
+        ``substituted(N, a)`` and ``promoted(M)`` is ``substituted(M, M // N)``.
+        An embedding maps Z[zeta_N] into Z[zeta_M] and keeps the content of
+        the numerators, so the result is in lowest terms as it stands.
+        """
+        if root_order(conductor, k) != self.conductor:
+            raise ValueError(
+                f"zeta_{conductor}^{k} is not a primitive {self.conductor}th root of unity")
+        return _new(conductor, tuple(_reduce(
+            conductor, ((j * k, c) for j, c in enumerate(self.num))
+        )), self.den)
 
     def promoted(self, conductor: int) -> "Cyclotomic":
         """The image of self under the canonical embedding into Q(zeta_M).
@@ -238,13 +285,12 @@ class Cyclotomic:
                 f"no embedding of Q(zeta_{self.conductor}) into "
                 f"Q(zeta_{conductor})"
             )
-        step = conductor // self.conductor
-        return _element(conductor, _reduce(
-            conductor, ((k * step, c) for k, c in enumerate(self.coeffs))
-        ))
+        return self.substituted(conductor, conductor // self.conductor)
 
     def _pair(self, other):
         if isinstance(other, Cyclotomic):
+            if other.conductor == self.conductor:
+                return self, other
             n = lcm(self.conductor, other.conductor)
             return self.promoted(n), other.promoted(n)
         if isinstance(other, (int, Fraction)):
@@ -257,71 +303,84 @@ class Cyclotomic:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        # adding a zero coefficient is skipped: it would only copy the other.
-        # tuple() of a list allocates once; of a generator it grows and
-        # shrinks the tuple, which left warm runs about 0.4 MB larger
-        return _element(a.conductor, tuple([
-            x + y if x and y else x or y for x, y in zip(a.coeffs, b.coeffs)
-        ]))
+        da, db = a.den, b.den
+        if da == db:
+            return _canonical(a.conductor, [x + y for x, y in zip(a.num, b.num)], da)
+        return _canonical(
+            a.conductor, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.conductor, tuple([-c for c in self.coeffs]))
+        return _new(self.conductor, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return _element(a.conductor, tuple([
-            x - y if y else x for x, y in zip(a.coeffs, b.coeffs)
-        ]))
+        da, db = a.den, b.den
+        if da == db:
+            return _canonical(a.conductor, [x - y for x, y in zip(a.num, b.num)], da)
+        return _canonical(
+            a.conductor, [x * db - y * da for x, y in zip(a.num, b.num)], da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational factor scales the numerators and the denominator
+            return _canonical(self.conductor, [c * other.numerator for c in self.num],
+                              self.den * other.denominator)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        prod = [_ZERO] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        n, d = a.conductor, len(a.num)
+        right = [(j, y) for j, y in enumerate(b.num) if y]
+        out = [0] * (2 * d - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic(a.conductor, prod)
+                for j, y in right:
+                    out[i + j] += x * y
+        return _canonical(n, _reduce(n, enumerate(out[d:], d), out[:d]), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse, by the extended Euclidean algorithm
-        against Phi_N.  Division by zero here signals a pole factor that
-        the series machinery should have expanded instead.
+        """Multiplicative inverse, by a fraction-free extended Euclidean
+        algorithm against the monic Phi_N.  Division by zero here signals a
+        pole factor that the series machinery should have expanded instead.
+
+        With A the numerator polynomial, every step keeps integer
+        polynomials r and s with r = s * A mod Phi_N: a pseudo-remainder
+        step, the new s reduced mod Phi_N, then the joint content of r and s
+        divided out.  When r is a nonzero constant c, the inverse is
+        den * s / c.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = modulus, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
+        n, d = self.conductor, len(self.num)
+        r0, r1 = list(cyclotomic_polynomial(n)), _trim(list(self.num))
+        s0, s1 = [0] * d, [1] + [0] * (d - 1)
         while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s_next = _poly_trim(
-                [
-                    (s0[i] if i < len(s0) else Fraction(0))
-                    - sum(
-                        q[j] * s1[i - j]
-                        for j in range(len(q))
-                        if 0 <= i - j < len(s1)
-                    )
-                    for i in range(max(len(s0), len(q) + len(s1) - 1))
-                ]
-            )
-            r0, r1, s0, s1 = r1, r, s1, s_next
-        unit = r1[0]
-        return Cyclotomic(self.conductor, [c / unit for c in s1])
+            m, q, r = _pseudo_divmod(r0, r1)
+            # r = m r0 - q r1, so its cofactor is m s0 - q s1
+            s = [m * c for c in s0] + [0] * (len(q) - 1)
+            for i, x in enumerate(q):
+                if x:
+                    for j, y in enumerate(s1, i):
+                        s[j] -= x * y
+            s = _reduce(n, enumerate(s[d:], d), s[:d])
+            g = gcd(*r, *s)
+            if g != 1:
+                r = [c // g for c in r]
+                s = [c // g for c in s]
+            r0, r1, s0, s1 = r1, r, s1, s
+        return _canonical(n, [self.den * c for c in s1], r1[0])
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -345,82 +404,112 @@ class Cyclotomic:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_part(self) -> Fraction:
         if not self.is_rational():
             raise NotRationalError(f"{self!r} does not lie in Q")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def galois(self, a: int) -> "Cyclotomic":
         """Apply the Galois automorphism z -> z**a (a coprime to N)."""
         n = self.conductor
         if gcd(a, n) != 1:
             raise ValueError(f"{a} is not coprime to the conductor {n}")
-        return _element(n, _reduce(
-            n, ((k * a, c) for k, c in enumerate(self.coeffs))
-        ))
+        return self.substituted(n, a)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
         if isinstance(other, Cyclotomic):
             a, b = self._pair(other)
-            return a.coeffs == b.coeffs
+            return a.den == b.den and a.num == b.num
         return NotImplemented
 
     def __hash__(self):
         # equal values in different fields must hash alike, so hash the
-        # normalized trace Tr(x)/phi(N): Tr(z**k) is the Ramanujan sum
-        # mu(N/g) phi(N)/phi(N/g), g = gcd(N, k).  It is the same in every
-        # Q(zeta_M) that contains x, and it is x itself when x is rational.
+        # normalized trace Tr(x)/phi(N).  It is the same in every Q(zeta_M)
+        # that contains x, and it is x itself when x is rational.
         n = self.conductor
-        return hash(sum(
-            c * _mobius_over_phi(n // gcd(n, k)) for k, c in enumerate(self.coeffs) if c
-        ))
+        trace = sum(c * t for c, t in zip(self.num, _trace_row(n)) if c)
+        return hash(Fraction(trace, phi_degree(n) * self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __complex__(self):
         # numeric shadow, used only by tests as an independent cross-check
         import cmath
 
         z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(complex(c) * z**k for k, c in enumerate(self.coeffs))
+        den = self.den
+        return sum(complex(c / den) * z**k for k, c in enumerate(self.num))
+
+    def coefficient_strings(self) -> list[str]:
+        """Each coefficient num[k] / den as ``str(Fraction)`` prints it, read
+        off the integers."""
+        den, out = self.den, []
+        for c in self.num:
+            if not c:
+                out.append("0")
+                continue
+            g = gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
 
     def __str__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mono = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    terms.append(mono)
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c}*{mono}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return polynomial_text(self.coefficient_strings())
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {str(self)!r})"
 
 
+# the slots' own setters: they skip the immutability guard, and calling them
+# directly is about twice as fast as object.__setattr__
+_set_conductor = Cyclotomic.conductor.__set__
+_set_num = Cyclotomic.num.__set__
+_set_den = Cyclotomic.den.__set__
+
+
+def _new(n: int, num: tuple, den: int) -> Cyclotomic:
+    # wrap phi(n) reduced integer numerators over den, already in lowest terms
+    out = object.__new__(Cyclotomic)
+    _set_conductor(out, n)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # module-level operations mirroring the scalar API
 # ---------------------------------------------------------------------------
+
+def polynomial_text(coeffs: list[str]) -> str:
+    """sum_k coeffs[k] z**k as ``str(Cyclotomic)`` prints it, from the
+    coefficient strings (``Cyclotomic.coefficient_strings``).
+
+    >>> polynomial_text(["1/2", "0", "-1", "3"])
+    '1/2 - z^2 + 3*z^3'
+    """
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c == "0":
+            continue
+        if k:
+            mono = "z" if k == 1 else f"z^{k}"
+            c = mono if c == "1" else f"-{mono}" if c == "-1" else f"{c}*{mono}"
+        if not parts:
+            parts.append(c)
+        elif c[0] == "-":
+            parts.append(f" - {c[1:]}")
+        else:
+            parts.append(f" + {c}")
+    return "".join(parts) or "0"
+
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:
     """zeta_n**k as an element of Q(zeta_n).
@@ -430,8 +519,7 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     """
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    k %= n
-    return Cyclotomic(n, [_ZERO] * k + [Fraction(1)])
+    return _new(n, tuple(_reduce(n, ((k, 1),))), 1)
 
 
 def rational_part(x) -> Fraction:

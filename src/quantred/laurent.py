@@ -11,11 +11,13 @@ residue is minus the w^0 coefficient.  At zero it is the t^0 coefficient.
 
 The residue engine expands one scalar rational function per fixed
 component, N(t) / prod_beta (1 - t**(-beta))**M with N a Laurent polynomial
-over Q (built in :mod:`quantred.lefschetz`).  At zero and at infinity the
-expansion is a sign, a shift and one adding recurrence per factor.  At a
-root of unity the residue is one coefficient of a product of short Taylor
-series, as long as the pole order; the denominator factors' series depend on
-their shape alone and are cached for the whole process.  Scalars are
+over Q (built in :mod:`quantred.lefschetz`), kept as integer coefficients
+over one common denominator.  At zero and at infinity the expansion is a
+sign, a shift and one adding recurrence per factor, on integers, with one
+division at the end.  At a root of unity the residue is one coefficient of
+a product of short Taylor series, as long as the pole order; the Taylor
+series of N sums integer powers, and the denominator factors' series depend
+on their shape alone and are cached for the whole process.  Scalars are
 rational in the 0/inf charts and at t = 1, cyclotomic at other roots.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .cohomology import CohomologyClass, RingPresentation, todd_coefficients
 from .exactnum import Cyclotomic, root_of_unity
@@ -241,8 +243,19 @@ def series_constant(chart, presentation, value: CohomologyClass, order: int) -> 
 # scalar expansions of N(t) / prod_beta (1 - t**(-beta))**M
 # ---------------------------------------------------------------------------
 #
-# ``numerator`` is a Laurent polynomial {exponent: Fraction} and
-# ``denominator`` a map {beta: M} of nonzero weights to positive multiplicities.
+# ``numerator`` is a Laurent polynomial: either {exponent: int or Fraction},
+# or a pair ({exponent: int}, D) of integer coefficients over a positive
+# denominator D, the form ``component_form`` returns.  ``denominator`` is a
+# map {beta: M} of nonzero weights to positive multiplicities.
+
+def _integer_terms(numerator) -> tuple[dict, int]:
+    """The numerator as ({exponent: int}, D): integers over one positive
+    denominator."""
+    if isinstance(numerator, tuple):
+        return numerator
+    scale = lcm(*(a.denominator for a in numerator.values()))
+    return {e: a.numerator * (scale // a.denominator) for e, a in numerator.items()}, scale
+
 
 def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -> list:
     """Coefficients of var**e, low <= e <= high, of N(t) / prod (1 - t**(-beta))**M
@@ -251,7 +264,8 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
     With t**(-beta) = var**(-b), a factor with b > 0 is
     -var**(-b) (1 - var**b): it gives a sign and a shift, and every factor
     is then one over 1 - var**a with a > 0.  Dividing by that is the
-    recurrence q[n] += q[n - a], which only adds.
+    recurrence q[n] += q[n - a], which only adds integers; the common
+    denominator of N divides once at the end.
 
     At infinity, 1/(1 - 1/t) is the geometric series in w = 1/t:
 
@@ -268,7 +282,8 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
             negate ^= m % 2 == 1
             shift += b * m
         steps += [abs(b)] * m
-    terms = {sigma * r: a for r, a in numerator.items()}
+    terms, scale = _integer_terms(numerator)
+    terms = {sigma * r: a for r, a in terms.items()}
     out = [_ZERO] * (high - low + 1)
     if not terms:
         return out
@@ -277,17 +292,19 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
     lo, top = min(terms), high - shift
     if top < lo:
         return out
-    q = [_ZERO] * (top - lo + 1)
+    q = [0] * (top - lo + 1)
     for e, a in terms.items():
         if e <= top:
-            q[e - lo] += a
+            q[e - lo] = a
     for a in steps:
         for i in range(a, len(q)):
-            if q[i - a]:
-                q[i] += q[i - a]
+            q[i] += q[i - a]
+    if negate:
+        scale = -scale
     for e in range(max(low, lo + shift), high + 1):
         v = q[e - shift - lo]
-        out[e - low] = -v if negate else v
+        if v:
+            out[e - low] = Fraction(v, scale)
     return out
 
 
@@ -371,28 +388,29 @@ def _dot(a, b, i: int):
     return _ZERO if acc is None else acc
 
 
-def _taylor_at_root(numerator, chart: Chart, length: int) -> list:
-    """Taylor coefficients u**0 .. u**(length-1) of N(zeta*e^u): the
-    coefficient of u**i is sum_r a_r zeta**r r**i / i!.  Rational at
-    t = 1, one ``Cyclotomic`` each elsewhere."""
+def _taylor_at_root(terms: dict, scale: int, chart: Chart, length: int) -> list:
+    """Taylor coefficients u**0 .. u**(length-1) of N(zeta*e^u), N the
+    integer ``terms`` over ``scale``: the coefficient of u**i is
+    sum_r a_r zeta**r r**i / (i! scale), with integer power sums and one
+    division.  Rational at t = 1, one ``Cyclotomic`` each elsewhere."""
     n, k = chart.conductor, chart.exponent
     # sums[c][i]: sum of a_r r**i over the r with zeta**r = zeta_n**c
     sums: dict[int, list] = {}
-    for r, a in numerator.items():
-        row = sums.setdefault(k * r % n, [_ZERO] * length)
+    for r, a in terms.items():
+        row = sums.setdefault(k * r % n, [0] * length)
         for i in range(length):
             row[i] += a
             a *= r
     out = []
     for i in range(length):
-        scale = factorial(i)
+        den = factorial(i) * scale
         if k == 0:
-            out.append(sums[0][i] / scale if sums else _ZERO)
+            out.append(Fraction(sums[0][i], den) if sums else _ZERO)
             continue
-        vector = [_ZERO] * n
+        vector = [0] * n
         for c, row in sums.items():
-            vector[c] = row[i] / scale
-        out.append(Cyclotomic(n, vector))
+            vector[c] = row[i]
+        out.append(Cyclotomic.from_integers(n, vector, den))
     return out
 
 
@@ -417,10 +435,11 @@ def form_residue(numerator, denominator, chart: Chart):
     if chart.kind == "inf":
         return -outer_expansion(numerator, denominator, chart, 0, 0)[0]
     order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
-    if not order or not numerator:
+    terms, scale = _integer_terms(numerator)
+    if not order or not terms:
         return _ZERO
     product = _denominator_series(chart, tuple(sorted(denominator.items())), order)
-    return _dot(_taylor_at_root(numerator, chart, order), product, order - 1)
+    return _dot(_taylor_at_root(terms, scale, chart, order), product, order - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ rational function
     N_F = t**mu * multiplier * sum_k I_k prod_j s_j**k_j (1 - s_j)**(K_j - k_j),
 
 with K_j the largest k_j of a nonzero I_k and M_beta the sum of K_j + 1 over
-the directions of weight beta.  All ring work is the table; every residue
-is scalar work in :mod:`quantred.laurent`.
+the directions of weight beta.  N_F is kept as integer coefficients over
+one common denominator D, so that building it and expanding it add
+integers.  All ring work is the table; every residue is scalar work in
+:mod:`quantred.laurent`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 from .exactnum import rational_part
 from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
@@ -98,34 +100,48 @@ def _binomial_terms(beta: int, k: int, top: int) -> tuple:
     return tuple((-beta * (k + i), (-1) ** i * comb(top - k, i)) for i in range(top - k + 1))
 
 
-def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[dict, dict]:
+def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[tuple, dict]:
     """chi_F(t) * multiplier(t) as one rational function N(t) /
     prod (1 - t**(-beta))**M (see the module docstring): the pair
-    (numerator, denominator) of {t-exponent: nonzero Fraction} and
-    {beta: M}.  The integral table is the only ring work."""
+    (numerator, denominator).  The numerator is N as integers over one
+    positive denominator D, the pair ({t-exponent: nonzero int}, D) in
+    lowest terms; the denominator is {beta: M}.  The integral table is
+    the only ring work."""
     if 0 in f.weights:
         raise ValueError(f"component {f.name!r} has a zero weight")
     table = _integral_table(f)
     if not table:
-        return {}, {}
+        return ({}, 1), {}
+    multiplier = multiplier or {0: Fraction(1)}
+    # one denominator for the table and one for the multiplier: their
+    # product clears every denominator of N
+    table_den = lcm(*(v.denominator for v in table.values()))
+    mult_den = lcm(*(a.denominator for a in multiplier.values()))
     tops = [max(k[j] for k in table) for j in range(len(f.weights))]
-    body: dict[int, Fraction] = {}
+    body: dict[int, int] = {}
     for k, value in table.items():
-        poly = {0: value}
+        poly = {0: value.numerator * (table_den // value.denominator)}
         for beta, kj, top in zip(f.weights, k, tops):
             if top:
                 poly = _times(poly, _binomial_terms(beta, kj, top))
         for r, a in poly.items():
             body[r] = body.get(r, 0) + a
-    numerator: dict[int, Fraction] = {}
-    for r, a in (multiplier or {0: Fraction(1)}).items():
+    numerator: dict[int, int] = {}
+    for r, a in multiplier.items():
+        a = a.numerator * (mult_den // a.denominator)
         for e, v in body.items():
             e += f.moment + r
             numerator[e] = numerator.get(e, 0) + a * v
+    numerator = {e: v for e, v in numerator.items() if v}
+    scale = table_den * mult_den
+    g = gcd(scale, *numerator.values())
+    if g != 1:
+        numerator = {e: v // g for e, v in numerator.items()}
+        scale //= g
     denominator: dict[int, int] = {}
     for beta, top in zip(f.weights, tops):
         denominator[beta] = denominator.get(beta, 0) + top + 1
-    return {e: v for e, v in numerator.items() if v}, denominator
+    return (numerator, scale), denominator
 
 
 def _times(poly: dict, terms) -> dict:

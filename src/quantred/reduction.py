@@ -73,15 +73,22 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
             if site == 0:
                 main += rational_part(value)
             elif isinstance(site, int) and site in row.walls:
-                residues[site] = residues.get(site, Fraction(0)) + value
+                _accumulate(residues, site, value)
     residues = dict(sorted(residues.items()))
     per_orbit: dict[int, object] = {}
     for k, value in residues.items():
-        d = root_order(n, k)
-        per_orbit[d] = per_orbit.get(d, Fraction(0)) + value
+        _accumulate(per_orbit, root_order(n, k), value)
     corrections = {d: rational_part(v) for d, v in sorted(per_orbit.items())}
     total = main + sum(corrections.values(), Fraction(0))
     return ReducedRR(main, corrections, residues, total)
+
+
+def _accumulate(sums: dict, key, value) -> None:
+    # sums[key] += value; a zero adds nothing once the key is there
+    if key not in sums:
+        sums[key] = value
+    elif value:
+        sums[key] = sums[key] + value
 
 
 def rr_reduced_main(p: ProblemInstance) -> Fraction:
@@ -157,9 +164,10 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     and every cell is read off it.  At the roots of unity on F's walls the
     residue is computed once per Galois orbit: chi_F has rational data, so
     the residue at zeta_N**k = zeta_d**(k*d/N) (d the order of zeta_N**k)
-    is the image under z -> z**(k*d/N) of the residue at zeta_d, computed in
-    Q(zeta_d) and then embedded in Q(zeta_N).  A root off F's walls is no
-    pole of F's form, so its cell is 0.
+    is the image under z -> zeta_N**k of the residue at zeta_d, computed in
+    Q(zeta_d): the Galois image z -> z**(k*d/N) and the embedding into
+    Q(zeta_N) in one pass.  A root off F's walls is no pole of F's form, so
+    its cell is 0.  A row total adds the nonzero cells only.
     """
     weyl = WeylFactor.for_group(p.group).poly
     n = p.conductor
@@ -185,12 +193,13 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
                     if not isinstance(r, Cyclotomic):
                         r = Cyclotomic.from_rational(d, r)
                     at_primitive[d] = r
-                value = at_primitive[d].galois(site * d // n).promoted(n)
+                value = at_primitive[d].substituted(n, site)
             else:
                 value = Fraction(0)
             label = site if isinstance(site, str) else _root_label(n, site)
             entries.append((label, value))
-            total = total + value
+            if value:
+                total = total + value
         rows.append(ResidueRow(f.name, entries, total, f_walls))
     return rows
 

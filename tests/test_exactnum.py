@@ -191,6 +191,49 @@ def test_embedding_commutes_with_arithmetic(data):
         assert a.inverse().promoted(n) == a.promoted(n).inverse()
 
 
+def _assert_canonical(x):
+    # phi(N) integer numerators over a positive denominator, in lowest
+    # terms, with zero stored over 1
+    assert type(x) is Cyclotomic
+    assert len(x.num) == phi_degree(x.conductor)
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_every_result_is_in_canonical_form(data):
+    m, n = data.draw(st.sampled_from([(1, 4), (3, 12), (4, 12), (5, 20), (7, 84), (12, 84)]))
+    a = data.draw(cyclotomics(m))
+    b = data.draw(cyclotomics(m))
+    q = data.draw(small_fractions)
+    j = data.draw(st.sampled_from([j for j in range(1, m + 1) if gcd(j, m) == 1]))
+    k = data.draw(st.sampled_from([k for k in range(n) if root_order(n, k) == m]))
+    results = [a + b, a - b, -a, a * b, a + q, q - a, a * q, a.galois(j), a.promoted(n),
+               a.substituted(n, k), Cyclotomic.from_rational(m, q), a - a, a * 0]
+    if not a.is_zero():
+        results += [a.inverse(), b / a]
+    for x in results:
+        _assert_canonical(x)
+    # the form is unique, so == compares the integers: a value reached two
+    # ways has the same numerators and denominator
+    for x, y in ((a + b - b, a), ((a + q) - q, a), (a * b + a, a * (b + 1)),
+                 (Cyclotomic(m, a.coeffs), a), (a - a, Cyclotomic.from_rational(m, 0))):
+        assert x == y and (x.num, x.den) == (y.num, y.den)
+    assert (a == b) == ((a.num, a.den) == (b.num, b.den))
+    if not a.is_zero():
+        assert ((a * b) / a).num == b.num and ((a * b) / a).den == b.den
+    # hash: the same in every field that holds the value, and a rational
+    # value hashes like its Fraction
+    assert hash(a.promoted(n)) == hash(a) == hash(a.substituted(n, n // m))
+    r = (a + q) - a
+    assert r.is_rational() and hash(r) == hash(q) == hash(r.promoted(n))
+    assert hash(Cyclotomic.from_rational(n, q)) == hash(q)
+
+
 def test_hash_agrees_with_equality():
     # i in Q(zeta_4) and zeta_8^2 in Q(zeta_8) are equal, so a set holds one
     assert root_of_unity(4, 1) == root_of_unity(8, 2)
@@ -295,7 +338,7 @@ SYMPY_CONDUCTORS = [*range(1, 61), 105]
 
 
 def _random_element(rng, n, terms=None):
-    # dense by default; a few small terms keep the Euclidean inverse cheap
+    # dense by default, or with a few small terms
     coeffs = [Fraction(0)] * phi_degree(n)
     for k in rng.sample(range(len(coeffs)), min(terms or len(coeffs), len(coeffs))):
         coeffs[k] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -351,6 +394,11 @@ def test_product_and_inverse_match_sympy():
         if not c.is_zero():
             pc = _to_sympy(sp, z, enumerate(c.coeffs))
             assert c.inverse().coeffs == _from_sympy(pc.invert(phi), n), n
+        # a dense inverse, checked by sympy's product: sympy's own inverse
+        # of a dense element takes seconds at the larger N
+        if not a.is_zero():
+            inverse = _to_sympy(sp, z, enumerate(a.inverse().coeffs))
+            assert (pa * inverse).rem(phi) == sp.Poly(1, z, domain=sp.QQ), n
 
 
 def test_galois_matches_sympy():

@@ -5,6 +5,8 @@ character t^-1 + 1 + t."""
 
 import cmath
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,16 @@ from quantred import (
     WeylFactor,
     catalog,
     catalog_names,
+    Chart,
     character_from_chart,
     character_polynomial,
+    component_form,
+    form_residue,
     invariant_multiplicity,
+    load_instance,
+    outer_expansion,
     rational_part,
+    root_order,
     residue_of_h,
     rr_invariant,
     tensor_power,
@@ -30,6 +38,7 @@ from quantred import (
 from quantred.lefschetz import NonIntegerResultError
 
 POINT = RingPresentation.point()
+INSTANCES = Path(__file__).resolve().with_name("golden") / "instances"
 
 
 def point_component(name, moment, weights):
@@ -264,3 +273,100 @@ def test_weyl_factor_nonnegative_on_circle():
             value = sum(complex(a) * t**r for r, a in poly.items())
             assert abs(value.imag) < 1e-12
             assert value.real >= -1e-12
+
+
+# -- the integer numerator of a component's rational function -----------------------
+
+def _reference_form(f, multiplier):
+    """N_F(t) / prod (1 - t^-beta)^M in Fractions, written out apart from
+    the engine: N_F = t^mu * multiplier * sum_k I_k prod_j s_j^k_j
+    (1 - s_j)^(K_j - k_j), s_j = t^-beta_j, I_k = integral_F e^omega Td(F)
+    prod_j x_j^k_j, x_j = e^-c_j - 1, K_j the largest k_j of a nonzero I_k."""
+    xs = [(-c).exp() - 1 for c in f.normal_chern]
+    classes = {(): f.omega.exp() * f.todd}
+    for x in xs:
+        grown = {}
+        for k, cls in classes.items():
+            power = 0
+            while power == 0 or cls.coeffs:
+                grown[k + (power,)] = cls
+                cls, power = cls * x, power + 1
+        classes = grown
+    table = {k: cls.integrate() for k, cls in classes.items()}
+    table = {k: v for k, v in table.items() if v}
+    if not table:
+        return {}, {}
+    tops = [max(k[j] for k in table) for j in range(len(xs))]
+    body = {}
+    for k, value in table.items():
+        poly = {0: value}
+        for beta, kj, top in zip(f.weights, k, tops):
+            step = {}
+            for r, a in poly.items():
+                for i in range(top - kj + 1):
+                    e = r - beta * (kj + i)
+                    step[e] = step.get(e, 0) + a * (-1) ** i * comb(top - kj, i)
+            poly = step
+        for r, a in poly.items():
+            body[r] = body.get(r, 0) + a
+    numerator = {}
+    for r, a in multiplier.items():
+        for e, v in body.items():
+            numerator[e + r + f.moment] = numerator.get(e + r + f.moment, 0) + a * v
+    denominator = {}
+    for beta, top in zip(f.weights, tops):
+        denominator[beta] = denominator.get(beta, 0) + top + 1
+    return {e: Fraction(v) for e, v in numerator.items() if v}, denominator
+
+
+def _every_instance():
+    out = [catalog(name) for name in catalog_names()]
+    return out + [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
+
+
+def test_integer_numerator_matches_the_fraction_formula():
+    # component_form keeps N_F as integers over one denominator D; divided
+    # by D they are the Fraction coefficients of the formula, on every
+    # catalog entry and golden instance, with and without the Weyl factor
+    for p in _every_instance():
+        weyl = WeylFactor.for_group(p.group).poly
+        for f in p.components:
+            for multiplier in (None, weyl):
+                (terms, scale), denominator = component_form(f, multiplier)
+                numerator, expected_denominator = _reference_form(f, multiplier or {0: 1})
+                assert type(scale) is int and scale > 0
+                assert all(type(v) is int and v for v in terms.values())
+                assert {e: Fraction(v, scale) for e, v in terms.items()} == numerator, (p.name, f.name)
+                assert denominator == expected_denominator, (p.name, f.name)
+
+
+def test_expansions_agree_on_integer_and_fraction_numerators():
+    # outer_expansion and form_residue give the same values for a numerator
+    # of integers and for its Fractions, and for a pair (integers, D) and
+    # its quotient; the integers alone give D times the pair's values.  D is
+    # also taken 3 times too large, which no component_form returns, so that
+    # the division by D is seen at every pole order
+    for p in _every_instance():
+        weyl = WeylFactor.for_group(p.group).poly
+        for f in p.components:
+            (terms, scale), denominator = component_form(f, weyl)
+            charts = [Chart.at_zero(), Chart.at_infinity(), Chart.at_one()]
+            charts += [Chart.at_root(d, 1) for d in
+                       sorted({root_order(p.conductor, k) for k in wall_set(f, p.conductor)}) if d > 1]
+            integers = dict(terms)
+            cases = [(integers, {e: Fraction(v) for e, v in terms.items()}, 1)]
+            cases += [((terms, d), {e: Fraction(v, d) for e, v in terms.items()}, d)
+                      for d in (scale, 3 * scale)]
+            for exact, fractions, d in cases:
+                where = (p.name, f.name, d)
+                for chart in charts[:2]:
+                    window = outer_expansion(exact, denominator, chart, -6, 6)
+                    assert window == outer_expansion(fractions, denominator, chart, -6, 6), where
+                    assert all(type(v) is Fraction for v in window)
+                    whole = outer_expansion(integers, denominator, chart, -6, 6)
+                    assert whole == [d * v for v in window], where
+                for chart in charts:
+                    value = form_residue(exact, denominator, chart)
+                    reference = form_residue(fractions, denominator, chart)
+                    assert value == reference and type(value) is type(reference), (where, chart)
+                    assert form_residue(integers, denominator, chart) == d * value, (where, chart)
