@@ -74,9 +74,9 @@ from .reduction import (
     ReducedRR,
     Report,
     kawasaki_corrections,
-    pole_labels,
     reduced_rr,
     residue_table,
+    root_label,
     rr_reduced_main,
     verify_quantization,
 )

@@ -30,19 +30,20 @@ from .fixedpoint import (
     tensor_power,
 )
 from .oracle import character_polynomial
-from .reduction import Report, residue_table, verify_quantization
+from .reduction import Report, residue_table, root_label, verify_quantization
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
+SCHEMA = 2  # report layout of --json: a wall cell at zeta_d^j lives in Q(zeta_d)
 
 
 def scalar_str(x, decimal=False) -> str:
     if isinstance(x, Cyclotomic):
         if x.is_rational():
             return scalar_str(x.rational_part(), decimal)
-        body = f"{x} (z = primitive {x.conductor}th root of unity)"
+        body = f"{x} (z = zeta_{x.conductor})"
         if decimal:
             z = complex(x)
             body += f" ~ {z.real:.6g}{z.imag:+.6g}i"
@@ -158,6 +159,7 @@ def _row_json(row) -> dict:
 def report_to_json(report: Report) -> dict:
     reduced = report.reduced
     return {
+        "schema": SCHEMA,
         "instance": {
             "name": report.instance_name,
             "group": report.group,
@@ -171,8 +173,8 @@ def report_to_json(report: Report) -> dict:
         "reduction": {
             "main": scalar_json(reduced.main),
             "corrections": {str(d): scalar_json(v) for d, v in reduced.corrections.items()},
-            "residues_by_exponent": {
-                str(k): scalar_json(v) for k, v in reduced.residues_by_exponent.items()
+            "residues_by_root": {
+                root_label(*root): scalar_json(v) for root, v in reduced.residues_by_root.items()
             },
             "total": scalar_json(reduced.total),
         },
@@ -227,7 +229,7 @@ def cmd_character(args) -> int:
 
 def _sum_nonzero(values):
     # a zero cell adds nothing: a rational 0 would only be promoted into
-    # Q(zeta_N)
+    # the column's Q(zeta_d)
     total = Fraction(0)
     for value in values:
         if value:
@@ -248,6 +250,7 @@ def cmd_residues(args) -> int:
     grand = _sum_nonzero(row.total for row in rows)
     if args.json:
         print(json.dumps({
+            "schema": SCHEMA,
             "instance": p.name,
             "rows": [_row_json(row) for row in rows],
             "column_sums": {

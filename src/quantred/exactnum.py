@@ -430,13 +430,17 @@ class Cyclotomic:
             return a.den == b.den and a.num == b.num
         return NotImplemented
 
+    def trace(self) -> Fraction:
+        """Tr(self) from Q(zeta_N) to Q: the sum of ``galois(a)`` over the a
+        coprime to N, read off the cached traces of the powers of z."""
+        trace = sum(c * t for c, t in zip(self.num, _trace_row(self.conductor)) if c)
+        return Fraction(trace, self.den)
+
     def __hash__(self):
         # equal values in different fields must hash alike, so hash the
         # normalized trace Tr(x)/phi(N).  It is the same in every Q(zeta_M)
         # that contains x, and it is x itself when x is rational.
-        n = self.conductor
-        trace = sum(c * t for c, t in zip(self.num, _trace_row(n)) if c)
-        return hash(Fraction(trace, phi_degree(n) * self.den))
+        return hash(self.trace() / phi_degree(self.conductor))
 
     def __bool__(self):
         return any(self.num)

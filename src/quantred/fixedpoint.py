@@ -167,9 +167,9 @@ class ProblemInstance:
 
     @property
     def conductor(self) -> int:
-        """lcm of 4 and every nonzero |weight|: the one cyclotomic field in
-        which all wall roots of unity (and i) live.  This is the only place
-        that chooses the field; everything else is handed the conductor."""
+        """lcm of 4 and every nonzero |weight|: one cyclotomic field holding
+        every wall root of unity, whose degree validation bounds.  The residue
+        engine does not use it: a cell at zeta_d**j lives in Q(zeta_d)."""
         return lcm(4, *(abs(b) for f in self.components for b in f.weights if b))
 
     def dimension(self) -> int:
@@ -300,16 +300,13 @@ def require_valid(p: ProblemInstance) -> list[Finding]:
     return findings
 
 
-def wall_set(f: FixedComponent, conductor: int) -> tuple[int, ...]:
-    """Exponents k (mod the conductor N, normally the instance's
-    ``conductor``) of the roots of unity zeta_N**k with zeta**beta = 1 for
-    some normal weight beta.  Always contains 0 (the point t = 1)."""
-    # k * beta = 0 (mod N) exactly for the multiples of N / gcd(N, beta)
-    walls = {0}
-    for b in f.weights:
-        if b:
-            walls.update(range(0, conductor, conductor // gcd(conductor, b)))
-    return tuple(sorted(walls))
+def wall_set(f: FixedComponent) -> tuple[tuple[int, int], ...]:
+    """The roots of unity zeta_d**j with zeta**beta = 1 for some normal
+    weight beta, as sorted pairs (d, j): d divides a weight, 0 <= j < d and
+    gcd(j, d) = 1, so each order d brings its whole Galois orbit.  Always
+    contains (1, 0), the point t = 1."""
+    orders = {d for b in f.weights if b for d in range(1, abs(b) + 1) if b % d == 0}
+    return tuple((d, j) for d in sorted(orders | {1}) for j in range(d) if gcd(j, d) == 1)
 
 
 def tensor_power(p: ProblemInstance, k: int) -> ProblemInstance:

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Cyclotomic, rational_part, root_order
+from .exactnum import Cyclotomic, rational_part
 from .fixedpoint import (
     MAX_EXPANSION_WINDOW,
     InvalidInstanceError,
@@ -33,15 +33,15 @@ from .oracle import character_polynomial, invariant_multiplicity
 class ReducedRR:
     """Reduced-space count split into the smooth term and the corrections.
 
-    ``corrections`` maps the order d of a primitive root of unity to the
-    (rational) sum of residues over the whole Galois orbit of primitive
-    d-th roots; ``residues_by_exponent`` keeps the individual cyclotomic
-    residues for diagnostics, keyed by the exponent k of zeta_N**k.
+    ``residues_by_root`` maps each wall root zeta_d**j (d > 1) of the
+    positive-moment components, keyed (d, j), to the sum of their residues
+    there, in Q(zeta_d) (rational for d = 2); ``corrections`` maps d to the
+    trace of the sum at zeta_d, the rational sum over its Galois orbit.
     """
 
     main: Fraction
     corrections: dict[int, Fraction]
-    residues_by_exponent: dict[int, object]
+    residues_by_root: dict[tuple[int, int], object]
     total: Fraction
 
 
@@ -53,42 +53,32 @@ def reduced_rr(p: ProblemInstance) -> ReducedRR:
 def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
     """The reduced count read off a residue table of ``p``.
 
-    The main term is the sum over positive-moment rows of the t = 1 column:
+    The main term is the sum over positive-moment rows of the t = 1 cell:
     the evaluation of the Todd class against the reduced space, which is the
     full answer exactly when the action on the zero level is free.  The
-    residue at a nontrivial root zeta_N**k sums the positive-moment rows
-    whose own wall set contains k; roots on no such wall are left out (their
-    residues vanish identically).  The residues are then grouped by Galois
-    orbit: an irrational orbit sum raises NotRationalError (it would mean an
-    incomplete orbit, i.e. a bug or corrupted data).
+    residue at a nontrivial root zeta_d**j sums the positive-moment rows
+    whose own wall set contains it; roots on no such wall are left out (their
+    residues vanish identically).  A row's wall set holds whole Galois
+    orbits and the trace is linear, so the correction of order d is the
+    trace of the summed residue at zeta_d.
     """
-    n = p.conductor
-    sites = _sites([row.walls for row in table])
     main = Fraction(0)
-    residues: dict[int, object] = {}
+    residues: dict[tuple[int, int], object] = {}
     for f, row in zip(p.components, table):
         if f.moment <= 0:
             continue
-        for site, (_, value) in zip(sites, row.entries):
-            if site == 0:
-                main += rational_part(value)
-            elif isinstance(site, int) and site in row.walls:
-                _accumulate(residues, site, value)
+        for root, value in row.walls.items():
+            if root == (1, 0):
+                main += value
+            elif root not in residues:
+                residues[root] = value
+            elif value:
+                residues[root] = residues[root] + value
     residues = dict(sorted(residues.items()))
-    per_orbit: dict[int, object] = {}
-    for k, value in residues.items():
-        _accumulate(per_orbit, root_order(n, k), value)
-    corrections = {d: rational_part(v) for d, v in sorted(per_orbit.items())}
+    corrections = {d: v.trace() if d > 2 else v
+                   for (d, j), v in residues.items() if j == 1}
     total = main + sum(corrections.values(), Fraction(0))
     return ReducedRR(main, corrections, residues, total)
-
-
-def _accumulate(sums: dict, key, value) -> None:
-    # sums[key] += value; a zero adds nothing once the key is there
-    if key not in sums:
-        sums[key] = value
-    elif value:
-        sums[key] = sums[key] + value
 
 
 def rr_reduced_main(p: ProblemInstance) -> Fraction:
@@ -111,8 +101,8 @@ def kawasaki_corrections(p: ProblemInstance) -> dict[int, Fraction]:
 class ResidueRow:
     component: str
     entries: list  # [(pole label, exact scalar)]
-    total: object  # exact scalar; zero by the global residue theorem
-    walls: tuple  # the component's wall_set
+    total: Fraction  # zero by the global residue theorem
+    walls: dict  # (d, j) -> cell, over the component's wall_set
 
     def labels(self):
         return [label for label, _ in self.entries]
@@ -145,69 +135,52 @@ class Report:
         )
 
 
-def pole_labels(p: ProblemInstance) -> list:
-    """Column order for residue tables: 0, the wall roots of unity
-    (t = 1 first), then infinity."""
-    n = p.conductor
-    return _sites([wall_set(f, n) for f in p.components])
-
-
-def _sites(walls) -> list:
-    return ["zero"] + sorted(set().union(*walls)) + ["infinity"]
+def root_label(d: int, j: int) -> str:
+    """The column label of zeta_d**j: ``t=1`` for d = 1, else ``zeta_d^j``."""
+    return "t=1" if d == 1 else f"zeta_{d}^{j}"
 
 
 def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     """Residues of Weyl * h_F at every pole site, per component, with the
     row sums (zero, by the residue theorem on the sphere).
 
-    Each component's rational function (``component_form``) is built once
-    and every cell is read off it.  At the roots of unity on F's walls the
-    residue is computed once per Galois orbit: chi_F has rational data, so
-    the residue at zeta_N**k = zeta_d**(k*d/N) (d the order of zeta_N**k)
-    is the image under z -> zeta_N**k of the residue at zeta_d, computed in
-    Q(zeta_d): the Galois image z -> z**(k*d/N) and the embedding into
-    Q(zeta_N) in one pass.  A root off F's walls is no pole of F's form, so
-    its cell is 0.  A row total adds the nonzero cells only.
+    Columns: 0, the wall roots zeta_d**j sorted by (d, j) (t = 1 first),
+    then infinity.  Each component's rational function (``component_form``)
+    is built once and every cell is read off it.  On F's walls the residue
+    r_d at zeta_d is computed once per order d, in Q(zeta_d); chi_F has
+    rational data, so the cell at zeta_d**j is its Galois image
+    ``r_d.galois(j)``, and the row's cells of order d add up to Tr(r_d).
+    Q(zeta_1) = Q(zeta_2) = Q, so those cells are rational.  A root off F's
+    walls is no pole of F's form, so its cell is 0.
     """
     weyl = WeylFactor.for_group(p.group).poly
-    n = p.conductor
-    walls = [wall_set(f, n) for f in p.components]
-    sites = _sites(walls)
+    walls = [wall_set(f) for f in p.components]
+    roots = sorted(set().union(*walls))
+    labels = [root_label(d, j) for d, j in roots]
+    off_wall = Fraction(0)
     rows = []
     for f, f_walls in zip(p.components, walls):
         numerator, denominator = component_form(f, weyl)
-        at_primitive: dict[int, Cyclotomic] = {}  # d -> residue at zeta_d
-        entries = []
-        total = Fraction(0)
-        for site in sites:
-            if site == "zero":
-                value = form_residue(numerator, denominator, Chart.at_zero())
-            elif site == "infinity":
-                value = form_residue(numerator, denominator, Chart.at_infinity())
-            elif site == 0:
-                value = form_residue(numerator, denominator, Chart.at_one())
-            elif site in f_walls:
-                d = root_order(n, site)
-                if d not in at_primitive:
-                    r = form_residue(numerator, denominator, Chart.at_root(d, 1))
-                    if not isinstance(r, Cyclotomic):
-                        r = Cyclotomic.from_rational(d, r)
-                    at_primitive[d] = r
-                value = at_primitive[d].substituted(n, site)
+        at_zero = form_residue(numerator, denominator, Chart.at_zero())
+        at_infinity = form_residue(numerator, denominator, Chart.at_infinity())
+        total = at_zero + at_infinity
+        cells = {}
+        for d, j in f_walls:  # (d, 1) comes first in its orbit
+            if j <= 1:
+                r = form_residue(numerator, denominator, Chart.at_root(d, j))
+                if d <= 2:
+                    r = rational_part(r)
+                elif not isinstance(r, Cyclotomic):
+                    r = Cyclotomic.from_rational(d, r)
+                total += r.trace() if d > 2 else r
+                cells[d, j] = r
             else:
-                value = Fraction(0)
-            label = site if isinstance(site, str) else _root_label(n, site)
-            entries.append((label, value))
-            if value:
-                total = total + value
-        rows.append(ResidueRow(f.name, entries, total, f_walls))
+                cells[d, j] = r.galois(j)
+        entries = [("zero", at_zero)]
+        entries += [(label, cells.get(root, off_wall)) for label, root in zip(labels, roots)]
+        entries.append(("infinity", at_infinity))
+        rows.append(ResidueRow(f.name, entries, total, cells))
     return rows
-
-
-def _root_label(n: int, k: int) -> str:
-    if k == 0:
-        return "t=1"
-    return f"zeta_{n}^{k}"
 
 
 def verify_quantization(p: ProblemInstance, degree_bound: int | None = None) -> Report:

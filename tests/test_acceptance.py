@@ -7,6 +7,7 @@ rational equality: there are no numeric tolerances anywhere.
 
 import time
 from fractions import Fraction
+from math import gcd
 
 from quantred import (
     WeylFactor,
@@ -18,6 +19,7 @@ from quantred import (
     rational_part,
     reduced_rr,
     residue_of_h,
+    residue_table,
     rr_invariant,
     rr_reduced_main,
     tensor_power,
@@ -86,12 +88,11 @@ def test_criterion_04_global_residue_theorem():
     for name in catalog_names():
         p = catalog(name)
         weyl = WeylFactor.for_group(p.group)
-        n = p.conductor
         for f in p.components:
-            total = residue_of_h(f, "zero", weyl, conductor=n)
-            total = total + residue_of_h(f, "infinity", weyl, conductor=n)
-            for k in wall_set(f, n):
-                total = total + residue_of_h(f, k, weyl, conductor=n)
+            total = residue_of_h(f, "zero", weyl)
+            total = total + residue_of_h(f, "infinity", weyl)
+            for d, j in wall_set(f):
+                total = total + residue_of_h(f, j, weyl, conductor=d)
             assert rational_part(total) == 0, (name, f.name)
             rows += 1
     _ok(4, f"residues over 0, walls and infinity sum to zero for {rows} components")
@@ -133,15 +134,27 @@ def test_criterion_07_kawasaki_necessity():
 
 
 def test_criterion_08_galois_rationality():
+    # a correction is a trace; it must equal the explicit sum, over the
+    # positive-moment rows, of the row's cells at zeta_d^j over all j
+    # coprime to d, and that orbit sum must be exactly rational
     orbits = 0
     for name in catalog_names():
         for p in (catalog(name), tensor_power(catalog(name), 2)):
-            corr = kawasaki_corrections(p)  # rational_part applied per orbit
+            orbit_sums = {}
+            for f, row in zip(p.components, residue_table(p)):
+                if f.moment <= 0:
+                    continue
+                cells = dict(row.entries)
+                for d in sorted({d for d, _ in wall_set(f)} - {1}):
+                    for j in (j for j in range(1, d) if gcd(j, d) == 1):
+                        orbit_sums[d] = orbit_sums.get(d, 0) + cells[f"zeta_{d}^{j}"]
+            corr = kawasaki_corrections(p)
+            assert corr == {d: rational_part(v) for d, v in orbit_sums.items()}, p.name
             orbits += len(corr)
             for value in corr.values():
                 assert isinstance(value, Fraction)
     assert orbits > 0
-    _ok(8, f"{orbits} correction orbits, all exactly rational")
+    _ok(8, f"{orbits} correction orbits, each its explicit orbit sum, all exactly rational")
 
 
 def test_criterion_09_tensor_power_polynomiality():

@@ -9,6 +9,7 @@ from quantred import (
     instance_to_dict,
     rr_invariant,
     reduced_rr,
+    root_label,
 )
 from quantred.cli import main
 
@@ -291,10 +292,30 @@ def test_json_report_cyclotomic_diagnostics_round_trip(capsys):
     code, out, _ = run(capsys, "verify", "--catalog", "cp1-triple", "--json")
     assert code == 0
     doc = json.loads(out)
-    residues = reduced_rr(p).residues_by_exponent
-    for k, entry in doc["reduction"]["residues_by_exponent"].items():
+    assert doc["schema"] == 2
+    residues = reduced_rr(p).residues_by_root
+    entries = doc["reduction"]["residues_by_root"]
+    assert list(entries) == ["zeta_3^1", "zeta_3^2"]
+    for (d, j), value in residues.items():
+        entry = entries[root_label(d, j)]
+        assert entry["conductor"] == d and len(entry["coeffs"]) == 2  # phi(3)
         rebuilt = Cyclotomic(entry["conductor"], [Fraction(c) for c in entry["coeffs"]])
-        assert rebuilt == residues[int(k)]
+        assert rebuilt == value
+
+
+def test_residues_text_names_the_field_of_each_cell(capsys):
+    # an irrational cell is printed with the root its z stands for, the same
+    # zeta_d as in its column label
+    code, out, _ = run(capsys, "residues", "--catalog", "cp1-triple")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["component", "zero", "t=1", "zeta_3^1", "zeta_3^2",
+                                "infinity", "sum"]
+    assert lines[1].split()[:7] == ["north", "0", "1/3", "1/3*z", "(z", "=", "zeta_3)"]
+    assert "-1/3 - 1/3*z (z = zeta_3)" in lines[1]
+    assert out.count("(z = zeta_3)") == 4
+    assert "root of unity" not in out
+    assert lines[3].split() == ["(total)", "0", "0", "0", "0", "0", "0"]
 
 
 # -- character subcommand ---------------------------------------------------------
@@ -348,16 +369,15 @@ def test_residues_quasi_free_columns(capsys):
 def test_residues_wall_column_present(capsys):
     code, out, _ = run(capsys, "residues", "--catalog", "cp1-double")
     assert code == 0
-    assert "zeta_4^2" in out
+    assert "zeta_2^1" in out
 
 
 def test_residues_json_rows_sum_to_zero(capsys):
     code, out, _ = run(capsys, "residues", "--catalog", "cp2-k", "--json")
     assert code == 0
     doc = json.loads(out)
-    for row in doc["rows"]:
-        if isinstance(row["sum"], str):
-            assert Fraction(row["sum"]) == 0
+    # a row sum is rational cells plus traces, so always a rational string
+    assert [row["sum"] for row in doc["rows"]] == ["0"] * len(doc["rows"])
     # the infinity column sums to minus the invariant count
     assert Fraction(doc["column_sums"]["infinity"]) == -rr_invariant(catalog("cp2-k"))
 

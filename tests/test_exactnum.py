@@ -315,6 +315,17 @@ def test_galois_commutes_with_embedding(data):
         assert x.galois(j).promoted(n) == x.promoted(n).galois(a), (d, n, j, a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trace_is_the_sum_of_the_galois_conjugates(data):
+    d = data.draw(st.integers(min_value=1, max_value=30))
+    x = data.draw(cyclotomics(d))
+    conjugates = [x.galois(a) for a in range(1, d + 1) if gcd(a, d) == 1]
+    trace = x.trace()
+    assert type(trace) is Fraction
+    assert sum(conjugates[1:], conjugates[0]) == trace, (d, x)
+
+
 def test_round_trip_to_rational():
     # an element with only a constant term round-trips to Fraction
     x = Cyclotomic(6, [Fraction(3, 2)])

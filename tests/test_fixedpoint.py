@@ -121,25 +121,27 @@ def test_expansion_window_limit():
 
 def test_wall_set_quasi_free():
     f = point_component("f", 1, [1, -1])
-    assert wall_set(f, 4) == (0,)
+    assert wall_set(f) == ((1, 0),)
 
 
 def test_wall_set_weight_two():
     f = point_component("f", 1, [2])
-    assert wall_set(f, 4) == (0, 2)  # conductor 4: {1, -1}
+    assert wall_set(f) == ((1, 0), (2, 1))  # 1 and -1
 
 
 def test_wall_set_weights_two_three():
     f = point_component("f", 1, [2, 3])
-    # conductor 12: 1, zeta_3, -1, zeta_3^2
-    assert wall_set(f, 12) == (0, 4, 6, 8)
+    # 1, -1, zeta_3 and zeta_3^2, each in its own Q(zeta_d)
+    assert wall_set(f) == ((1, 0), (2, 1), (3, 1), (3, 2))
 
 
 def test_wall_set_respects_instance_conductor():
     p = catalog("cp2-k", 1)
     assert p.conductor == 12
     e0 = p.component("e0")  # weights 1, 3
-    assert wall_set(e0, p.conductor) == (0, 4, 8)
+    assert wall_set(e0) == ((1, 0), (3, 1), (3, 2))
+    # every wall root lies in the instance's Q(zeta_N)
+    assert all(p.conductor % d == 0 for f in p.components for d, _ in wall_set(f))
 
 
 # (conductor, [(level, code, component)]) of every catalog entry and golden
@@ -203,7 +205,7 @@ def test_cp1_k2_calibrated_data():
 def test_cp1_double_walls():
     p = catalog("cp1-double")
     assert p.conductor == 4
-    assert wall_set(p.component("north"), 4) == (0, 2)
+    assert wall_set(p.component("north")) == ((1, 0), (2, 1))
 
 
 def test_unknown_name():

@@ -211,11 +211,10 @@ def arbitrary_components(draw):
 )
 def test_residue_theorem_for_arbitrary_components(f, group, twist):
     weyl = WeylFactor.for_group(group)
-    n = ProblemInstance(group, [f]).conductor
-    total = residue_of_h(f, "zero", weyl, twist=twist, conductor=n)
-    total = total + residue_of_h(f, "infinity", weyl, twist=twist, conductor=n)
-    for k in wall_set(f, n):
-        total = total + residue_of_h(f, k, weyl, twist=twist, conductor=n)
+    total = residue_of_h(f, "zero", weyl, twist=twist)
+    total = total + residue_of_h(f, "infinity", weyl, twist=twist)
+    for d, j in wall_set(f):
+        total = total + residue_of_h(f, j, weyl, twist=twist, conductor=d)
     assert rational_part(total) == 0
 
 

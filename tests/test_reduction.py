@@ -16,13 +16,12 @@ from quantred import (
     catalog_names,
     kawasaki_corrections,
     load_instance,
-    pole_labels,
     rational_part,
     reduced_rr,
     residue_of_h,
     residue_table,
+    root_label,
     root_of_unity,
-    root_order,
     rr_invariant,
     rr_reduced_main,
     tensor_power,
@@ -85,14 +84,15 @@ def test_cp1_double_correction():
 
 def test_cp1_triple_galois_orbit():
     p = catalog("cp1-triple")
-    residues = reduced_rr(p).residues_by_exponent  # conductor 12: order-3 roots at k = 4, 8
-    assert set(residues) == {4, 8}
-    z3 = root_of_unity(12, 4)
-    assert residues[4] == z3 / 3
-    # the two residues are Galois conjugates ...
-    assert residues[8] == residues[4].galois(5)
-    # ... individually irrational, with rational orbit sum
-    assert isinstance(residues[4], Cyclotomic) and not residues[4].is_rational()
+    residues = reduced_rr(p).residues_by_root  # the order-3 roots zeta_3, zeta_3^2
+    assert set(residues) == {(3, 1), (3, 2)}
+    assert residues[3, 1] == root_of_unity(3, 1) / 3 == root_of_unity(12, 4) / 3
+    # the two residues are Galois conjugates in Q(zeta_3) ...
+    assert residues[3, 2] == residues[3, 1].galois(2)
+    assert residues[3, 1].conductor == residues[3, 2].conductor == 3
+    # ... individually irrational, with rational orbit sum, the trace
+    assert isinstance(residues[3, 1], Cyclotomic) and not residues[3, 1].is_rational()
+    assert residues[3, 1] + residues[3, 2] == residues[3, 1].trace() == Fraction(-1, 3)
     assert kawasaki_corrections(p) == {3: Fraction(-1, 3)}
 
 
@@ -102,9 +102,11 @@ def test_corrections_ignore_negative_moment_components():
     north = p.component("north")
     # the correction equals the north residue alone: south sits at negative
     # moment and is filtered out even though -1 lies on its wall set
-    assert reduced_rr(p).residues_by_exponent[2] == residue_of_h(north, 2, weyl, conductor=4)
+    correction = reduced_rr(p).residues_by_root[2, 1]
+    assert correction == residue_of_h(north, 1, weyl, conductor=2)
+    assert correction == residue_of_h(north, 2, weyl, conductor=4)
     south = p.component("south")
-    assert residue_of_h(south, 2, weyl, conductor=4) != 0
+    assert residue_of_h(south, 1, weyl, conductor=2) != 0
 
 
 def test_cp2_default_corrections():
@@ -119,12 +121,12 @@ def test_nilpotent_kawasaki_term():
 
 
 def test_orbit_sums_are_rational_everywhere():
-    # rational_part is applied inside kawasaki_corrections; it must never
-    # raise on catalog data, including tensor powers
+    # a correction is the trace of a residue at zeta_d: a Fraction on all
+    # catalog data, including tensor powers
     for name in catalog_names():
         p = catalog(name)
-        kawasaki_corrections(p)
-        kawasaki_corrections(tensor_power(p, 3))
+        for q in (p, tensor_power(p, 3)):
+            assert all(type(v) is Fraction for v in kawasaki_corrections(q).values())
 
 
 # -- the identity -----------------------------------------------------------------
@@ -205,7 +207,7 @@ def test_report_contents():
     assert report.dimension == 2
     assert report.character == {-1: 1, 1: 1}
     assert set(report.timings) == {"residues_s", "oracle_s"}
-    assert report.reduced.residues_by_exponent.keys() == {2}
+    assert report.reduced.residues_by_root.keys() == {(2, 1)}
 
 
 def _wall_orders(f):
@@ -264,8 +266,9 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
 
 
 def test_wall_cells_equal_direct_residues():
-    # each wall cell, filled from one residue per Galois orbit, equals the
-    # residue computed directly at that root in Q(zeta_N); the orbit sums of
+    # each wall cell at zeta_d^j, the Galois image in Q(zeta_d) of one
+    # residue per order d, embedded into the instance's Q(zeta_N) equals the
+    # residue computed directly there at zeta_N^(jN/d); the orbit sums of
     # the direct values are the rational corrections of the report
     instances = [catalog(name) for name in catalog_names()]
     instances += [load_instance(SPHERE_N60), load_instance(PLANE_N84)]
@@ -275,15 +278,19 @@ def test_wall_cells_equal_direct_residues():
         weyl = WeylFactor.for_group(p.group)
         orbit_sums = {}
         for f, row in zip(p.components, residue_table(p)):
-            walls = wall_set(f, n)
-            for site, (_, value) in zip(pole_labels(p), row.entries):
-                if not (isinstance(site, int) and site in walls and site):
+            assert tuple(row.walls) == wall_set(f), (p.name, f.name)
+            cells = dict(row.entries)
+            for (d, j), value in row.walls.items():
+                if d == 1:
                     continue
-                direct = residue_of_h(f, site, weyl, conductor=n)
-                assert value == direct, (p.name, f.name, site)
+                assert cells[root_label(d, j)] is value
+                direct = residue_of_h(f, j * n // d, weyl, conductor=n)
+                if d > 2:
+                    assert value.conductor == d, (p.name, f.name, d, j)
+                    value = value.promoted(n)
+                assert value == direct, (p.name, f.name, d, j)
                 checked += 1
                 if f.moment > 0:
-                    d = root_order(n, site)
                     orbit_sums[d] = orbit_sums.get(d, Fraction(0)) + direct
         expected = {d: rational_part(v) for d, v in sorted(orbit_sums.items())}
         assert kawasaki_corrections(p) == expected, p.name
@@ -355,7 +362,7 @@ def test_residue_table_quasi_free_has_no_extra_columns():
 
 def test_residue_table_shows_wall_columns():
     rows = residue_table(catalog("cp1-double"))
-    assert rows[0].labels() == ["zero", "t=1", "zeta_4^2", "infinity"]
+    assert rows[0].labels() == ["zero", "t=1", "zeta_2^1", "infinity"]
 
 
 def test_residue_table_cell_types():
@@ -365,14 +372,18 @@ def test_residue_table_cell_types():
     instances = [catalog(name) for name in catalog_names()]
     instances += [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
     for p in instances:
-        n = p.conductor
+        roots = sorted(set().union(*(wall_set(f) for f in p.components)))
+        sites = ["zero", *roots, "infinity"]
         for f, row in zip(p.components, residue_table(p)):
-            walls = wall_set(f, n)
-            for site, (label, value) in zip(pole_labels(p), row.entries):
+            walls = wall_set(f)
+            assert row.labels() == ["zero", *(root_label(*r) for r in roots), "infinity"]
+            assert type(row.total) is Fraction
+            for site, (label, value) in zip(sites, row.entries):
                 where = (p.name, f.name, label)
-                if isinstance(site, int) and site and site in walls:
-                    assert type(value) is Cyclotomic, where
+                if site in walls and site[0] > 2:
+                    assert type(value) is Cyclotomic and value.conductor == site[0], where
                     assert all(type(c) is Fraction for c in value.coeffs), where
                 else:
+                    # Q(zeta_1) = Q(zeta_2) = Q
                     assert type(value) is Fraction, where
-                    assert value == 0 or not isinstance(site, int) or site == 0, where
+                    assert value == 0 or site in walls or site in ("zero", "infinity"), where
