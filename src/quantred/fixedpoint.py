@@ -29,20 +29,17 @@ from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import phi_degree
 
 
-# The largest field degree phi(N) an instance may need.  Building the power
-# table of Phi_N and the wall residues grows quickly with N: measured on one
-# core, phi(N) = 288 (the plane (0,7,13), N = 1092) verifies in 0.2 s and
-# 18 MB, phi(N) = 512 (a +-2040 sphere) in 2.0 s and 46 MB, and phi(N) = 960
-# (a +-2310 sphere, N = 4620) in 4.6 s and 206 MB, almost all of it the table.
+# The largest field degree phi(|beta|) a weight beta may bring; a wall cell
+# at zeta_d, d | beta, lives in Q(zeta_d).  On one core, verify takes 0.3 s
+# and 30 MB on the +-2040 sphere (phi 512), 0.6 s and 87 MB on +-2310 (480).
 MAX_FIELD_DEGREE = 512
 
 # The largest expansion window (see :func:`expansion_window`) an instance
 # may need.  The oracle's series and the residue engine's infinity-chart
 # windows grow with it, and so does the cost, linearly: measured on one
-# core, windows of 10^4 verify in 0.85-1.25 s and 23-28 MB, windows of
-# 2 * 10^4 (a +-20000 sphere, the 10000th power of the plane with a fixed
-# line) in 1.6-2.5 s and 30-41 MB.  Catalog, golden and benchmark
-# instances need at most 197.
+# core, windows of 10^4 (powers of the catalog planes and spheres) verify in
+# 0.02-0.04 s and 20-24 MB, windows of 2 * 10^4 in 0.04-0.09 s and 24-33 MB.
+# Catalog, golden and benchmark instances need at most 197.
 MAX_EXPANSION_WINDOW = 20000
 
 
@@ -229,13 +226,15 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 "ERROR", "weight-zero",
                 "zero normal weight: the circle must act nontrivially on "
                 "every normal direction", f.name))
-    n = p.conductor
-    # phi(n) >= sqrt(n/2), so a conductor above 2 * limit**2 fails unfactored
-    if n > 2 * MAX_FIELD_DEGREE**2 or phi_degree(n) > MAX_FIELD_DEGREE:
-        findings.append(Finding(
-            "ERROR", "field-degree",
-            f"the wall roots of unity need Q(zeta_{n}), whose degree phi({n}) "
-            f"is above the limit of {MAX_FIELD_DEGREE}"))
+    # phi(d) <= phi(|beta|) for d | beta, and phi(n) >= sqrt(n/2), so a
+    # weight above 2 * limit**2 fails unfactored
+    for n in sorted({abs(b) for f in p.components for b in f.weights if b}, reverse=True):
+        if n > 2 * MAX_FIELD_DEGREE**2 or phi_degree(n) > MAX_FIELD_DEGREE:
+            findings.append(Finding(
+                "ERROR", "field-degree",
+                f"the wall roots of unity need Q(zeta_{n}), whose degree "
+                f"phi({n}) is above the limit of {MAX_FIELD_DEGREE}"))
+            break
     window = expansion_window(p)
     if window > MAX_EXPANSION_WINDOW:
         findings.append(Finding(
@@ -341,10 +340,11 @@ def tensor_power(p: ProblemInstance, k: int) -> ProblemInstance:
 # }
 #
 # Polynomials are maps from monomial strings ("1", "x", "x^2*y") to exact
-# rational literals ("7/3" or integers).  Floats are rejected.
+# rational literals: integers or ASCII strings like "-7/3".  No floats.
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _MONO_PART = re.compile(rf"^({_NAME})(?:\^(\d+))?$")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_rational(value, where):
@@ -356,10 +356,10 @@ def _parse_rational(value, where):
         raise SchemaError(f"{where}: floats are not accepted; write an exact "
                           "rational string like \"7/3\"")
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: bad rational literal {value!r}") from exc
+        num, _, den = value.partition("/")
+        if _RATIONAL.fullmatch(value) and int(den or 1):
+            return Fraction(int(num), int(den or 1))
+        raise SchemaError(f"{where}: bad rational literal {value!r}")
     raise SchemaError(f"{where}: expected a rational literal, got {value!r}")
 
 

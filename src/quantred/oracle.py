@@ -4,20 +4,22 @@ t -> infinity (in w = 1/t), then read off invariant multiplicities by
 elementary character theory.
 
 Each normal factor 1/(1 - w^b e^{-c}) is applied to the running series s by
-the recurrence it defines, s[e] = num[e] + X s[e - m], one exponent at a
-time up to a checked tail window; a negative weight is first rewritten as
--w^m e^{c} / (1 - w^m e^{c}) with m = -b.  The summed expansion must vanish
-in that tail, which certifies the data.
+the recurrence it defines, s[e] = num[e] + X s[e - m], up to a checked tail
+window; a negative weight is first rewritten as -w^m e^{c} / (1 - w^m e^{c})
+with m = -b.  The summed expansion must vanish in that tail, which certifies
+the data.
 
 The arithmetic is in integers.  A class is a flat list of ints indexed by
-monomial, a series in w is a list of classes indexed by exponent offset, and
-each component carries one positive denominator D for its whole series.
-Before a normal factor is applied, L = K! den(c)^K (K the largest power of
-c that is nonzero) makes L e^{+-c} integral; the numerators are scaled by
-L, D becomes D L, and the recurrence reads S[e] = L num[e] + (L X) S[e - m] / L,
-where the division is exact (a remainder raises ``ArithmeticError``).
-Fractions appear only for the input data and when the components' integrals
-are summed over one common denominator.
+monomial, a series in w is one integer column per monomial over the exponent
+window, and each component carries one positive denominator D for its whole
+series.  Before a normal factor is applied, L = K! den(c)^K (K the largest
+power of c that is nonzero) makes L X integral, and D becomes D L.  As
+N = L X - L only moves weight to higher monomials, the columns are finished
+in index order: column k is L num_k plus the quotient by L of (N S)_k shifted
+by m, which must be exact (a remainder raises ``ArithmeticError``), followed
+by the running sum S_k[e] += S_k[e - m].  Fractions appear only for the input
+data and when the components' integrals are summed over one common
+denominator.
 
 This module deliberately re-implements this small ring arithmetic instead of
 reusing the series/ring machinery: the point is to certify the residue
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import accumulate, product as _cartesian
 from math import factorial, gcd, lcm
+from operator import add
 
 from .fixedpoint import (
     MAX_EXPANSION_WINDOW,
@@ -119,19 +122,6 @@ def _scaled_exp(cls, index, rows, sign=1):
         for i, x in enumerate(power):
             out[i] += c * x
     return scale, out
-
-
-def _divided(a, n):
-    # exact division of an integer class by n
-    if n == 1:
-        return a
-    out = []
-    for x in a:
-        q, r = divmod(x, n)
-        if r:
-            raise ArithmeticError(f"inexact division by {n} in the oracle recurrence")
-        out.append(q)
-    return out
 
 
 # -- character assembly -----------------------------------------------------
@@ -223,83 +213,93 @@ def character_polynomial(
             f"{MAX_EXPANSION_WINDOW}"
         )
     top = bound + auto + 4  # checked tail window: (bound, top]
-    parts = []  # (denominator, {w exponent: integer numerator}) per component
+    parts = []  # (denominator, low, integer values at w^low, w^(low+1), ...)
     for f in p.components:
         index, rows = _monomials(f.ring.orders)
-        # the series in w is s[e] = S[e - low] / den: a list of integer
-        # classes (None for zero) over one positive denominator
+        # s[e] = sum_k series[k][e - low] x^k / den
         scale, expo = _scaled_exp(f.omega, index, rows)
         todd_den, todd = _integer_class(f.todd.coeffs, index)
         base = _mul(expo, todd, rows)
         den = scale * todd_den
         g = gcd(den, *base)
-        series = [[x // g for x in base]]
+        series = [[x // g] for x in base]
         den //= g
         low = -f.moment
         for b, chern in zip(f.weights, f.normal_chern):
             if b == 0:
                 raise InvalidInstanceError(f"component {f.name!r} has a zero weight")
-            # the factor 1/(1 - w^b e^{-c}), applied by its recurrence
-            # s[e] = num[e] + X s[e - m]: for b > 0, num is the series,
-            # X = e^{-c} and m = b; for b < 0 the factor is
-            # -w^m e^{c} / (1 - w^m e^{c}) with m = -b, so num is
-            # -w^m e^{c} times the series and X = e^{c}.  With L X
-            # integral, the new denominator is den * L and the recurrence
-            # reads S[e] = L num[e] + (L X) S[e - m] / L.
+            # for b > 0, num is the series, X = e^{-c} and m = b; for b < 0,
+            # num is -w^m e^{c} times the series, X = e^{c} and m = -b
             m = abs(b)
             scale, step = _scaled_exp(chern, index, rows, -1 if b > 0 else 1)
+            nil = [[] for _ in series]  # nil[k]: (j, N_i) with x^i x^j = x^k
+            for i, x in enumerate(step[1:], 1):
+                if x:
+                    for j, k in rows[i]:
+                        nil[k].append((j, x))
             if b > 0:
-                num = [cls and [scale * x for x in cls] for cls in series]
+                num = series if scale == 1 else [[scale * x for x in col] for col in series]
             else:
-                num = [cls and [-x for x in _mul(step, cls, rows)] for cls in series]
+                num = []
+                for col, terms in zip(series, nil):
+                    col = [-scale * x for x in col]
+                    for j, x in terms:
+                        col = [a - x * y for a, y in zip(col, series[j])]
+                    num.append(col)
                 low += m
             den *= scale
-            new = []
-            for i in range(top - low + 1):
-                cls = num[i] if i < len(num) else None
-                prev = new[i - m] if i >= m else None
-                if prev:
-                    if chern.coeffs:  # else X = 1
-                        prev = _divided(_mul(step, prev, rows), scale)
-                    cls = prev if cls is None else [x + y for x, y in zip(cls, prev)]
-                new.append(cls if cls and any(cls) else None)
-            series = new
+            size = top - low + 1
+            series = []
+            for col, terms in zip(num, nil):
+                col = col[:size] + [0] * (size - len(col))
+                if terms:
+                    acc = [0] * (size - m)
+                    for j, x in terms:
+                        acc = [a + x * y for a, y in zip(acc, series[j])]
+                    if any(a % scale for a in acc):
+                        raise ArithmeticError(
+                            f"inexact division by {scale} in the oracle recurrence")
+                    col[m:] = [y + a // scale for y, a in zip(col[m:], acc)]
+                if m == 1:
+                    col = list(accumulate(col))
+                else:
+                    for e in range(m, size):
+                        col[e] += col[e - m]
+                series.append(col)
         # integrate with the weights of the ring over their common
         # denominator; the component's values are then over den * wden
         wden, weights = _integer_class(f.ring.integrals, index)
-        weights = [(j, w) for j, w in enumerate(weights) if w]
-        values = {}
-        for i, cls in enumerate(series):
-            if cls:
-                value = sum(cls[j] * w for j, w in weights)
-                if value:
-                    values[low + i] = value
-        parts.append((den * wden, values))
-    # sum the components over one common denominator
-    common = lcm(*(d for d, _ in parts))
-    total: dict[int, int] = {}
-    for d, values in parts:
-        s = common // d
-        for w_exp, value in values.items():
-            total[w_exp] = total.get(w_exp, 0) + value * s
-    total = {e: v for e, v in total.items() if v}
-    bad = [e for e in total if e > bound]
+        values = [0] * len(series[0])
+        for col, w in zip(series, weights):
+            if w:
+                values = list(map(add, values, col if w == 1 else [w * x for x in col]))
+        parts.append((den * wden, low, values))
+    # sum the components over one common denominator; windows end by top
+    common = lcm(*(d for d, _, _ in parts))
+    lo = min(low for _, low, _ in parts)
+    total = [0] * (top - lo + 1)
+    for d, low, values in parts:
+        s, i = common // d, low - lo
+        total[i:i + len(values)] = map(add, total[i:], values if s == 1 else [s * v for v in values])
+    bad = [e for e, v in enumerate(total[bound + 1 - lo:], bound + 1) if v]
     if bad:
         raise StabilizationError(
             f"expansion does not stabilize: nonzero coefficients at "
-            f"t^{[-e for e in sorted(bad)]} beyond the bound {bound}; the "
+            f"t^{[-e for e in bad]} beyond the bound {bound}; the "
             "data does not come from a compact manifold"
         )
-    coeffs = {}
-    for w_exp, v in total.items():
-        count, rest = divmod(v, common)
-        if rest:
-            raise StabilizationError(
-                f"character coefficient at t^{-w_exp} is {Fraction(v, common)}, "
-                "not an integer; inconsistent fixed-point data"
-            )
-        coeffs[-w_exp] = count
-    return CharacterPolynomial(coeffs)
+    odd = common > 1 and {lo + i for i, v in enumerate(total) if v % common}
+    if odd:
+        # name the first one met component by component, lowest exponent first
+        w_exp = next(low + i for _, low, values in parts
+                     for i, v in enumerate(values) if v and low + i in odd)
+        raise StabilizationError(
+            f"character coefficient at t^{-w_exp} is "
+            f"{Fraction(total[w_exp - lo], common)}, "
+            "not an integer; inconsistent fixed-point data"
+        )
+    return CharacterPolynomial(
+        {-lo - i: v // common for i, v in enumerate(total) if v})
 
 
 def invariant_multiplicity(c: CharacterPolynomial, group: GroupKind) -> int:

@@ -85,20 +85,38 @@ def test_validate_clean_on_catalog_defaults():
 # walls are returned as exponents k of zeta_N**k; exponent 0 is the point t=1
 
 def test_field_degree_limit():
-    # a +-10^6 sphere needs Q(zeta_1000000), of degree 400000: validation
-    # rejects it, naming the bound, before any cyclotomic work
+    # the largest field a weight beta brings is Q(zeta_|beta|): validation
+    # rejects a degree phi(|beta|) above the bound, naming it, before any
+    # cyclotomic work
     def sphere(q):
         return ProblemInstance(GroupKind.U1, [
             point_component("north", q, [q]), point_component("south", -q, [-q]),
         ])
 
-    for q in (10**6, 2310, 10**40 + 1):
+    for q in (1031, 10**6, 10**40 + 1):
         errors = [f for f in validate(sphere(q)) if f.code == "field-degree"]
         assert [f.level for f in errors] == ["ERROR"], q
+        assert f"Q(zeta_{q})" in errors[0].message
         assert str(MAX_FIELD_DEGREE) in errors[0].message
-    # N = 2040 sits exactly at the limit and is admitted
-    assert phi_degree(2040) == MAX_FIELD_DEGREE
-    assert not has_errors(validate(sphere(2040)))
+    # |beta| = 2040 sits exactly at the limit; 2310 (N = 4620) is below it
+    assert phi_degree(2040) == MAX_FIELD_DEGREE and phi_degree(2310) == 480
+    for q in (2040, 2310):
+        assert not has_errors(validate(sphere(q))), q
+
+
+def test_field_degree_is_bounded_per_weight():
+    # weights 23 and 29 need Q(zeta_23) and Q(zeta_29), never Q(zeta_2668)
+    p = ProblemInstance(GroupKind.U1, [
+        point_component("a", 1, [23, 29]), point_component("b", -1, [-23, -29]),
+    ])
+    assert p.conductor == 2668 and phi_degree(2668) > MAX_FIELD_DEGREE
+    assert not has_errors(validate(p))
+    # the largest offending weight is named
+    p = ProblemInstance(GroupKind.U1, [
+        point_component("a", 1, [1031, 1033]), point_component("b", -1, [-1031, -1033]),
+    ])
+    errors = [f.message for f in validate(p) if f.code == "field-degree"]
+    assert len(errors) == 1 and "Q(zeta_1033)" in errors[0]
 
 
 def test_expansion_window_limit():
@@ -379,10 +397,22 @@ def test_float_moment_rejected():
 
 
 def test_bad_rational_literal():
+    # only -?[0-9]+(/[0-9]+)? in ASCII with a nonzero denominator is a
+    # rational literal; Fraction(str) would take most of these
     doc = instance_to_dict(catalog("cp1-k", 2))
-    doc["components"][0]["omega"] = {"1": "1/0"}
-    with pytest.raises(SchemaError, match="omega"):
-        instance_from_dict(doc)
+    for literal in ("1/0", "0.5", "1e-1", " 1/2 ", "1_000", "\u0663", "+1", "1/-2",
+                    "1/", "/2", "", "1 / 2", "0x10", "inf", "nan", "1/2\n"):
+        doc["components"][0]["omega"] = {"1": literal}
+        with pytest.raises(SchemaError, match="omega.*bad rational literal"):
+            instance_from_dict(doc)
+
+
+def test_rational_literal_grammar():
+    doc = instance_to_dict(catalog("cp1-k", 2))
+    for literal, value in (("7/3", Fraction(7, 3)), ("-4/6", Fraction(-2, 3)),
+                           ("007", Fraction(7)), ("-0", Fraction(0)), (5, Fraction(5))):
+        doc["components"][0]["ring"]["integrals"] = {"1": literal}
+        assert instance_from_dict(doc).components[0].ring.integrals == {(): value}
 
 
 def test_unknown_generator_diagnostic():

@@ -1,9 +1,16 @@
 from fractions import Fraction
+from itertools import permutations
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ring_classes
 from quantred import (
     CharacterPolynomial,
+    CohomologyClass,
     FixedComponent,
     GroupKind,
     ProblemInstance,
@@ -15,8 +22,11 @@ from quantred import (
     catalog_names,
     character_polynomial,
     invariant_multiplicity,
+    load_instance,
     tensor_power,
 )
+from quantred.fixedpoint import MAX_EXPANSION_WINDOW, InvalidInstanceError
+from quantred.oracle import _integer_class, _monomials, _mul, _scaled_exp
 
 POINT = RingPresentation.point()
 
@@ -173,3 +183,202 @@ def test_tensor_power_characters():
     for k in range(1, 5):
         c = character_polynomial(tensor_power(base, k))
         assert c == {m: 1 for m in range(-k, k + 1)}
+
+
+# -- the per-exponent layout, kept as a reference ------------------------------
+# The oracle's previous layout: a series in w is a list of classes (None for
+# zero) indexed by exponent offset, and each normal factor builds one class
+# per exponent.  The column layout must give the same character, or raise the
+# same exception with the same message, on every input.
+
+def _divided(a, n):
+    if n == 1:
+        return a
+    out = []
+    for x in a:
+        q, r = divmod(x, n)
+        if r:
+            raise ArithmeticError(f"inexact division by {n} in the oracle recurrence")
+        out.append(q)
+    return out
+
+
+def reference_character_polynomial(p, degree_bound=None):
+    auto = automatic_degree_bound(p)
+    bound = auto if degree_bound is None else max(int(degree_bound), auto)
+    if bound > MAX_EXPANSION_WINDOW:
+        raise InvalidInstanceError(
+            f"the character expansion bound {bound} is above the limit of "
+            f"{MAX_EXPANSION_WINDOW}"
+        )
+    top = bound + auto + 4
+    parts = []
+    for f in p.components:
+        index, rows = _monomials(f.ring.orders)
+        scale, expo = _scaled_exp(f.omega, index, rows)
+        todd_den, todd = _integer_class(f.todd.coeffs, index)
+        base = _mul(expo, todd, rows)
+        den = scale * todd_den
+        g = gcd(den, *base)
+        series = [[x // g for x in base]]
+        den //= g
+        low = -f.moment
+        for b, chern in zip(f.weights, f.normal_chern):
+            if b == 0:
+                raise InvalidInstanceError(f"component {f.name!r} has a zero weight")
+            m = abs(b)
+            scale, step = _scaled_exp(chern, index, rows, -1 if b > 0 else 1)
+            if b > 0:
+                num = [cls and [scale * x for x in cls] for cls in series]
+            else:
+                num = [cls and [-x for x in _mul(step, cls, rows)] for cls in series]
+                low += m
+            den *= scale
+            new = []
+            for i in range(top - low + 1):
+                cls = num[i] if i < len(num) else None
+                prev = new[i - m] if i >= m else None
+                if prev:
+                    if chern.coeffs:
+                        prev = _divided(_mul(step, prev, rows), scale)
+                    cls = prev if cls is None else [x + y for x, y in zip(cls, prev)]
+                new.append(cls if cls and any(cls) else None)
+            series = new
+        wden, weights = _integer_class(f.ring.integrals, index)
+        weights = [(j, w) for j, w in enumerate(weights) if w]
+        values = {}
+        for i, cls in enumerate(series):
+            if cls:
+                value = sum(cls[j] * w for j, w in weights)
+                if value:
+                    values[low + i] = value
+        parts.append((den * wden, values))
+    common = lcm(*(d for d, _ in parts))
+    total = {}
+    for d, values in parts:
+        s = common // d
+        for w_exp, value in values.items():
+            total[w_exp] = total.get(w_exp, 0) + value * s
+    total = {e: v for e, v in total.items() if v}
+    bad = [e for e in total if e > bound]
+    if bad:
+        raise StabilizationError(
+            f"expansion does not stabilize: nonzero coefficients at "
+            f"t^{[-e for e in sorted(bad)]} beyond the bound {bound}; the "
+            "data does not come from a compact manifold"
+        )
+    coeffs = {}
+    for w_exp, v in total.items():
+        count, rest = divmod(v, common)
+        if rest:
+            raise StabilizationError(
+                f"character coefficient at t^{-w_exp} is {Fraction(v, common)}, "
+                "not an integer; inconsistent fixed-point data"
+            )
+        coeffs[-w_exp] = count
+    return CharacterPolynomial(coeffs)
+
+
+def _outcome(p, degree_bound=None, oracle=character_polynomial):
+    try:
+        return oracle(p, degree_bound)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reversed_action(p):
+    """The same manifold with the circle acting through t -> 1/t: weights
+    and moments negated, classes unchanged."""
+    return ProblemInstance(p.group, [
+        FixedComponent(f.name, f.ring, -f.moment, [-b for b in f.weights],
+                       f.normal_chern, f.omega, f.todd)
+        for f in p.components
+    ], f"{p.name}-reversed")
+
+
+def _assert_same_as_reference(p, degree_bound=None):
+    got = _outcome(p, degree_bound)
+    assert got == _outcome(p, degree_bound, reference_character_polynomial), p.name
+    return got
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "instances"
+INSTANCES = {name: (lambda name=name: catalog(name)) for name in catalog_names()}
+INSTANCES.update(
+    (path.stem, lambda path=path: load_instance(path)) for path in sorted(GOLDEN.glob("*.json"))
+)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_columns_match_the_per_exponent_reference(name):
+    base = INSTANCES[name]()
+    for k in (1, 2, 7, 32, 64):
+        p = tensor_power(base, k) if k > 1 else base
+        got = _assert_same_as_reference(p)
+        _assert_same_as_reference(p, 2 * automatic_degree_bound(p))
+        # the reversed action reaches b < 0 with the same Chern classes, and
+        # its character is c(1/t)
+        flipped = _assert_same_as_reference(reversed_action(p))
+        if isinstance(got, CharacterPolynomial):
+            assert flipped == {-m: c for m, c in got.coefficients.items()}, (name, k)
+        else:
+            assert type(flipped) is tuple and flipped[0] is got[0], (name, k)
+
+
+# P(O + L) over a two-generator base, L = O(a, b): the zero and infinity
+# sections are the fixed components, with normal weights q and -q and normal
+# Chern classes +-c_1(L); the line bundle restricts to omega and omega + s k
+# c_1(L), with moments mu and mu + s k q.
+BASES = (
+    (RingPresentation(("x", "y"), (2, 2), 4, {(1, 1): 1}), {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}),
+    (RingPresentation(("x", "y"), (3, 2), 6, {(2, 1): 1}),
+     {(0, 0): 1, (1, 0): Fraction(3, 2), (2, 0): 1, (0, 1): 1, (1, 1): Fraction(3, 2), (2, 1): 1}),
+)
+
+
+@st.composite
+def projective_bundles(draw):
+    ring, todd = draw(st.sampled_from(BASES))
+    x, y = ring.gen("x"), ring.gen("y")
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    # a fractional omega stabilizes, but its character need not be integral
+    u, v = (draw(st.fractions(-3, 3, max_denominator=3)) for _ in "uv")
+    q, k, s = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.sampled_from((1, -1)))
+    mu = draw(st.integers(-6, 6))
+    classes = {"chern0": x * a + y * b, "chern1": x * -a + y * -b, "omega0": x * u + y * v,
+               "omega1": x * (u + s * k * a) + y * (v + s * k * b)}
+    # random nilpotent classes in place of some: data that need not stabilize
+    for key in draw(st.sets(st.sampled_from(sorted(classes)), max_size=2)):
+        classes[key] = draw(ring_classes(ring, nilpotent=True))
+    todd = CohomologyClass(ring, todd)
+    return ProblemInstance(GroupKind.U1, [
+        FixedComponent("zero", ring, mu, [q], [classes["chern0"]], classes["omega0"], todd),
+        FixedComponent("infinity", ring, mu + s * k * q, [-q], [classes["chern1"]],
+                       classes["omega1"], todd),
+    ], "bundle")
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=projective_bundles())
+def test_columns_match_the_reference_on_drawn_bundles(p):
+    got = _assert_same_as_reference(p)
+    _assert_same_as_reference(p, 2 * automatic_degree_bound(p))
+    flipped = _assert_same_as_reference(reversed_action(p))
+    if isinstance(got, CharacterPolynomial):
+        assert flipped == {-m: c for m, c in got.coefficients.items()}
+
+
+def test_columns_name_the_same_non_integral_coefficient():
+    # points whose integral is 1/2: every coefficient of the halved character
+    # is a candidate, and the one named depends on the order of the components
+    half = RingPresentation((), (), 0, {(): Fraction(1, 2)})
+    for name in ("cp2-k", "so3-s2xs2", "cp1xcp1"):
+        comps = [
+            FixedComponent(f.name, half, f.moment, f.weights,
+                           [half.zero() for _ in f.weights], half.zero(), half.one())
+            for f in catalog(name).components
+        ]
+        for order in permutations(comps):
+            p = ProblemInstance(GroupKind.U1, order)
+            got = _assert_same_as_reference(p)
+            assert got[0] is StabilizationError and "not an integer" in got[1], name
