@@ -15,7 +15,6 @@ Exit status: 0 on PASS or NOT-ASSERTED, 1 on FAIL, 2 on input errors,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
@@ -100,6 +99,8 @@ def _add_common(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only the command line needs it; library users skip its import
+
     parser = argparse.ArgumentParser(
         prog="quantred",
         description="Exact residue check that the invariant section count "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -68,12 +68,9 @@ class InvalidInstanceError(ValueError):
         self.findings = list(findings)
 
 
-@dataclass(frozen=True)
-class Finding:
-    level: str  # "ERROR" | "WARN" | "INFO"
-    code: str
-    message: str
-    component: str | None = None
+class Finding(namedtuple("Finding", "level code message component", defaults=(None,))):
+    # level is "ERROR" | "WARN" | "INFO"; component is None for the instance
+    __slots__ = ()
 
     def __str__(self):
         where = f" [{self.component}]" if self.component else ""

@@ -26,7 +26,7 @@ coefficients, keeps its arithmetic but is no longer on the engine's path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -45,18 +45,16 @@ class ChartMismatch(ValueError):
     """Series from different charts (or presentations) were combined."""
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(namedtuple("Chart", "kind conductor exponent", defaults=(1, 0))):
     """Where, and in which local coordinate, a series is expanded.
 
     ``kind`` is one of ``"zero"``, ``"inf"``, ``"root"``.  For ``"root"``,
     the expansion point is zeta_conductor**exponent (exponent 0 means t = 1,
-    where all scalars stay rational).
+    where all scalars stay rational).  ``conductor`` defaults to 1 and
+    ``exponent`` to 0.
     """
 
-    kind: str
-    conductor: int = 1
-    exponent: int = 0
+    __slots__ = ()
 
     @classmethod
     def at_zero(cls) -> "Chart":

@@ -26,7 +26,7 @@ integers.  All ring work is the table; every residue is scalar work in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -40,14 +40,13 @@ class NonIntegerResultError(ArithmeticError):
     """An invariant count came out non-integral: inconsistent input data."""
 
 
-@dataclass(frozen=True)
-class WeylFactor:
+class WeylFactor(namedtuple("WeylFactor", "group")):
     """The density from the Weyl integration formula, as a Laurent
     polynomial in t: trivial for the circle, (2 - t - 1/t)/2 for SO(3),
     (2 - t^2 - 1/t^2)/2 for SU(2) (whose positive root is twice the weight
-    lattice generator)."""
+    lattice generator).  ``group`` is the GroupKind."""
 
-    group: GroupKind
+    __slots__ = ()
 
     @property
     def poly(self) -> dict[int, Fraction]:

@@ -12,8 +12,9 @@ off a single such table.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exactnum import Cyclotomic, rational_part
 from .fixedpoint import (
@@ -29,20 +30,17 @@ from .lefschetz import WeylFactor, component_form, invariant_from_residues
 from .oracle import character_polynomial, invariant_multiplicity
 
 
-@dataclass(frozen=True)
-class ReducedRR:
+class ReducedRR(namedtuple("ReducedRR", "main corrections residues_by_root total")):
     """Reduced-space count split into the smooth term and the corrections.
 
-    ``residues_by_root`` maps each wall root zeta_d**j (d > 1) of the
+    ``main`` is the smooth term and ``total`` the whole count, both
+    ``Fraction``s.  ``residues_by_root`` maps each wall root zeta_d**j (d > 1) of the
     positive-moment components, keyed (d, j), to the sum of their residues
     there, in Q(zeta_d) (rational for d = 2); ``corrections`` maps d to the
     trace of the sum at zeta_d, the rational sum over its Galois orbit.
     """
 
-    main: Fraction
-    corrections: dict[int, Fraction]
-    residues_by_root: dict[tuple[int, int], object]
-    total: Fraction
+    __slots__ = ()
 
 
 def reduced_rr(p: ProblemInstance) -> ReducedRR:
@@ -97,19 +95,21 @@ def kawasaki_corrections(p: ProblemInstance) -> dict[int, Fraction]:
 # the full verification report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ResidueRow:
-    component: str
-    entries: list  # [(pole label, exact scalar)]
-    total: Fraction  # zero by the global residue theorem
-    walls: dict  # (d, j) -> cell, over the component's wall_set
+class ResidueRow(namedtuple("ResidueRow", "component entries total walls")):
+    """One component's residues: ``entries`` lists (pole label, exact
+    scalar), ``total`` is their sum (zero by the global residue theorem) and
+    ``walls`` maps (d, j) to the cell, over the component's wall_set."""
+
+    __slots__ = ()
 
     def labels(self):
         return [label for label, _ in self.entries]
 
 
-@dataclass
-class Report:
+class Report(SimpleNamespace):
+    """The outcome of one verification, built by keyword with these
+    attributes."""
+
     instance_name: str
     group: str
     n_components: int
@@ -123,7 +123,7 @@ class Report:
     character: object | None
     residue_table: list
     verdict: str
-    timings: dict = field(default_factory=dict)
+    timings: dict
 
     @property
     def values_agree(self) -> bool:
