@@ -18,8 +18,7 @@ N = L X - L only moves weight to higher monomials, the columns are finished
 in index order: column k is L num_k plus the quotient by L of (N S)_k shifted
 by m, which must be exact (a remainder raises ``ArithmeticError``), followed
 by the running sum S_k[e] += S_k[e - m].  Fractions appear only for the input
-data and when the components' integrals are summed over one common
-denominator.
+data and when the components are summed over one common denominator.
 
 This module deliberately re-implements this small ring arithmetic instead of
 reusing the series/ring machinery: the point is to certify the residue
@@ -105,10 +104,13 @@ def _scaled_exp(cls, index, rows, sign=1):
     L = K! d^K and E = sum_k (K!/k!) d^(K-k) (sign A)^k.  Every
     L exp(j * cls), j an integer, is integral for this L, which is what
     makes the division in the recurrence exact."""
+    one = [1] + [0] * (len(index) - 1)
+    if not cls.coeffs:  # most normal directions of a point
+        return 1, one
     d, a = _integer_class(cls.coeffs, index)
     if sign < 0:
         a = [-x for x in a]
-    powers = [[1] + [0] * (len(a) - 1)]
+    powers = [one]
     while True:
         nxt = _mul(powers[-1], a, rows)
         if not any(nxt):
@@ -266,8 +268,7 @@ def character_polynomial(
                     for e in range(m, size):
                         col[e] += col[e - m]
                 series.append(col)
-        # integrate with the weights of the ring over their common
-        # denominator; the component's values are then over den * wden
+        # integrate with the ring's weights over their denominator wden
         wden, weights = _integer_class(f.ring.integrals, index)
         values = [0] * len(series[0])
         for col, w in zip(series, weights):
@@ -298,8 +299,7 @@ def character_polynomial(
             f"{Fraction(total[w_exp - lo], common)}, "
             "not an integer; inconsistent fixed-point data"
         )
-    return CharacterPolynomial(
-        {-lo - i: v // common for i, v in enumerate(total) if v})
+    return CharacterPolynomial({-lo - i: v // common for i, v in enumerate(total) if v})
 
 
 def invariant_multiplicity(c: CharacterPolynomial, group: GroupKind) -> int:

@@ -34,10 +34,11 @@ class ReducedRR(namedtuple("ReducedRR", "main corrections residues_by_root total
     """Reduced-space count split into the smooth term and the corrections.
 
     ``main`` is the smooth term and ``total`` the whole count, both
-    ``Fraction``s.  ``residues_by_root`` maps each wall root zeta_d**j (d > 1) of the
-    positive-moment components, keyed (d, j), to the sum of their residues
-    there, in Q(zeta_d) (rational for d = 2); ``corrections`` maps d to the
-    trace of the sum at zeta_d, the rational sum over its Galois orbit.
+    ``Fraction``s.  ``residues_by_root`` maps each wall root zeta_d**j
+    (d > 1) of the positive-moment components, keyed (d, j), to the sum of
+    their residues there, in Q(zeta_d) (rational for d = 2); ``corrections``
+    maps d to the trace of the sum at zeta_d, the rational sum over its
+    Galois orbit.
     """
 
     __slots__ = ()
