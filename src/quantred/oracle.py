@@ -30,9 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product as _cartesian
+from itertools import product as _cartesian
 from math import factorial, gcd, lcm
-from operator import add
 
 from .fixedpoint import (
     MAX_EXPANSION_WINDOW,
@@ -240,7 +239,7 @@ def character_polynomial(
                     for j, k in rows[i]:
                         nil[k].append((j, x))
             if b > 0:
-                num = series if scale == 1 else [[scale * x for x in col] for col in series]
+                num = [[scale * x for x in col] for col in series]
             else:
                 num = []
                 for col, terms in zip(series, nil):
@@ -262,18 +261,15 @@ def character_polynomial(
                         raise ArithmeticError(
                             f"inexact division by {scale} in the oracle recurrence")
                     col[m:] = [y + a // scale for y, a in zip(col[m:], acc)]
-                if m == 1:
-                    col = list(accumulate(col))
-                else:
-                    for e in range(m, size):
-                        col[e] += col[e - m]
+                for e in range(m, size):
+                    col[e] += col[e - m]
                 series.append(col)
         # integrate with the ring's weights over their denominator wden
         wden, weights = _integer_class(f.ring.integrals, index)
         values = [0] * len(series[0])
         for col, w in zip(series, weights):
             if w:
-                values = list(map(add, values, col if w == 1 else [w * x for x in col]))
+                values = [v + w * x for v, x in zip(values, col)]
         parts.append((den * wden, low, values))
     # sum the components over one common denominator; windows end by top
     common = lcm(*(d for d, _, _ in parts))
@@ -281,7 +277,7 @@ def character_polynomial(
     total = [0] * (top - lo + 1)
     for d, low, values in parts:
         s, i = common // d, low - lo
-        total[i:i + len(values)] = map(add, total[i:], values if s == 1 else [s * v for v in values])
+        total[i:i + len(values)] = [t + s * v for t, v in zip(total[i:], values)]
     bad = [e for e, v in enumerate(total[bound + 1 - lo:], bound + 1) if v]
     if bad:
         raise StabilizationError(
@@ -289,7 +285,7 @@ def character_polynomial(
             f"t^{[-e for e in bad]} beyond the bound {bound}; the "
             "data does not come from a compact manifold"
         )
-    odd = common > 1 and {lo + i for i, v in enumerate(total) if v % common}
+    odd = {lo + i for i, v in enumerate(total) if v % common}
     if odd:
         # name the first one met component by component, lowest exponent first
         w_exp = next(low + i for _, low, values in parts
