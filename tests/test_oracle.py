@@ -328,7 +328,8 @@ def test_columns_match_the_per_exponent_reference(name):
 # P(O + L) over a two-generator base, L = O(a, b): the zero and infinity
 # sections are the fixed components, with normal weights q and -q and normal
 # Chern classes +-c_1(L); the line bundle restricts to omega and omega + s k
-# c_1(L), with moments mu and mu + s k q.
+# c_1(L), with moments mu and mu + s k q.  Each base comes with its Todd
+# class: (1 + x)(1 + y) on P^1 x P^1, (1 + 3x/2 + x^2)(1 + y) on P^2 x P^1.
 BASES = (
     (RingPresentation(("x", "y"), (2, 2), 4, {(1, 1): 1}), {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}),
     (RingPresentation(("x", "y"), (3, 2), 6, {(2, 1): 1}),
