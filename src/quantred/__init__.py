@@ -52,7 +52,6 @@ from .laurent import (
     factor_series,
     form_residue,
     outer_expansion,
-    residue,
 )
 from .lefschetz import (
     NonIntegerResultError,
@@ -73,11 +72,9 @@ from .oracle import (
 from .reduction import (
     ReducedRR,
     Report,
-    kawasaki_corrections,
     reduced_rr,
     residue_table,
     root_label,
-    rr_reduced_main,
     verify_quantization,
 )
 

@@ -162,8 +162,9 @@ class ProblemInstance:
     @property
     def conductor(self) -> int:
         """lcm of 4 and every nonzero |weight|: one cyclotomic field holding
-        every wall root of unity, whose degree validation bounds.  The residue
-        engine does not use it: a cell at zeta_d**j lives in Q(zeta_d)."""
+        every wall root of unity, reported as ``instance.conductor``.  Neither
+        validation nor the residue engine uses it: validation bounds
+        phi(|beta|) per weight, and a cell at zeta_d**j lives in Q(zeta_d)."""
         return lcm(4, *(abs(b) for f in self.components for b in f.weights if b))
 
     def dimension(self) -> int:
@@ -340,7 +341,7 @@ def tensor_power(p: ProblemInstance, k: int) -> ProblemInstance:
 # rational literals: integers or ASCII strings like "-7/3".  No floats.
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_MONO_PART = re.compile(rf"^({_NAME})(?:\^(\d+))?$")
+_MONO_PART = re.compile(rf"({_NAME})(?:\^([0-9]+))?")
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
@@ -354,22 +355,27 @@ def _parse_rational(value, where):
                           "rational string like \"7/3\"")
     if isinstance(value, str):
         num, _, den = value.partition("/")
-        if _RATIONAL.fullmatch(value) and int(den or 1):
-            return Fraction(int(num), int(den or 1))
+        try:
+            if _RATIONAL.fullmatch(value) and int(den or 1):
+                return Fraction(int(num), int(den or 1))
+        except ValueError as exc:  # more digits than int() converts
+            raise SchemaError(f"{where}: bad rational literal: {exc}") from exc
         raise SchemaError(f"{where}: bad rational literal {value!r}")
     raise SchemaError(f"{where}: expected a rational literal, got {value!r}")
 
 
 def _parse_monomial(key, pres, where):
     expo = [0] * pres.rank
-    key = key.strip()
-    if key in ("1", ""):
+    if key == "1":
         return tuple(expo)
     for part in key.split("*"):
-        m = _MONO_PART.match(part.strip())
+        m = _MONO_PART.fullmatch(part)
         if not m:
             raise SchemaError(f"{where}: bad monomial {key!r}")
-        name, power = m.group(1), int(m.group(2) or 1)
+        try:
+            name, power = m.group(1), int(m.group(2) or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise SchemaError(f"{where}: bad monomial: {exc}") from exc
         try:
             i = pres.generators.index(name)
         except ValueError:
@@ -525,6 +531,8 @@ def load_instance(path) -> ProblemInstance:
                               f"column {exc.colno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            raise SchemaError(f"{path}: unreadable JSON: {exc}") from exc
     import os
 
     name = os.path.splitext(os.path.basename(str(path)))[0]

@@ -46,7 +46,7 @@ class ChartMismatch(ValueError):
 
 
 class Chart(namedtuple("Chart", "kind conductor exponent", defaults=(1, 0))):
-    """Where, and in which local coordinate, a series is expanded.
+    """A pole site, and the local coordinate a series is expanded in there.
 
     ``kind`` is one of ``"zero"``, ``"inf"``, ``"root"``.  For ``"root"``,
     the expansion point is zeta_conductor**exponent (exponent 0 means t = 1,
@@ -438,23 +438,3 @@ def form_residue(numerator, denominator, chart: Chart):
         return _ZERO
     product = _denominator_series(chart, tuple(sorted(denominator.items())), order)
     return _dot(_taylor_at_root(terms, scale, chart, order), product, order - 1)
-
-
-# ---------------------------------------------------------------------------
-# residues
-# ---------------------------------------------------------------------------
-
-def residue(series: RingSeries) -> CohomologyClass:
-    """Residue of (series) * dt/t at the chart's base point.
-
-    * root chart:  dt/t = du, so this is the u^{-1} coefficient;
-    * zero chart:  the t^0 coefficient;
-    * infinity:    dt/t = -dw/w, so minus the w^0 coefficient.
-    """
-    kind = series.chart.kind
-    if kind == "root":
-        return series.coefficient(-1)
-    if kind == "zero":
-        return series.coefficient(0)
-    return -series.coefficient(0)
-

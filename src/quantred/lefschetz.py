@@ -56,10 +56,6 @@ class WeylFactor(namedtuple("WeylFactor", "group")):
             return {0: Fraction(1), 1: Fraction(-1, 2), -1: Fraction(-1, 2)}
         return {0: Fraction(1), 2: Fraction(-1, 2), -2: Fraction(-1, 2)}
 
-    @classmethod
-    def for_group(cls, group: GroupKind) -> "WeylFactor":
-        return cls(group)
-
 
 # ---------------------------------------------------------------------------
 # one rational function per component
@@ -151,39 +147,16 @@ def _times(poly: dict, terms) -> dict:
     return out
 
 
-def _chart_for(at, conductor: int | None) -> Chart:
-    if at == "zero":
-        return Chart.at_zero()
-    if at in ("infinity", "inf"):
-        return Chart.at_infinity()
-    if isinstance(at, int):
-        if conductor is not None:
-            return Chart.at_root(conductor, at)
-        if at == 0:
-            return Chart.at_one()
-        raise ValueError(f"the root zeta^{at} needs a conductor")
-    raise ValueError(f"unknown pole location {at!r}")
-
-
-def residue_of_h(
-    f: FixedComponent,
-    at,
-    weyl: WeylFactor | None = None,
-    twist: int = 0,
-    conductor: int | None = None,
-):
-    """Exact residue of (weyl factor) * t**twist * h_F at a pole site.
-
-    ``at`` is "zero", "infinity", or an integer k meaning the root of unity
-    zeta_N**k (N the conductor, required unless k = 0, the point t = 1).
-    The returned scalar is rational at 0, 1 and infinity, and cyclotomic at
-    other roots of unity.
+def residue_of_h(f: FixedComponent, at: Chart, weyl: WeylFactor | None = None,
+                 twist: int = 0):
+    """Exact residue of (weyl factor) * t**twist * h_F at the pole site
+    ``at``.  The returned scalar is rational at 0, 1 and infinity, and
+    cyclotomic at other roots of unity.
     """
-    chart = _chart_for(at, conductor)
     poly = weyl.poly if weyl is not None else {0: Fraction(1)}
     if twist:
         poly = {r + twist: a for r, a in poly.items()}
-    return form_residue(*component_form(f, poly), chart)
+    return form_residue(*component_form(f, poly), at)
 
 
 def rr_invariant(p: ProblemInstance) -> Fraction:
@@ -193,9 +166,9 @@ def rr_invariant(p: ProblemInstance) -> Fraction:
     Always an integer for consistent data; a non-integer result raises.
     """
     require_valid(p)
-    weyl = WeylFactor.for_group(p.group)
+    weyl = WeylFactor(p.group)
     return invariant_from_residues(
-        [residue_of_h(f, "infinity", weyl) for f in p.components]
+        [residue_of_h(f, Chart.at_infinity(), weyl) for f in p.components]
     )
 
 
@@ -213,18 +186,12 @@ def invariant_from_residues(infinity_residues) -> Fraction:
     return total
 
 
-def character_from_chart(p: ProblemInstance, kind: str, top: int) -> dict[int, Fraction]:
-    """Coefficients of sum_F chi_F read from one chart's expansion of every
-    component's rational function, by the recurrence the residues use; used
-    to check that the 0-chart and the infinity-chart assemble the same
-    finite Laurent polynomial.  Returns {t-exponent: coefficient} for
-    |m| <= top."""
-    if kind == "zero":
-        chart = Chart.at_zero()
-    elif kind in ("inf", "infinity"):
-        chart = Chart.at_infinity()
-    else:
-        raise ValueError("chart kind must be 'zero' or 'infinity'")
+def character_from_chart(p: ProblemInstance, chart: Chart, top: int) -> dict[int, Fraction]:
+    """Coefficients of sum_F chi_F read from the expansion of every
+    component's rational function at zero or at infinity, by the recurrence
+    the residues use; used to check that the 0-chart and the infinity-chart
+    assemble the same finite Laurent polynomial.  Returns {t-exponent:
+    coefficient} for |m| <= top."""
     out: dict[int, Fraction] = {}
     sign = 1 if chart.kind == "zero" else -1
     for f in p.components:

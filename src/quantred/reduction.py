@@ -80,18 +80,6 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
     return ReducedRR(main, corrections, residues, total)
 
 
-def rr_reduced_main(p: ProblemInstance) -> Fraction:
-    """Sum over positive-moment components of the residue of Weyl * h_F at
-    t = 1 (the smooth term of the reduced count)."""
-    return reduced_rr(p).main
-
-
-def kawasaki_corrections(p: ProblemInstance) -> dict[int, Fraction]:
-    """Correction terms keyed by the order d > 1 of the primitive roots in
-    each Galois orbit, valued in the exact rational orbit sum."""
-    return reduced_rr(p).corrections
-
-
 # ---------------------------------------------------------------------------
 # the full verification report
 # ---------------------------------------------------------------------------
@@ -154,7 +142,7 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     Q(zeta_1) = Q(zeta_2) = Q, so those cells are rational.  A root off F's
     walls is no pole of F's form, so its cell is 0.
     """
-    weyl = WeylFactor.for_group(p.group).poly
+    weyl = WeylFactor(p.group).poly
     walls = [wall_set(f) for f in p.components]
     roots = sorted(set().union(*walls))
     labels = [root_label(d, j) for d, j in roots]

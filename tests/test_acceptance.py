@@ -10,18 +10,17 @@ from fractions import Fraction
 from math import gcd
 
 from quantred import (
+    Chart,
     WeylFactor,
     automatic_degree_bound,
     catalog,
     catalog_names,
     character_polynomial,
-    kawasaki_corrections,
     rational_part,
     reduced_rr,
     residue_of_h,
     residue_table,
     rr_invariant,
-    rr_reduced_main,
     tensor_power,
     validate,
     verify_quantization,
@@ -76,8 +75,8 @@ def test_criterion_03_window_vanishing():
         for f in p.components:
             for r in range(-2, 3):
                 if -f.n_plus < f.moment + r < f.n_minus:
-                    assert residue_of_h(f, "zero", twist=r) == 0, (name, f.name, r)
-                    assert residue_of_h(f, "infinity", twist=r) == 0, (name, f.name, r)
+                    assert residue_of_h(f, Chart.at_zero(), twist=r) == 0, (name, f.name, r)
+                    assert residue_of_h(f, Chart.at_infinity(), twist=r) == 0, (name, f.name, r)
                     checked += 1
     assert checked > 0
     _ok(3, f"{checked} in-window residues all exactly zero")
@@ -87,12 +86,12 @@ def test_criterion_04_global_residue_theorem():
     rows = 0
     for name in catalog_names():
         p = catalog(name)
-        weyl = WeylFactor.for_group(p.group)
+        weyl = WeylFactor(p.group)
         for f in p.components:
-            total = residue_of_h(f, "zero", weyl)
-            total = total + residue_of_h(f, "infinity", weyl)
+            total = residue_of_h(f, Chart.at_zero(), weyl)
+            total = total + residue_of_h(f, Chart.at_infinity(), weyl)
             for d, j in wall_set(f):
-                total = total + residue_of_h(f, j, weyl, conductor=d)
+                total = total + residue_of_h(f, Chart.at_root(d, j), weyl)
             assert rational_part(total) == 0, (name, f.name)
             rows += 1
     _ok(4, f"residues over 0, walls and infinity sum to zero for {rows} components")
@@ -116,8 +115,8 @@ def test_criterion_06_quasi_free_specialization():
             continue
         if any(f.level in ("ERROR", "WARN") for f in validate(p)):
             continue
-        assert kawasaki_corrections(p) == {}, name
-        assert rr_reduced_main(p) == rr_invariant(p), name
+        assert reduced_rr(p).corrections == {}, name
+        assert reduced_rr(p).main == rr_invariant(p), name
         count += 1
     assert count >= 4
     _ok(6, f"{count} quasi-free instances: no corrections, two-term identity")
@@ -148,7 +147,7 @@ def test_criterion_08_galois_rationality():
                 for d in sorted({d for d, _ in wall_set(f)} - {1}):
                     for j in (j for j in range(1, d) if gcd(j, d) == 1):
                         orbit_sums[d] = orbit_sums.get(d, 0) + cells[f"zeta_{d}^{j}"]
-            corr = kawasaki_corrections(p)
+            corr = reduced_rr(p).corrections
             assert corr == {d: rational_part(v) for d, v in orbit_sums.items()}, p.name
             orbits += len(corr)
             for value in corr.values():

@@ -12,6 +12,7 @@ from quantred import (
     root_label,
 )
 from quantred.cli import main
+from quantred.cohomology import MAX_RING_MONOMIALS
 
 
 def run(capsys, *argv):
@@ -121,6 +122,47 @@ def test_malformed_json_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "UTF-8" in err
+
+
+def test_oversized_json_exit_two(capsys, tmp_path):
+    # nesting past the recursion limit and numbers past int()'s digit limit
+    # make a malformed document, not a FAIL or a computation error
+    doc = instance_to_dict(catalog("cp1-k", 2))
+    doc["components"][0]["moment"] = 123456789
+    texts = {
+        "deep": "[" * 200000 + "]" * 200000,
+        "long_moment": json.dumps(doc).replace("123456789", "7" * 5000),
+        "long_rational": json.dumps(dict(doc, components=[
+            dict(doc["components"][0], moment=1, omega={"1": "7" * 5000}),
+            doc["components"][1]])),
+    }
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, ""), name
+        assert err.startswith("input error:"), name
+
+
+def test_ring_size_limit_exit_two(capsys, tmp_path):
+    def document(generators):
+        ring = {"generators": generators, "top_degree": 2, "integrals": {"x": "1"}}
+        doc = {"group": "U1", "components": [
+            {"name": "north", "moment": 1, "weights": [1], "ring": ring},
+            {"name": "south", "moment": -1, "weights": [-1], "ring": ring},
+        ]}
+        path = tmp_path / f"ring{len(generators)}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    code, out, _ = run(capsys, "verify", document([["x", MAX_RING_MONOMIALS]]))
+    assert code == 0 and "verdict    : PASS" in out
+    # 5 * 13 monomials: the limit counts the product of the orders
+    above = document([["x", 5], ["y", 13]])
+    for command in ("verify", "character", "residues"):
+        code, out, err = run(capsys, command, above)
+        assert (code, out) == (2, ""), command
+        assert "65 monomials, above the limit of 64" in err, command
 
 
 def test_dimension_mismatch_exit_two(capsys, tmp_path):

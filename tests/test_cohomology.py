@@ -202,7 +202,7 @@ def test_inverse_of_nilpotent_constant_raises():
 
 # -- the class kernel against a naive reference ---------------------------------
 # The reference adds exponent vectors and drops any that reach a nilpotency
-# order, one pair of terms at a time, with no cache.
+# order, one pair of terms at a time.
 
 def _ref_clean(coeffs):
     return {e: v for e, v in coeffs.items() if v}
@@ -315,7 +315,7 @@ def test_equal_presentations_survive_the_product_cache():
     other = (1 + u + v) * (1 + u + v) * (2 + u * v)
     assert square == other and hash(square) == hash(other)
     assert (square - other).is_zero()
-    # equal orders share the product cache, but not equality
+    # equal orders alone do not make presentations equal
     r = RingPresentation(("x", "y"), (3, 2), 6, {(2, 1): 2})
     assert r != p
     with pytest.raises(PresentationMismatch):

@@ -415,6 +415,19 @@ def test_rational_literal_grammar():
         assert instance_from_dict(doc).components[0].ring.integrals == {(): value}
 
 
+def test_bad_monomial_key():
+    # a key is "1" or generator names joined by "*", each with an optional
+    # "^" and ASCII digits: no spaces, no other digits, no empty key
+    doc = instance_to_dict(catalog("cp2-line"))
+    for key in ("x^\u0661", " x ", "x * x", "", "x\n", "x^", "*x", "x^" + "9" * 5000):
+        doc["components"][0]["omega"] = {key: "1"}
+        with pytest.raises(SchemaError, match="(?s)omega.*bad monomial"):
+            instance_from_dict(doc)
+    # x*x = x^2 is zero in Q[x]/x^2
+    doc["components"][0]["omega"] = {"x*x": "1", "x^01": "2"}
+    assert instance_from_dict(doc).components[0].omega.coeffs == {(1,): 2}
+
+
 def test_unknown_generator_diagnostic():
     doc = instance_to_dict(catalog("cp1xcp1"))
     doc["components"][0]["omega"] = {"q": "1"}

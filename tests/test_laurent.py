@@ -17,7 +17,6 @@ from quantred import (
     factor_series,
     form_residue,
     outer_expansion,
-    residue,
     root_of_unity,
 )
 from quantred.laurent import truncated_product
@@ -158,29 +157,13 @@ def test_zero_weight_rejected():
         component_form(point_with_weight(0, POINT.zero()))
 
 
-# -- residue extraction --------------------------------------------------------
+# -- windows -------------------------------------------------------------------
 
-def test_residue_simple_pole_in_u():
-    s = scalar_series(Chart.at_one(), -1, [1, 3, 1])
-    assert residue(s) == POINT.constant(1)
-
-
-def test_residue_of_regular_series_is_zero():
-    s = scalar_series(Chart.at_one(), 0, [5, 7])
-    assert residue(s).is_zero()
-
-
-def test_residue_at_infinity_orientation():
-    # f(t) = t^-1 + 1 + t; in w = 1/t the w^0 coefficient is 1 and
-    # res_inf f dt/t = -1
-    s = scalar_series(Chart.at_infinity(), -1, [1, 1, 1])  # w^-1 + 1 + w
-    assert residue(s) == POINT.constant(-1)
-
-
-def test_residue_needs_enough_truncation():
+def test_coefficient_beyond_the_window_raises():
     s = scalar_series(Chart.at_one(), -3, [1])  # only u^-3 known
+    assert s.coefficient(-4).is_zero()
     with pytest.raises(TruncationError):
-        residue(s)
+        s.coefficient(-2)
 
 
 # -- products -------------------------------------------------------------------

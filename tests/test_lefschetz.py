@@ -53,8 +53,8 @@ def point_component(name, moment, weights):
 def test_calibration_cp1_degree2():
     p = catalog("cp1-k", 2)
     expected = {-1: Fraction(1), 0: Fraction(1), 1: Fraction(1)}
-    assert character_from_chart(p, "infinity", 5) == expected
-    assert character_from_chart(p, "zero", 5) == expected
+    assert character_from_chart(p, Chart.at_infinity(), 5) == expected
+    assert character_from_chart(p, Chart.at_zero(), 5) == expected
     assert rr_invariant(p) == 1
 
 
@@ -65,9 +65,10 @@ def test_calibration_cp1_degree2():
 def test_cp1_per_component_residues_at_infinity():
     p = catalog("cp1-k", 2)
     north, south = p.components
-    assert residue_of_h(north, "infinity") == -1
-    assert residue_of_h(south, "infinity") == 0
-    total = -(residue_of_h(north, "infinity") + residue_of_h(south, "infinity"))
+    at = Chart.at_infinity()
+    assert residue_of_h(north, at) == -1
+    assert residue_of_h(south, at) == 0
+    total = -(residue_of_h(north, at) + residue_of_h(south, at))
     assert total == 1  # dim of the invariant part
 
 
@@ -75,26 +76,21 @@ def test_simple_pole_at_one_for_positive_moment():
     # h = t^mu dt / (t - 1) has residue exactly 1 at t = 1, any mu >= 0
     for mu in (1, 2, 5):
         f = point_component("f", mu, [1])
-        assert residue_of_h(f, 0) == 1
-        assert residue_of_h(f, "zero") == 0
-        assert residue_of_h(f, "infinity") == -1
+        assert residue_of_h(f, Chart.at_one()) == 1
+        assert residue_of_h(f, Chart.at_zero()) == 0
+        assert residue_of_h(f, Chart.at_infinity()) == -1
+    # a double weight halves it; t = 1 is also zeta_4^0
+    f = point_component("f", 1, [2])
+    assert residue_of_h(f, Chart.at_one()) == residue_of_h(f, Chart.at_root(4, 0)) == Fraction(1, 2)
 
 
 def test_three_chart_sum_negative_moment():
     f = point_component("f", -2, [1])
-    r0 = residue_of_h(f, "zero")
-    r1 = residue_of_h(f, 0)
-    rinf = residue_of_h(f, "infinity")
+    r0 = residue_of_h(f, Chart.at_zero())
+    r1 = residue_of_h(f, Chart.at_one())
+    rinf = residue_of_h(f, Chart.at_infinity())
     assert (r0, r1, rinf) == (-1, 1, 0)
     assert r0 + r1 + rinf == 0
-
-
-def test_nontrivial_root_needs_a_conductor():
-    # the instance's conductor is the one wall-field rule; t = 1 needs none
-    f = point_component("f", 1, [2])
-    with pytest.raises(ValueError, match="conductor"):
-        residue_of_h(f, 2)
-    assert residue_of_h(f, 0) == residue_of_h(f, 0, conductor=4) == Fraction(1, 2)
 
 
 def test_residue_sum_over_all_poles_is_zero_per_component():
@@ -102,12 +98,12 @@ def test_residue_sum_over_all_poles_is_zero_per_component():
     # with the group's Weyl factor included
     for name in catalog_names():
         p = catalog(name)
-        weyl = WeylFactor.for_group(p.group)
+        weyl = WeylFactor(p.group)
         for f in p.components:
-            total = residue_of_h(f, "zero", weyl)
-            total = total + residue_of_h(f, "infinity", weyl)
+            total = residue_of_h(f, Chart.at_zero(), weyl)
+            total = total + residue_of_h(f, Chart.at_infinity(), weyl)
             for d, j in wall_set(f):
-                total = total + residue_of_h(f, j, weyl, conductor=d)
+                total = total + residue_of_h(f, Chart.at_root(d, j), weyl)
             assert rational_part(total) == 0, (name, f.name)
 
 
@@ -122,8 +118,8 @@ def test_window_vanishing_on_catalog():
         for f in p.components:
             for r in range(-2, 3):
                 if -f.n_plus < f.moment + r < f.n_minus:
-                    assert residue_of_h(f, "zero", twist=r) == 0, (name, f.name, r)
-                    assert residue_of_h(f, "infinity", twist=r) == 0, (name, f.name, r)
+                    assert residue_of_h(f, Chart.at_zero(), twist=r) == 0, (name, f.name, r)
+                    assert residue_of_h(f, Chart.at_infinity(), twist=r) == 0, (name, f.name, r)
                     checked += 1
     assert checked >= 4  # the window is nonempty on several catalog entries
 
@@ -131,7 +127,7 @@ def test_window_vanishing_on_catalog():
 def test_window_edges_can_be_nonzero():
     # just outside the window the residues are allowed to be (and are) nonzero
     f = point_component("f", 1, [1])  # window (-1, 0) is empty
-    assert residue_of_h(f, "infinity", twist=-1) == -1  # mu + r = 0 = n_minus
+    assert residue_of_h(f, Chart.at_infinity(), twist=-1) == -1  # mu + r = 0 = n_minus
 
 
 def test_poles_only_on_wall_sets():
@@ -144,7 +140,7 @@ def test_poles_only_on_wall_sets():
         for k in range(n):
             d = root_order(n, k)
             if (d, k * d // n) not in walls:
-                value = residue_of_h(f, k, WeylFactor.for_group(p.group), conductor=n)
+                value = residue_of_h(f, Chart.at_root(n, k), WeylFactor(p.group))
                 assert value == 0, (f.name, k)
 
 
@@ -233,8 +229,8 @@ def test_charts_assemble_the_same_polynomial():
 
     for name, p in cases:
         top = automatic_degree_bound(p)
-        from_inf = character_from_chart(p, "infinity", top)
-        from_zero = character_from_chart(p, "zero", top)
+        from_inf = character_from_chart(p, Chart.at_infinity(), top)
+        from_zero = character_from_chart(p, Chart.at_zero(), top)
         assert from_inf == from_zero, name
         oracle = {m: Fraction(c) for m, c in character_polynomial(p).coefficients.items()}
         assert from_inf == oracle, name
@@ -248,7 +244,7 @@ def test_infinity_tail_vanishes_beyond_bound():
 
     p = catalog("cp2-k", 2)
     top = automatic_degree_bound(p) + 6
-    coeffs = character_from_chart(p, "infinity", top)
+    coeffs = character_from_chart(p, Chart.at_infinity(), top)
     for m, v in coeffs.items():
         assert abs(m) <= automatic_degree_bound(p) or v == 0
 
@@ -256,18 +252,18 @@ def test_infinity_tail_vanishes_beyond_bound():
 # -- Weyl factors ----------------------------------------------------------------------
 
 def test_weyl_polynomials():
-    assert WeylFactor.for_group(GroupKind.U1).poly == {0: Fraction(1)}
-    assert WeylFactor.for_group(GroupKind.SO3).poly == {
+    assert WeylFactor(GroupKind.U1).poly == {0: Fraction(1)}
+    assert WeylFactor(GroupKind.SO3).poly == {
         0: Fraction(1), 1: Fraction(-1, 2), -1: Fraction(-1, 2)
     }
-    assert WeylFactor.for_group(GroupKind.SU2).poly == {
+    assert WeylFactor(GroupKind.SU2).poly == {
         0: Fraction(1), 2: Fraction(-1, 2), -2: Fraction(-1, 2)
     }
 
 
 def test_weyl_factor_nonnegative_on_circle():
     for group in (GroupKind.SO3, GroupKind.SU2):
-        poly = WeylFactor.for_group(group).poly
+        poly = WeylFactor(group).poly
         for j in range(16):
             t = cmath.exp(2j * cmath.pi * j / 16)
             value = sum(complex(a) * t**r for r, a in poly.items())
@@ -329,7 +325,7 @@ def test_integer_numerator_matches_the_fraction_formula():
     # by D they are the Fraction coefficients of the formula, on every
     # catalog entry and golden instance, with and without the Weyl factor
     for p in _every_instance():
-        weyl = WeylFactor.for_group(p.group).poly
+        weyl = WeylFactor(p.group).poly
         for f in p.components:
             for multiplier in (None, weyl):
                 (terms, scale), denominator = component_form(f, multiplier)
@@ -347,7 +343,7 @@ def test_expansions_agree_on_integer_and_fraction_numerators():
     # also taken 3 times too large, which no component_form returns, so that
     # the division by D is seen at every pole order
     for p in _every_instance():
-        weyl = WeylFactor.for_group(p.group).poly
+        weyl = WeylFactor(p.group).poly
         for f in p.components:
             (terms, scale), denominator = component_form(f, weyl)
             charts = [Chart.at_zero(), Chart.at_infinity(), Chart.at_one()]

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantred import (
+    Chart,
     FixedComponent,
     GroupKind,
     ProblemInstance,
@@ -82,7 +83,8 @@ def test_sphere_family_two_chart_agreement(p):
     from quantred import automatic_degree_bound
 
     top = automatic_degree_bound(p)
-    assert character_from_chart(p, "zero", top) == character_from_chart(p, "infinity", top)
+    from_zero = character_from_chart(p, Chart.at_zero(), top)
+    assert from_zero == character_from_chart(p, Chart.at_infinity(), top)
 
 
 # -- family 2: circle actions on the projective plane -----------------------------
@@ -210,11 +212,11 @@ def arbitrary_components(draw):
     twist=st.integers(min_value=-2, max_value=2),
 )
 def test_residue_theorem_for_arbitrary_components(f, group, twist):
-    weyl = WeylFactor.for_group(group)
-    total = residue_of_h(f, "zero", weyl, twist=twist)
-    total = total + residue_of_h(f, "infinity", weyl, twist=twist)
+    weyl = WeylFactor(group)
+    total = residue_of_h(f, Chart.at_zero(), weyl, twist=twist)
+    total = total + residue_of_h(f, Chart.at_infinity(), weyl, twist=twist)
     for d, j in wall_set(f):
-        total = total + residue_of_h(f, j, weyl, twist=twist, conductor=d)
+        total = total + residue_of_h(f, Chart.at_root(d, j), weyl, twist=twist)
     assert rational_part(total) == 0
 
 
@@ -246,5 +248,5 @@ def windowed_cases(draw):
 def test_window_vanishing_for_arbitrary_components(case):
     f, twist = case
     assert -f.n_plus < f.moment + twist < f.n_minus
-    assert residue_of_h(f, "zero", twist=twist) == 0
-    assert residue_of_h(f, "infinity", twist=twist) == 0
+    assert residue_of_h(f, Chart.at_zero(), twist=twist) == 0
+    assert residue_of_h(f, Chart.at_infinity(), twist=twist) == 0

@@ -14,7 +14,6 @@ from quantred import (
     WeylFactor,
     catalog,
     catalog_names,
-    kawasaki_corrections,
     load_instance,
     rational_part,
     reduced_rr,
@@ -23,7 +22,6 @@ from quantred import (
     root_label,
     root_of_unity,
     rr_invariant,
-    rr_reduced_main,
     tensor_power,
     verify_quantization,
     wall_set,
@@ -45,7 +43,7 @@ def point_component(name, moment, weights):
 # -- main term -------------------------------------------------------------------
 
 def test_main_term_cp1():
-    assert rr_reduced_main(catalog("cp1-k", 2)) == 1
+    assert reduced_rr(catalog("cp1-k", 2)).main == 1
 
 
 def test_main_term_empty_positive_side():
@@ -53,32 +51,32 @@ def test_main_term_empty_positive_side():
         GroupKind.U1,
         [point_component("a", -1, [1]), point_component("b", -2, [-1])],
     )
-    assert rr_reduced_main(p) == 0
+    assert reduced_rr(p).main == 0
 
 
 def test_main_term_is_fractional_on_orbifold_reductions():
     # the smooth-case formula alone gives a non-integer on non-quasi-free data
-    assert rr_reduced_main(catalog("cp1-double")) == Fraction(1, 2)
-    assert rr_reduced_main(catalog("cp1-triple")) == Fraction(1, 3)
-    assert rr_reduced_main(catalog("cp2-k", 4)) == Fraction(17, 12)
-    assert rr_reduced_main(catalog("cp2-line-double")) == Fraction(3, 4)
+    assert reduced_rr(catalog("cp1-double")).main == Fraction(1, 2)
+    assert reduced_rr(catalog("cp1-triple")).main == Fraction(1, 3)
+    assert reduced_rr(catalog("cp2-k", 4)).main == Fraction(17, 12)
+    assert reduced_rr(catalog("cp2-line-double")).main == Fraction(3, 4)
 
 
 def test_main_term_requires_validity():
     p = ProblemInstance(GroupKind.U1, [point_component("f", 0, [1])])
     with pytest.raises(InvalidInstanceError):
-        rr_reduced_main(p)
+        reduced_rr(p)
 
 
 # -- corrections ------------------------------------------------------------------
 
 def test_quasi_free_entries_have_no_corrections():
     for name in ("cp1-k", "cp1xcp1", "cp2-line", "so3-coadjoint", "so3-s2xs2"):
-        assert kawasaki_corrections(catalog(name)) == {}, name
+        assert reduced_rr(catalog(name)).corrections == {}, name
 
 
 def test_cp1_double_correction():
-    corr = kawasaki_corrections(catalog("cp1-double"))
+    corr = reduced_rr(catalog("cp1-double")).corrections
     assert corr == {2: Fraction(-1, 2)}
 
 
@@ -93,30 +91,30 @@ def test_cp1_triple_galois_orbit():
     # ... individually irrational, with rational orbit sum, the trace
     assert isinstance(residues[3, 1], Cyclotomic) and not residues[3, 1].is_rational()
     assert residues[3, 1] + residues[3, 2] == residues[3, 1].trace() == Fraction(-1, 3)
-    assert kawasaki_corrections(p) == {3: Fraction(-1, 3)}
+    assert reduced_rr(p).corrections == {3: Fraction(-1, 3)}
 
 
 def test_corrections_ignore_negative_moment_components():
     p = catalog("cp1-double")
-    weyl = WeylFactor.for_group(p.group)
+    weyl = WeylFactor(p.group)
     north = p.component("north")
     # the correction equals the north residue alone: south sits at negative
     # moment and is filtered out even though -1 lies on its wall set
     correction = reduced_rr(p).residues_by_root[2, 1]
-    assert correction == residue_of_h(north, 1, weyl, conductor=2)
-    assert correction == residue_of_h(north, 2, weyl, conductor=4)
+    assert correction == residue_of_h(north, Chart.at_root(2, 1), weyl)
+    assert correction == residue_of_h(north, Chart.at_root(4, 2), weyl)
     south = p.component("south")
-    assert residue_of_h(south, 1, weyl, conductor=2) != 0
+    assert residue_of_h(south, Chart.at_root(2, 1), weyl) != 0
 
 
 def test_cp2_default_corrections():
-    assert kawasaki_corrections(catalog("cp2-k", 4)) == {
+    assert reduced_rr(catalog("cp2-k", 4)).corrections == {
         2: Fraction(1, 4), 3: Fraction(1, 3)
     }
 
 
 def test_nilpotent_kawasaki_term():
-    corr = kawasaki_corrections(catalog("cp2-line-double"))
+    corr = reduced_rr(catalog("cp2-line-double")).corrections
     assert corr == {2: Fraction(-3, 4)}
 
 
@@ -126,7 +124,7 @@ def test_orbit_sums_are_rational_everywhere():
     for name in catalog_names():
         p = catalog(name)
         for q in (p, tensor_power(p, 3)):
-            assert all(type(v) is Fraction for v in kawasaki_corrections(q).values())
+            assert all(type(v) is Fraction for v in reduced_rr(q).corrections.values())
 
 
 # -- the identity -----------------------------------------------------------------
@@ -145,7 +143,7 @@ def test_quasi_free_two_term_identity():
     # with all weights +-1 the main term alone equals the invariant count
     for name in ("cp1-k", "cp1xcp1", "cp2-line", "so3-s2xs2"):
         p = catalog(name)
-        assert rr_reduced_main(p) == rr_invariant(p), name
+        assert reduced_rr(p).main == rr_invariant(p), name
 
 
 def test_correction_is_necessary_on_cp1_double():
@@ -275,7 +273,7 @@ def test_wall_cells_equal_direct_residues():
     checked = 0
     for p in instances:
         n = p.conductor
-        weyl = WeylFactor.for_group(p.group)
+        weyl = WeylFactor(p.group)
         orbit_sums = {}
         for f, row in zip(p.components, residue_table(p)):
             assert tuple(row.walls) == wall_set(f), (p.name, f.name)
@@ -284,7 +282,7 @@ def test_wall_cells_equal_direct_residues():
                 if d == 1:
                     continue
                 assert cells[root_label(d, j)] is value
-                direct = residue_of_h(f, j * n // d, weyl, conductor=n)
+                direct = residue_of_h(f, Chart.at_root(n, j * n // d), weyl)
                 if d > 2:
                     assert value.conductor == d, (p.name, f.name, d, j)
                     value = value.promoted(n)
@@ -293,7 +291,7 @@ def test_wall_cells_equal_direct_residues():
                 if f.moment > 0:
                     orbit_sums[d] = orbit_sums.get(d, Fraction(0)) + direct
         expected = {d: rational_part(v) for d, v in sorted(orbit_sums.items())}
-        assert kawasaki_corrections(p) == expected, p.name
+        assert reduced_rr(p).corrections == expected, p.name
     assert checked == 96  # wall cells over these instances; none skipped
 
 
