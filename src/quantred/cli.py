@@ -64,7 +64,7 @@ def scalar_json(x):
         }
     if isinstance(x, Cyclotomic):
         x = x.rational_part()
-    return str(Fraction(x))
+    return str(x)  # an int or a Fraction
 
 
 def _add_common(sub):
@@ -179,7 +179,7 @@ def report_to_json(report: Report) -> dict:
             },
             "total": scalar_json(reduced.total),
         },
-        "oracle": scalar_json(Fraction(report.oracle)),
+        "oracle": scalar_json(report.oracle),
         "character": {str(m): c for m, c in sorted(report.character.coefficients.items())},
         "residues": [_row_json(row) for row in report.residue_table],
         "verdict": report.verdict,

@@ -9,18 +9,25 @@ has degree ``2*sum(e)``.
 
 A point is the empty presentation: no generators, top degree 0, and the
 empty monomial integrating to 1.
+
+Every scalar here is rational and kept on integers, in the layout of the
+cyclotomic numbers of :mod:`quantred.exactnum`.  A :class:`CohomologyClass`
+stores integer numerators per monomial (``num``, a dict {exponent tuple:
+nonzero int}) over one positive denominator (``den``), in lowest terms:
+gcd(den, *num) = 1, so zero is ``{}`` over 1.  A presentation stores its
+integral table as integer weights (``integral_num``) over one positive
+denominator (``integral_den``).  The ring operations work on the integers
+and pay one gcd per result, and ``integrate`` divides once.  ``Fraction``s
+appear only at the input (the constructors take ``int`` and ``Fraction``
+coefficients) and in the read-only ``coeffs`` and ``integrals`` views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from operator import add, ge
-
-from .exactnum import Cyclotomic
-
-_SCALARS = (int, Fraction, Cyclotomic)
 
 # The largest number of monomials prod m_g a ring may have.  Ring work grows
 # with a power of it: measured on one core, verify on two points over
@@ -37,31 +44,94 @@ class PresentationMismatch(ValueError):
     """Two classes from different presentations were combined."""
 
 
-def _as_scalar(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, Cyclotomic)):
+def _rational(x):
+    if isinstance(x, (int, Fraction)):
         return x
-    raise TypeError(f"not an exact scalar: {x!r}")
+    raise TypeError(f"not a rational scalar: {x!r}")
 
 
-def _class(presentation, coeffs: dict) -> "CohomologyClass":
-    # wrap a dict the ring operations built, {exponent tuple: nonzero
-    # scalar}, without converting or cleaning it again
-    out = object.__new__(CohomologyClass)
-    object.__setattr__(out, "presentation", presentation)
-    object.__setattr__(out, "coeffs", coeffs)
+def _integers(values: dict) -> tuple[dict, int]:
+    # {key: int or Fraction} as ({key: int}, D), D the lcm of the
+    # denominators: in lowest terms whenever the values are
+    den = lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+
+
+def _product(orders, a: dict, b: dict) -> dict:
+    # the product of two numerator maps, truncated by nilpotency, without the
+    # sums that cancel
+    right = b.items()
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in right:
+            e = tuple(map(add, e1, e2))
+            if any(map(ge, e, orders)):
+                continue  # nilpotent truncation
+            total = out.get(e)
+            out[e] = v1 * v2 if total is None else total + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def _powers(pres, a: dict) -> list:
+    # A^0, A^1, .., A^K for a nilpotent numerator map A: every power that
+    # is not zero
+    powers = [{pres._unit: 1}]
+    power = a
+    while power:
+        powers.append(power)
+        power = _product(pres.orders, power, a)
+    return powers
+
+
+def _combined(terms) -> dict:
+    # sum of c * power over the pairs (c, power)
+    out = {}
+    for c, power in terms:
+        for e, v in power.items():
+            out[e] = out.get(e, 0) + c * v
     return out
 
 
 class RingPresentation:
-    """Shared, immutable description of one component's cohomology ring."""
+    """Shared, immutable description of one component's cohomology ring.
 
-    __slots__ = ("generators", "orders", "top_degree", "_integrals", "_unit")
+    ``integral_num`` holds the integral table as sorted (exponent tuple,
+    int) pairs over the positive denominator ``integral_den``, in lowest
+    terms; ``integrals`` gives it as {exponent tuple: Fraction}."""
+
+    __slots__ = ("generators", "orders", "top_degree", "integral_num", "integral_den",
+                 "_unit")
 
     def __init__(self, generators, orders, top_degree, integrals):
         generators = tuple(generators)
         orders = tuple(int(m) for m in orders)
+        self.check_shape(generators, orders, top_degree)
+        table = {}
+        for expo, value in dict(integrals).items():
+            expo = tuple(int(e) for e in expo)
+            if len(expo) != len(generators):
+                raise ValueError(f"exponent vector {expo} has wrong length")
+            if any(e < 0 or e >= m for e, m in zip(expo, orders)):
+                raise ValueError(f"exponent vector {expo} exceeds nilpotency")
+            if 2 * sum(expo) != top_degree:
+                raise ValueError(
+                    f"integral entry {expo} is not of top degree {top_degree}"
+                )
+            table[expo] = _rational(value)
+        num, den = _integers(table)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "top_degree", int(top_degree))
+        object.__setattr__(self, "integral_num", tuple(sorted(num.items())))
+        object.__setattr__(self, "integral_den", den)
+        # the exponent of the monomial 1; not part of equality or hashing
+        object.__setattr__(self, "_unit", (0,) * len(generators))
+
+    @staticmethod
+    def check_shape(generators: tuple, orders: tuple, top_degree) -> None:
+        """Raise ValueError unless the generators, their nilpotency orders
+        and the top degree describe a ring: the checks the constructor makes
+        before it reads the integral table."""
         if len(generators) != len(orders):
             raise ValueError("one nilpotency order per generator")
         if len(set(generators)) != len(generators):
@@ -75,26 +145,6 @@ class RingPresentation:
             )
         if top_degree < 0 or top_degree % 2:
             raise ValueError("top_degree must be a nonnegative even integer")
-        table = {}
-        for expo, value in dict(integrals).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != len(generators):
-                raise ValueError(f"exponent vector {expo} has wrong length")
-            if any(e < 0 or e >= m for e, m in zip(expo, orders)):
-                raise ValueError(f"exponent vector {expo} exceeds nilpotency")
-            if 2 * sum(expo) != top_degree:
-                raise ValueError(
-                    f"integral entry {expo} is not of top degree {top_degree}"
-                )
-            table[expo] = Fraction(value)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "top_degree", int(top_degree))
-        object.__setattr__(
-            self, "_integrals", tuple(sorted(table.items()))
-        )
-        # the exponent of the monomial 1; not part of equality or hashing
-        object.__setattr__(self, "_unit", (0,) * len(generators))
 
     def __setattr__(self, *args):
         raise AttributeError("presentations are immutable")
@@ -110,7 +160,8 @@ class RingPresentation:
 
     @property
     def integrals(self):
-        return dict(self._integrals)
+        den = self.integral_den
+        return {e: Fraction(w, den) for e, w in self.integral_num}
 
     @property
     def rank(self) -> int:
@@ -125,14 +176,15 @@ class RingPresentation:
         return _cartesian(*(range(m) for m in self.orders))
 
     def zero(self) -> "CohomologyClass":
-        return _class(self, {})
+        return _class(self, {}, 1)
 
     def one(self) -> "CohomologyClass":
-        return _class(self, {self._unit: Fraction(1)})
+        return _class(self, {self._unit: 1}, 1)
 
     def constant(self, scalar) -> "CohomologyClass":
-        scalar = _as_scalar(scalar)
-        return _class(self, {self._unit: scalar} if scalar else {})
+        scalar = _rational(scalar)
+        return _class(self, {self._unit: scalar.numerator} if scalar else {},
+                      scalar.denominator)
 
     def gen(self, name: str) -> "CohomologyClass":
         i = self.generators.index(name)
@@ -145,11 +197,13 @@ class RingPresentation:
             and self.generators == other.generators
             and self.orders == other.orders
             and self.top_degree == other.top_degree
-            and self._integrals == other._integrals
+            and self.integral_den == other.integral_den
+            and self.integral_num == other.integral_num
         )
 
     def __hash__(self):
-        return hash((self.generators, self.orders, self.top_degree, self._integrals))
+        return hash((self.generators, self.orders, self.top_degree, self.integral_num,
+                     self.integral_den))
 
     def __repr__(self):
         if not self.generators:
@@ -161,30 +215,51 @@ class RingPresentation:
 
 
 class CohomologyClass:
-    """An element of a presentation's ring: sparse map monomial -> scalar.
+    """An element of a presentation's ring: sum_e num[e] x^e / den.
 
-    ``coeffs`` holds nonzero scalars only, under exponent tuples below the
-    nilpotency orders.  The constructor cleans outside input, dropping the
-    monomials that are zero in the ring; the ring operations drop zero sums
-    as they appear and wrap their results without a second pass."""
+    ``num`` maps exponent tuples below the nilpotency orders to nonzero
+    integers, and ``den`` is a positive integer with gcd(den, *num) = 1
+    (zero is ``{}`` over 1).  The form is unique, so equal classes have
+    equal integers.  ``coeffs`` gives the coefficients as ``Fraction``s.
+    The constructor takes ``int`` and ``Fraction`` coefficients and drops
+    the monomials that are zero in the ring; :meth:`from_integers` takes
+    integer numerators over a denominator.  Instances are immutable."""
 
-    __slots__ = ("presentation", "coeffs")
+    __slots__ = ("presentation", "num", "den")
 
     def __init__(self, presentation, coeffs):
         orders = presentation.orders
-        clean = {}
+        values = {}
         for expo, value in coeffs.items():
             expo = tuple(expo)
-            if any(e >= m for e, m in zip(expo, orders)):
-                continue  # nilpotent: the monomial is zero in the ring
-            value = _as_scalar(value)
-            if value:
-                clean[expo] = value
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "coeffs", clean)
+            _rational(value)  # anything but an int or a Fraction raises
+            if value and not any(e >= m for e, m in zip(expo, orders)):
+                values[expo] = value
+        num, den = _integers(values)
+        _set_presentation(self, presentation)
+        _set_num(self, num)
+        _set_den(self, den)
+
+    @classmethod
+    def from_integers(cls, presentation, numerators: dict, denominator: int = 1):
+        """sum_e numerators[e] x^e / denominator, put in lowest terms: the
+        monomials at or above a nilpotency order and the zero numerators are
+        dropped."""
+        if not denominator:
+            raise ZeroDivisionError("a class over the denominator 0")
+        orders = presentation.orders
+        return _canonical(presentation, {
+            e: v for e, v in numerators.items() if not any(map(ge, e, orders))
+        }, denominator)
 
     def __setattr__(self, *args):
         raise AttributeError("cohomology classes are immutable")
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients num[e] / den, as {exponent tuple: Fraction}."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.num.items()}
 
     def _check(self, other):
         if (self.presentation is not other.presentation
@@ -194,44 +269,41 @@ class CohomologyClass:
             )
 
     def _operand(self, other):
-        # a class of the same presentation, a scalar as a constant class, or
-        # None for anything else
+        # a class of the same presentation, a rational as a constant class,
+        # or None for anything else
         if isinstance(other, CohomologyClass):
             self._check(other)
             return other
-        if isinstance(other, _SCALARS):
+        if isinstance(other, (int, Fraction)):
             return self.presentation.constant(other)
         return None
 
-    def _sum(self, other, subtract):
+    def _sum(self, other, sign):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for expo, value in other.coeffs.items():
-            total = out.get(expo)
-            if total is None:
-                out[expo] = -value if subtract else value
-                continue
-            total = total - value if subtract else total + value
-            if total:
-                out[expo] = total
-            else:
-                del out[expo]
-        return _class(self.presentation, out)
+        da, db = self.den, other.den
+        if da == db:
+            out, den = dict(self.num), da
+        else:
+            out, den = {e: v * db for e, v in self.num.items()}, da * db
+            sign *= da
+        for e, v in other.num.items():
+            out[e] = out.get(e, 0) + sign * v
+        return _canonical(self.presentation, out, den)
 
     # -- additive structure ---------------------------------------------------
 
     def __add__(self, other):
-        return self._sum(other, False)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _class(self.presentation, {e: -v for e, v in self.coeffs.items()})
+        return _class(self.presentation, {e: -v for e, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self._sum(other, True)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -240,139 +312,132 @@ class CohomologyClass:
 
     def __mul__(self, other):
         pres = self.presentation
-        if not isinstance(other, CohomologyClass):
-            if not isinstance(other, _SCALARS):
-                return NotImplemented
-            if not other:
-                return _class(pres, {})
-            return _class(pres, {e: v * other for e, v in self.coeffs.items()})
-        self._check(other)
-        orders = pres.orders
-        right = other.coeffs.items()
-        out = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in right:
-                e = tuple(map(add, e1, e2))
-                if any(map(ge, e, orders)):
-                    continue  # nilpotent truncation
-                total = out.get(e)
-                out[e] = v1 * v2 if total is None else total + v1 * v2
-        return _class(pres, {e: v for e, v in out.items() if v})
+        if isinstance(other, CohomologyClass):
+            self._check(other)
+            return _canonical(pres, _product(pres.orders, self.num, other.num),
+                              self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            n = other.numerator
+            return _canonical(pres, {e: v * n for e, v in self.num.items()},
+                              self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return self * (1 / scalar)
-        if isinstance(scalar, Cyclotomic):
-            return self * scalar.inverse()
-        return NotImplemented
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if not scalar:
+            raise ZeroDivisionError("division of a class by zero")
+        d = scalar.denominator
+        return _canonical(self.presentation, {e: v * d for e, v in self.num.items()},
+                          self.den * scalar.numerator)
 
     def __pow__(self, n: int):
-        out = self.presentation.one()
+        pres = self.presentation
+        num = {pres._unit: 1}
         for _ in range(n):
-            out = out * self
-        return out
+            num = _product(pres.orders, num, self.num)
+        return _canonical(pres, num, self.den ** max(n, 0))
 
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_one(self) -> bool:
-        """Whether this is the class 1 with the rational scalar 1."""
-        coeffs = self.coeffs
-        if len(coeffs) != 1:
-            return False
-        value = coeffs.get(self.presentation._unit)
-        return type(value) is Fraction and value == 1
+        """Whether this is the class 1."""
+        num = self.num
+        return self.den == 1 and len(num) == 1 and num.get(self.presentation._unit) == 1
 
-    def constant_term(self):
-        value = self.coeffs.get(self.presentation._unit)
-        return Fraction(0) if value is None else value
+    def constant_term(self) -> Fraction:
+        return Fraction(self.num.get(self.presentation._unit, 0), self.den)
 
     def is_nilpotent(self) -> bool:
-        return not self.constant_term()
+        return self.presentation._unit not in self.num
 
     def nilpotent_part(self) -> "CohomologyClass":
         unit = self.presentation._unit
-        return _class(
-            self.presentation,
-            {e: v for e, v in self.coeffs.items() if e != unit},
-        )
+        return _canonical(
+            self.presentation, {e: v for e, v in self.num.items() if e != unit}, self.den)
 
     def exp(self) -> "CohomologyClass":
-        """exp(a) = sum a^n / n!, finite by nilpotency; needs a nilpotent."""
+        """exp(a) = sum a^n / n!, finite by nilpotency; needs a nilpotent.
+
+        With a = A / d and A^K the last nonzero power, this is
+        sum_k (K!/k!) d^(K-k) A^k over K! d^K."""
         if not self.is_nilpotent():
             raise ValueError("exp needs a class with zero constant term")
-        out = self.presentation.one()
-        term, n = self, 1
-        while term.coeffs:  # a^n vanishes beyond the nilpotency bound
-            out = out + term
-            n += 1
-            term = term * self / n
-        return out
+        powers = _powers(self.presentation, self.num)
+        top, d = len(powers) - 1, self.den
+        return _canonical(self.presentation, _combined(
+            (factorial(top) // factorial(k) * d ** (top - k), power)
+            for k, power in enumerate(powers)
+        ), factorial(top) * d ** top)
 
     def todd_factor(self) -> "CohomologyClass":
         """a / (1 - exp(-a)) = 1 + a/2 + a^2/12 - a^4/720 + ..., truncated
-        by nilpotency."""
+        by nilpotency: sum_k t_k A^k / d^k over one common denominator."""
         if not self.is_nilpotent():
             raise ValueError("Todd factor needs a class with zero constant term")
-        bound = self.presentation.nilpotency_bound
-        coeffs = todd_coefficients(bound)
-        out = self.presentation.zero()
-        term = self.presentation.one()
-        for n in range(bound + 1):
-            if coeffs[n]:
-                out = out + term * coeffs[n]
-            term = term * self
-            if term.is_zero():
-                break
-        return out
+        powers = _powers(self.presentation, self.num)
+        top, d = len(powers) - 1, self.den
+        coeffs = todd_coefficients(top)
+        q = lcm(*(t.denominator for t in coeffs))
+        return _canonical(self.presentation, _combined(
+            (t.numerator * (q // t.denominator) * d ** (top - k), power)
+            for k, (t, power) in enumerate(zip(coeffs, powers)) if t
+        ), q * d ** top)
 
     def inverse(self) -> "CohomologyClass":
-        """Inverse of a class with invertible (nonzero) constant term:
-        (s + n)^(-1) = s^(-1) * sum (-n/s)^k, a finite sum."""
-        s = self.constant_term()
+        """Inverse of a class with invertible (nonzero) constant term: for
+        (s + N) / d with s the constant numerator, d sum_k (-N)^k / s^(k+1),
+        a finite sum."""
+        unit = self.presentation._unit
+        s = self.num.get(unit)
         if not s:
             raise ZeroDivisionError("class has nilpotent constant term")
-        s_inv = s.inverse() if isinstance(s, Cyclotomic) else 1 / s
-        step = self.nilpotent_part() * -s_inv
-        out = self.presentation.one()
-        term = step
-        while term.coeffs:  # step^k vanishes beyond the nilpotency bound
-            out = out + term
-            term = term * step
-        return out * s_inv
+        powers = _powers(self.presentation,
+                         {e: -v for e, v in self.num.items() if e != unit})
+        top, d = len(powers) - 1, self.den
+        return _canonical(self.presentation, _combined(
+            (d * s ** (top - k), power) for k, power in enumerate(powers)
+        ), s ** (top + 1))
 
-    def integrate(self):
+    def integral_parts(self) -> tuple[int, int]:
+        """(n, D) with the integral of this class equal to n / D, not
+        reduced: the numerators paired with the presentation's integer
+        weights, over D = den * integral_den."""
+        num = self.num
+        total = 0
+        for expo, weight in self.presentation.integral_num:
+            v = num.get(expo)
+            if v:
+                total += v * weight
+        return total, self.den * self.presentation.integral_den
+
+    def integrate(self) -> Fraction:
         """Pair against the fundamental class: top-degree coefficients hit the
         integration table, everything else integrates to zero."""
-        total = Fraction(0)
-        for expo, weight in self.presentation._integrals:
-            v = self.coeffs.get(expo)
-            if v:
-                total = total + v * weight
-        return total
+        return Fraction(*self.integral_parts())
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, (int, Fraction)):
             other = self.presentation.constant(other)
         if not isinstance(other, CohomologyClass):
             return NotImplemented
-        # both maps hold nonzero scalars only, so equal classes have equal maps
+        # the form is unique, so equal classes have equal integers
         return (
             self.presentation == other.presentation
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.presentation, tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
+        return hash((self.presentation, self.den, tuple(sorted(self.num.items()))))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         names = self.presentation.generators
         parts = []
@@ -385,8 +450,37 @@ class CohomologyClass:
             elif value == 1:
                 parts.append(mono)
             else:
-                parts.append(f"{value}*{mono}" if not isinstance(value, Cyclotomic) else f"({value})*{mono}")
+                parts.append(f"{value}*{mono}")
         return " + ".join(parts)
+
+
+# the slots' own setters: they skip the immutability guard, and calling them
+# directly is about twice as fast as object.__setattr__
+_set_presentation = CohomologyClass.presentation.__set__
+_set_num = CohomologyClass.num.__set__
+_set_den = CohomologyClass.den.__set__
+
+
+def _class(presentation, num: dict, den: int) -> CohomologyClass:
+    # wrap numerators the ring operations built, already in lowest terms
+    out = object.__new__(CohomologyClass)
+    _set_presentation(out, presentation)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
+
+
+def _canonical(presentation, num: dict, den: int) -> CohomologyClass:
+    # num / den in lowest terms: the zero numerators dropped, gcd(den, *num)
+    # = 1 and den > 0, so zero is {} over 1
+    num = {e: v for e, v in num.items() if v}
+    g = gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = {e: v // g for e, v in num.items()}
+        den //= g
+    return _class(presentation, num, den)
 
 
 _TODD: list[Fraction] = [Fraction(1)]
@@ -408,4 +502,3 @@ def todd_coefficients(order: int) -> list[Fraction]:
             acc += g_k * _TODD[n - k]
         _TODD.append(-acc)
     return _TODD[: order + 1]
-

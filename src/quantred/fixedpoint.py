@@ -345,11 +345,22 @@ _MONO_PART = re.compile(rf"({_NAME})(?:\^([0-9]+))?")
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _parse_rational(value, where):
+# The most characters of a key or literal a schema message echoes
+_ECHO = 40
+
+
+def _cut(text: str) -> str:
+    # a piece of the input as a schema message shows it
+    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
+
+
+def _parse_rational(value, where) -> tuple[int, int]:
+    """(numerator, denominator) of a rational literal, the denominator
+    positive and not reduced."""
     if isinstance(value, bool):
         raise SchemaError(f"{where}: booleans are not numbers")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         raise SchemaError(f"{where}: floats are not accepted; write an exact "
                           "rational string like \"7/3\"")
@@ -357,41 +368,49 @@ def _parse_rational(value, where):
         num, _, den = value.partition("/")
         try:
             if _RATIONAL.fullmatch(value) and int(den or 1):
-                return Fraction(int(num), int(den or 1))
+                return int(num), int(den or 1)
         except ValueError as exc:  # more digits than int() converts
             raise SchemaError(f"{where}: bad rational literal: {exc}") from exc
-        raise SchemaError(f"{where}: bad rational literal {value!r}")
-    raise SchemaError(f"{where}: expected a rational literal, got {value!r}")
+        raise SchemaError(f"{where}: bad rational literal {_cut(repr(value))}")
+    raise SchemaError(f"{where}: expected a rational literal, got {_cut(repr(value))}")
 
 
-def _parse_monomial(key, pres, where):
-    expo = [0] * pres.rank
+def _parse_monomial(key, generators, where):
+    expo = [0] * len(generators)
     if key == "1":
         return tuple(expo)
     for part in key.split("*"):
         m = _MONO_PART.fullmatch(part)
         if not m:
-            raise SchemaError(f"{where}: bad monomial {key!r}")
+            raise SchemaError(f"{where}: bad monomial {_cut(repr(key))}")
         try:
             name, power = m.group(1), int(m.group(2) or 1)
         except ValueError as exc:  # more digits than int() converts
             raise SchemaError(f"{where}: bad monomial: {exc}") from exc
         try:
-            i = pres.generators.index(name)
+            i = generators.index(name)
         except ValueError:
-            raise SchemaError(f"{where}: unknown generator {name!r}") from None
+            raise SchemaError(f"{where}: unknown generator {_cut(repr(name))}") from None
         expo[i] += power
     return tuple(expo)
 
 
 def _parse_class(obj, pres, where) -> CohomologyClass:
+    # integer numerators over the lcm of the literals' denominators
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a monomial->rational map")
-    coeffs = {}
+    if not obj:  # most classes of a point
+        return pres.zero()
+    terms = []
     for key, value in obj.items():
-        expo = _parse_monomial(key, pres, f"{where}.{key}")
-        coeffs[expo] = coeffs.get(expo, 0) + _parse_rational(value, f"{where}.{key}")
-    return CohomologyClass(pres, coeffs)
+        here = f"{where}.{_cut(key)}"
+        terms.append((_parse_monomial(key, pres.generators, here),
+                      *_parse_rational(value, here)))
+    den = lcm(*(d for _, _, d in terms))
+    num = {}
+    for expo, n, d in terms:
+        num[expo] = num.get(expo, 0) + n * (den // d)
+    return CohomologyClass.from_integers(pres, num, den)
 
 
 def _format_monomial(expo, pres) -> str:
@@ -420,9 +439,11 @@ def _parse_ring(obj, where) -> RingPresentation:
         if not (isinstance(g, (list, tuple)) and len(g) == 2):
             raise SchemaError(f"{where}.generators: entries are [name, order]")
         if not isinstance(g[1], int) or isinstance(g[1], bool):
-            raise SchemaError(f"{where}.generators: order {g[1]!r} is not an integer")
+            raise SchemaError(
+                f"{where}.generators: order {_cut(repr(g[1]))} is not an integer")
         if not (isinstance(g[0], str) and re.fullmatch(_NAME, g[0])):
-            raise SchemaError(f"{where}.generators: name {g[0]!r} is not an identifier")
+            raise SchemaError(
+                f"{where}.generators: name {_cut(repr(g[0]))} is not an identifier")
         names.append(g[0])
         orders.append(g[1])
     top = obj.get("top_degree", 0)
@@ -436,15 +457,21 @@ def _parse_ring(obj, where) -> RingPresentation:
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}.integrals: expected a map")
     try:
-        probe = RingPresentation(names, orders, top, {})
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-    table = {}
-    for key, value in raw.items():
-        expo = _parse_monomial(key, probe, f"{where}.integrals.{key}")
-        table[expo] = _parse_rational(value, f"{where}.integrals.{key}")
-    try:
+        table = {}
+        for key, value in raw.items():
+            here = f"{where}.integrals.{_cut(key)}"
+            expo = _parse_monomial(key, names, here)
+            n, d = _parse_rational(value, here)
+            table[expo] = n if d == 1 else Fraction(n, d)
         return RingPresentation(names, orders, top, table)
+    except SchemaError:
+        # a bad key or literal: an error of the ring's shape is reported
+        # first, as the constructor checks the shape before the table
+        try:
+            RingPresentation.check_shape(names, orders, top)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        raise
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -456,7 +483,7 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
         group = GroupKind(doc.get("group", "U1"))
     except ValueError:
         raise SchemaError(
-            f"group: expected one of U1/SU2/SO3, got {doc.get('group')!r}"
+            f"group: expected one of U1/SU2/SO3, got {_cut(repr(doc.get('group')))}"
         ) from None
     comps_doc = doc.get("components")
     if not isinstance(comps_doc, list) or not comps_doc:

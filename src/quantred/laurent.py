@@ -22,6 +22,8 @@ rational in the 0/inf charts and at t = 1, cyclotomic at other roots.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, keeps its arithmetic but is no longer on the engine's path.
+Class scalars are rational, so it serves the charts whose scalars are:
+0, infinity, t = 1 and t = -1.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class RingSeries:
         if isinstance(other, (int, Fraction, Cyclotomic, CohomologyClass)):
             return RingSeries(
                 self.chart, self.presentation, self.low,
-                [c * other if c.coeffs else c for c in self.coeffs],
+                [c * other if c.num else c for c in self.coeffs],
             )
         self._check(other)
         low = self.low + other.low
@@ -209,9 +211,9 @@ class RingSeries:
                 if k > n:
                     break
                 prev = q[n - k]
-                if prev.coeffs:
+                if prev.num:
                     acc = acc - (prev if d is None else d * prev)
-            q.append(acc if lead_inv is None or not acc.coeffs else lead_inv * acc)
+            q.append(acc if lead_inv is None or not acc.num else lead_inv * acc)
         return RingSeries(self.chart, self.presentation, self.low - other.low, q)
 
     def reciprocal(self) -> "RingSeries":

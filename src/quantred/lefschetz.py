@@ -62,30 +62,34 @@ class WeylFactor(namedtuple("WeylFactor", "group")):
 # ---------------------------------------------------------------------------
 
 def _integral_table(f: FixedComponent) -> dict:
-    """{k: I_k} over the multi-indices k with I_k != 0, where
-    I_k = integral_F e^omega Td(F) prod_j x_j**k_j and x_j = e^{-c_j} - 1."""
-    base = f.omega.exp() * f.todd if f.omega.coeffs else f.todd
-    xs = {}
+    """{k: (n, D)} over the multi-indices k with I_k = n / D != 0, where
+    I_k = integral_F e^omega Td(F) prod_j x_j**k_j and x_j = e^{-c_j} - 1;
+    the pairs are integers, not reduced."""
+    base = f.omega.exp() * f.todd if f.omega.num else f.todd
+    # (c, x) per distinct Chern class, matched by identity, then by value:
+    # a class's hash would sort its terms and hash its presentation
+    seen = []
     classes = {(): base}
     for c in f.normal_chern:
-        if c not in xs:
-            xs[c] = (-c).exp() - 1 if c.coeffs else c
-        x = xs[c]
+        x = next((x0 for c0, x0 in seen if c0 is c or c0 == c), None)
+        if x is None:
+            x = (-c).exp() - 1 if c.num else c
+            seen.append((c, x))
         grown = {}
         for k, cls in classes.items():
             grown[k + (0,)] = cls
-            if not x.coeffs:
+            if not x.num:
                 continue
             term, power = cls * x, 1
-            while term.coeffs:  # x is nilpotent
+            while term.num:  # x is nilpotent
                 grown[k + (power,)] = term
                 term, power = term * x, power + 1
         classes = grown
     table = {}
     for k, cls in classes.items():
-        value = cls.integrate()
-        if value:
-            table[k] = value
+        n, d = cls.integral_parts()
+        if n:
+            table[k] = (n, d)
     return table
 
 
@@ -110,12 +114,12 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     multiplier = multiplier or {0: Fraction(1)}
     # one denominator for the table and one for the multiplier: their
     # product clears every denominator of N
-    table_den = lcm(*(v.denominator for v in table.values()))
+    table_den = lcm(*(d for _, d in table.values()))
     mult_den = lcm(*(a.denominator for a in multiplier.values()))
     tops = [max(k[j] for k in table) for j in range(len(f.weights))]
     body: dict[int, int] = {}
-    for k, value in table.items():
-        poly = {0: value.numerator * (table_den // value.denominator)}
+    for k, (n, d) in table.items():
+        poly = {0: n * (table_den // d)}
         for beta, kj, top in zip(f.weights, k, tops):
             if top:
                 poly = _times(poly, _binomial_terms(beta, kj, top))

@@ -17,8 +17,10 @@ power of c that is nonzero) makes L X integral, and D becomes D L.  As
 N = L X - L only moves weight to higher monomials, the columns are finished
 in index order: column k is L num_k plus the quotient by L of (N S)_k shifted
 by m, which must be exact (a remainder raises ``ArithmeticError``), followed
-by the running sum S_k[e] += S_k[e - m].  Fractions appear only for the input
-data and when the components are summed over one common denominator.
+by the running sum S_k[e] += S_k[e - m].  The input classes and integral
+tables are read off their integer layout (numerators over one denominator,
+see :mod:`quantred.cohomology`); a ``Fraction`` appears only in the message
+for a coefficient that is not an integer.
 
 This module deliberately re-implements this small ring arithmetic instead of
 reusing the series/ring machinery: the point is to certify the residue
@@ -84,16 +86,14 @@ def _mul(a, b, rows):
     return out
 
 
-def _integer_class(coeffs, index):
-    """(d, A) with A / d the class with these {exponent: rational}
-    coefficients, A a flat integer class and d the lcm of the
-    denominators."""
-    values = {index[e]: Fraction(v) for e, v in coeffs.items()}
-    d = lcm(*(v.denominator for v in values.values()))
+def _integer_class(terms, index):
+    """A flat integer class from (exponent, int) pairs: a class's
+    ``num.items()``, to be read over its ``den``, or a ring's
+    ``integral_num``, over its ``integral_den``."""
     out = [0] * len(index)
-    for i, v in values.items():
-        out[i] = v.numerator * (d // v.denominator)
-    return d, out
+    for e, v in terms:
+        out[index[e]] = v
+    return out
 
 
 def _scaled_exp(cls, index, rows, sign=1):
@@ -104,9 +104,9 @@ def _scaled_exp(cls, index, rows, sign=1):
     L exp(j * cls), j an integer, is integral for this L, which is what
     makes the division in the recurrence exact."""
     one = [1] + [0] * (len(index) - 1)
-    if not cls.coeffs:  # most normal directions of a point
+    if not cls.num:  # most normal directions of a point
         return 1, one
-    d, a = _integer_class(cls.coeffs, index)
+    d, a = cls.den, _integer_class(cls.num.items(), index)
     if sign < 0:
         a = [-x for x in a]
     powers = [one]
@@ -189,6 +189,13 @@ class CharacterPolynomial:
         return f"CharacterPolynomial({self.coefficients!r})"
 
 
+def _character(coefficients: dict) -> CharacterPolynomial:
+    # wrap {int: nonzero int} the oracle built, without cleaning it again
+    out = object.__new__(CharacterPolynomial)
+    object.__setattr__(out, "coefficients", coefficients)
+    return out
+
+
 def character_polynomial(
     p: ProblemInstance, degree_bound: int | None = None
 ) -> CharacterPolynomial:
@@ -219,9 +226,8 @@ def character_polynomial(
         index, rows = _monomials(f.ring.orders)
         # s[e] = sum_k series[k][e - low] x^k / den
         scale, expo = _scaled_exp(f.omega, index, rows)
-        todd_den, todd = _integer_class(f.todd.coeffs, index)
-        base = _mul(expo, todd, rows)
-        den = scale * todd_den
+        base = _mul(expo, _integer_class(f.todd.num.items(), index), rows)
+        den = scale * f.todd.den
         g = gcd(den, *base)
         series = [[x // g] for x in base]
         den //= g
@@ -264,13 +270,13 @@ def character_polynomial(
                 for e in range(m, size):
                     col[e] += col[e - m]
                 series.append(col)
-        # integrate with the ring's weights over their denominator wden
-        wden, weights = _integer_class(f.ring.integrals, index)
+        # integrate with the ring's integer weights, over integral_den
+        weights = _integer_class(f.ring.integral_num, index)
         values = [0] * len(series[0])
         for col, w in zip(series, weights):
             if w:
                 values = [v + w * x for v, x in zip(values, col)]
-        parts.append((den * wden, low, values))
+        parts.append((den * f.ring.integral_den, low, values))
     # sum the components over one common denominator; windows end by top
     common = lcm(*(d for d, _, _ in parts))
     lo = min(low for _, low, _ in parts)
@@ -295,7 +301,7 @@ def character_polynomial(
             f"{Fraction(total[w_exp - lo], common)}, "
             "not an integer; inconsistent fixed-point data"
         )
-    return CharacterPolynomial({-lo - i: v // common for i, v in enumerate(total) if v})
+    return _character({-lo - i: v // common for i, v in enumerate(total) if v})
 
 
 def invariant_multiplicity(c: CharacterPolynomial, group: GroupKind) -> int:

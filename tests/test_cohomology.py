@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from quantred import (
     CohomologyClass,
-    Cyclotomic,
     PresentationMismatch,
     RingPresentation,
     todd_coefficients,
 )
+from quantred.fixedpoint import _parse_class
 
 from conftest import bernoulli_plus, cyclotomics, ring_classes, small_fractions
 
@@ -239,7 +239,7 @@ def _assert_clean(cls):
     for expo, value in cls.coeffs.items():
         assert type(expo) is tuple and len(expo) == cls.presentation.rank, expo
         assert all(type(e) is int for e in expo), expo
-        assert isinstance(value, (Fraction, Cyclotomic)) and value, (expo, value)
+        assert type(value) is Fraction and value, (expo, value)
 
 
 @st.composite
@@ -250,10 +250,7 @@ def _rings(draw):
     return RingPresentation(names, orders, 2 * sum(top), {top: 1})
 
 
-def _scalars(conductor):
-    if conductor is None:
-        return small_fractions
-    return st.one_of(small_fractions, cyclotomics(conductor), st.integers(-3, 3))
+_scalars = st.one_of(small_fractions, st.integers(-3, 3))
 
 
 def _classes(pres, scalars, nilpotent=False):
@@ -269,11 +266,10 @@ def _classes(pres, scalars, nilpotent=False):
 @given(st.data())
 def test_class_kernel_matches_naive_reference(data):
     pres = data.draw(_rings())
-    scalars = _scalars(data.draw(st.sampled_from([None, 3, 4, 5])))
-    a = data.draw(_classes(pres, scalars))
-    b = data.draw(_classes(pres, scalars))
-    n = data.draw(_classes(pres, scalars, nilpotent=True))
-    s = data.draw(scalars)
+    a = data.draw(_classes(pres, _scalars))
+    b = data.draw(_classes(pres, _scalars))
+    n = data.draw(_classes(pres, _scalars, nilpotent=True))
+    s = data.draw(_scalars)
     for cls in (a, b, n):
         _assert_clean(cls)
     orders = pres.orders
@@ -302,6 +298,91 @@ def test_class_kernel_matches_naive_reference(data):
     for got, want in cases:
         _assert_clean(got)
         assert got.coeffs == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_cyclotomic_operands_raise_type_error(data):
+    # the class ring is rational: a cyclotomic scalar is refused everywhere
+    pres = data.draw(_rings())
+    a = data.draw(_classes(pres, _scalars))
+    z = data.draw(cyclotomics(data.draw(st.sampled_from([3, 4, 5]))).filter(bool))
+    operations = [
+        lambda: a + z, lambda: z + a, lambda: a - z, lambda: z - a,
+        lambda: a * z, lambda: z * a, lambda: a / z,
+        lambda: pres.constant(z), lambda: CohomologyClass(pres, {(0,) * pres.rank: z}),
+        lambda: RingPresentation(pres.generators, pres.orders, pres.top_degree,
+                                 {e: z for e in pres.integrals}),
+    ]
+    for operation in operations:
+        with pytest.raises(TypeError):
+            operation()
+
+
+def _assert_lowest_terms(cls):
+    # the integer layout: den > 0, no zero numerator, gcd(den, *num) = 1,
+    # every exponent below the nilpotency orders
+    assert type(cls.den) is int and cls.den > 0, cls.den
+    assert all(type(v) is int and v for v in cls.num.values()), cls.num
+    assert gcd(cls.den, *cls.num.values()) == 1, (cls.num, cls.den)
+    orders = cls.presentation.orders
+    assert all(all(e < m for e, m in zip(expo, orders)) for expo in cls.num), cls.num
+
+
+def _parsed(pres, coeffs):
+    # the class as the schema reads it: every coefficient a rational string
+    keys = {e: "*".join(f"{g}^{k}" for g, k in zip(pres.generators, e) if k) or "1"
+            for e in coeffs}
+    return _parse_class({keys[e]: str(v) for e, v in coeffs.items()}, pres, "c")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_way_of_building_a_class_keeps_lowest_terms(data):
+    pres = data.draw(_rings())
+    monos = list(pres.monomials())
+    # some integer and some Fraction coefficients, a few of them zero
+    coeffs = data.draw(st.dictionaries(st.sampled_from(monos), _scalars, max_size=5))
+    a = CohomologyClass(pres, coeffs)
+    fractions = {e: Fraction(v) for e, v in coeffs.items()}
+    # over -60, a multiple of every denominator drawn, with a monomial that
+    # is zero in the ring
+    numerators = {e: -v.numerator * (60 // v.denominator) for e, v in fractions.items()}
+    if pres.rank:
+        numerators[pres.orders] = 7
+    built = [
+        a,
+        _parsed(pres, coeffs),
+        CohomologyClass(pres, fractions),
+        CohomologyClass.from_integers(pres, numerators, -60),
+    ]
+    for cls in built:
+        assert cls == a and hash(cls) == hash(a)
+        assert cls.coeffs == {e: v for e, v in fractions.items() if v}
+    b = data.draw(_classes(pres, _scalars))
+    n = data.draw(_classes(pres, _scalars, nilpotent=True))
+    s = data.draw(_scalars)
+    built += [a + b, a - b, a - a, -a, a * b, a * s, s * a, a + s, s - a, a ** 2,
+              n.exp(), n.todd_factor(), n.nilpotent_part(), pres.constant(s),
+              pres.zero(), pres.one()]
+    if s:
+        built += [a / s, (pres.constant(s) + n).inverse()]
+    for cls in built:
+        _assert_lowest_terms(cls)
+        # equal values give equal classes with equal hashes, whichever way
+        # they were built
+        again = CohomologyClass(pres, cls.coeffs)
+        assert again == cls and hash(again) == hash(cls)
+        assert (again.num, again.den) == (cls.num, cls.den)
+
+
+def test_integral_table_is_integers_over_one_denominator():
+    pres = RingPresentation(("x", "y"), (2, 2), 4, {(1, 1): Fraction(-4, 6)})
+    assert (pres.integral_num, pres.integral_den) == ((((1, 1), -2),), 3)
+    assert pres.integrals == {(1, 1): Fraction(-2, 3)}
+    cls = CohomologyClass(pres, {(1, 1): Fraction(3, 4), (0, 0): 5})
+    assert cls.integral_parts() == (-6, 12)
+    assert cls.integrate() == Fraction(-1, 2)
 
 
 def test_equal_presentations_survive_the_product_cache():

@@ -428,6 +428,30 @@ def test_bad_monomial_key():
     assert instance_from_dict(doc).components[0].omega.coeffs == {(1,): 2}
 
 
+def test_schema_messages_cut_long_keys_and_literals():
+    # a bad 5,000-character key or literal is echoed cut to a fixed length,
+    # in the location and in the message alike
+    long_keys = ("*" * 5000, "q" * 5000, "x^" + "9" * 5000, "x*" + "x" * 4998)
+    cases = []
+    for key in long_keys:
+        for field in ("omega", "todd"):
+            cases.append((field, {key: "1"}))
+        cases.append(("ring", {"generators": [["x", 2]], "top_degree": 2, "integrals": {key: "1"}}))
+    for literal in ("1/" + "x" * 5000, ["1"] * 2000, "7" * 5000):
+        cases.append(("omega", {"x": literal}))
+    cases.append(("ring", {"generators": [["x" * 5000 + "!", 2]], "top_degree": 2}))
+    cases.append(("ring", {"generators": [["x", "2" * 5000]], "top_degree": 2}))
+    for field, value in cases:
+        doc = instance_to_dict(catalog("cp2-line"))
+        doc["components"][0][field] = value
+        with pytest.raises(SchemaError) as info:
+            instance_from_dict(doc)
+        assert len(str(info.value)) < 300, (field, str(info.value)[:400])
+    with pytest.raises(SchemaError) as info:
+        instance_from_dict({"group": "E" * 5000, "components": []})
+    assert len(str(info.value)) < 300
+
+
 def test_unknown_generator_diagnostic():
     doc = instance_to_dict(catalog("cp1xcp1"))
     doc["components"][0]["omega"] = {"q": "1"}

@@ -216,9 +216,8 @@ def reference_character_polynomial(p, degree_bound=None):
     for f in p.components:
         index, rows = _monomials(f.ring.orders)
         scale, expo = _scaled_exp(f.omega, index, rows)
-        todd_den, todd = _integer_class(f.todd.coeffs, index)
-        base = _mul(expo, todd, rows)
-        den = scale * todd_den
+        base = _mul(expo, _integer_class(f.todd.num.items(), index), rows)
+        den = scale * f.todd.den
         g = gcd(den, *base)
         series = [[x // g for x in base]]
         den //= g
@@ -244,7 +243,8 @@ def reference_character_polynomial(p, degree_bound=None):
                     cls = prev if cls is None else [x + y for x, y in zip(cls, prev)]
                 new.append(cls if cls and any(cls) else None)
             series = new
-        wden, weights = _integer_class(f.ring.integrals, index)
+        wden = f.ring.integral_den
+        weights = _integer_class(f.ring.integral_num, index)
         weights = [(j, w) for j, w in enumerate(weights) if w]
         values = {}
         for i, cls in enumerate(series):

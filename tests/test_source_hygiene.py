@@ -50,3 +50,12 @@ def test_import_leaves_out_heavy_stdlib_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_class_ring_does_not_import_the_cyclotomic_fields():
+    # the class ring is rational: its scalars are ints over one denominator
+    tree = ast.parse((PACKAGE / "cohomology.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not {name for name in imported if name and name.split(".")[-1] == "exactnum"}
