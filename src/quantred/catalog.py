@@ -17,7 +17,7 @@ from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, SchemaError
 
 
 class UnknownCatalogError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 
 
 _POINT = RingPresentation.point()

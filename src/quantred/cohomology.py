@@ -350,9 +350,6 @@ class CohomologyClass:
         num = self.num
         return self.den == 1 and len(num) == 1 and num.get(self.presentation._unit) == 1
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self.num.get(self.presentation._unit, 0), self.den)
-
     def is_nilpotent(self) -> bool:
         return self.presentation._unit not in self.num
 

@@ -105,7 +105,7 @@ class FixedComponent:
                 f"component {name!r}: omega must be nilpotent in the "
                 "component's ring"
             )
-        if todd.presentation != ring or todd.constant_term() != 1:
+        if todd.presentation != ring or todd.num.get((0,) * ring.rank) != todd.den:
             raise ValueError(
                 f"component {name!r}: Todd class must have constant term 1"
             )

@@ -14,11 +14,12 @@ component, N(t) / prod_beta (1 - t**(-beta))**M with N a Laurent polynomial
 over Q (built in :mod:`quantred.lefschetz`), kept as integer coefficients
 over one common denominator.  At zero and at infinity the expansion is a
 sign, a shift and one adding recurrence per factor, on integers, with one
-division at the end.  At a root of unity the residue is one coefficient of
-a product of short Taylor series, as long as the pole order; the Taylor
-series of N sums integer powers, and the denominator factors' series depend
-on their shape alone and are cached for the whole process.  Scalars are
-rational in the 0/inf charts and at t = 1, cyclotomic at other roots.
+division at the end.  At a root of unity the residue sums a_r r**i W_i over
+the terms a_r t**r of N and i below the pole order: the weights W_i depend
+on the denominator's shape alone, are cached for the whole process as
+integers over one denominator, and each term adds into one integer list at
+the offset zeta**r shifts it to, with one division at the end.  Scalars
+are rational in the 0/inf charts and at t = 1, cyclotomic at other roots.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, keeps its arithmetic but is no longer on the engine's path.
@@ -362,56 +363,35 @@ def factor_series(beta: int, m: int, chart: Chart, length: int) -> tuple:
     return _regular_series(chart.conductor, k, beta, m, length)
 
 
-@lru_cache(maxsize=None)
-def _denominator_series(chart: Chart, denominator: tuple, length: int) -> tuple:
-    # the product of every factor_series of one denominator shape; the
-    # rational wall factors first, so that fewer products are cyclotomic
-    out = None
-    for beta, m in sorted(denominator, key=lambda bm: not chart.is_wall_for(bm[0])):
-        series = factor_series(beta, m, chart, length)
-        out = series if out is None else truncated_product(out, series, length)
-    return tuple(out)
-
-
 def truncated_product(a, b, length: int) -> list:
     """The first ``length`` Taylor coefficients of the product of two series."""
-    return [_dot(a, b, i) for i in range(length)]
-
-
-def _dot(a, b, i: int):
-    # sum_j a[j] b[i-j], without a rational 0 + Cyclotomic promotion
-    acc = None
-    for j in range(i + 1):
-        x, y = a[j], b[i - j]
-        if x and y:
-            acc = x * y if acc is None else acc + x * y
-    return _ZERO if acc is None else acc
-
-
-def _taylor_at_root(terms: dict, scale: int, chart: Chart, length: int) -> list:
-    """Taylor coefficients u**0 .. u**(length-1) of N(zeta*e^u), N the
-    integer ``terms`` over ``scale``: the coefficient of u**i is
-    sum_r a_r zeta**r r**i / (i! scale), with integer power sums and one
-    division.  Rational at t = 1, one ``Cyclotomic`` each elsewhere."""
-    n, k = chart.conductor, chart.exponent
-    # sums[c][i]: sum of a_r r**i over the r with zeta**r = zeta_n**c
-    sums: dict[int, list] = {}
-    for r, a in terms.items():
-        row = sums.setdefault(k * r % n, [0] * length)
-        for i in range(length):
-            row[i] += a
-            a *= r
     out = []
     for i in range(length):
-        den = factorial(i) * scale
-        if k == 0:
-            out.append(Fraction(sums[0][i], den) if sums else _ZERO)
-            continue
-        vector = [0] * n
-        for c, row in sums.items():
-            vector[c] = row[i]
-        out.append(Cyclotomic.from_integers(n, vector, den))
+        # sum_j a[j] b[i-j], without a rational 0 + Cyclotomic promotion
+        acc = None
+        for j in range(i + 1):
+            x, y = a[j], b[i - j]
+            if x and y:
+                acc = x * y if acc is None else acc + x * y
+        out.append(_ZERO if acc is None else acc)
     return out
+
+
+@lru_cache(maxsize=None)
+def _root_weights(chart: Chart, denominator: tuple, length: int) -> tuple:
+    # (W, E): W[i] is the u**(length-1-i) coefficient of the product of the
+    # shape's factor_series, over i!, as integers over E (one int for a
+    # rational, phi(n) for a Cyclotomic); the rational wall factors go first,
+    # so that fewer products are cyclotomic
+    product = None
+    for beta, m in sorted(denominator, key=lambda bm: not chart.is_wall_for(bm[0])):
+        series = factor_series(beta, m, chart, length)
+        product = series if product is None else truncated_product(product, series, length)
+    parts = [(c.num, c.den * factorial(i)) if isinstance(c, Cyclotomic)
+             else ((c.numerator,), c.denominator * factorial(i))
+             for i, c in enumerate(reversed(product))]
+    common = lcm(*(den for _, den in parts))
+    return tuple(tuple(x * (common // den) for x in num) for num, den in parts), common
 
 
 def form_residue(numerator, denominator, chart: Chart):
@@ -421,14 +401,18 @@ def form_residue(numerator, denominator, chart: Chart):
     * infinity: dt/t = -dw/w, so minus the w**0 coefficient;
     * t = zeta*e^u: dt/t = du.  The pole order P is the sum of M over the
       walls (zeta**beta = 1), and the residue is the u**(P-1) coefficient of
-      N(zeta*e^u) times every ``factor_series``.  Off every wall P = 0 and
-      the residue is 0 at no cost.
+      N(zeta*e^u) times every ``factor_series``.  With N = sum_r a_r t**r / D
+      and zeta = zeta_n**k that is sum_r sum_{i<P} a_r r**i zeta_n**(kr) W_i / D
+      (``_root_weights``), summed on integers and divided once.  Off every
+      wall P = 0 and the residue is 0 at no cost.
 
     Rational at zero, t = 1 and infinity; cyclotomic at other roots with a
-    pole.
+    pole.  At t = i, 1/(1 - t**(-4)) has residue 1/4, times i from t**1:
 
     >>> form_residue({1: Fraction(1)}, {1: 1}, Chart.at_one())
     Fraction(1, 1)
+    >>> str(form_residue({1: Fraction(1)}, {4: 1}, Chart.at_root(4, 1)))
+    '1/4*z'
     """
     if chart.kind == "zero":
         return outer_expansion(numerator, denominator, chart, 0, 0)[0]
@@ -438,5 +422,15 @@ def form_residue(numerator, denominator, chart: Chart):
     terms, scale = _integer_terms(numerator)
     if not order or not terms:
         return _ZERO
-    product = _denominator_series(chart, tuple(sorted(denominator.items())), order)
-    return _dot(_taylor_at_root(terms, scale, chart, order), product, order - 1)
+    weights, common = _root_weights(chart, tuple(sorted(denominator.items())), order)
+    n, k = chart.conductor, chart.exponent
+    acc = [0] * (2 * n)
+    for r, a in terms.items():
+        shift = k * r % n
+        for w in weights:
+            for j, x in enumerate(w, shift):
+                acc[j] += a * x
+            a *= r
+    if k == 0:
+        return Fraction(acc[0], scale * common)
+    return Cyclotomic.from_integers(n, acc, scale * common)

@@ -6,6 +6,7 @@ import pytest
 from quantred import (
     Cyclotomic,
     catalog,
+    catalog_names,
     instance_to_dict,
     rr_invariant,
     reduced_rr,
@@ -292,7 +293,8 @@ def test_missing_input_and_catalog(capsys):
 def test_unknown_catalog_name(capsys):
     code, _, err = run(capsys, "verify", "--catalog", "nope")
     assert code == 2
-    assert "unknown catalog" in err
+    assert err == (f"input error: unknown catalog entry 'nope'; available: "
+                   f"{', '.join(catalog_names())}\n")
 
 
 def test_file_input_round_trips_catalog(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import cmath
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from quantred import (
     Chart,
     ChartMismatch,
+    Cyclotomic,
     FixedComponent,
     RingPresentation,
     RingSeries,
@@ -17,9 +18,10 @@ from quantred import (
     factor_series,
     form_residue,
     outer_expansion,
+    phi_degree,
     root_of_unity,
 )
-from quantred.laurent import truncated_product
+from quantred.laurent import _root_weights, truncated_product
 
 from conftest import ring_classes, small_fractions
 
@@ -486,3 +488,124 @@ def test_dense_root_chart_division(data):
         data.draw(st.lists(ring_classes(pres), min_size=1, max_size=7)),
     )
     _assert_division_inverts(a, d)
+
+
+# -- the root residue against the two-stage reference ---------------------------
+#
+# form_residue reads the residue at a root off integer weight vectors W_i
+# over one denominator.  The reference below is the earlier two-stage
+# computation, kept as an exact test oracle: the Taylor window of N(zeta*e^u)
+# as one field element per coefficient, the factor product, and one dot
+# product of the two.
+
+def _reference_dot(a, b, i):
+    # sum_j a[j] b[i-j], without a rational 0 + Cyclotomic promotion
+    acc = None
+    for j in range(i + 1):
+        x, y = a[j], b[i - j]
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    return Fraction(0) if acc is None else acc
+
+
+def _reference_taylor_at_root(terms, scale, chart, length):
+    # the u**i coefficient of N(zeta*e^u) is sum_r a_r zeta**r r**i / (i! scale)
+    n, k = chart.conductor, chart.exponent
+    sums = {}
+    for r, a in terms.items():
+        row = sums.setdefault(k * r % n, [0] * length)
+        for i in range(length):
+            row[i] += a
+            a *= r
+    out = []
+    for i in range(length):
+        den = factorial(i) * scale
+        if k == 0:
+            out.append(Fraction(sums[0][i], den) if sums else Fraction(0))
+            continue
+        vector = [0] * n
+        for c, row in sums.items():
+            vector[c] = row[i]
+        out.append(Cyclotomic.from_integers(n, vector, den))
+    return out
+
+
+def reference_root_residue(numerator, denominator, chart):
+    """The residue of N(t) / prod (1 - t**(-beta))**M * dt/t at a root chart:
+    the u**(P-1) coefficient of N(zeta*e^u) times every factor series."""
+    order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
+    if isinstance(numerator, tuple):
+        terms, scale = numerator
+    else:
+        scale = lcm(*(a.denominator for a in numerator.values()))
+        terms = {e: a.numerator * (scale // a.denominator) for e, a in numerator.items()}
+    if not order or not terms:
+        return Fraction(0)
+    product = None
+    for beta, m in sorted(denominator.items(), key=lambda bm: not chart.is_wall_for(bm[0])):
+        series = factor_series(beta, m, chart, order)
+        product = series if product is None else [
+            _reference_dot(product, series, i) for i in range(order)]
+    return _reference_dot(_reference_taylor_at_root(terms, scale, chart, order),
+                          product, order - 1)
+
+
+def _assert_matches_reference(numerator, denominator, chart):
+    value = form_residue(numerator, denominator, chart)
+    reference = reference_root_residue(numerator, denominator, chart)
+    assert value == reference, (numerator, denominator, chart)
+    order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
+    if not order:
+        assert type(value) is Fraction and value == 0
+        return
+    # Fraction exactly when the chart's exponent is 0 (the reference answers
+    # a rational 0 at other roots when every product term vanishes)
+    assert type(value) is (Fraction if chart.exponent == 0 else Cyclotomic), (value, chart)
+    if type(reference) is Cyclotomic:
+        assert value.conductor == reference.conductor
+    # the cached weights: integer vectors over one positive integer
+    weights, common = _root_weights(chart, tuple(sorted(denominator.items())), order)
+    assert type(common) is int and common > 0
+    assert len(weights) == order
+    for w in weights:
+        assert len(w) in (1, phi_degree(chart.conductor))
+        assert all(type(x) is int for x in w)
+
+
+ALL_ROOT_CHARTS = [Chart.at_root(n, k) for n in range(1, 13) for k in range(n)]
+WALL_WEIGHTS = [s * b for b in (1, 2, 3, 4, 6, 12) for s in (1, -1)]
+
+
+def numerators(data):
+    """A Laurent polynomial N drawn both ways form_residue takes it: a
+    {exponent: Fraction} map, or integer terms over a positive D."""
+    exponents = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
+    if data.draw(st.booleans()):
+        return {r: data.draw(small_fractions.filter(bool)) for r in exponents}
+    terms = {r: data.draw(st.integers(-9, 9).filter(bool)) for r in exponents}
+    return terms, data.draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_root_residue_matches_the_two_stage_reference(data):
+    chart = data.draw(st.sampled_from(ALL_ROOT_CHARTS))
+    betas = data.draw(st.lists(st.sampled_from(WALL_WEIGHTS), min_size=1, max_size=3,
+                               unique=True))
+    denominator = {b: data.draw(st.integers(1, 4)) for b in betas}
+    _assert_matches_reference(numerators(data), denominator, chart)
+
+
+@pytest.mark.parametrize("n,k,denominator", [
+    (4, 2, {2: 2, 4: 1}),            # t = -1 as zeta_4**2, every factor a wall
+    (12, 4, {3: 2, -6: 1, 12: 1}),   # zeta_3 as zeta_12**4, every factor a wall
+    (12, 4, {3: 3, 1: 2, -2: 1}),    # walls and regular factors in one product
+    (4, 1, {4: 2, -1: 3, 2: 1}),     # walls and regular factors at t = i
+    (12, 1, {12: 4, 1: 1, -4: 2}),   # a pole of order 4 in Q(zeta_12)
+    (1, 0, {1: 4, -2: 3, 3: 2}),     # t = 1, pole order 9
+])
+def test_root_residue_reference_on_fixed_shapes(n, k, denominator):
+    chart = Chart.at_root(n, k)
+    for numerator in ({0: Fraction(1)}, {-5: Fraction(3, 2), 1: Fraction(-1, 6), 4: Fraction(2)},
+                      ({-3: 7, 0: -2, 2: 5}, 6), ({1: 1}, 1)):
+        _assert_matches_reference(numerator, denominator, chart)

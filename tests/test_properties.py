@@ -9,7 +9,9 @@ instance before the residue engine is trusted with it.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,8 @@ from quantred import (
     ProblemInstance,
     RingPresentation,
     WeylFactor,
+    catalog,
+    catalog_names,
     character_from_chart,
     character_polynomial,
     invariant_multiplicity,
@@ -27,6 +31,7 @@ from quantred import (
     reduced_rr,
     residue_of_h,
     rr_invariant,
+    tensor_power,
     wall_set,
 )
 
@@ -250,3 +255,79 @@ def test_window_vanishing_for_arbitrary_components(case):
     assert -f.n_plus < f.moment + twist < f.n_minus
     assert residue_of_h(f, Chart.at_zero(), twist=twist) == 0
     assert residue_of_h(f, Chart.at_infinity(), twist=twist) == 0
+
+
+# -- the main/correction split in k ----------------------------------------------------
+# Under the k-th tensor power the main term (the t = 1 residue) is a
+# polynomial in k of degree at most dim_C M - 1 = dim_C M_red, with the
+# symplectic volume of M_red as its k**(dim_C M - 1) coefficient, and the
+# correction of order d is a polynomial of the same degree on each residue
+# class of k mod d.  The oracle checks only their total, so these properties
+# catch value that moves between the two.
+
+def differences(values, order):
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+def assert_polynomial_split(p):
+    """Check the split on the tensor powers k = 1 .. K, K giving dim_C M + 1
+    values of k in each residue class mod every correction order; returns
+    dim_C M and their reduced counts."""
+    n = p.dimension() // 2
+    top = max(reduced_rr(p).corrections, default=1) * (n + 1)
+    parts = [reduced_rr(tensor_power(p, k)) for k in range(1, top + 1)]
+    assert not any(differences([r.main for r in parts], n)), p.name
+    for d in parts[0].corrections:
+        for c in range(d):  # k = c + 1, c + 1 + d, ...
+            values = [r.corrections[d] for r in parts[c::d]]
+            assert len(values) > n
+            assert not any(differences(values, n)), (p.name, d, c)
+    return n, parts
+
+
+def point_volume(p):
+    """sum over the fixed points with mu > 0 of mu**(r-1) / ((r-1)! prod beta),
+    r = dim_C M: the k**(r-1) coefficient of Res_{u=0} e^{k mu u} / prod (beta u),
+    the volume of M_red, written out without the residue engine."""
+    r = p.dimension() // 2
+    return sum(Fraction(f.moment ** (r - 1), factorial(r - 1) * prod(f.weights))
+               for f in p.components if f.moment > 0)
+
+
+def assert_leading_coefficient_is_the_volume(p):
+    n, parts = assert_polynomial_split(p)
+    leading = differences([r.main for r in parts], n - 1)[0] / factorial(n - 1)
+    assert leading == point_volume(p), p.name
+    return leading
+
+
+U1_ENTRIES = [name for name in catalog_names() if catalog(name).group is GroupKind.U1]
+
+
+@pytest.mark.parametrize("name", U1_ENTRIES)
+def test_catalog_split_is_polynomial_in_k(name):
+    p = catalog(name)
+    if all(f.ring.rank == 0 for f in p.components):
+        assert_leading_coefficient_is_the_volume(p)
+    else:
+        assert_polynomial_split(p)
+
+
+def test_catalog_volumes():
+    assert assert_leading_coefficient_is_the_volume(catalog("cp1-double")) == Fraction(1, 2)
+    assert assert_leading_coefficient_is_the_volume(catalog("cp1-triple")) == Fraction(1, 3)
+    assert assert_leading_coefficient_is_the_volume(catalog("cp2-k", 1)) == Fraction(1, 6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.one_of(sphere_instances(), plane_instances()))
+def test_point_families_split_is_polynomial_in_k(p):
+    assert_leading_coefficient_is_the_volume(p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=fixed_line_instances())
+def test_fixed_line_family_split_is_polynomial_in_k(p):
+    assert_polynomial_split(p)
