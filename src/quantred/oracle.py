@@ -16,11 +16,12 @@ series.  Before a normal factor is applied, L = K! den(c)^K (K the largest
 power of c that is nonzero) makes L X integral, and D becomes D L.  As
 N = L X - L only moves weight to higher monomials, the columns are finished
 in index order: column k is L num_k plus the quotient by L of (N S)_k shifted
-by m, which must be exact (a remainder raises ``ArithmeticError``), followed
-by the running sum S_k[e] += S_k[e - m].  The input classes and integral
-tables are read off their integer layout (numerators over one denominator,
-see :mod:`quantred.cohomology`); a ``Fraction`` appears only in the message
-for a coefficient that is not an integer.
+by m, which must be exact (a remainder raises ``ArithmeticError``), then the
+running sum S_k[e] += S_k[e - m], one ``accumulate`` per residue class mod m.
+Columns are combined by ``map`` over :mod:`operator` functions (``_axpy``),
+and a scale or weight of 1 is never applied.  Inputs are read off their
+integer layout (numerators over one denominator, :mod:`quantred.cohomology`);
+a ``Fraction`` appears only in the message for a non-integral coefficient.
 
 This module deliberately re-implements this small ring arithmetic instead of
 reusing the series/ring machinery: the point is to certify the residue
@@ -32,8 +33,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import accumulate, compress, product as _cartesian, repeat
 from math import factorial, gcd, lcm
+from operator import add, floordiv, mod, mul, sub
 
 from .fixedpoint import (
     MAX_EXPANSION_WINDOW,
@@ -66,15 +68,9 @@ def _monomials(orders: tuple) -> tuple:
     k; products that the truncation kills are left out."""
     monos = list(_cartesian(*(range(m) for m in orders)))
     index = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for e1 in monos:
-        row = []
-        for j, e2 in enumerate(monos):
-            k = index.get(tuple(x + y for x, y in zip(e1, e2)))
-            if k is not None:
-                row.append((j, k))
-        rows.append(tuple(row))
-    return index, tuple(rows)
+    products = ([index.get(tuple(map(add, e1, e2))) for e2 in monos] for e1 in monos)
+    return index, tuple(tuple((j, k) for j, k in enumerate(row) if k is not None)
+                        for row in products)
 
 
 def _mul(a, b, rows):
@@ -84,6 +80,16 @@ def _mul(a, b, rows):
             for j, k in row:
                 out[k] += x * b[j]
     return out
+
+
+def _axpy(a, x, b):
+    """a + x b entry by entry, as long as the shorter list; x = 1 or -1
+    multiplies nothing."""
+    if x == 1:
+        return list(map(add, a, b))
+    if x == -1:
+        return list(map(sub, a, b))
+    return list(map(add, a, map(mul, repeat(x), b)))
 
 
 def _integer_class(terms, index):
@@ -106,23 +112,15 @@ def _scaled_exp(cls, index, rows, sign=1):
     one = [1] + [0] * (len(index) - 1)
     if not cls.num:  # most normal directions of a point
         return 1, one
-    d, a = cls.den, _integer_class(cls.num.items(), index)
-    if sign < 0:
-        a = [-x for x in a]
+    d, a = cls.den, [sign * x for x in _integer_class(cls.num.items(), index)]
     powers = [one]
-    while True:
-        nxt = _mul(powers[-1], a, rows)
-        if not any(nxt):
-            break
+    while any(nxt := _mul(powers[-1], a, rows)):
         powers.append(nxt)
     top = len(powers) - 1
-    scale = factorial(top) * d**top
     out = [0] * len(a)
     for k, power in enumerate(powers):
-        c = factorial(top) // factorial(k) * d ** (top - k)
-        for i, x in enumerate(power):
-            out[i] += c * x
-    return scale, out
+        out = _axpy(out, factorial(top) // factorial(k) * d ** (top - k), power)
+    return factorial(top) * d**top, out
 
 
 # -- character assembly -----------------------------------------------------
@@ -241,17 +239,16 @@ def character_polynomial(
             scale, step = _scaled_exp(chern, index, rows, -1 if b > 0 else 1)
             nil = [[] for _ in series]  # nil[k]: (j, N_i) with x^i x^j = x^k
             for i, x in enumerate(step[1:], 1):
-                if x:
-                    for j, k in rows[i]:
-                        nil[k].append((j, x))
+                for j, k in rows[i] if x else ():
+                    nil[k].append((j, x))
             if b > 0:
-                num = [[scale * x for x in col] for col in series]
+                num = series if scale == 1 else [list(map(mul, repeat(scale), c)) for c in series]
             else:
                 num = []
-                for col, terms in zip(series, nil):
-                    col = [-scale * x for x in col]
-                    for j, x in terms:
-                        col = [a - x * y for a, y in zip(col, series[j])]
+                for k, terms in enumerate(nil):
+                    col = [0] * len(series[k])
+                    for j, x in [(k, scale), *terms]:
+                        col = _axpy(col, -x, series[j])
                     num.append(col)
                 low += m
             den *= scale
@@ -259,39 +256,41 @@ def character_polynomial(
             series = []
             for col, terms in zip(num, nil):
                 col = col[:size] + [0] * (size - len(col))
-                if terms:
-                    acc = [0] * (size - m)
+                if terms:  # add (N S)_k / L over the first size - m exponents, shifted by m
+                    acc = col[m:] if scale == 1 else [0] * (size - m)
                     for j, x in terms:
-                        acc = [a + x * y for a, y in zip(acc, series[j])]
-                    if any(a % scale for a in acc):
-                        raise ArithmeticError(
-                            f"inexact division by {scale} in the oracle recurrence")
-                    col[m:] = [y + a // scale for y, a in zip(col[m:], acc)]
-                for e in range(m, size):
-                    col[e] += col[e - m]
+                        acc = _axpy(acc, x, series[j])
+                    if scale != 1:
+                        if any(map(mod, acc, repeat(scale))):
+                            raise ArithmeticError(
+                                f"inexact division by {scale} in the oracle recurrence")
+                        acc = map(add, col[m:], map(floordiv, acc, repeat(scale)))
+                    col[m:] = acc
+                for r in range(m):  # S_k[e] += S_k[e - m], one residue class at a time
+                    col[r::m] = accumulate(col[r::m])
                 series.append(col)
         # integrate with the ring's integer weights, over integral_den
-        weights = _integer_class(f.ring.integral_num, index)
-        values = [0] * len(series[0])
-        for col, w in zip(series, weights):
+        values = []
+        for col, w in zip(series, _integer_class(f.ring.integral_num, index)):
             if w:
-                values = [v + w * x for v, x in zip(values, col)]
+                col = col if w == 1 else map(mul, repeat(w), col)
+                values = list(map(add, values, col) if values else col)
         parts.append((den * f.ring.integral_den, low, values))
     # sum the components over one common denominator; windows end by top
     common = lcm(*(d for d, _, _ in parts))
     lo = min(low for _, low, _ in parts)
     total = [0] * (top - lo + 1)
     for d, low, values in parts:
-        s, i = common // d, low - lo
-        total[i:i + len(values)] = [t + s * v for t, v in zip(total[i:], values)]
-    bad = [e for e, v in enumerate(total[bound + 1 - lo:], bound + 1) if v]
+        i = low - lo
+        total[i:i + len(values)] = _axpy(total[i:], common // d, values)
+    bad = list(compress(range(bound + 1, top + 1), total[bound + 1 - lo:]))
     if bad:
         raise StabilizationError(
             f"expansion does not stabilize: nonzero coefficients at "
             f"t^{[-e for e in bad]} beyond the bound {bound}; the "
             "data does not come from a compact manifold"
         )
-    odd = {lo + i for i, v in enumerate(total) if v % common}
+    odd = common != 1 and {lo + i for i, v in enumerate(total) if v % common}
     if odd:
         # name the first one met component by component, lowest exponent first
         w_exp = next(low + i for _, low, values in parts
@@ -301,7 +300,8 @@ def character_polynomial(
             f"{Fraction(total[w_exp - lo], common)}, "
             "not an integer; inconsistent fixed-point data"
         )
-    return _character({-lo - i: v // common for i, v in enumerate(total) if v})
+    counts = total if common == 1 else map(floordiv, total, repeat(common))
+    return _character(dict(compress(zip(range(-lo, -lo - len(total), -1), counts), total)))
 
 
 def invariant_multiplicity(c: CharacterPolynomial, group: GroupKind) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 from .exactnum import Cyclotomic, rational_part
@@ -152,7 +153,7 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
         numerator, denominator = component_form(f, weyl)
         at_zero = form_residue(numerator, denominator, Chart.at_zero())
         at_infinity = form_residue(numerator, denominator, Chart.at_infinity())
-        total = at_zero + at_infinity
+        summands = [at_zero, at_infinity]  # rational cells, and each orbit by its trace
         cells = {}
         for d, j in f_walls:  # (d, 1) comes first in its orbit
             if j <= 1:
@@ -161,13 +162,16 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
                     r = rational_part(r)
                 elif not isinstance(r, Cyclotomic):
                     r = Cyclotomic.from_rational(d, r)
-                total += r.trace() if d > 2 else r
+                summands.append(r.trace() if d > 2 else r)
                 cells[d, j] = r
             else:
                 cells[d, j] = r.galois(j)
         entries = [("zero", at_zero)]
         entries += [(label, cells.get(root, off_wall)) for label, root in zip(labels, roots)]
         entries.append(("infinity", at_infinity))
+        # the row total: integer numerators over their lcm, one Fraction
+        common = lcm(*(x.denominator for x in summands))
+        total = Fraction(sum([x.numerator * (common // x.denominator) for x in summands]), common)
         rows.append(ResidueRow(f.name, entries, total, cells))
     return rows
 
@@ -197,7 +201,7 @@ def verify_quantization(p: ProblemInstance, degree_bound: int | None = None) -> 
     t0 = time.perf_counter()
     table = residue_table(p)
     lefschetz_value = invariant_from_residues(
-        [dict(row.entries)["infinity"] for row in table]
+        [row.entries[-1][1] for row in table]  # the infinity cell
     )
     reduced = _reduced_from_table(p, table)
     timings["residues_s"] = time.perf_counter() - t0

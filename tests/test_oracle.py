@@ -383,3 +383,148 @@ def test_columns_name_the_same_non_integral_coefficient():
             p = ProblemInstance(GroupKind.U1, order)
             got = _assert_same_as_reference(p)
             assert got[0] is StabilizationError and "not an integer" in got[1], name
+
+
+# -- long strides ---------------------------------------------------------------
+# The running sum goes over m residue classes, so weights up to 12 reach
+# strides the catalog does not.  Spheres, projective planes and 3-spaces, and
+# planes with a fixed line, some of them perturbed into data that need not
+# close up; the top and bottom points of a plane or 3-space carry two or
+# three normal directions of one sign, as does the apex of a fixed line.
+
+P1 = RingPresentation.projective_line()
+
+
+def line_component(name, moment, weights, chern_multiples, omega, ring=P1):
+    x = ring.gen("x")
+    return FixedComponent(name, ring, moment, weights, [x * n for n in chern_multiples],
+                          x * omega, ring.one() + x)
+
+
+@st.composite
+def long_stride_instances(draw):
+    kind = draw(st.sampled_from(("sphere", "space", "fixed-line")))
+    if kind == "sphere":
+        q, lo = draw(st.integers(1, 12)), draw(st.integers(-30, 30))
+        comps = [point_component("north", lo + q * draw(st.integers(0, 4)), [q]),
+                 point_component("south", lo, [-q])]
+    elif kind == "space":  # P^2 or P^3: differences of coordinate weights up to 12
+        ws = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=4, unique=True))
+        k, shift = draw(st.integers(1, 3)), draw(st.integers(-8, 8))
+        comps = [point_component(f"e{j}", shift - k * w, [v - w for v in ws if v != w])
+                 for j, w in enumerate(ws)]
+    else:
+        q, mu_p, area = draw(st.integers(1, 12)), draw(st.integers(-12, 12)), draw(st.integers(1, 4))
+        comps = [line_component("line", mu_p + q * area, [q], [1], area),
+                 point_component("apex", mu_p, [-q, -q])]
+    # perturb one component: a moment, a weight or omega off by a little
+    tweak = draw(st.sampled_from((None, "moment", "weight", "omega")))
+    if tweak is not None:
+        i = draw(st.integers(0, len(comps) - 1))
+        f = comps[i]
+        moment, weights, omega = f.moment, list(f.weights), f.omega
+        if tweak == "moment":
+            moment += draw(st.sampled_from((-2, -1, 1, 2)))
+        elif tweak == "weight":
+            j = draw(st.integers(0, len(weights) - 1))
+            weights[j] = draw(st.integers(-12, 12).filter(bool))
+        elif f.ring is P1:  # a point keeps its zero omega
+            omega = omega + P1.gen("x") * draw(st.fractions(-2, 2, max_denominator=3))
+        comps[i] = FixedComponent(f.name, f.ring, moment, weights, f.normal_chern, omega, f.todd)
+    return ProblemInstance(GroupKind.U1, comps, f"{kind}-{tweak}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=long_stride_instances())
+def test_columns_match_the_reference_on_long_strides(p):
+    for q in (p, reversed_action(p)):
+        _assert_same_as_reference(q)
+        _assert_same_as_reference(q, 2 * automatic_degree_bound(q))
+
+
+def _bundle(base, a, b, q, k, mu):
+    # the projective bundle of the drawn-bundle test above, with s = 1 and
+    # omega = 0 on the zero section
+    ring, todd = base
+    x, y = ring.gen("x"), ring.gen("y")
+    todd = CohomologyClass(ring, todd)
+    return ProblemInstance(GroupKind.U1, [
+        FixedComponent("zero", ring, mu, [q], [x * a + y * b], ring.zero(), todd),
+        FixedComponent("infinity", ring, mu + k * q, [-q], [x * -a + y * -b],
+                       x * (k * a) + y * (k * b), todd),
+    ], f"bundle({a},{b},q={q},k={k})")
+
+
+HALF = RingPresentation((), (), 0, {(): Fraction(1, 2)})
+DOUBLE_LINE = RingPresentation(("x",), (2,), 2, {(1,): 2})
+
+
+def half_point(name, moment, weights, ring=HALF):
+    return FixedComponent(name, ring, moment, weights, [ring.zero() for _ in weights],
+                          ring.zero(), ring.one())
+
+
+# Each unit shortcut (a scale L, an integral weight, a component's factor
+# over the common denominator, the common denominator itself) is met both
+# at 1 and away from it, with strides m > 1, on a certified character and on
+# each kind of failure.
+UNIT_CASES = {
+    # L = 2 (c = x + y, c^2 = 2xy) and L = 6 (c^3 = 3x^2 y), over common
+    # denominators 2 and 12; a fixed line has L = 1 and a common denominator 1
+    "scale-2": (_bundle(BASES[0], 1, 1, 4, 2, 3), {7: -4}),
+    "scale-6": (_bundle(BASES[1], 1, 1, 5, 2, 3), {8: -6}),
+    "fixed-line-q5": (ProblemInstance(GroupKind.U1, [
+        line_component("line", 17, [5], [1], 3), point_component("apex", 2, [-5, -5])]),
+        {2: 1, 7: 2, 12: 3, 17: 4}),
+    # an integral weight of 2 on the line, over a common denominator of 1
+    "weight-2": (ProblemInstance(GroupKind.U1, [
+        line_component("line", 17, [5], [1], 3, DOUBLE_LINE),
+        point_component("apex", 2, [-5, -5])]), None),
+    # the tail fails with m = 3 over a common denominator of 1 and with m = 5
+    # over 2
+    "open-stride-3": (ProblemInstance(GroupKind.U1, [
+        point_component("north", 4, [3]), point_component("south", -4, [-3])]),
+        "does not stabilize"),
+    "open-stride-5": (ProblemInstance(GroupKind.U1, [
+        line_component("line", 17, [5], [1], Fraction(5, 2)),
+        point_component("apex", 2, [-5, -5])]), "does not stabilize"),
+    # halved points: every coefficient is 1/2 over a common denominator of 2,
+    # and one component over 1 next to one over 2
+    "half-stride-5": (ProblemInstance(GroupKind.U1, [
+        half_point("north", 7, [5]), half_point("south", -3, [-5])]), "not an integer"),
+    "mixed-denominators": (ProblemInstance(GroupKind.U1, [
+        point_component("north", 7, [5]), half_point("south", -3, [-5])]), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_CASES))
+def test_unit_shortcuts_both_ways(name):
+    p, expected = UNIT_CASES[name]
+    for q in (p, reversed_action(p)):
+        got = _assert_same_as_reference(q)
+        _assert_same_as_reference(q, 2 * automatic_degree_bound(q))
+        if isinstance(expected, dict):
+            assert got == (expected if q is p else {-m: c for m, c in expected.items()})
+        elif expected is not None:
+            assert got[0] is StabilizationError and expected in got[1], got
+
+
+def _oracle_inputs(p):
+    # every class numerator, integral table and cached product table the
+    # oracle reads, copied
+    return [([dict(c.num) for c in (f.omega, f.todd, *f.normal_chern)], f.ring.integral_num,
+             dict(_monomials(f.ring.orders)[0]), _monomials(f.ring.orders)[1])
+            for f in p.components]
+
+
+def test_the_columns_leave_their_inputs_alone():
+    # the unit shortcuts share lists instead of copying them; no input may
+    # change under the oracle
+    instances = [INSTANCES[name]() for name in sorted(INSTANCES)]
+    instances += [tensor_power(p, 7) for p in instances] + [p for p, _ in UNIT_CASES.values()]
+    for p in instances:
+        before = _oracle_inputs(p)
+        first = _outcome(p)
+        _outcome(reversed_action(p))
+        assert _outcome(p) == first, p.name
+        assert _oracle_inputs(p) == before, p.name
