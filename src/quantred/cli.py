@@ -149,15 +149,28 @@ def _findings_json(findings):
     ]
 
 
-def _row_json(row) -> dict:
+def _row_json(row, cell=scalar_json) -> dict:
     return {
         "component": row.component,
-        "values": {label: scalar_json(v) for label, v in row.entries},
-        "sum": scalar_json(row.total),
+        "values": {label: cell(v) for label, v in row.entries},
+        "sum": cell(row.total),
     }
 
 
 def report_to_json(report: Report) -> dict:
+    # each Cyclotomic of the report is rendered once, by id: one that appears
+    # twice (a row cell and its residues_by_root entry, a rational cell and
+    # its Galois images) is one object in the document too
+    rendered = {}
+
+    def cell(x):
+        if not isinstance(x, Cyclotomic):
+            return str(x)  # an int or a Fraction
+        out = rendered.get(id(x))
+        if out is None:
+            out = rendered[id(x)] = scalar_json(x)
+        return out
+
     reduced = report.reduced
     return {
         "schema": SCHEMA,
@@ -170,18 +183,18 @@ def report_to_json(report: Report) -> dict:
         },
         "findings": _findings_json(report.findings),
         "hypotheses_ok": report.hypotheses_ok,
-        "lefschetz": scalar_json(report.lefschetz),
+        "lefschetz": cell(report.lefschetz),
         "reduction": {
-            "main": scalar_json(reduced.main),
-            "corrections": {str(d): scalar_json(v) for d, v in reduced.corrections.items()},
+            "main": cell(reduced.main),
+            "corrections": {str(d): cell(v) for d, v in reduced.corrections.items()},
             "residues_by_root": {
-                root_label(*root): scalar_json(v) for root, v in reduced.residues_by_root.items()
+                root_label(*root): cell(v) for root, v in reduced.residues_by_root.items()
             },
-            "total": scalar_json(reduced.total),
+            "total": cell(reduced.total),
         },
-        "oracle": scalar_json(report.oracle),
+        "oracle": cell(report.oracle),
         "character": {str(m): c for m, c in sorted(report.character.coefficients.items())},
-        "residues": [_row_json(row) for row in report.residue_table],
+        "residues": [_row_json(row, cell) for row in report.residue_table],
         "verdict": report.verdict,
         "timings": report.timings,
     }

@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 
 class NotRationalError(ArithmeticError):
@@ -117,6 +118,13 @@ def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                 row[i] -= top * phi[i]
         rows.append(tuple((i, c) for i, c in enumerate(row) if c))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _galois_rows(n: int, a: int) -> tuple:
+    # row k: z**(k*a) mod Phi_n, k < phi(n), the image of z**k under z -> z**a
+    rows = _power_table(n)
+    return tuple(rows[k * a % n] for k in range(phi_degree(n)))
 
 
 def _reduce(n: int, terms, out=None) -> list:
@@ -415,11 +423,20 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def galois(self, a: int) -> "Cyclotomic":
-        """Apply the Galois automorphism z -> z**a (a coprime to N)."""
+        """Apply the Galois automorphism z -> z**a (a coprime to N): the
+        integers of ``substituted(N, a)``, from cached rows of z**(k*a).  A
+        rational value is its own image."""
         n = self.conductor
         if gcd(a, n) != 1:
             raise ValueError(f"{a} is not coprime to the conductor {n}")
-        return self.substituted(n, a)
+        if self.is_rational():
+            return self
+        out = [0] * len(self.num)
+        for c, row in zip(self.num, _galois_rows(n, a % n)):
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return _new(n, tuple(out), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -433,8 +450,7 @@ class Cyclotomic:
     def trace(self) -> Fraction:
         """Tr(self) from Q(zeta_N) to Q: the sum of ``galois(a)`` over the a
         coprime to N, read off the cached traces of the powers of z."""
-        trace = sum(c * t for c, t in zip(self.num, _trace_row(self.conductor)) if c)
-        return Fraction(trace, self.den)
+        return Fraction(sum(map(mul, self.num, _trace_row(self.conductor))), self.den)
 
     def __hash__(self):
         # equal values in different fields must hash alike, so hash the
@@ -457,6 +473,8 @@ class Cyclotomic:
         """Each coefficient num[k] / den as ``str(Fraction)`` prints it, read
         off the integers."""
         den, out = self.den, []
+        if den == 1:
+            return list(map(str, self.num))
         for c in self.num:
             if not c:
                 out.append("0")
@@ -499,20 +517,22 @@ def polynomial_text(coeffs: list[str]) -> str:
     >>> polynomial_text(["1/2", "0", "-1", "3"])
     '1/2 - z^2 + 3*z^3'
     """
-    parts = []
+    terms = []
     for k, c in enumerate(coeffs):
-        if c == "0":
-            continue
-        if k:
-            mono = "z" if k == 1 else f"z^{k}"
-            c = mono if c == "1" else f"-{mono}" if c == "-1" else f"{c}*{mono}"
-        if not parts:
-            parts.append(c)
-        elif c[0] == "-":
-            parts.append(f" - {c[1:]}")
-        else:
-            parts.append(f" + {c}")
-    return "".join(parts) or "0"
+        if c != "0":
+            if k:
+                mono = "z" if k == 1 else f"z^{k}"
+                c = mono if c == "1" else f"-{mono}" if c == "-1" else f"{c}*{mono}"
+            terms.append(c)
+    # a "-" begins a term or nothing: " + -" only ever joins a negative term
+    return " + ".join(terms).replace(" + -", " - ") or "0"
+
+
+def fraction_sum(values) -> Fraction:
+    """The sum of a list of ``Fraction``s: integer numerators over the lcm of
+    the denominators, added as integers, make one ``Fraction``."""
+    common = lcm(*(x.denominator for x in values))
+    return Fraction(sum([x.numerator * (common // x.denominator) for x in values]), common)
 
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:

@@ -23,6 +23,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .cohomology import CohomologyClass, RingPresentation
@@ -301,8 +302,13 @@ def wall_set(f: FixedComponent) -> tuple[tuple[int, int], ...]:
     """The roots of unity zeta_d**j with zeta**beta = 1 for some normal
     weight beta, as sorted pairs (d, j): d divides a weight, 0 <= j < d and
     gcd(j, d) = 1, so each order d brings its whole Galois orbit.  Always
-    contains (1, 0), the point t = 1."""
-    orders = {d for b in f.weights if b for d in range(1, abs(b) + 1) if b % d == 0}
+    contains (1, 0), the point t = 1.  Built once per weight tuple."""
+    return _wall_set(f.weights)
+
+
+@lru_cache(maxsize=None)
+def _wall_set(weights: tuple) -> tuple[tuple[int, int], ...]:
+    orders = {d for b in weights if b for d in range(1, abs(b) + 1) if b % d == 0}
     return tuple((d, j) for d in sorted(orders | {1}) for j in range(d) if gcd(j, d) == 1)
 
 
@@ -428,6 +434,29 @@ def _class_to_dict(cls: CohomologyClass) -> dict:
     }
 
 
+def _shared(seen: dict, key, parse):
+    # what was parsed from an earlier part of the document equal to key, else
+    # parse(), remembered: looked up by repr, which tells apart the 1, 1.0
+    # and True that == equates, and confirmed by ==
+    try:
+        text = repr(key)
+    except (RecursionError, ValueError):  # too deep, or an int too long to print
+        return parse()
+    earlier = seen.get(text)
+    if earlier is not None and earlier[0] == key:
+        return earlier[1]
+    obj = parse()
+    seen[text] = key, obj
+    return obj
+
+
+def _ring_fields(obj):
+    # what _parse_ring reads of a ring document
+    if not isinstance(obj, dict):
+        return None
+    return obj.get("generators", []), obj.get("top_degree", 0), obj.get("integrals")
+
+
 def _parse_ring(obj, where) -> RingPresentation:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a ring description")
@@ -488,6 +517,7 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
     comps_doc = doc.get("components")
     if not isinstance(comps_doc, list) or not comps_doc:
         raise SchemaError("components: expected a nonempty list")
+    rings = {}  # repr of ring fields -> (fields, (ring, its parsed classes))
     comps = []
     for i, cd in enumerate(comps_doc):
         where = f"components[{i}]"
@@ -496,7 +526,9 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
         cname = cd.get("name", f"F{i}")
         if not isinstance(cname, str):
             raise SchemaError(f"{where}.name: expected a string")
-        ring = _parse_ring(cd.get("ring", {}), f"{where}.ring")
+        ring_doc = cd.get("ring", {})
+        ring, classes = _shared(rings, _ring_fields(ring_doc),
+                                lambda: (_parse_ring(ring_doc, f"{where}.ring"), {}))
         moment = cd.get("moment")
         if not isinstance(moment, int) or isinstance(moment, bool):
             raise SchemaError(f"{where}.moment: expected an integer (no floats)")
@@ -510,12 +542,13 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
             chern_doc = [{} for _ in weights]
         if not isinstance(chern_doc, list):
             raise SchemaError(f"{where}.normal_chern: expected a list")
-        chern = [
-            _parse_class(c, ring, f"{where}.normal_chern[{j}]")
-            for j, c in enumerate(chern_doc)
-        ]
-        omega = _parse_class(cd.get("omega", {}), ring, f"{where}.omega")
-        todd = _parse_class(cd.get("todd", {"1": 1}), ring, f"{where}.todd")
+
+        def parse_class(obj, where):
+            return _shared(classes, obj, lambda: _parse_class(obj, ring, where))
+
+        chern = [parse_class(c, f"{where}.normal_chern[{j}]") for j, c in enumerate(chern_doc)]
+        omega = parse_class(cd.get("omega", {}), f"{where}.omega")
+        todd = parse_class(cd.get("todd", {"1": 1}), f"{where}.todd")
         try:
             comps.append(FixedComponent(cname, ring, moment, weights, chern, omega, todd))
         except ValueError as exc:

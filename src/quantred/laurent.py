@@ -32,10 +32,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .cohomology import CohomologyClass, RingPresentation, todd_coefficients
-from .exactnum import Cyclotomic, root_of_unity
+from .exactnum import Cyclotomic
 
 _ZERO = Fraction(0)
 
@@ -309,36 +309,56 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
     return out
 
 
-def _power(series, m: int, length: int) -> tuple:
-    out = series
+@lru_cache(maxsize=None)
+def _wall_series(beta: int, m: int, length: int) -> tuple:
+    # (u / (1 - e^{-beta u}))**m, with u / (1 - e^{-beta u}) = sum_i td_i
+    # beta**(i-1) u**i (td the Todd coefficients of x / (1 - e^{-x}))
+    td = todd_coefficients(length - 1)
+    series = out = [td[i] * Fraction(beta) ** (i - 1) for i in range(length)]
     for _ in range(m - 1):
         out = truncated_product(out, series, length)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _wall_series(beta: int, m: int, length: int) -> tuple:
-    # (u / (1 - e^{-beta u}))**m, with u / (1 - e^{-beta u}) = sum_i td_i
-    # beta**(i-1) u**i (td the Todd coefficients of x / (1 - e^{-x}))
-    td = todd_coefficients(length - 1)
-    beta = Fraction(beta)
-    return _power([td[i] * beta ** (i - 1) for i in range(length)], m, length)
+def _factor_polynomials(m: int, length: int) -> tuple:
+    # Q_0 = w**m, .., Q_{length-1}, Q_{j+1} = w (w - 1) Q_j' as integers,
+    # lowest degree first: f = 1/(1 - z e^x) has f' = f (f - 1), so the j-th
+    # derivative of f**m is Q_j(f)
+    q, out = [0] * m + [1], []
+    for _ in range(length):
+        out.append(tuple(q))
+        q = [0] * (len(q) + 1)
+        for i, c in enumerate(out[-1][1:], 1):  # c w**i gives i c (w**(i+1) - w**i)
+            q[i + 1] += i * c
+            q[i] -= i * c
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _regular_series(conductor: int, k: int, beta: int, m: int, length: int) -> tuple:
-    # (1 - z e^{-beta u})**(-m) with z = zeta_conductor**k != 1: the
-    # reciprocal of d_0 + d_1 u + ..., d_0 = 1 - z, d_i = -z (-beta)**i / i!
-    z = root_of_unity(conductor, k)
-    d = [1 - z] + [z * Fraction(-((-beta) ** i), factorial(i)) for i in range(1, length)]
-    lead = d[0].inverse()
-    inv = [lead]
-    for i in range(1, length):
-        acc = d[1] * inv[i - 1]
-        for j in range(2, i + 1):
-            acc = acc + d[j] * inv[i - j]
-        inv.append(-(lead * acc))
-    return _power(inv, m, length)
+    # (1 - z e^{-beta u})**(-m), z = zeta_conductor**k != 1 of order e: the
+    # u**j coefficient is (-beta)**j Q_j(w) / j! at w = 1/(1 - z) =
+    # -(1/e) sum_{i<e} i z**i, summed on integers over e**(m+length-1) * j!
+    e = conductor // gcd(conductor, k)
+    w = [0] * conductor
+    for i in range(1, e):
+        w[k * i % conductor] -= i
+    w = Cyclotomic.from_integers(conductor, w, e)
+    powers = [Cyclotomic.from_rational(conductor, 1)]
+    for _ in range(m + length - 1):
+        powers.append(powers[-1] * w)
+    scale = e ** (m + length - 1)  # w**i has a denominator dividing e**i
+    out = []
+    for j, q in enumerate(_factor_polynomials(m, length)):
+        acc = [0] * len(w.num)
+        for c, x in zip(q, powers):
+            if c:
+                c *= (-beta) ** j * (scale // x.den)
+                for i, v in enumerate(x.num):
+                    acc[i] += c * v
+        out.append(Cyclotomic.from_integers(conductor, acc, scale * factorial(j)))
+    return tuple(out)
 
 
 def factor_series(beta: int, m: int, chart: Chart, length: int) -> tuple:
@@ -418,12 +438,12 @@ def form_residue(numerator, denominator, chart: Chart):
         return outer_expansion(numerator, denominator, chart, 0, 0)[0]
     if chart.kind == "inf":
         return -outer_expansion(numerator, denominator, chart, 0, 0)[0]
-    order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
+    n, k = chart.conductor, chart.exponent
+    order = sum(m for beta, m in denominator.items() if k * beta % n == 0)  # on the walls
     terms, scale = _integer_terms(numerator)
     if not order or not terms:
         return _ZERO
     weights, common = _root_weights(chart, tuple(sorted(denominator.items())), order)
-    n, k = chart.conductor, chart.exponent
     acc = [0] * (2 * n)
     for r, a in terms.items():
         shift = k * r % n

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .exactnum import rational_part
+from .exactnum import fraction_sum, rational_part
 from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
 from .laurent import Chart, form_residue, outer_expansion
 
@@ -50,11 +50,14 @@ class WeylFactor(namedtuple("WeylFactor", "group")):
 
     @property
     def poly(self) -> dict[int, Fraction]:
-        if self.group is GroupKind.U1:
-            return {0: Fraction(1)}
-        if self.group is GroupKind.SO3:
-            return {0: Fraction(1), 1: Fraction(-1, 2), -1: Fraction(-1, 2)}
-        return {0: Fraction(1), 2: Fraction(-1, 2), -2: Fraction(-1, 2)}
+        return dict(_WEYL_POLYS[self.group])
+
+
+_WEYL_POLYS = {
+    GroupKind.U1: {0: Fraction(1)},
+    GroupKind.SO3: {0: Fraction(1), 1: Fraction(-1, 2), -1: Fraction(-1, 2)},
+    GroupKind.SU2: {0: Fraction(1), 2: Fraction(-1, 2), -2: Fraction(-1, 2)},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -66,20 +69,21 @@ def _integral_table(f: FixedComponent) -> dict:
     I_k = integral_F e^omega Td(F) prod_j x_j**k_j and x_j = e^{-c_j} - 1;
     the pairs are integers, not reduced."""
     base = f.omega.exp() * f.todd if f.omega.num else f.todd
-    # (c, x) per distinct Chern class, matched by identity, then by value:
-    # a class's hash would sort its terms and hash its presentation
+    # (c, x) per distinct nonzero Chern class, matched by identity, then by
+    # value: a class's hash would sort its terms and hash its presentation
     seen = []
     classes = {(): base}
     for c in f.normal_chern:
+        if not c.num:  # x = 0: only the multi-index grows
+            classes = {k + (0,): cls for k, cls in classes.items()}
+            continue
         x = next((x0 for c0, x0 in seen if c0 is c or c0 == c), None)
         if x is None:
-            x = (-c).exp() - 1 if c.num else c
+            x = (-c).exp() - 1
             seen.append((c, x))
         grown = {}
         for k, cls in classes.items():
             grown[k + (0,)] = cls
-            if not x.num:
-                continue
             term, power = cls * x, 1
             while term.num:  # x is nilpotent
                 grown[k + (power,)] = term
@@ -116,7 +120,7 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     # product clears every denominator of N
     table_den = lcm(*(d for _, d in table.values()))
     mult_den = lcm(*(a.denominator for a in multiplier.values()))
-    tops = [max(k[j] for k in table) for j in range(len(f.weights))]
+    tops = [max(k[j] for k in table) if c.num else 0 for j, c in enumerate(f.normal_chern)]
     body: dict[int, int] = {}
     for k, (n, d) in table.items():
         poly = {0: n * (table_den // d)}
@@ -179,9 +183,7 @@ def rr_invariant(p: ProblemInstance) -> Fraction:
 def invariant_from_residues(infinity_residues) -> Fraction:
     """Minus the sum of the given residues at infinity (one per component):
     the invariant count.  Raises NonIntegerResultError unless integral."""
-    total = Fraction(0)
-    for value in infinity_residues:
-        total -= rational_part(value)
+    total = -fraction_sum([rational_part(value) for value in infinity_residues])
     if total.denominator != 1:
         raise NonIntegerResultError(
             f"invariant count {total} is not an integer; the fixed-point "

@@ -14,10 +14,10 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
 from types import SimpleNamespace
 
-from .exactnum import Cyclotomic, rational_part
+from .exactnum import Cyclotomic, fraction_sum, rational_part
 from .fixedpoint import (
     MAX_EXPANSION_WINDOW,
     InvalidInstanceError,
@@ -62,14 +62,14 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
     orbits and the trace is linear, so the correction of order d is the
     trace of the summed residue at zeta_d.
     """
-    main = Fraction(0)
+    mains = []
     residues: dict[tuple[int, int], object] = {}
     for f, row in zip(p.components, table):
         if f.moment <= 0:
             continue
         for root, value in row.walls.items():
             if root == (1, 0):
-                main += value
+                mains.append(value)
             elif root not in residues:
                 residues[root] = value
             elif value:
@@ -77,8 +77,8 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
     residues = dict(sorted(residues.items()))
     corrections = {d: v.trace() if d > 2 else v
                    for (d, j), v in residues.items() if j == 1}
-    total = main + sum(corrections.values(), Fraction(0))
-    return ReducedRR(main, corrections, residues, total)
+    main = fraction_sum(mains)
+    return ReducedRR(main, corrections, residues, fraction_sum([main, *corrections.values()]))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +125,14 @@ class Report(SimpleNamespace):
         )
 
 
+@lru_cache(maxsize=None)
 def root_label(d: int, j: int) -> str:
-    """The column label of zeta_d**j: ``t=1`` for d = 1, else ``zeta_d^j``."""
+    """The column label of zeta_d**j: ``t=1`` for d = 1, else ``zeta_d^j``;
+    built once per root."""
     return "t=1" if d == 1 else f"zeta_{d}^{j}"
+
+
+_AT_ZERO, _AT_INFINITY = Chart.at_zero(), Chart.at_infinity()
 
 
 def residue_table(p: ProblemInstance) -> list[ResidueRow]:
@@ -151,13 +156,14 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     rows = []
     for f, f_walls in zip(p.components, walls):
         numerator, denominator = component_form(f, weyl)
-        at_zero = form_residue(numerator, denominator, Chart.at_zero())
-        at_infinity = form_residue(numerator, denominator, Chart.at_infinity())
+        at_zero = form_residue(numerator, denominator, _AT_ZERO)
+        at_infinity = form_residue(numerator, denominator, _AT_INFINITY)
         summands = [at_zero, at_infinity]  # rational cells, and each orbit by its trace
         cells = {}
         for d, j in f_walls:  # (d, 1) comes first in its orbit
             if j <= 1:
-                r = form_residue(numerator, denominator, Chart.at_root(d, j))
+                # a wall root is a valid chart as it stands
+                r = form_residue(numerator, denominator, Chart("root", d, j))
                 if d <= 2:
                     r = rational_part(r)
                 elif not isinstance(r, Cyclotomic):
@@ -169,10 +175,7 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
         entries = [("zero", at_zero)]
         entries += [(label, cells.get(root, off_wall)) for label, root in zip(labels, roots)]
         entries.append(("infinity", at_infinity))
-        # the row total: integer numerators over their lcm, one Fraction
-        common = lcm(*(x.denominator for x in summands))
-        total = Fraction(sum([x.numerator * (common // x.denominator) for x in summands]), common)
-        rows.append(ResidueRow(f.name, entries, total, cells))
+        rows.append(ResidueRow(f.name, entries, fraction_sum(summands), cells))
     return rows
 
 

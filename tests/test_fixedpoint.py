@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -497,3 +498,100 @@ def test_exact_rationals_in_schema():
     f = p.components[0]
     assert f.omega.coeffs[(1,)] == Fraction(7, 3)
     assert f.normal_chern[0].coeffs[(1,)] == Fraction(-2, 5)
+
+
+# -- one ring per document ---------------------------------------------------------
+
+P1_DOC = {"generators": [["x", 2]], "top_degree": 2, "integrals": {"x": "1"}}
+
+
+def _two_components(first, second):
+    def component(name, moment, weight, ring):
+        return {"name": name, "moment": moment, "weights": [weight], "ring": ring,
+                "omega": {}, "todd": {"1": "1"}, "normal_chern": [{}]}
+
+    return {"group": "U1", "components": [component("a", 1, 1, first),
+                                          component("b", -1, -1, second)]}
+
+
+def test_components_with_one_ring_document_share_one_presentation():
+    # the three points of a plane, read back from JSON text: equal ring
+    # dicts, not one object, parse to one presentation
+    from quantred.catalog import catalog as build
+
+    doc = json.loads(json.dumps(instance_to_dict(build("cp2-k", 2))))
+    rings = [f.ring for f in instance_from_dict(doc).components]
+    assert len(rings) == 3 and all(ring is rings[0] for ring in rings)
+    p = instance_from_dict(_two_components(P1_DOC, dict(P1_DOC)))
+    a, b = p.components
+    assert a.ring is b.ring
+    assert a.todd.presentation is b.ring and b.omega.presentation is a.ring
+
+
+def test_different_ring_documents_stay_different_presentations():
+    # a point and a line; equal fields written another way ("1" and 1, key
+    # order) parse twice, to equal presentations
+    p = instance_from_dict(_two_components({}, P1_DOC))
+    assert p.components[0].ring != p.components[1].ring
+    other = {"integrals": {"x": 1}, "top_degree": 2, "generators": [["x", 2]]}
+    a, b = instance_from_dict(_two_components(P1_DOC, other)).components
+    assert a.ring is not b.ring and a.ring == b.ring
+
+
+def _deep(depth):
+    out = []
+    for _ in range(depth):
+        out = [out]
+    return out
+
+
+def _p1(**fields):
+    return {**P1_DOC, **fields}
+
+
+POINT_AS_LINE = {"generators": [["x", 1]], "top_degree": 0, "integrals": {"1": 1}}
+
+# a bad ring in the first or a later component, after a good one that a
+# plain == would match (1 == 1.0 == True, 0 == False), with its message
+BAD_RING_DOCUMENTS = [
+    ([], P1_DOC, "components[0].ring: expected a ring description"),
+    (P1_DOC, [], "components[1].ring: expected a ring description"),
+    (_p1(generators=[["x", True]]), P1_DOC,
+     "components[0].ring.generators: order True is not an integer"),
+    (P1_DOC, _p1(generators=[["x", 2.0]]),
+     "components[1].ring.generators: order 2.0 is not an integer"),
+    (POINT_AS_LINE, {**POINT_AS_LINE, "generators": [["x", True]]},
+     "components[1].ring.generators: order True is not an integer"),
+    ({"top_degree": 0}, {"top_degree": False}, "components[1].ring.top_degree: expected an integer"),
+    (P1_DOC, _p1(top_degree=2.0), "components[1].ring.top_degree: expected an integer"),
+    (_p1(integrals={"x": 1}), _p1(integrals={"x": True}),
+     "components[1].ring.integrals.x: booleans are not numbers"),
+    (_p1(integrals={"x": 1}), _p1(integrals={"x": 1.0}),
+     "components[1].ring.integrals.x: floats are not accepted; write an exact rational "
+     "string like \"7/3\""),
+    (P1_DOC, _p1(integrals={"x": "1/0"}),
+     "components[1].ring.integrals.x: bad rational literal '1/0'"),
+    (P1_DOC, _p1(integrals={"y": "1"}), "components[1].ring.integrals.y: unknown generator 'y'"),
+    (P1_DOC, _p1(generators=_deep(50)), "components[1].ring.generators: entries are [name, order]"),
+    # deeper than repr can go
+    (P1_DOC, _p1(generators=_deep(10 * sys.getrecursionlimit())),
+     "components[1].ring.generators: entries are [name, order]"),
+    (P1_DOC, {"generators": [["x", 0]], "top_degree": 2, "integrals": {"q": "1"}},
+     "components[1].ring: nilpotency orders must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("first,second,message", BAD_RING_DOCUMENTS)
+def test_bad_rings_keep_their_schema_messages(first, second, message):
+    with pytest.raises(SchemaError) as info:
+        instance_from_dict(_two_components(first, second))
+    assert str(info.value) == message
+
+
+def test_ring_documents_too_long_to_print_still_parse():
+    # an int past the digit limit of str() cannot be looked up by repr; it
+    # is parsed as it is, as each component's ring was before sharing
+    huge = 10**5000
+    ring = {"generators": [["x", 2]], "top_degree": 2, "integrals": {"x": huge}}
+    a, b = instance_from_dict(_two_components(ring, dict(ring))).components
+    assert a.ring == b.ring and a.ring.integral_num == (((1,), huge),)

@@ -153,6 +153,38 @@ def test_regular_factor_leading_coefficient():
     assert form_residue({0: Fraction(1)}, {1: 3}, chart) == 0
 
 
+def long_division_reciprocal(d, length):
+    """1 / (d_0 + d_1 u + ...), the first ``length`` Taylor coefficients,
+    by long division: inv_i = -(sum_{j=1..i} d_j inv_{i-j}) / d_0."""
+    inv = [1 / d[0]]
+    for i in range(1, length):
+        inv.append(-sum((d[j] * inv[i - j] for j in range(1, i + 1)), Fraction(0)) * inv[0])
+    return inv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_regular_factor_series_matches_long_division(data):
+    # off the walls factor_series takes the closed form in w = 1/(1 - z);
+    # here it must equal the reciprocal of scalar_denominator by long
+    # division, raised to the m-th power
+    n = data.draw(st.integers(2, 30))
+    k = data.draw(st.integers(1, n - 1))  # z = zeta_n**k
+    beta = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    # the roots zeta = zeta_n**j with zeta**(-beta) = z
+    exponents = [j for j in range(n) if -j * beta % n == k]
+    if not exponents:
+        beta, exponents = -1, [k]
+    chart = Chart.at_root(n, data.draw(st.sampled_from(exponents)))
+    m = data.draw(st.integers(1, 4))
+    length = data.draw(st.integers(1, 5))
+    inv = long_division_reciprocal(scalar_denominator(beta, chart, length), length)
+    power = inv
+    for _ in range(m - 1):
+        power = truncated_product(power, inv, length)
+    assert list(factor_series(beta, m, chart, length)) == power, (n, k, beta, m, length)
+
+
 def test_zero_weight_rejected():
     with pytest.raises(ValueError):
         factor_series(0, 1, Chart.at_one(), 3)
