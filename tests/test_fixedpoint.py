@@ -184,6 +184,9 @@ CONDUCTORS_AND_FINDINGS = {
     "cp2-line-double-k64": (4, []),
     "cp3-plane": (4, [("INFO", "quasi-free", None)]),
     "cp3-plane-double": (4, []),
+    "cp3-0223-k3-c4": (12, []),
+    "cp3-lines-q1-k3": (4, [("INFO", "quasi-free", None)]),
+    "cp3-lines-q2-k3": (4, []),
     "plane-037-k1-c2": (84, []),
     "plane-057-k1-c3": (140, []),
     "plane-0711-k1-c2": (308, []),
