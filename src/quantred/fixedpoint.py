@@ -24,7 +24,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import phi_degree
@@ -42,6 +42,17 @@ MAX_FIELD_DEGREE = 512
 # 0.02-0.04 s and 20-24 MB, windows of 2 * 10^4 in 0.04-0.09 s and 24-33 MB.
 # Catalog, golden and benchmark instances need at most 197.
 MAX_EXPANSION_WINDOW = 20000
+
+# The largest integral table a component may need, counted as C(N + d, d):
+# the multi-indices k with |k| <= N that can be nonzero, N the ring's
+# nilpotency bound and d the number of distinct weights on a nonzero normal
+# Chern class (see :func:`quantred.lefschetz.component_form`).  Measured on
+# one core over Q[x]/x^m with dense classes, component_form takes 0.2 s at
+# C(33, 2) = 528 (m = 32, two weights) and at C(18, 3) = 816 (m = 16, three),
+# 0.7 s at C(49, 2) = 1176 and 2.3 s at C(65, 2) = 2080; verify of two such
+# points takes 2.0, 0.9, 6.8 and 22 s.  Catalog, golden and benchmark
+# instances need at most 3.
+MAX_INTEGRAL_TABLE = 1000
 
 
 class GroupKind(Enum):
@@ -209,7 +220,8 @@ def validate(p: ProblemInstance) -> list[Finding]:
     component sitting on the zero level, a zero normal weight, components
     disagreeing about dim M, moments not mirrored for a nonabelian group) or
     too costly (a cyclotomic field of degree above ``MAX_FIELD_DEGREE``, an
-    expansion window above ``MAX_EXPANSION_WINDOW``).
+    expansion window above ``MAX_EXPANSION_WINDOW``, an integral table above
+    ``MAX_INTEGRAL_TABLE``).
     WARN findings flag instances for which the two sides are not asserted to
     agree; INFO findings are informational.
     """
@@ -225,6 +237,13 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 "ERROR", "weight-zero",
                 "zero normal weight: the circle must act nontrivially on "
                 "every normal direction", f.name))
+        d = len({b for b, c in zip(f.weights, f.normal_chern) if c.num})
+        if d and comb(f.ring.nilpotency_bound + d, d) > MAX_INTEGRAL_TABLE:
+            findings.append(Finding(
+                "ERROR", "integral-table",
+                f"the integral table needs up to {comb(f.ring.nilpotency_bound + d, d)} "
+                f"entries ({d} weights on nonzero Chern classes, nilpotency bound "
+                f"{f.ring.nilpotency_bound}), above the limit of {MAX_INTEGRAL_TABLE}", f.name))
     # phi(d) <= phi(|beta|) for d | beta, and phi(n) >= sqrt(n/2), so a
     # weight above 2 * limit**2 fails unfactored
     for n in sorted({abs(b) for f in p.components for b in f.weights if b}, reverse=True):

@@ -7,21 +7,21 @@ The contribution of a fixed component F is the meromorphic function
     chi_F(t) = t**mu_F * integral_F( e^omega Td(F) /
                                      prod_j (1 - t**(-beta_j) e^{-c_j}) )
 
-and h_F = chi_F(t) dt/t as a 1-form on the Riemann sphere.  With
-x_j = e^{-c_j} - 1 and s_j = t**(-beta_j), nilpotency makes each factor a
-finite sum, 1/(1 - s_j e^{-c_j}) = sum_k s_j**k x_j**k / (1 - s_j)**(k+1).
-So the integral is one table I_k = integral_F e^omega Td(F) prod_j x_j**k_j,
-and chi_F (times a Laurent multiplier such as the Weyl factor) is one exact
-rational function
+and h_F = chi_F(t) dt/t as a 1-form on the Riemann sphere.  The r_beta
+directions of one weight beta share s = t**(-beta), and with
+x_j = e^{-c_j} - 1 nilpotency makes their factors one finite sum,
+prod_{beta_j = beta} 1/(1 - s e^{-c_j}) = sum_n h_n s**n / (1 - s)**(r_beta + n),
+h_n the complete homogeneous polynomial of degree n in their x_j.  So the
+integral is one table I_k = integral_F e^omega Td(F) prod_beta h_{k_beta},
+one index per distinct weight, and chi_F (times a Laurent multiplier such as
+the Weyl factor) is one exact rational function
 
     N_F(t) / prod_beta (1 - t**(-beta))**M_beta,
-    N_F = t**mu * multiplier * sum_k I_k prod_j s_j**k_j (1 - s_j)**(K_j - k_j),
+    N_F = t**mu * multiplier * sum_k I_k prod_beta s**k_beta (1 - s)**(K_beta - k_beta),
 
-with K_j the largest k_j of a nonzero I_k and M_beta the sum of K_j + 1 over
-the directions of weight beta.  N_F is kept as integer coefficients over
-one common denominator D, so that building it and expanding it add
-integers.  All ring work is the table; every residue is scalar work in
-:mod:`quantred.laurent`.
+with K_beta the largest k_beta of a nonzero I_k and M_beta = r_beta + K_beta.
+N_F is kept as integers over one common denominator D.  All ring work is the
+table; every residue is scalar work in :mod:`quantred.laurent`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import sub
 
 from .exactnum import fraction_sum, rational_part
 from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
@@ -65,36 +66,37 @@ _WEYL_POLYS = {
 # ---------------------------------------------------------------------------
 
 def _integral_table(f: FixedComponent) -> dict:
-    """{k: (n, D)} over the multi-indices k with I_k = n / D != 0, where
-    I_k = integral_F e^omega Td(F) prod_j x_j**k_j and x_j = e^{-c_j} - 1;
-    the pairs are integers, not reduced."""
-    base = f.omega.exp() * f.todd if f.omega.num else f.todd
-    # (c, x) per distinct nonzero Chern class, matched by identity, then by
-    # value: a class's hash would sort its terms and hash its presentation
-    seen = []
-    classes = {(): base}
-    for c in f.normal_chern:
-        if not c.num:  # x = 0: only the multi-index grows
-            classes = {k + (0,): cls for k, cls in classes.items()}
-            continue
-        x = next((x0 for c0, x0 in seen if c0 is c or c0 == c), None)
-        if x is None:
-            x = (-c).exp() - 1
-            seen.append((c, x))
+    """{k: (n, D)} with I_k = n / D != 0 (integers, not reduced), one index
+    per distinct weight in the order of f.weights.  h_n is in the n-th power
+    of the nilpotent ideal: rows and products stop at the nilpotency bound."""
+    bound, one, zero = f.ring.nilpotency_bound, f.ring.one(), f.ring.zero()
+    rows = {beta: [one] + [zero] * bound for beta in f.weights}
+    xs = {(1, ()): zero}  # x = e^{-c} - 1 per distinct class, keyed by its integers
+    for beta, c in zip(f.weights, f.normal_chern):
+        if (x := xs.get(key := (c.den, tuple(c.num.items())))) is None:
+            x = xs[key] = (-c).exp() - 1
+        row = rows[beta]  # H_j[n] = H_{j-1}[n] + x_j H_j[n-1]
+        for n in range(1, bound + 1):
+            row[n] = row[n] + x * row[n - 1]
+    *heads, last = rows.values() or [[one] + [zero] * bound]  # no weight: pair with 1
+    classes = {(): f.omega.exp() * f.todd if f.omega.num else f.todd}
+    for row in heads:
         grown = {}
         for k, cls in classes.items():
             grown[k + (0,)] = cls
-            term, power = cls * x, 1
-            while term.num:  # x is nilpotent
-                grown[k + (power,)] = term
-                term, power = term * x, power + 1
+            for n in range(1, bound + 1 - sum(k)):
+                if (term := cls * row[n]).num:
+                    grown[k + (n,)] = term
         classes = grown
-    table = {}
+    table = {}  # the last index is paired, not multiplied: I_k is a dot product
     for k, cls in classes.items():
-        n, d = cls.integral_parts()
-        if n:
-            table[k] = (n, d)
-    return table
+        table[k + (0,)] = cls.integral_parts()
+        for n in range(1, bound + 1 - sum(k)):
+            h = last[n].num
+            v = sum(w * a * h.get(tuple(map(sub, top, e)), 0)
+                    for top, w in f.ring.integral_num for e, a in cls.num.items())
+            table[k + (n,)] = (v, cls.den * last[n].den * f.ring.integral_den)
+    return {k: v for k, v in table.items() if v[0]}
 
 
 @lru_cache(maxsize=None)
@@ -120,13 +122,14 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     # product clears every denominator of N
     table_den = lcm(*(d for _, d in table.values()))
     mult_den = lcm(*(a.denominator for a in multiplier.values()))
-    tops = [max(k[j] for k in table) if c.num else 0 for j, c in enumerate(f.normal_chern)]
+    ranks = {beta: f.weights.count(beta) for beta in f.weights}  # r_beta, in table order
+    tops = [max(column) for column in zip(*table)]  # K_beta
     body: dict[int, int] = {}
     for k, (n, d) in table.items():
         poly = {0: n * (table_den // d)}
-        for beta, kj, top in zip(f.weights, k, tops):
+        for beta, kb, top in zip(ranks, k, tops):
             if top:
-                poly = _times(poly, _binomial_terms(beta, kj, top))
+                poly = _times(poly, _binomial_terms(beta, kb, top))
         for r, a in poly.items():
             body[r] = body.get(r, 0) + a
     numerator: dict[int, int] = {}
@@ -141,10 +144,7 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     if g != 1:
         numerator = {e: v // g for e, v in numerator.items()}
         scale //= g
-    denominator: dict[int, int] = {}
-    for beta, top in zip(f.weights, tops):
-        denominator[beta] = denominator.get(beta, 0) + top + 1
-    return (numerator, scale), denominator
+    return (numerator, scale), {beta: r + top for (beta, r), top in zip(ranks.items(), tops)}
 
 
 def _times(poly: dict, terms) -> dict:

@@ -219,6 +219,30 @@ def test_expansion_window_limit_exit_two(capsys, tmp_path):
         assert "1000002" in err and "limit of 20000" in err, command
 
 
+def test_integral_table_limit_exit_two(capsys, tmp_path, monkeypatch):
+    # two points over Q[x]/x^64 with two distinct weights on dense classes:
+    # C(65, 2) = 2080 table entries, rejected before any table is built
+    from quantred import lefschetz
+
+    def no_table(f):
+        raise AssertionError("the integral table was built")
+
+    monkeypatch.setattr(lefschetz, "_integral_table", no_table)
+    ring = {"generators": [["x", 64]], "top_degree": 126, "integrals": {"x^63": "1"}}
+    doc = {"group": "U1", "components": [
+        {"name": name, "moment": mu, "weights": [s, 2 * s], "ring": ring, "omega": {"x": "1"},
+         "todd": {"1": "1", "x": "1"}, "normal_chern": [{"x": "1"}, {"x": "1"}]}
+        for name, mu, s in (("a", 1, 1), ("b", -1, -1))
+    ]}
+    path = tmp_path / "dense_table.json"
+    path.write_text(json.dumps(doc))
+    # `character` runs only the oracle, which builds no integral table
+    for command in ("verify", "residues"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert "2080 entries" in err and "limit of 1000" in err, command
+
+
 def test_degree_bound_above_limit_exit_two(capsys):
     for command in ("verify", "character"):
         code, _, err = run(capsys, command, "--catalog", "cp1-k", "--degree-bound", "20001")

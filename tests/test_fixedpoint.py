@@ -23,7 +23,9 @@ from quantred import (
 )
 from quantred.catalog import UnknownCatalogError
 from quantred.exactnum import phi_degree
-from quantred.fixedpoint import MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, expansion_window
+from quantred.fixedpoint import (
+    MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, MAX_INTEGRAL_TABLE, expansion_window,
+)
 
 POINT = RingPresentation.point()
 
@@ -118,6 +120,49 @@ def test_field_degree_is_bounded_per_weight():
     ])
     errors = [f.message for f in validate(p) if f.code == "field-degree"]
     assert len(errors) == 1 and "Q(zeta_1033)" in errors[0]
+
+
+def dense_points(m, weights, classes=None):
+    """Two points over Q[x]/x^m with omega = x, Todd class 1 + x and the
+    normal Chern classes ``classes`` (x on every direction by default)."""
+    ring = RingPresentation(("x",), (m,), 2 * (m - 1), {(m - 1,): 1})
+    x = ring.gen("x")
+    classes = [x for _ in weights] if classes is None else classes
+    return ProblemInstance(GroupKind.U1, [
+        FixedComponent("a", ring, 1, weights, classes, x, ring.one() + x),
+        FixedComponent("b", ring, -1, [-b for b in weights], classes, x, ring.one() + x),
+    ])
+
+
+def test_integral_table_limit():
+    # the table has C(N + d, d) possibly nonzero entries: N = m - 1 over
+    # Q[x]/x^m, d distinct weights on a nonzero class
+    errors = [f for f in validate(dense_points(64, [1, 2])) if f.level == "ERROR"]
+    assert [(f.code, f.component) for f in errors] == [
+        ("integral-table", "a"), ("integral-table", "b")]
+    assert "2080 entries" in errors[0].message
+    assert str(MAX_INTEGRAL_TABLE) in errors[0].message
+    # C(45, 2) = 990 is below the limit, C(46, 2) = 1035 above it
+    assert not has_errors(validate(dense_points(44, [1, 2])))
+    assert has_errors(validate(dense_points(45, [1, 2])))
+    # directions of one weight share an index, and a zero class adds none
+    assert not has_errors(validate(dense_points(64, [3, 3, 3])))
+    ring = dense_points(64, [1]).components[0].ring
+    assert not has_errors(validate(dense_points(64, [1, 2], [ring.gen("x"), ring.zero()])))
+
+
+def test_no_shipped_instance_nears_the_integral_table_limit():
+    from test_caches import _load_workloads
+
+    workloads = _load_workloads()
+    m = workloads.import_quantred()
+    instances = [catalog(name) for name in catalog_names()]
+    golden = Path(__file__).resolve().parent / "golden" / "instances"
+    instances += [load_instance(path) for path in sorted(golden.glob("*.json"))]
+    instances += [instance_from_dict(doc, name) for workload in sorted(workloads.WORKLOADS)
+                  for name, doc, _ in workloads.build(m, workload, 1)]
+    for p in instances:
+        assert "integral-table" not in [f.code for f in validate(p)], p.name
 
 
 def test_expansion_window_limit():

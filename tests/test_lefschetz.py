@@ -9,7 +9,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ring_classes
 from quantred import (
     CohomologyClass,
     FixedComponent,
@@ -275,9 +278,11 @@ def test_weyl_factor_nonnegative_on_circle():
 
 def _reference_form(f, multiplier):
     """N_F(t) / prod (1 - t^-beta)^M in Fractions, written out apart from
-    the engine: N_F = t^mu * multiplier * sum_k I_k prod_j s_j^k_j
-    (1 - s_j)^(K_j - k_j), s_j = t^-beta_j, I_k = integral_F e^omega Td(F)
-    prod_j x_j^k_j, x_j = e^-c_j - 1, K_j the largest k_j of a nonzero I_k."""
+    the engine with one index per normal direction: N_F = t^mu * multiplier
+    * sum_k I_k prod_j s_j^k_j (1 - s_j)^(K_j - k_j), s_j = t^-beta_j,
+    I_k = integral_F e^omega Td(F) prod_j x_j^k_j, x_j = e^-c_j - 1, K_j the
+    largest k_j of a nonzero I_k, and M_beta the sum of K_j + 1 over the
+    directions of weight beta."""
     xs = [(-c).exp() - 1 for c in f.normal_chern]
     classes = {(): f.omega.exp() * f.todd}
     for x in xs:
@@ -320,20 +325,92 @@ def _every_instance():
     return out + [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
 
 
+def _times_denominator_powers(numerator, powers):
+    # numerator * prod_beta (1 - t^-beta)^powers[beta], term by term
+    for beta, m in powers.items():
+        for _ in range(m):
+            step = {}
+            for e, v in numerator.items():
+                step[e] = step.get(e, 0) + v
+                step[e - beta] = step.get(e - beta, 0) - v
+            numerator = {e: v for e, v in step.items() if v}
+    return numerator
+
+
+def _repeats_a_weight_on_a_nonzero_class(f):
+    weights = [beta for beta, c in zip(f.weights, f.normal_chern) if not c.is_zero()]
+    return len(set(weights)) < len(weights)
+
+
+def _assert_matches_the_per_direction_form(f, multiplier=None, where=None) -> bool:
+    """component_form keeps N_F as integers over one denominator D and one
+    pole order M_beta per distinct weight; brought to the per-direction
+    orders of :func:`_reference_form`, N_F / D has its Fraction
+    coefficients.  Grouping lowers M_beta only where a weight repeats on a
+    nonzero class.  Returns whether it lowered one."""
+    (terms, scale), denominator = component_form(f, multiplier)
+    numerator, expected_denominator = _reference_form(f, multiplier or {0: 1})
+    assert type(scale) is int and scale > 0
+    assert all(type(v) is int and v for v in terms.values())
+    assert sorted(denominator) == sorted(expected_denominator), where
+    assert all(denominator[b] <= m for b, m in expected_denominator.items()), where
+    if not _repeats_a_weight_on_a_nonzero_class(f):
+        assert denominator == expected_denominator, where
+    lift = {b: m - denominator[b] for b, m in expected_denominator.items()}
+    raised = _times_denominator_powers({e: Fraction(v, scale) for e, v in terms.items()}, lift)
+    assert raised == numerator, where
+    return any(lift.values())
+
+
 def test_integer_numerator_matches_the_fraction_formula():
-    # component_form keeps N_F as integers over one denominator D; divided
-    # by D they are the Fraction coefficients of the formula, on every
-    # catalog entry and golden instance, with and without the Weyl factor
+    # on every catalog entry and golden instance, with and without the Weyl
+    # factor; the two lines of each cp3-lines golden repeat a weight
+    grouped = 0
     for p in _every_instance():
         weyl = WeylFactor(p.group).poly
         for f in p.components:
             for multiplier in (None, weyl):
-                (terms, scale), denominator = component_form(f, multiplier)
-                numerator, expected_denominator = _reference_form(f, multiplier or {0: 1})
-                assert type(scale) is int and scale > 0
-                assert all(type(v) is int and v for v in terms.values())
-                assert {e: Fraction(v, scale) for e, v in terms.items()} == numerator, (p.name, f.name)
-                assert denominator == expected_denominator, (p.name, f.name)
+                grouped += _assert_matches_the_per_direction_form(f, multiplier, (p.name, f.name))
+    assert grouped == 2 * 2 * 2
+
+
+@pytest.mark.parametrize("name", ["cp3-lines-q1-k3", "cp3-lines-q2-k3"])
+def test_a_repeated_weight_is_one_pole_order(name):
+    # each line has weights (q, q) on the classes x, x over Q[x]/x^2: per
+    # direction M_q = (1 + 1) + (1 + 1) = 4, grouped r_q + K_q = 2 + 1 = 3
+    p = load_instance(INSTANCES / f"{name}.json")
+    for f in p.components:
+        (beta,) = set(f.weights)
+        assert _reference_form(f, {0: 1})[1] == {beta: 4}
+        assert component_form(f)[1] == {beta: 3}
+
+
+DRAWN_RINGS = [
+    RingPresentation.point(),
+    RingPresentation.projective_line(),
+    RingPresentation(("x",), (4,), 6, {(3,): Fraction(1, 2)}),
+    RingPresentation(("x", "y"), (2, 2), 4, {(1, 1): 1}),
+]
+
+
+@st.composite
+def drawn_components(draw):
+    # up to four directions over weights +-1, 2, so that weights repeat, on
+    # classes that may be zero, equal or dense
+    ring = draw(st.sampled_from(DRAWN_RINGS))
+    weights = draw(st.lists(st.sampled_from([1, -1, 2]), min_size=0, max_size=4))
+    nilpotent = ring_classes(ring, nilpotent=True)
+    shared = draw(nilpotent)
+    chern = [draw(st.one_of(st.just(shared), st.just(ring.zero()), nilpotent))
+             for _ in weights]
+    return FixedComponent("f", ring, draw(st.integers(-3, 3).filter(bool)), weights,
+                          chern, draw(nilpotent), ring.one() + draw(nilpotent))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=drawn_components())
+def test_grouped_form_matches_the_per_direction_formula_on_drawn_components(f):
+    _assert_matches_the_per_direction_form(f)
 
 
 def test_expansions_agree_on_integer_and_fraction_numerators():

@@ -9,7 +9,7 @@ instance before the residue engine is trusted with it.
 """
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -159,6 +159,41 @@ def test_fixed_line_family_identity(p):
     assert rr_invariant(p) == expected
     red = reduced_rr(p)
     assert red.total == expected
+
+
+# -- family 4: CP^3 under the weights (0, 0, q, q) ---------------------------------
+# two pointwise-fixed lines, each with normal bundle O(1) + O(1) of weights
+# (q, q) and (-q, -q): the one family where a weight repeats on nonzero Chern
+# classes.  O(k) restricts to omega = k x on both; the moments are C and C - kq
+
+@st.composite
+def cp3_line_pair_instances(draw):
+    q = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=4))
+    c_shift = draw(st.integers(min_value=-4, max_value=k * q + 4))
+    assume(c_shift != 0 and c_shift != k * q)
+    return ProblemInstance(
+        GroupKind.U1,
+        [
+            curve("line01", c_shift, [q, q], [1, 1], k),
+            curve("line23", c_shift - k * q, [-q, -q], [1, 1], k),
+        ],
+        f"cp3-lines(q={q},k={k},C={c_shift})",
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=cp3_line_pair_instances())
+def test_cp3_line_pair_family_identity(p):
+    character = character_polynomial(p)
+    expected = invariant_multiplicity(character, p.group)
+    assert rr_invariant(p) == expected
+    red = reduced_rr(p)
+    assert red.total == expected
+    assert red.total == red.main + sum(red.corrections.values())
+    # the total dimension is the number of degree-k monomials in 4 variables
+    k = int(p.name.split("k=")[1].split(",")[0])
+    assert character.total_dimension() == comb(k + 3, 3)
 
 
 # -- mirror symmetry -----------------------------------------------------------------

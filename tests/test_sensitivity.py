@@ -1,0 +1,70 @@
+"""The golden reports are sensitive to the kernels they are meant to guard.
+
+Each test perturbs one kernel slightly, empties every process cache, and
+checks that at least one golden report no longer matches its committed
+bytes.  A perturbation that left every golden unchanged would mean the
+byte-identity check could not see a fault in that kernel.  The kernels are
+restored and the caches emptied again afterwards.
+"""
+
+import inspect
+
+import pytest
+
+from quantred import laurent, lefschetz
+from test_caches import lru_caches
+from test_golden import COMMANDS, GOLDEN, cases, render
+
+
+def _changed_reports() -> set:
+    """The golden cases whose report differs from the committed bytes, or
+    whose command no longer exits 0."""
+    changed = set()
+    for name, argv in cases():
+        for command in COMMANDS:
+            try:
+                text = render(command, argv)
+            except AssertionError:  # render asserts exit status 0
+                changed.add(name)
+                continue
+            if text.encode("utf-8") != (GOLDEN / f"{name}.{command}.json").read_bytes():
+                changed.add(name)
+    return changed
+
+
+@pytest.fixture
+def cold_caches():
+    for cache in lru_caches().values():
+        cache.cache_clear()
+    yield
+    for cache in lru_caches().values():
+        cache.cache_clear()
+
+
+def test_goldens_read_the_regular_series_past_u0(monkeypatch, cold_caches):
+    # a pole of order 2 at -1 where a weight-3 factor is regular (the point
+    # e0 of cp3-0223-k3-c4) reads the u^1 coefficient of that factor
+    real = laurent._regular_series
+
+    def perturbed(*args):
+        out = list(real(*args))
+        if len(out) > 1:
+            out[1] = out[1] + out[1]
+        return tuple(out)
+
+    monkeypatch.setattr(laurent, "_regular_series", perturbed)
+    assert "cp3-0223-k3-c4" in _changed_reports()
+
+
+def test_goldens_read_every_term_of_the_grouped_recursion(monkeypatch, cold_caches):
+    # drop x_j h_0 from h_1 for every direction after the first of a weight
+    # that repeats on nonzero classes: only the cp3-lines goldens have one
+    source = inspect.getsource(lefschetz._integral_table)
+    term = "row[n] = row[n] + x * row[n - 1]"
+    assert source.count(term) == 1
+    mutant = source.replace(term, f"{term} if n > 1 or not row[n].num else row[n]")
+    namespace = {}
+    exec(compile(mutant, lefschetz.__file__, "exec"), vars(lefschetz).copy(), namespace)
+    monkeypatch.setattr(lefschetz, "_integral_table", namespace["_integral_table"])
+    changed = _changed_reports()
+    assert {"cp3-lines-q1-k3", "cp3-lines-q2-k3"} <= changed
