@@ -151,7 +151,7 @@ def test_integral_table_limit():
     assert not has_errors(validate(dense_points(64, [1, 2], [ring.gen("x"), ring.zero()])))
 
 
-def test_no_shipped_instance_nears_the_integral_table_limit():
+def test_no_shipped_instance_trips_the_integral_table_limit():
     from test_caches import _load_workloads
 
     workloads = _load_workloads()
