@@ -8,6 +8,7 @@ restored and the caches emptied again afterwards.
 """
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -68,3 +69,55 @@ def test_goldens_read_every_term_of_the_grouped_recursion(monkeypatch, cold_cach
     monkeypatch.setattr(lefschetz, "_integral_table", namespace["_integral_table"])
     changed = _changed_reports()
     assert {"cp3-lines-q1-k3", "cp3-lines-q2-k3"} <= changed
+
+
+# CP^4 and CP^5 with a pointwise-fixed hyperplane of normal weight 2: the
+# hyperplane's ring has x^3 != 0, and both components have a pole of order
+# n = 4 or 5 at t = 1 and at t = -1
+CP4, CP5 = "cp4-hyperplane-q2-k8", "cp5-hyperplane-q2-k8"
+
+
+def test_goldens_read_the_wall_series_past_u3(monkeypatch, cold_caches):
+    real = laurent._wall_series
+
+    def perturbed(*args):
+        out = list(real(*args))
+        out[4:] = [c + c for c in out[4:]]
+        return tuple(out)
+
+    monkeypatch.setattr(laurent, "_wall_series", perturbed)
+    assert CP5 in _changed_reports()
+
+
+def test_goldens_read_the_todd_coefficients_from_degree_4(monkeypatch, cold_caches):
+    real = laurent.todd_coefficients
+
+    def perturbed(order):
+        return [c if i < 4 else Fraction(0) for i, c in enumerate(real(order))]
+
+    monkeypatch.setattr(laurent, "todd_coefficients", perturbed)
+    assert CP5 in _changed_reports()
+
+
+def test_goldens_read_the_integral_table_past_x3(monkeypatch, cold_caches):
+    # double every I_k with some k_beta >= 3, the entries built from h_3 on
+    real = lefschetz._integral_table
+
+    def perturbed(f):
+        return {k: (n + n if max(k) >= 3 else n, d) for k, (n, d) in real(f).items()}
+
+    monkeypatch.setattr(lefschetz, "_integral_table", perturbed)
+    assert {CP4, CP5} <= _changed_reports()
+
+
+def test_goldens_read_the_high_powers_of_the_root_accumulation(monkeypatch, cold_caches):
+    # double the weight vectors W_i that multiply r^i for i >= 3
+    real = laurent._root_weights
+
+    def perturbed(*args):
+        weights, common = real(*args)
+        return tuple(tuple(x + x for x in w) if i >= 3 else w
+                     for i, w in enumerate(weights)), common
+
+    monkeypatch.setattr(laurent, "_root_weights", perturbed)
+    assert {CP4, CP5} <= _changed_reports()
