@@ -334,11 +334,13 @@ class CohomologyClass:
                           self.den * scalar.numerator)
 
     def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** -n
         pres = self.presentation
         num = {pres._unit: 1}
         for _ in range(n):
             num = _product(pres.orders, num, self.num)
-        return _canonical(pres, num, self.den ** max(n, 0))
+        return _canonical(pres, num, self.den ** n)
 
     # -- structure -------------------------------------------------------------
 

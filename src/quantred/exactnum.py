@@ -12,7 +12,8 @@ denominator, in lowest terms (the layout of FLINT's ``fmpq_poly``): an
 operation works on integers and pays one gcd for the whole vector, where
 ``Fraction`` coefficients would pay one per coefficient.  Every reduction
 modulo ``Phi_N`` (products, embeddings, Galois images, roots of unity) sums
-cached integer rows of ``z**k mod Phi_N``; an inverse runs a fraction-free
+cached integer rows of ``z**k mod Phi_N`` (one kernel, over rows cached per
+embedding, for every field embedding); an inverse runs a fraction-free
 extended Euclidean algorithm against the monic ``Phi_N``.
 
 Floating point never appears here; Python integers give us arbitrary
@@ -121,10 +122,11 @@ def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _galois_rows(n: int, a: int) -> tuple:
-    # row k: z**(k*a) mod Phi_n, k < phi(n), the image of z**k under z -> z**a
-    rows = _power_table(n)
-    return tuple(rows[k * a % n] for k in range(phi_degree(n)))
+def _galois_rows(n: int, m: int, k: int) -> tuple:
+    # row j: zeta_m**(j*k) mod Phi_m, j < phi(n), the image of z**j under the
+    # embedding of Q(zeta_n) into Q(zeta_m) that sends z to zeta_m**k
+    rows = _power_table(m)
+    return tuple(rows[j * k % m] for j in range(phi_degree(n)))
 
 
 def _reduce(n: int, terms, out=None) -> list:
@@ -264,28 +266,28 @@ class Cyclotomic:
         return tuple([Fraction(c, den) for c in self.num])
 
     def substituted(self, conductor: int, k: int) -> "Cyclotomic":
-        """The image of self under z -> zeta_M**k, M the given conductor, in
-        one pass over the power table of M.
-
-        zeta_M**k must be a primitive N-th root of unity (N = self.conductor),
-        which makes the map a field embedding: ``galois(a)`` is
-        ``substituted(N, a)`` and ``promoted(M)`` is ``substituted(M, M // N)``.
-        An embedding maps Z[zeta_N] into Z[zeta_M] and keeps the content of
-        the numerators, so the result is in lowest terms as it stands.
-        """
+        """The image of self under z -> zeta_M**k, M the given conductor: a
+        field embedding, as zeta_M**k must be a primitive N-th root of unity
+        (N = self.conductor).  ``galois(a)`` is ``substituted(N, a)`` and
+        ``promoted(M)`` is ``substituted(M, M // N)``."""
         if root_order(conductor, k) != self.conductor:
             raise ValueError(
                 f"zeta_{conductor}^{k} is not a primitive {self.conductor}th root of unity")
-        return _new(conductor, tuple(_reduce(
-            conductor, ((j * k, c) for j, c in enumerate(self.num))
-        )), self.den)
+        return self._embedded(conductor, k)
+
+    def _embedded(self, m: int, k: int) -> "Cyclotomic":
+        # z -> zeta_m**k, a primitive N-th root: an embedding keeps the
+        # numerators' content, so the image is in lowest terms as it stands
+        out = [0] * phi_degree(m)
+        for c, row in zip(self.num, _galois_rows(self.conductor, m, k % m)):
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return _new(m, tuple(out), self.den)
 
     def promoted(self, conductor: int) -> "Cyclotomic":
-        """The image of self under the canonical embedding into Q(zeta_M).
-
-        Requires ``self.conductor`` to divide ``conductor``; the embedding
-        sends z to z**(M/N).
-        """
+        """The image of self under the canonical embedding z -> z**(M/N) into
+        Q(zeta_M), M the given conductor, a multiple of N = self.conductor."""
         if conductor == self.conductor:
             return self
         if conductor % self.conductor:
@@ -293,7 +295,7 @@ class Cyclotomic:
                 f"no embedding of Q(zeta_{self.conductor}) into "
                 f"Q(zeta_{conductor})"
             )
-        return self.substituted(conductor, conductor // self.conductor)
+        return self._embedded(conductor, conductor // self.conductor)
 
     def _pair(self, other):
         if isinstance(other, Cyclotomic):
@@ -423,20 +425,14 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def galois(self, a: int) -> "Cyclotomic":
-        """Apply the Galois automorphism z -> z**a (a coprime to N): the
-        integers of ``substituted(N, a)``, from cached rows of z**(k*a).  A
-        rational value is its own image."""
+        """Apply the Galois automorphism z -> z**a (a coprime to N),
+        ``substituted(N, a)``.  A rational value is its own image."""
         n = self.conductor
         if gcd(a, n) != 1:
             raise ValueError(f"{a} is not coprime to the conductor {n}")
         if self.is_rational():
             return self
-        out = [0] * len(self.num)
-        for c, row in zip(self.num, _galois_rows(n, a % n)):
-            if c:
-                for i, r in row:
-                    out[i] += c * r
-        return _new(n, tuple(out), self.den)
+        return self._embedded(n, a)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -462,7 +458,8 @@ class Cyclotomic:
         return any(self.num)
 
     def __complex__(self):
-        # numeric shadow, used only by tests as an independent cross-check
+        # numeric shadow: ``cli.scalar_str`` prints it for ``--decimal``, and
+        # tests use it as an independent cross-check
         import cmath
 
         z = cmath.exp(2j * cmath.pi / self.conductor)

@@ -14,12 +14,11 @@ component, N(t) / prod_beta (1 - t**(-beta))**M with N a Laurent polynomial
 over Q (built in :mod:`quantred.lefschetz`), kept as integer coefficients
 over one common denominator.  At zero and at infinity the expansion is a
 sign, a shift and one adding recurrence per factor, on integers, with one
-division at the end.  At a root of unity the residue sums a_r r**i W_i over
-the terms a_r t**r of N and i below the pole order: the weights W_i depend
-on the denominator's shape alone, are cached for the whole process as
-integers over one denominator, and each term adds into one integer list at
-the offset zeta**r shifts it to, with one division at the end.  Scalars
-are rational in the 0/inf charts and at t = 1, cyclotomic at other roots.
+division at the end.  At a root of unity one site record per denominator
+shape (``_site``) holds the root as zeta_d**j with d its order, the pole
+order P and integer weights W_i, i < P; the residue sums a_r r**i W_i over
+the terms a_r t**r of N into one integer list at the offset zeta**r shifts
+each to, divides once, and is the cell in its own field Q(zeta_d).
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, keeps its arithmetic but is no longer on the engine's path.
@@ -244,18 +243,9 @@ def series_constant(chart, presentation, value: CohomologyClass, order: int) -> 
 # scalar expansions of N(t) / prod_beta (1 - t**(-beta))**M
 # ---------------------------------------------------------------------------
 #
-# ``numerator`` is a Laurent polynomial: either {exponent: int or Fraction},
-# or a pair ({exponent: int}, D) of integer coefficients over a positive
-# denominator D, the form ``component_form`` returns.  ``denominator`` is a
-# map {beta: M} of nonzero weights to positive multiplicities.
-
-def _integer_terms(numerator) -> tuple[dict, int]:
-    """The numerator as ({exponent: int}, D): integers over one positive
-    denominator."""
-    if isinstance(numerator, tuple):
-        return numerator
-    scale = lcm(*(a.denominator for a in numerator.values()))
-    return {e: a.numerator * (scale // a.denominator) for e, a in numerator.items()}, scale
+# ``numerator`` is the pair ({exponent: int}, D) that ``component_form``
+# returns: N as integers over a positive D.  ``denominator`` is a map
+# {beta: M} of nonzero weights to positive multiplicities.
 
 
 def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -> list:
@@ -270,7 +260,7 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
 
     At infinity, 1/(1 - 1/t) is the geometric series in w = 1/t:
 
-    >>> outer_expansion({0: Fraction(1)}, {1: 1}, Chart.at_infinity(), 0, 3)
+    >>> outer_expansion(({0: 1}, 1), {1: 1}, Chart.at_infinity(), 0, 3)
     [Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
     """
     if chart.kind not in ("zero", "inf"):
@@ -283,7 +273,7 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
             negate ^= m % 2 == 1
             shift += b * m
         steps += [abs(b)] * m
-    terms, scale = _integer_terms(numerator)
+    terms, scale = numerator
     terms = {sigma * r: a for r, a in terms.items()}
     out = [_ZERO] * (high - low + 1)
     if not terms:
@@ -311,13 +301,16 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
 
 @lru_cache(maxsize=None)
 def _wall_series(beta: int, m: int, length: int) -> tuple:
-    # (u / (1 - e^{-beta u}))**m, with u / (1 - e^{-beta u}) = sum_i td_i
-    # beta**(i-1) u**i (td the Todd coefficients of x / (1 - e^{-x}))
+    # a**m, a = u / (1 - e^{-beta u}) = sum_i td_i beta**(i-1) u**i (td the
+    # Todd coefficients), by b_0 = a_0**m and, as a_0 = 1/beta,
+    # b_n = beta/n sum_{k=1..n} ((m+1) k - n) a_k b_{n-k}
     td = todd_coefficients(length - 1)
-    series = out = [td[i] * Fraction(beta) ** (i - 1) for i in range(length)]
-    for _ in range(m - 1):
-        out = truncated_product(out, series, length)
-    return tuple(out)
+    a = [td[i] * Fraction(beta) ** (i - 1) for i in range(length)]
+    b = [a[0] ** m] if length else []
+    for n in range(1, length):
+        b.append(sum([((m + 1) * k - n) * a[k] * b[n - k]
+                      for k in range(1, n + 1) if a[k]]) * beta / n)
+    return tuple(b)
 
 
 @lru_cache(maxsize=None)
@@ -397,21 +390,32 @@ def truncated_product(a, b, length: int) -> list:
     return out
 
 
+# what a root chart decides for a denominator shape (its sorted (beta, M)
+# pairs): zeta_n**k as zeta_d**j, the pole order P (M summed over the walls)
+# and weights[i], the u**(P-1-i) coefficient of the factor_series' product
+# over i!, as integers (1 or phi(d) of them) over one positive ``common``
+Site = namedtuple("Site", "order exponent pole weights common")
+
+
 @lru_cache(maxsize=None)
-def _root_weights(chart: Chart, denominator: tuple, length: int) -> tuple:
-    # (W, E): W[i] is the u**(length-1-i) coefficient of the product of the
-    # shape's factor_series, over i!, as integers over E (one int for a
-    # rational, phi(n) for a Cyclotomic); the rational wall factors go first,
-    # so that fewer products are cyclotomic
+def _site(chart: Chart, shape: tuple) -> Site:
+    g = gcd(chart.conductor, chart.exponent)
+    local = Chart("root", chart.conductor // g, chart.exponent // g)
+    walls = [(beta, m) for beta, m in shape if local.is_wall_for(beta)]
+    pole = sum(m for _, m in walls)
+    if not pole:
+        return Site(local.conductor, local.exponent, 0, (), 1)
+    # the rational wall factors first, so that fewer products are cyclotomic
     product = None
-    for beta, m in sorted(denominator, key=lambda bm: not chart.is_wall_for(bm[0])):
-        series = factor_series(beta, m, chart, length)
-        product = series if product is None else truncated_product(product, series, length)
+    for beta, m in walls + [bm for bm in shape if bm not in walls]:
+        series = factor_series(beta, m, local, pole)
+        product = series if product is None else truncated_product(product, series, pole)
     parts = [(c.num, c.den * factorial(i)) if isinstance(c, Cyclotomic)
              else ((c.numerator,), c.denominator * factorial(i))
              for i, c in enumerate(reversed(product))]
     common = lcm(*(den for _, den in parts))
-    return tuple(tuple(x * (common // den) for x in num) for num, den in parts), common
+    weights = tuple(tuple(x * (common // den) for x in num) for num, den in parts)
+    return Site(local.conductor, local.exponent, pole, weights, common)
 
 
 def form_residue(numerator, denominator, chart: Chart):
@@ -419,38 +423,37 @@ def form_residue(numerator, denominator, chart: Chart):
 
     * zero: the t**0 coefficient of the expansion;
     * infinity: dt/t = -dw/w, so minus the w**0 coefficient;
-    * t = zeta*e^u: dt/t = du.  The pole order P is the sum of M over the
-      walls (zeta**beta = 1), and the residue is the u**(P-1) coefficient of
-      N(zeta*e^u) times every ``factor_series``.  With N = sum_r a_r t**r / D
-      and zeta = zeta_n**k that is sum_r sum_{i<P} a_r r**i zeta_n**(kr) W_i / D
-      (``_root_weights``), summed on integers and divided once.  Off every
-      wall P = 0 and the residue is 0 at no cost.
+    * t = zeta*e^u: dt/t = du, and the residue is the u**(P-1) coefficient
+      of N(zeta*e^u) times every ``factor_series``.  With
+      N = sum_r a_r t**r / D and zeta = zeta_d**j that is
+      sum_r sum_{i<P} a_r r**i zeta_d**(jr) W_i / D (P and W_i from
+      ``_site``), summed on integers and divided once.
 
-    Rational at zero, t = 1 and infinity; cyclotomic at other roots with a
-    pole.  At t = i, 1/(1 - t**(-4)) has residue 1/4, times i from t**1:
+    A ``Fraction`` at zero and infinity; at a root of order d the cell in
+    Q(zeta_d), a ``Fraction`` for d <= 2, else a ``Cyclotomic`` of conductor
+    d, zero included.  At t = i, 1/(1 - t**(-4)) has residue 1/4, times i
+    from t**1; t = -1 taken as zeta_4**2 is rational:
 
-    >>> form_residue({1: Fraction(1)}, {1: 1}, Chart.at_one())
+    >>> form_residue(({1: 1}, 1), {1: 1}, Chart.at_one())
     Fraction(1, 1)
-    >>> str(form_residue({1: Fraction(1)}, {4: 1}, Chart.at_root(4, 1)))
+    >>> str(form_residue(({1: 1}, 1), {4: 1}, Chart.at_root(4, 1)))
     '1/4*z'
+    >>> form_residue(({0: 1}, 1), {2: 1}, Chart.at_root(4, 2))
+    Fraction(1, 2)
     """
     if chart.kind == "zero":
         return outer_expansion(numerator, denominator, chart, 0, 0)[0]
     if chart.kind == "inf":
         return -outer_expansion(numerator, denominator, chart, 0, 0)[0]
-    n, k = chart.conductor, chart.exponent
-    order = sum(m for beta, m in denominator.items() if k * beta % n == 0)  # on the walls
-    terms, scale = _integer_terms(numerator)
-    if not order or not terms:
-        return _ZERO
-    weights, common = _root_weights(chart, tuple(sorted(denominator.items())), order)
-    acc = [0] * (2 * n)
+    site = _site(chart, tuple(sorted(denominator.items())))
+    d, j = site.order, site.exponent
+    terms, scale = numerator
+    acc = [0] * (2 * d)
     for r, a in terms.items():
-        shift = k * r % n
-        for w in weights:
-            for j, x in enumerate(w, shift):
-                acc[j] += a * x
+        shift = j * r % d
+        for w in site.weights:
+            for i, x in enumerate(w, shift):
+                acc[i] += a * x
             a *= r
-    if k == 0:
-        return Fraction(acc[0], scale * common)
-    return Cyclotomic.from_integers(n, acc, scale * common)
+    cell = Cyclotomic.from_integers(d, acc, scale * site.common)
+    return cell if d > 2 else cell.rational_part()

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import sub
 
-from .exactnum import fraction_sum, rational_part
+from .exactnum import fraction_sum
 from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
 from .laurent import Chart, form_residue, outer_expansion
 
@@ -158,9 +158,7 @@ def _times(poly: dict, terms) -> dict:
 def residue_of_h(f: FixedComponent, at: Chart, weyl: WeylFactor | None = None,
                  twist: int = 0):
     """Exact residue of (weyl factor) * t**twist * h_F at the pole site
-    ``at``.  The returned scalar is rational at 0, 1 and infinity, and
-    cyclotomic at other roots of unity.
-    """
+    ``at``, in the field ``form_residue`` puts it in."""
     poly = weyl.poly if weyl is not None else {0: Fraction(1)}
     if twist:
         poly = {r + twist: a for r, a in poly.items()}
@@ -181,9 +179,9 @@ def rr_invariant(p: ProblemInstance) -> Fraction:
 
 
 def invariant_from_residues(infinity_residues) -> Fraction:
-    """Minus the sum of the given residues at infinity (one per component):
-    the invariant count.  Raises NonIntegerResultError unless integral."""
-    total = -fraction_sum([rational_part(value) for value in infinity_residues])
+    """Minus the sum of the given residues at infinity, a list of one
+    ``Fraction`` per component: the invariant count, or NonIntegerResultError."""
+    total = -fraction_sum(infinity_residues)
     if total.denominator != 1:
         raise NonIntegerResultError(
             f"invariant count {total} is not an integer; the fixed-point "

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .exactnum import Cyclotomic, fraction_sum, rational_part
+from .exactnum import fraction_sum
 from .fixedpoint import (
     MAX_EXPANSION_WINDOW,
     InvalidInstanceError,
@@ -142,10 +142,10 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     Columns: 0, the wall roots zeta_d**j sorted by (d, j) (t = 1 first),
     then infinity.  Each component's rational function (``component_form``)
     is built once and every cell is read off it.  On F's walls the residue
-    r_d at zeta_d is computed once per order d, in Q(zeta_d); chi_F has
-    rational data, so the cell at zeta_d**j is its Galois image
-    ``r_d.galois(j)``, and the row's cells of order d add up to Tr(r_d).
-    Q(zeta_1) = Q(zeta_2) = Q, so those cells are rational.  A root off F's
+    r_d at zeta_d is computed once per order d, in Q(zeta_d) as
+    ``form_residue`` returns it (rational for d <= 2); chi_F has rational
+    data, so the cell at zeta_d**j is its Galois image ``r_d.galois(j)``,
+    and the row's cells of order d add up to Tr(r_d).  A root off F's
     walls is no pole of F's form, so its cell is 0.
     """
     weyl = WeylFactor(p.group).poly
@@ -164,10 +164,6 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
             if j <= 1:
                 # a wall root is a valid chart as it stands
                 r = form_residue(numerator, denominator, Chart("root", d, j))
-                if d <= 2:
-                    r = rational_part(r)
-                elif not isinstance(r, Cyclotomic):
-                    r = Cyclotomic.from_rational(d, r)
                 summands.append(r.trace() if d > 2 else r)
                 cells[d, j] = r
             else:

@@ -1,6 +1,6 @@
 import cmath
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +20,10 @@ from quantred import (
     outer_expansion,
     phi_degree,
     root_of_unity,
+    root_order,
+    todd_coefficients,
 )
-from quantred.laurent import _root_weights, truncated_product
+from quantred.laurent import _site, _wall_series, truncated_product
 
 from conftest import ring_classes, small_fractions
 
@@ -97,7 +99,7 @@ def scalar_series(chart, low, values, order=None):
 # -- expansion examples -------------------------------------------------------
 
 def test_geometric_series_at_infinity():
-    s = outer_expansion({0: Fraction(1)}, {1: 1}, Chart.at_infinity(), 0, 5)
+    s = outer_expansion(({0: 1}, 1), {1: 1}, Chart.at_infinity(), 0, 5)
     assert s == [1] * 6  # 1 + w + w^2 + ...
     assert all(type(v) is Fraction for v in s)
     # both outer charts, both signs, with a normal Chern class: with
@@ -129,8 +131,8 @@ def test_todd_type_pole_at_one():
     assert s == (1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720))
     assert all(type(v) is Fraction for v in s)
     # its residue, and the u^0 coefficient as the residue of t/(1 - 1/t)
-    assert form_residue({0: Fraction(1)}, {1: 1}, Chart.at_one()) == 1
-    assert form_residue({1: Fraction(1)}, {1: 2}, Chart.at_one()) == 2  # e^u (1 + u/2)^2 / u^2
+    assert form_residue(({0: 1}, 1), {1: 1}, Chart.at_one()) == 1
+    assert form_residue(({1: 1}, 1), {1: 2}, Chart.at_one()) == 2  # e^u (1 + u/2)^2 / u^2
 
 
 def test_double_weight_pole_at_minus_one():
@@ -138,8 +140,10 @@ def test_double_weight_pole_at_minus_one():
     s = factor_series(2, 1, Chart.at_root(4, 2), 3)
     assert s == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 6))  # (1/2) * (1/3)
     assert factor_series(2, 1, Chart.at_root(2, 1), 3) == s  # the same shape
-    r = form_residue({0: Fraction(1)}, {2: 1}, Chart.at_root(2, 1))
-    assert r == Fraction(1, 2)
+    # the cell at -1 is rational however the chart names the root
+    for chart in (Chart.at_root(2, 1), Chart.at_root(4, 2), Chart.at_root(12, 6)):
+        r = form_residue(({0: 1}, 1), {2: 1}, chart)
+        assert r == Fraction(1, 2) and type(r) is Fraction, chart
 
 
 def test_regular_factor_leading_coefficient():
@@ -149,8 +153,9 @@ def test_regular_factor_leading_coefficient():
     i = root_of_unity(4, 1)
     assert s[0] == (1 - i.inverse()).inverse()
     assert factor_series(1, 2, chart, 3)[0] == s[0] * s[0]
-    # no pole there: the residue is 0 at no cost
-    assert form_residue({0: Fraction(1)}, {1: 3}, chart) == 0
+    # no pole there: the residue is the zero of Q(zeta_4)
+    r = form_residue(({0: 1}, 1), {1: 3}, chart)
+    assert type(r) is Cyclotomic and r.conductor == 4 and r.is_zero()
 
 
 def long_division_reciprocal(d, length):
@@ -191,7 +196,7 @@ def test_zero_weight_rejected():
     with pytest.raises(ValueError):
         factor_series(1, 1, Chart.at_zero(), 3)
     with pytest.raises(ValueError):
-        outer_expansion({0: Fraction(1)}, {1: 1}, Chart.at_one(), 0, 3)
+        outer_expansion(({0: 1}, 1), {1: 1}, Chart.at_one(), 0, 3)
     with pytest.raises(ValueError):
         component_form(point_with_weight(0, POINT.zero()))
 
@@ -256,11 +261,11 @@ def test_factor_inverts_denominator(data):
         assert prod == [1] + [0] * (length - 1), (chart, beta, m)
         return
     # outer charts: (expansion of N / (1 - t^{-beta})^m) * (1 - t^{-beta})^m = N
-    numerator = {r: Fraction(data.draw(st.integers(-3, 3))) for r in range(-2, 3)}
+    numerator = {r: data.draw(st.integers(-3, 3)) for r in range(-2, 3)}
     numerator = {r: a for r, a in numerator.items() if a}
     sign = 1 if chart.kind == "zero" else -1
     low, high = -40, 12
-    series = dict(enumerate(outer_expansion(numerator, {beta: m}, chart, low, high), low))
+    series = dict(enumerate(outer_expansion((numerator, 1), {beta: m}, chart, low, high), low))
     e = -sign * beta  # t^{-beta} = var^e
     for _ in range(m):  # times 1 - var^e
         series = {n: v - series[n - e] for n, v in series.items() if n - e in series}
@@ -315,7 +320,7 @@ def test_truncation_monotone(data):
     a = factor_series(beta, m, chart, 4)
     assert factor_series(beta, m, chart, hi)[:4] == a
     outer = data.draw(st.sampled_from(OUTER_CHARTS))
-    numerator = {data.draw(st.integers(-4, 4)): Fraction(1)}
+    numerator = ({data.draw(st.integers(-4, 4)): 1}, 1)
     wide = outer_expansion(numerator, {beta: m}, outer, -6, hi)
     assert outer_expansion(numerator, {beta: m}, outer, -2, 4) == wide[4:11]
 
@@ -347,7 +352,7 @@ def test_root_chart_matches_complex_evaluation(beta, m, which):
 def test_outer_charts_match_complex_evaluation(beta, m):
     order = 40
     for chart, invert_var in ((Chart.at_infinity(), True), (Chart.at_zero(), False)):
-        s = outer_expansion({0: Fraction(1)}, {beta: m}, chart, -order, order)
+        s = outer_expansion(({0: 1}, 1), {beta: m}, chart, -order, order)
         var = 0.1 + 0.02j  # inside the disk of convergence
         t = 1 / var if invert_var else var
         exact = 1.0 / (1.0 - t ** (-beta)) ** m
@@ -376,20 +381,25 @@ def test_residues_match_contour_integrals(data):
     betas = data.draw(st.lists(st.sampled_from([-4, -2, -1, 1, 2, 3, 4]),
                                min_size=1, max_size=3, unique=True))
     denominator = {b: data.draw(st.integers(1, 2)) for b in betas}
-    numerator = {r: Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
-                 for r in range(-3, 4)}
-    numerator = {r: a for r, a in numerator.items() if a}
+    terms = {r: data.draw(st.integers(-3, 3)) for r in range(-3, 4)}
+    terms = {r: a for r, a in terms.items() if a}
+    scale = data.draw(st.integers(1, 3))
     sites = [(Chart.at_zero(), 0, 0.5), (Chart.at_infinity(), 0, 2.0)]
     sites += [(Chart.at_root(12, k), cmath.exp(2j * cmath.pi * k / 12), 0.1)
               for k in (0, 3, 4, 6)]
     for chart, center, radius in sites:
-        exact = form_residue(numerator, denominator, chart)
-        numeric = _contour_residue(numerator, denominator, center, radius)
+        exact = form_residue((terms, scale), denominator, chart)
+        numeric = _contour_residue({r: Fraction(a, scale) for r, a in terms.items()},
+                                   denominator, center, radius)
         if chart.kind == "inf":
             numeric = -numeric  # the circle |t| = 2 runs clockwise around infinity
         assert cmath.isclose(complex(exact), numeric, abs_tol=1e-7), (chart, exact, numeric)
-        if chart.kind != "root" or chart.exponent == 0:
+        # zeta_12^k for k = 0, 3, 4, 6 has order 1, 4, 3, 2
+        d = root_order(chart.conductor, chart.exponent) if chart.kind == "root" else 1
+        if d <= 2:
             assert type(exact) is Fraction, chart
+        else:
+            assert type(exact) is Cyclotomic and exact.conductor == d, chart
 
 
 # -- chart consistency on whole characters ---------------------------------------
@@ -402,10 +412,10 @@ def test_character_polynomial_residues_balance():
 
     for name in ("cp1-k", "cp1-double", "cp2-k", "cp2-line"):
         c = character_polynomial(catalog(name))
-        poly = {m: Fraction(v) for m, v in c.coefficients.items()}
+        poly = (dict(c.coefficients), 1)
         at_zero = form_residue(poly, {}, Chart.at_zero())
         assert form_residue(poly, {}, Chart.at_infinity()) == -at_zero, name
-        assert at_zero == poly.get(0, Fraction(0))
+        assert at_zero == c.coefficients.get(0, 0)
         assert form_residue(poly, {}, Chart.at_one()) == 0  # no pole at t = 1
 
 
@@ -566,11 +576,7 @@ def reference_root_residue(numerator, denominator, chart):
     """The residue of N(t) / prod (1 - t**(-beta))**M * dt/t at a root chart:
     the u**(P-1) coefficient of N(zeta*e^u) times every factor series."""
     order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
-    if isinstance(numerator, tuple):
-        terms, scale = numerator
-    else:
-        scale = lcm(*(a.denominator for a in numerator.values()))
-        terms = {e: a.numerator * (scale // a.denominator) for e, a in numerator.items()}
+    terms, scale = numerator
     if not order or not terms:
         return Fraction(0)
     product = None
@@ -586,21 +592,24 @@ def _assert_matches_reference(numerator, denominator, chart):
     value = form_residue(numerator, denominator, chart)
     reference = reference_root_residue(numerator, denominator, chart)
     assert value == reference, (numerator, denominator, chart)
+    # the cell in its own field Q(zeta_d), d the order of the chart's root,
+    # zero and off-wall values included: a Fraction for d <= 2, else a
+    # Cyclotomic of conductor d
+    d = root_order(chart.conductor, chart.exponent)
+    if d <= 2:
+        assert type(value) is Fraction, (value, chart)
+    else:
+        assert type(value) is Cyclotomic and value.conductor == d, (value, chart)
+    # the site record: zeta_n^k as zeta_d^j, the pole order, and integer
+    # weight vectors over one positive integer, one per power r^i, i < P
     order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
-    if not order:
-        assert type(value) is Fraction and value == 0
-        return
-    # Fraction exactly when the chart's exponent is 0 (the reference answers
-    # a rational 0 at other roots when every product term vanishes)
-    assert type(value) is (Fraction if chart.exponent == 0 else Cyclotomic), (value, chart)
-    if type(reference) is Cyclotomic:
-        assert value.conductor == reference.conductor
-    # the cached weights: integer vectors over one positive integer
-    weights, common = _root_weights(chart, tuple(sorted(denominator.items())), order)
-    assert type(common) is int and common > 0
-    assert len(weights) == order
-    for w in weights:
-        assert len(w) in (1, phi_degree(chart.conductor))
+    site = _site(chart, tuple(sorted(denominator.items())))
+    assert (site.order, site.pole) == (d, order)
+    assert site.exponent * chart.conductor == chart.exponent * d
+    assert type(site.common) is int and site.common > 0
+    assert len(site.weights) == order
+    for w in site.weights:
+        assert len(w) in (1, phi_degree(d))
         assert all(type(x) is int for x in w)
 
 
@@ -609,11 +618,9 @@ WALL_WEIGHTS = [s * b for b in (1, 2, 3, 4, 6, 12) for s in (1, -1)]
 
 
 def numerators(data):
-    """A Laurent polynomial N drawn both ways form_residue takes it: a
-    {exponent: Fraction} map, or integer terms over a positive D."""
+    """A Laurent polynomial N as form_residue takes it: integer terms over a
+    positive D."""
     exponents = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
-    if data.draw(st.booleans()):
-        return {r: data.draw(small_fractions.filter(bool)) for r in exponents}
     terms = {r: data.draw(st.integers(-9, 9).filter(bool)) for r in exponents}
     return terms, data.draw(st.integers(1, 12))
 
@@ -638,6 +645,22 @@ def test_root_residue_matches_the_two_stage_reference(data):
 ])
 def test_root_residue_reference_on_fixed_shapes(n, k, denominator):
     chart = Chart.at_root(n, k)
-    for numerator in ({0: Fraction(1)}, {-5: Fraction(3, 2), 1: Fraction(-1, 6), 4: Fraction(2)},
+    # 3/2 t^-5 - 1/6 t + 2 t^4 is the second numerator
+    for numerator in (({0: 1}, 1), ({-5: 9, 1: -1, 4: 12}, 6),
                       ({-3: 7, 0: -2, 2: 5}, 6), ({1: 1}, 1)):
         _assert_matches_reference(numerator, denominator, chart)
+
+
+@pytest.mark.parametrize("beta", [1, -1, 2, -2, 3])
+def test_wall_series_power_recurrence_matches_repeated_products(beta):
+    # (u / (1 - e^{-beta u}))**m by the power recurrence against m - 1
+    # truncated products of the series itself
+    for length in range(1, 13):
+        base = [c * Fraction(beta) ** (i - 1)
+                for i, c in enumerate(todd_coefficients(length - 1))]
+        power = base
+        for m in range(1, 9):
+            got = _wall_series(beta, m, length)
+            assert list(got) == power, (beta, m, length)
+            assert all(type(c) is Fraction for c in got)
+            power = truncated_product(power, base, length)

@@ -413,12 +413,12 @@ def test_grouped_form_matches_the_per_direction_formula_on_drawn_components(f):
     _assert_matches_the_per_direction_form(f)
 
 
-def test_expansions_agree_on_integer_and_fraction_numerators():
-    # outer_expansion and form_residue give the same values for a numerator
-    # of integers and for its Fractions, and for a pair (integers, D) and
-    # its quotient; the integers alone give D times the pair's values.  D is
-    # also taken 3 times too large, which no component_form returns, so that
-    # the division by D is seen at every pole order
+def test_expansions_divide_once_by_the_numerator_denominator():
+    # outer_expansion and form_residue read a pair (integers, D) as the
+    # integers over D: D taken 3 times too large, which no component_form
+    # returns, gives a third of every value, so the division by D is seen at
+    # every pole order; D = 1 gives D times the values.  The type of a value
+    # depends on the chart alone
     for p in _every_instance():
         weyl = WeylFactor(p.group).poly
         for f in p.components:
@@ -426,20 +426,17 @@ def test_expansions_agree_on_integer_and_fraction_numerators():
             charts = [Chart.at_zero(), Chart.at_infinity(), Chart.at_one()]
             charts += [Chart.at_root(d, 1) for d in
                        sorted({d for d, _ in wall_set(f)}) if d > 1]
-            integers = dict(terms)
-            cases = [(integers, {e: Fraction(v) for e, v in terms.items()}, 1)]
-            cases += [((terms, d), {e: Fraction(v, d) for e, v in terms.items()}, d)
-                      for d in (scale, 3 * scale)]
-            for exact, fractions, d in cases:
-                where = (p.name, f.name, d)
-                for chart in charts[:2]:
-                    window = outer_expansion(exact, denominator, chart, -6, 6)
-                    assert window == outer_expansion(fractions, denominator, chart, -6, 6), where
-                    assert all(type(v) is Fraction for v in window)
-                    whole = outer_expansion(integers, denominator, chart, -6, 6)
-                    assert whole == [d * v for v in window], where
-                for chart in charts:
-                    value = form_residue(exact, denominator, chart)
-                    reference = form_residue(fractions, denominator, chart)
-                    assert value == reference and type(value) is type(reference), (where, chart)
-                    assert form_residue(integers, denominator, chart) == d * value, (where, chart)
+            where = (p.name, f.name)
+            for chart in charts[:2]:
+                window = outer_expansion((terms, scale), denominator, chart, -6, 6)
+                assert all(type(v) is Fraction for v in window)
+                third = outer_expansion((terms, 3 * scale), denominator, chart, -6, 6)
+                assert third == [v / 3 for v in window], where
+                whole = outer_expansion((terms, 1), denominator, chart, -6, 6)
+                assert whole == [scale * v for v in window], where
+            for chart in charts:
+                value = form_residue((terms, scale), denominator, chart)
+                third = form_residue((terms, 3 * scale), denominator, chart)
+                assert third == value / 3 and type(third) is type(value), (where, chart)
+                whole = form_residue((terms, 1), denominator, chart)
+                assert whole == scale * value and type(whole) is type(value), (where, chart)

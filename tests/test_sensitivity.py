@@ -111,13 +111,13 @@ def test_goldens_read_the_integral_table_past_x3(monkeypatch, cold_caches):
 
 
 def test_goldens_read_the_high_powers_of_the_root_accumulation(monkeypatch, cold_caches):
-    # double the weight vectors W_i that multiply r^i for i >= 3
-    real = laurent._root_weights
+    # double the site record's weight vectors W_i that multiply r^i, i >= 3
+    real = laurent._site
 
     def perturbed(*args):
-        weights, common = real(*args)
-        return tuple(tuple(x + x for x in w) if i >= 3 else w
-                     for i, w in enumerate(weights)), common
+        site = real(*args)
+        return site._replace(weights=tuple(tuple(x + x for x in w) if i >= 3 else w
+                                           for i, w in enumerate(site.weights)))
 
-    monkeypatch.setattr(laurent, "_root_weights", perturbed)
+    monkeypatch.setattr(laurent, "_site", perturbed)
     assert {CP4, CP5} <= _changed_reports()
