@@ -301,16 +301,19 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
 
 @lru_cache(maxsize=None)
 def _wall_series(beta: int, m: int, length: int) -> tuple:
-    # a**m, a = u / (1 - e^{-beta u}) = sum_i td_i beta**(i-1) u**i (td the
-    # Todd coefficients), by b_0 = a_0**m and, as a_0 = 1/beta,
-    # b_n = beta/n sum_{k=1..n} ((m+1) k - n) a_k b_{n-k}
+    # (u / (1 - e^{-beta u}))**m = (a / (beta D))**m with a_k = td_k D beta**k
+    # integers (td the Todd coefficients over their common denominator D), and
+    # b = a**m by the power recurrence b_0 = a_0**m,
+    # n a_0 b_n = sum_{k=1..n} ((m+1) k - n) a_k b_{n-k}, exact on integers
     td = todd_coefficients(length - 1)
-    a = [td[i] * Fraction(beta) ** (i - 1) for i in range(length)]
-    b = [a[0] ** m] if length else []
+    den = lcm(*(t.denominator for t in td))
+    a = [t.numerator * (den // t.denominator) * beta ** k for k, t in enumerate(td)]
+    b = [den ** m] if length else []
     for n in range(1, length):
         b.append(sum([((m + 1) * k - n) * a[k] * b[n - k]
-                      for k in range(1, n + 1) if a[k]]) * beta / n)
-    return tuple(b)
+                      for k in range(1, n + 1) if a[k]]) // (n * den))
+    scale = (beta * den) ** m
+    return tuple(Fraction(x, scale) for x in b)
 
 
 @lru_cache(maxsize=None)
@@ -390,10 +393,10 @@ def truncated_product(a, b, length: int) -> list:
     return out
 
 
-# what a root chart decides for a denominator shape (its sorted (beta, M)
-# pairs): zeta_n**k as zeta_d**j, the pole order P (M summed over the walls)
-# and weights[i], the u**(P-1-i) coefficient of the factor_series' product
-# over i!, as integers (1 or phi(d) of them) over one positive ``common``
+# what a root chart decides for a denominator shape (sorted (beta, M) pairs):
+# zeta_n**k as zeta_d**j, the pole order P (M summed over the walls) and
+# weights[i], the u**(P-1-i) coefficient of the factor_series' product over
+# i!, as 1 or phi(d) integers over ``common``
 Site = namedtuple("Site", "order exponent pole weights common")
 
 
@@ -445,15 +448,15 @@ def form_residue(numerator, denominator, chart: Chart):
         return outer_expansion(numerator, denominator, chart, 0, 0)[0]
     if chart.kind == "inf":
         return -outer_expansion(numerator, denominator, chart, 0, 0)[0]
-    site = _site(chart, tuple(sorted(denominator.items())))
-    d, j = site.order, site.exponent
+    d, j, _, weights, common = _site(chart, tuple(sorted(denominator.items())))
     terms, scale = numerator
     acc = [0] * (2 * d)
     for r, a in terms.items():
         shift = j * r % d
-        for w in site.weights:
+        for w in weights:
             for i, x in enumerate(w, shift):
                 acc[i] += a * x
             a *= r
-    cell = Cyclotomic.from_integers(d, acc, scale * site.common)
-    return cell if d > 2 else cell.rational_part()
+    if d <= 2:  # one integer weight each: zeta_2 = -1, and acc[1] = 0 at d = 1
+        return Fraction(acc[0] - acc[1], scale * common)
+    return Cyclotomic.from_integers(d, acc, scale * common)
