@@ -63,10 +63,11 @@ def test_verifying_the_same_documents_again_grows_no_cache():
     assert sizes["quantred.fixedpoint._wall_set"] > 0
 
 
-# the last three have pole orders 2, 4 and 5 at t = -1
+# cp3-0223-k3-c4 and the hyperplanes have pole orders 2, 4 and 5 at t = -1;
+# cp4-03331-k2-c1 has a pole of order 3 at zeta_3 beside a regular factor
 @pytest.mark.parametrize("name", ["plane-0713-k1-c2", "plane-057-k1-c3", "sphere-pm30",
                                   "cp3-0223-k3-c4", "cp4-hyperplane-q2-k8",
-                                  "cp5-hyperplane-q2-k8"])
+                                  "cp5-hyperplane-q2-k8", "cp4-03331-k2-c1"])
 @pytest.mark.parametrize("command", ["verify", "residues"])
 def test_cold_caches_print_the_golden_bytes(name, command):
     for cache in lru_caches().values():
