@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, gcd, lcm
 
 from .cohomology import CohomologyClass, RingPresentation, todd_coefficients
@@ -317,43 +318,37 @@ def _wall_series(beta: int, m: int, length: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _factor_polynomials(m: int, length: int) -> tuple:
-    # Q_0 = w**m, .., Q_{length-1}, Q_{j+1} = w (w - 1) Q_j' as integers,
-    # lowest degree first: f = 1/(1 - z e^x) has f' = f (f - 1), so the j-th
-    # derivative of f**m is Q_j(f)
-    q, out = [0] * m + [1], []
-    for _ in range(length):
-        out.append(tuple(q))
-        q = [0] * (len(q) + 1)
-        for i, c in enumerate(out[-1][1:], 1):  # c w**i gives i c (w**(i+1) - w**i)
-            q[i + 1] += i * c
-            q[i] -= i * c
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _regular_series(conductor: int, k: int, beta: int, m: int, length: int) -> tuple:
-    # (1 - z e^{-beta u})**(-m), z = zeta_conductor**k != 1 of order e: the
-    # u**j coefficient is (-beta)**j Q_j(w) / j! at w = 1/(1 - z) =
-    # -(1/e) sum_{i<e} i z**i, summed on integers over e**(m+length-1) * j!
+    # (1 - z e^{-beta u})**(-m), z = zeta_conductor**k != 1 of order e.  With
+    # y = z e^{-beta u}, y**e = e^{-e beta u} and 1/(1 - y) = E / (1 - y**e),
+    # E = 1 + y + .. + y**(e-1), so the series is _wall_series(e beta, m)
+    # times E**m / u**m (E is 0 at u = 0).  E**m = sum_c n_c y**c, n_c the
+    # coefficients of (1 + x + .. + x**(e-1))**m, has the u**(i+m)
+    # coefficient T_i = sum_c n_c z**c (-c beta)**(i+m) / (i+m)!, kept as
+    # integers at k c mod conductor; the u**j coefficient
+    # sum_{i<=j} T_i W_{j-i} is summed over D (j+m)!, D the W's denominator
     e = conductor // gcd(conductor, k)
-    w = [0] * conductor
-    for i in range(1, e):
-        w[k * i % conductor] -= i
-    w = Cyclotomic.from_integers(conductor, w, e)
-    powers = [Cyclotomic.from_rational(conductor, 1)]
-    for _ in range(m + length - 1):
-        powers.append(powers[-1] * w)
-    scale = e ** (m + length - 1)  # w**i has a denominator dividing e**i
+    n = [1]
+    for _ in range(m):  # times 1 + x + .. + x**(e-1), by one running sum
+        run = list(accumulate(n + [0] * (e - 1)))
+        n = [s - run[i - e] if i >= e else s for i, s in enumerate(run)]
+    tails = [[0] * conductor for _ in range(length)]
+    for c, x in enumerate(n):
+        x *= (-c * beta) ** m
+        for row in tails:
+            row[k * c % conductor] += x
+            x *= -c * beta
+    wall = _wall_series(e * beta, m, length)
+    den = lcm(*(w.denominator for w in wall))
+    wall = [w.numerator * (den // w.denominator) for w in wall]
     out = []
-    for j, q in enumerate(_factor_polynomials(m, length)):
-        acc = [0] * len(w.num)
-        for c, x in zip(q, powers):
-            if c:
-                c *= (-beta) ** j * (scale // x.den)
-                for i, v in enumerate(x.num):
-                    acc[i] += c * v
-        out.append(Cyclotomic.from_integers(conductor, acc, scale * factorial(j)))
+    for j in range(length):
+        f = factorial(j + m)
+        acc = [0] * conductor
+        for i, row in enumerate(tails[:j + 1]):
+            w = wall[j - i] * (f // factorial(i + m))
+            acc = [a + w * v for a, v in zip(acc, row)]
+        out.append(Cyclotomic.from_integers(conductor, acc, den * f))
     return tuple(out)
 
 

@@ -39,7 +39,7 @@ def lru_caches() -> dict:
 def test_the_caches_are_found():
     names = set(lru_caches())
     assert {"quantred.exactnum._galois_rows", "quantred.fixedpoint._wall_set",
-            "quantred.laurent._site", "quantred.laurent._factor_polynomials",
+            "quantred.laurent._site", "quantred.laurent._regular_series",
             "quantred.reduction.root_label"} <= names
 
 
