@@ -133,12 +133,18 @@ def automatic_degree_bound(p: ProblemInstance) -> int:
 
 
 class CharacterPolynomial:
-    """Finite Laurent polynomial with integer coefficients: weight -> count."""
+    """Finite Laurent polynomial with integer coefficients: weight -> count.
+    A non-integral weight or count raises ``ValueError``."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        clean = {int(m): int(c) for m, c in dict(coefficients).items() if c}
+        clean = {}
+        for m, c in dict(coefficients).items():
+            if int(m) != m or int(c) != c:
+                raise ValueError(f"character term {c!r}*t^{m!r} is not integral")
+            if c:
+                clean[int(m)] = int(c)
         object.__setattr__(self, "coefficients", clean)
 
     def __setattr__(self, *args):

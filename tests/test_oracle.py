@@ -133,6 +133,23 @@ def test_fractional_data_flagged():
 
 # -- invariant multiplicities ------------------------------------------------------
 
+@pytest.mark.parametrize("coefficients", [
+    {1: Fraction(7, 2)},  # once truncated to 3*t
+    {2.5: 1},             # once truncated to t^2
+    {0: 1.9},             # once equal to {0: 1}
+])
+def test_characters_reject_non_integral_terms(coefficients):
+    with pytest.raises(ValueError, match="not integral"):
+        CharacterPolynomial(coefficients)
+    with pytest.raises(ValueError, match="not integral"):
+        CharacterPolynomial({0: 1}) == coefficients
+
+
+def test_characters_take_integral_values_of_any_type():
+    c = CharacterPolynomial({Fraction(4, 2): 3.0, 1: Fraction(0), -1: True})
+    assert c.coefficients == {2: 3, -1: 1} and str(c) == "t^-1 + 3*t^2"
+
+
 def test_trivial_character_u1():
     assert invariant_multiplicity(CharacterPolynomial({0: 1}), GroupKind.U1) == 1
 
