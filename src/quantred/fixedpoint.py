@@ -505,6 +505,8 @@ def _parse_ring(obj, where) -> RingPresentation:
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}.integrals: expected a map")
     try:
+        # an error of the ring's shape is reported before a bad key or literal
+        RingPresentation.check_shape(names, orders, top)
         table = {}
         for key, value in raw.items():
             here = f"{where}.integrals.{_cut(key)}"
@@ -513,12 +515,6 @@ def _parse_ring(obj, where) -> RingPresentation:
             table[expo] = n if d == 1 else Fraction(n, d)
         return RingPresentation(names, orders, top, table)
     except SchemaError:
-        # a bad key or literal: an error of the ring's shape is reported
-        # first, as the constructor checks the shape before the table
-        try:
-            RingPresentation.check_shape(names, orders, top)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
         raise
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc

@@ -629,6 +629,8 @@ BAD_RING_DOCUMENTS = [
      "components[1].ring.generators: entries are [name, order]"),
     (P1_DOC, {"generators": [["x", 0]], "top_degree": 2, "integrals": {"q": "1"}},
      "components[1].ring: nilpotency orders must be >= 1"),
+    (P1_DOC, {"generators": [["x", 5], ["y", 13]], "top_degree": 2, "integrals": {"q": "1"}},
+     "components[1].ring: the ring has 65 monomials, above the limit of 64"),
 ]
 
 
