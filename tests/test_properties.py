@@ -1,8 +1,9 @@
 """Randomized whole-engine properties.
 
-Three families of fixed-point data that provably close up to compact
+Five families of fixed-point data that provably close up to compact
 manifolds (two-point spheres with a common weight, circle actions on the
-projective plane, and a plane with a pointwise-fixed line), plus
+projective plane, a plane with a pointwise-fixed line, CP^3 with two
+pointwise-fixed lines and CP^n with a pointwise-fixed hyperplane), plus
 per-component identities that hold for arbitrary data.  Every check is an
 exact equality; stabilization of the oracle expansion certifies each random
 instance before the residue engine is trusted with it.
@@ -194,6 +195,46 @@ def test_cp3_line_pair_family_identity(p):
     # the total dimension is the number of degree-k monomials in 4 variables
     k = int(p.name.split("k=")[1].split(",")[0])
     assert character.total_dimension() == comb(k + 3, 3)
+
+
+# -- family 5: CP^n under the weights (0, .., 0, q) ------------------------------------
+# a pointwise-fixed hyperplane CP^(n-1) over Q[x]/x^n with normal weight q,
+# class x and Td = (x / (1 - e^-x))^n, and an apex with n weights -q.  O(1)
+# restricts to omega = x; the moments are C and C - q, before the k-th power
+
+@st.composite
+def cp_hyperplane_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    q = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=8))
+    c_shift = draw(st.integers(min_value=-3, max_value=q + 3))
+    assume(c_shift != 0 and c_shift != q)
+    ring = RingPresentation(("x",), (n,), 2 * (n - 1), {(n - 1,): 1})
+    x = ring.gen("x")
+    todd = prod([x.todd_factor()] * n, start=ring.one())
+    p = ProblemInstance(
+        GroupKind.U1,
+        [
+            FixedComponent("hyperplane", ring, c_shift, [q], [x], x, todd),
+            pt("apex", c_shift - q, [-q] * n),
+        ],
+        f"cp-hyperplane(n={n},q={q},C={c_shift})",
+    )
+    return tensor_power(p, k), n, k
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=cp_hyperplane_instances())
+def test_cp_hyperplane_family_identity(case):
+    p, n, k = case
+    character = character_polynomial(p)
+    expected = invariant_multiplicity(character, p.group)
+    assert rr_invariant(p) == expected
+    red = reduced_rr(p)
+    assert red.total == expected
+    assert red.total == red.main + sum(red.corrections.values())
+    # the total dimension is the number of degree-k monomials in n + 1 variables
+    assert character.total_dimension() == comb(k + n, n)
 
 
 # -- mirror symmetry -----------------------------------------------------------------
