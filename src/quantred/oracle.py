@@ -139,12 +139,10 @@ class CharacterPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        clean = {}
-        for m, c in dict(coefficients).items():
-            if int(m) != m or int(c) != c:
-                raise ValueError(f"character term {c!r}*t^{m!r} is not integral")
-            if c:
-                clean[int(m)] = int(c)
+        raw = {m: c for m, c in dict(coefficients).items() if c}
+        clean = {int(m): int(c) for m, c in raw.items()}
+        if clean != raw:  # int() truncated a weight or a count
+            raise ValueError(f"character terms {raw!r} are not all integral")
         object.__setattr__(self, "coefficients", clean)
 
     def __setattr__(self, *args):

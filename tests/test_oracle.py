@@ -139,9 +139,9 @@ def test_fractional_data_flagged():
     {0: 1.9},             # once equal to {0: 1}
 ])
 def test_characters_reject_non_integral_terms(coefficients):
-    with pytest.raises(ValueError, match="not integral"):
+    with pytest.raises(ValueError, match="not all integral"):
         CharacterPolynomial(coefficients)
-    with pytest.raises(ValueError, match="not integral"):
+    with pytest.raises(ValueError, match="not all integral"):
         CharacterPolynomial({0: 1}) == coefficients
 
 
