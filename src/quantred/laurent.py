@@ -19,6 +19,9 @@ shape (``_site``) holds the root as zeta_d**j with d its order, the pole
 order P and integer weights W_i, i < P; the residue sums a_r r**i W_i over
 the terms a_r t**r of N into one integer list at the offset zeta**r shifts
 each to, divides once, and is the cell in its own field Q(zeta_d).
+Every pole factor's series comes from one kernel, the Todd power at a wall
+(``_wall_series``); off a wall it is that power at weight e*beta, e the
+order of zeta**(-beta), times an integer root-of-unity sum.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, keeps its arithmetic but is no longer on the engine's path.
