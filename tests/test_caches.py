@@ -64,10 +64,12 @@ def test_verifying_the_same_documents_again_grows_no_cache():
 
 
 # cp3-0223-k3-c4 and the hyperplanes have pole orders 2, 4 and 5 at t = -1;
-# cp4-03331-k2-c1 has a pole of order 3 at zeta_3 beside a regular factor
+# cp4-03331-k2-c1 and cp5-033331-k2-c1 have poles of order 3 and 4 at zeta_3
+# beside a regular factor
 @pytest.mark.parametrize("name", ["plane-0713-k1-c2", "plane-057-k1-c3", "sphere-pm30",
                                   "cp3-0223-k3-c4", "cp4-hyperplane-q2-k8",
-                                  "cp5-hyperplane-q2-k8", "cp4-03331-k2-c1"])
+                                  "cp5-hyperplane-q2-k8", "cp4-03331-k2-c1",
+                                  "cp5-033331-k2-c1"])
 @pytest.mark.parametrize("command", ["verify", "residues"])
 def test_cold_caches_print_the_golden_bytes(name, command):
     for cache in lru_caches().values():

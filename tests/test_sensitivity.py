@@ -71,6 +71,20 @@ def test_goldens_read_the_regular_series_past_u1(monkeypatch, cold_caches):
     assert "cp4-03331-k2-c1" in _changed_reports()
 
 
+def test_goldens_read_the_regular_series_past_u2(monkeypatch, cold_caches):
+    # a pole of order 4 at zeta_3 where a weight-1 factor is regular (the
+    # point e0 of cp5-033331-k2-c1) reads the u^3 coefficient of that factor
+    real = laurent._regular_series
+
+    def perturbed(*args):
+        out = list(real(*args))
+        out[3:] = [c + c for c in out[3:]]
+        return tuple(out)
+
+    monkeypatch.setattr(laurent, "_regular_series", perturbed)
+    assert "cp5-033331-k2-c1" in _changed_reports()
+
+
 def test_goldens_read_every_term_of_the_grouped_recursion(monkeypatch, cold_caches):
     # drop x_j h_0 from h_1 for every direction after the first of a weight
     # that repeats on nonzero classes: only the cp3-lines goldens have one
