@@ -482,22 +482,26 @@ def _canonical(presentation, num: dict, den: int) -> CohomologyClass:
     return _class(presentation, num, den)
 
 
-_TODD: list[Fraction] = [Fraction(1)]
+def todd_power(beta: int, m: int, length: int) -> tuple:
+    """Taylor coefficients u**0 .. u**(length-1) of (u / (1 - exp(-beta u)))**m,
+    as reduced ``Fraction``s.
+
+    The series is g**(-m) for g = (1 - exp(-beta u))/u, whose coefficients
+    are g_k = -(-beta)**(k+1)/(k+1)!, so it follows the power recurrence
+    b_0 = beta**(-m), n beta b_n = sum_{k=1..n} ((1 - m) k - n) g_k b_{n-k}.
+    At beta = m = 1 it is the Todd series x/(1 - exp(-x)):
+
+    >>> [str(c) for c in todd_power(1, 1, 5)]
+    ['1', '1/2', '1/12', '0', '-1/720']
+    """
+    g = [Fraction(-(-beta) ** (k + 1), factorial(k + 1)) for k in range(length)]
+    b = [Fraction(1, beta ** m)] if length else []
+    for n in range(1, length):
+        b.append(sum([((1 - m) * k - n) * g[k] * b[n - k]
+                      for k in range(1, n + 1) if b[n - k]]) / (n * beta))
+    return tuple(b)
 
 
 def todd_coefficients(order: int) -> list[Fraction]:
-    """Rational coefficients of x/(1 - exp(-x)) up to x**order.
-
-    Computed once by exact long division of power series: the reciprocal of
-    (1 - exp(-x))/x = sum (-1)^n x^n/(n+1)!.  Results are cached and extended
-    on demand.
-    """
-    while len(_TODD) <= order:
-        n = len(_TODD)
-        # g[k] = (-1)^k / (k+1)!; recurrence t[n] = -sum_{k>=1} g[k] t[n-k]
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            g_k = Fraction((-1) ** k, factorial(k + 1))
-            acc += g_k * _TODD[n - k]
-        _TODD.append(-acc)
-    return _TODD[: order + 1]
+    """Rational coefficients of x/(1 - exp(-x)) up to x**order."""
+    return list(todd_power(1, 1, order + 1))

@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import factorial, gcd, lcm
 
-from .cohomology import CohomologyClass, RingPresentation, todd_coefficients
+from .cohomology import CohomologyClass, RingPresentation, todd_power
 from .exactnum import Cyclotomic
 
 _ZERO = Fraction(0)
@@ -305,19 +305,8 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
 
 @lru_cache(maxsize=None)
 def _wall_series(beta: int, m: int, length: int) -> tuple:
-    # (u / (1 - e^{-beta u}))**m = (a / (beta D))**m with a_k = td_k D beta**k
-    # integers (td the Todd coefficients over their common denominator D), and
-    # b = a**m by the power recurrence b_0 = a_0**m,
-    # n a_0 b_n = sum_{k=1..n} ((m+1) k - n) a_k b_{n-k}, exact on integers
-    td = todd_coefficients(length - 1)
-    den = lcm(*(t.denominator for t in td))
-    a = [t.numerator * (den // t.denominator) * beta ** k for k, t in enumerate(td)]
-    b = [den ** m] if length else []
-    for n in range(1, length):
-        b.append(sum([((m + 1) * k - n) * a[k] * b[n - k]
-                      for k in range(1, n + 1) if a[k]]) // (n * den))
-    scale = (beta * den) ** m
-    return tuple(Fraction(x, scale) for x in b)
+    # (u / (1 - e^{-beta u}))**m, the Todd power
+    return todd_power(beta, m, length)
 
 
 @lru_cache(maxsize=None)

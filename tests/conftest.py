@@ -29,7 +29,7 @@ def bernoulli_plus(n: int) -> Fraction:
     """Bernoulli numbers with the B_1 = +1/2 convention, by the classical
     recurrence sum_{k<=n} C(n+1, k) B_k = n+1 applied to B^+ directly.
 
-    Independent of the package's power-series long division; used to verify
+    Independent of the package's power recurrence; used to verify
     the Todd coefficients: x/(1 - e^{-x}) = sum B^+_n x^n / n!.
     """
     b = []

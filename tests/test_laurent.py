@@ -652,7 +652,9 @@ def test_root_residue_reference_on_fixed_shapes(n, k, denominator):
         _assert_matches_reference(numerator, denominator, chart)
 
 
-@pytest.mark.parametrize("beta", [1, -1, 2, -2, 3])
+# 45 = e * beta is the largest weight the wide-field workload asks of the
+# wall series through an off-wall factor
+@pytest.mark.parametrize("beta", [1, -1, 2, -2, 3, -7, 45])
 def test_wall_series_power_recurrence_matches_repeated_products(beta):
     # (u / (1 - e^{-beta u}))**m by the power recurrence against m - 1
     # truncated products of the series itself
