@@ -54,6 +54,19 @@ MAX_EXPANSION_WINDOW = 20000
 # instances need at most 3.
 MAX_INTEGRAL_TABLE = 1000
 
+# The largest pole order at t = 1 a component may have, bounded from the
+# data as len(weights) + d * N, d and N as for MAX_INTEGRAL_TABLE: the pole
+# order is the sum of M_beta = r_beta + K_beta over the weights, and K_beta
+# <= N is positive only on a weight with a nonzero Chern class.  Each wall
+# series is as long as the pole order at its root.  Measured on one core,
+# verify of two points with n normal directions (which then stops: such
+# data come from no manifold) takes 0.09 s at n = 96, 0.19 s at 128 and
+# 1.5 s at 256 for weights +-1; for weights cycling through 1..6, 1..12 and
+# 1..30 it takes 2.0, 3.4 and 8.3 s at n = 96, 96 and 90, and 3.3, 6.4 and
+# 17 s at n = 128, 128 and 120.  Catalog, golden and benchmark instances
+# need at most 8.
+MAX_POLE_ORDER = 128
+
 
 class GroupKind(Enum):
     U1 = "U1"
@@ -221,7 +234,8 @@ def validate(p: ProblemInstance) -> list[Finding]:
     disagreeing about dim M, moments not mirrored for a nonabelian group) or
     too costly (a cyclotomic field of degree above ``MAX_FIELD_DEGREE``, an
     expansion window above ``MAX_EXPANSION_WINDOW``, an integral table above
-    ``MAX_INTEGRAL_TABLE``).
+    ``MAX_INTEGRAL_TABLE``, a pole at t = 1 of order above
+    ``MAX_POLE_ORDER``).
     WARN findings flag instances for which the two sides are not asserted to
     agree; INFO findings are informational.
     """
@@ -238,12 +252,20 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 "zero normal weight: the circle must act nontrivially on "
                 "every normal direction", f.name))
         d = len({b for b, c in zip(f.weights, f.normal_chern) if c.num})
-        if d and comb(f.ring.nilpotency_bound + d, d) > MAX_INTEGRAL_TABLE:
+        n = f.ring.nilpotency_bound
+        if d and comb(n + d, d) > MAX_INTEGRAL_TABLE:
             findings.append(Finding(
                 "ERROR", "integral-table",
-                f"the integral table needs up to {comb(f.ring.nilpotency_bound + d, d)} "
-                f"entries ({d} weights on nonzero Chern classes, nilpotency bound "
-                f"{f.ring.nilpotency_bound}), above the limit of {MAX_INTEGRAL_TABLE}", f.name))
+                f"the integral table needs up to {comb(n + d, d)} entries ({d} weights "
+                f"on nonzero Chern classes, nilpotency bound {n}), above the limit "
+                f"of {MAX_INTEGRAL_TABLE}", f.name))
+        if len(f.weights) + d * n > MAX_POLE_ORDER:
+            findings.append(Finding(
+                "ERROR", "pole-order",
+                f"the pole at t = 1 can have order up to {len(f.weights) + d * n} "
+                f"({len(f.weights)} normal directions, {d} weights on nonzero Chern "
+                f"classes, nilpotency bound {n}), above the limit of {MAX_POLE_ORDER}",
+                f.name))
     # phi(d) <= phi(|beta|) for d | beta, and phi(n) >= sqrt(n/2), so a
     # weight above 2 * limit**2 fails unfactored
     for n in sorted({abs(b) for f in p.components for b in f.weights if b}, reverse=True):

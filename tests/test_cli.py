@@ -243,6 +243,28 @@ def test_integral_table_limit_exit_two(capsys, tmp_path, monkeypatch):
         assert "2080 entries" in err and "limit of 1000" in err, command
 
 
+def test_pole_order_limit_exit_two(capsys, tmp_path, monkeypatch):
+    # two points with 300 normal directions of weight +-1: a pole of order
+    # 300 at t = 1, rejected before any residue is computed
+    from quantred import reduction
+
+    def no_form(*args):
+        raise AssertionError("a component form was built")
+
+    monkeypatch.setattr(reduction, "component_form", no_form)
+    doc = {"group": "U1", "components": [
+        {"name": name, "moment": s, "weights": [s] * 300, "ring": {"generators": [],
+         "top_degree": 0, "integrals": {"1": "1"}}, "normal_chern": [{}] * 300}
+        for name, s in (("p", 1), ("q", -1))
+    ]}
+    path = tmp_path / "deep_pole.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "residues"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert "order up to 300" in err and "limit of 128" in err, command
+
+
 def test_degree_bound_above_limit_exit_two(capsys):
     for command in ("verify", "character"):
         code, _, err = run(capsys, command, "--catalog", "cp1-k", "--degree-bound", "20001")

@@ -24,7 +24,8 @@ from quantred import (
 from quantred.catalog import UnknownCatalogError
 from quantred.exactnum import phi_degree
 from quantred.fixedpoint import (
-    MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, MAX_INTEGRAL_TABLE, expansion_window,
+    MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, MAX_INTEGRAL_TABLE, MAX_POLE_ORDER,
+    expansion_window,
 )
 
 POINT = RingPresentation.point()
@@ -162,7 +163,32 @@ def test_no_shipped_instance_trips_the_integral_table_limit():
     instances += [instance_from_dict(doc, name) for workload in sorted(workloads.WORKLOADS)
                   for name, doc, _ in workloads.build(m, workload, 1)]
     for p in instances:
-        assert "integral-table" not in [f.code for f in validate(p)], p.name
+        codes = [f.code for f in validate(p)]
+        assert "integral-table" not in codes and "pole-order" not in codes, p.name
+
+
+def test_pole_order_limit():
+    # r directions and d weights on nonzero classes over nilpotency bound N
+    # give a pole of order at most r + d N at t = 1
+    def points(n, weight=1):
+        return ProblemInstance(GroupKind.U1, [
+            point_component("p", 1, [weight] * n), point_component("q", -1, [-weight] * n),
+        ])
+
+    findings = validate(points(300))
+    errors = [f for f in findings if f.level == "ERROR"]
+    assert [(f.code, f.component) for f in errors] == [("pole-order", "p"), ("pole-order", "q")]
+    assert "order up to 300" in errors[0].message
+    assert str(MAX_POLE_ORDER) in errors[0].message
+    assert not has_errors(validate(points(MAX_POLE_ORDER, 12)))
+    assert has_errors(validate(points(MAX_POLE_ORDER + 1, 12)))
+    # over Q[x]/x^64 (N = 63) every direction of weight 1 carries x
+    r = MAX_POLE_ORDER - 63
+    assert not has_errors(validate(dense_points(64, [1] * r)))
+    assert [f.code for f in validate(dense_points(64, [1] * (r + 1))) if f.level == "ERROR"] == [
+        "pole-order", "pole-order"]
+    ring = dense_points(64, [1]).components[0].ring
+    assert not has_errors(validate(dense_points(64, [1] * (r + 1), [ring.zero()] * (r + 1))))
 
 
 def test_expansion_window_limit():
