@@ -2,8 +2,10 @@
 behind when its last user is deleted is seen.  The package ``__init__`` is
 exempt: its imports are the public API.  Every private module-level name is
 read somewhere in the package, so a helper stranded by its last caller is
-seen too.  Names are read from the source.  Importing the package loads no
-heavy standard-library module."""
+seen too.  No function mutates a module-level list, dict or set, so every
+process cache is an ``lru_cache`` that the cache tests can see and empty.
+Names are read from the source.  Importing the package loads no heavy
+standard-library module."""
 
 import ast
 import os
@@ -95,6 +97,83 @@ def test_a_stranded_private_name_is_reported():
     }.items()}
     # b's own _stranded, which b calls, does not keep a's alive
     assert _unreferenced_private_names(trees) == [("a.py", "_gcd"), ("a.py", "_stranded")]
+
+
+_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+             "setdefault", "add", "discard", "sort", "reverse", "difference_update",
+             "intersection_update", "symmetric_difference_update"}
+_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _module_containers(tree):
+    """Module-level names bound to a list, dict or set: a display, a
+    comprehension, or a call of list, dict, set or defaultdict."""
+    names = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        if isinstance(value, _DISPLAYS) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in {"list", "dict", "set", "defaultdict"}):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _mutated_module_containers(tree):
+    """(line, name) for each place a function changes a module-level
+    container it does not shadow: a mutating method call, a subscript store
+    or delete, an augmented assignment, or a ``global`` statement."""
+    containers = _module_containers(tree)
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        declared = {name for node in ast.walk(func) if isinstance(node, ast.Global)
+                    for name in node.names}
+        local = {node.arg for node in ast.walk(func.args) if isinstance(node, ast.arg)}
+        local |= {node.id for node in ast.walk(func)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        shared = containers - (local - declared)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                targets = [node.func.value] if node.func.attr in _MUTATORS else []
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                targets = [node.value]
+            elif isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Global):
+                targets = [ast.Name(name) for name in node.names]
+            else:
+                continue
+            found |= {(node.lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name) and t.id in shared}
+    return sorted(found)
+
+
+def test_no_function_mutates_a_module_level_container():
+    # a process cache kept in a module-level list or dict is invisible to
+    # tests/test_caches.py and to the cold_caches fixture; keep it in an
+    # lru_cache instead
+    mutated = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = _mutated_module_containers(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            mutated[path.name] = found
+    assert not mutated, mutated
+
+
+def test_a_mutated_module_container_is_reported():
+    tree = ast.parse(
+        "_TABLE = [1]\n_SEEN: dict = {}\n_NAMES = set()\nLIMIT = 3\n"
+        "def extend(n):\n    while len(_TABLE) <= n:\n        _TABLE.append(n)\n"
+        "    return _TABLE[:n]\n"
+        "def remember(k, v):\n    _SEEN[k] = v\n"
+        "def forget():\n    global _NAMES\n    _NAMES = set()\n"
+        "def shadowed(_TABLE):\n    _TABLE.append(1)\n    _SEEN = {}\n    _SEEN[1] = 2\n"
+        "def reads():\n    return sorted(_NAMES), LIMIT + 1\n")
+    assert _mutated_module_containers(tree) == [(7, "_TABLE"), (10, "_SEEN"), (12, "_NAMES")]
 
 
 def test_import_leaves_out_heavy_stdlib_modules():
