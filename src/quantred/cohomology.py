@@ -19,14 +19,16 @@ integral table as integer weights (``integral_num``) over one positive
 denominator (``integral_den``).  The ring operations work on the integers
 and pay one gcd per result, and ``integrate`` divides once.  ``Fraction``s
 appear only at the input (the constructors take ``int`` and ``Fraction``
-coefficients) and in the read-only ``coeffs`` and ``integrals`` views.
+coefficients), in the read-only ``coeffs`` and ``integrals`` views, and in
+the output of :func:`todd_power`, the Todd coefficients and every wall
+series of :mod:`quantred.laurent` by one power recurrence on integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, ge
 
 # The largest number of monomials prod m_g a ring may have.  Ring work grows
@@ -483,23 +485,22 @@ def _canonical(presentation, num: dict, den: int) -> CohomologyClass:
 
 
 def todd_power(beta: int, m: int, length: int) -> tuple:
-    """Taylor coefficients u**0 .. u**(length-1) of (u / (1 - exp(-beta u)))**m,
-    as reduced ``Fraction``s.
-
-    The series is g**(-m) for g = (1 - exp(-beta u))/u, whose coefficients
-    are g_k = -(-beta)**(k+1)/(k+1)!, so it follows the power recurrence
-    b_0 = beta**(-m), n beta b_n = sum_{k=1..n} ((1 - m) k - n) g_k b_{n-k}.
-    At beta = m = 1 it is the Todd series x/(1 - exp(-x)):
+    """Taylor coefficients u**0 .. u**(length-1) of (u / (1 - exp(-beta u)))**m
+    as reduced ``Fraction``s: beta**(n-m) t_n at u**n, t the (-m)-th power of
+    g = (1 - exp(-x))/x, g_k = (-1)**k/(k+1)!, by the power recurrence
+    n t_n = sum_{k=1..n} ((1 - m) k - n) g_k t_{n-k}.  Times (n+1)! it runs
+    on s_n = n! t_n, kept as the integers s_n prod_{j<length} j (j+1) (they
+    do not grow with m).  At beta = m = 1 it is the Todd series:
 
     >>> [str(c) for c in todd_power(1, 1, 5)]
     ['1', '1/2', '1/12', '0', '-1/720']
     """
-    g = [Fraction(-(-beta) ** (k + 1), factorial(k + 1)) for k in range(length)]
-    b = [Fraction(1, beta ** m)] if length else []
+    q = prod(j * (j + 1) for j in range(1, length))
+    s = [q] if length else []
     for n in range(1, length):
-        b.append(sum([((1 - m) * k - n) * g[k] * b[n - k]
-                      for k in range(1, n + 1) if b[n - k]]) / (n * beta))
-    return tuple(b)
+        s.append(sum([((1 - m) * k - n) * (-1) ** k * comb(n + 1, k + 1) * s[n - k]
+                      for k in range(1, n + 1) if s[n - k]]) // (n * (n + 1)))
+    return tuple(Fraction(x * beta ** n, q * factorial(n) * beta ** m) for n, x in enumerate(s))
 
 
 def todd_coefficients(order: int) -> list[Fraction]:

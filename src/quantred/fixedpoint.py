@@ -60,11 +60,10 @@ MAX_INTEGRAL_TABLE = 1000
 # <= N is positive only on a weight with a nonzero Chern class.  Each wall
 # series is as long as the pole order at its root.  Measured on one core,
 # verify of two points with n normal directions (which then stops: such
-# data come from no manifold) takes 0.09 s at n = 96, 0.19 s at 128 and
-# 1.5 s at 256 for weights +-1; for weights cycling through 1..6, 1..12 and
-# 1..30 it takes 2.0, 3.4 and 8.3 s at n = 96, 96 and 90, and 3.3, 6.4 and
-# 17 s at n = 128, 128 and 120.  Catalog, golden and benchmark instances
-# need at most 8.
+# data come from no manifold) takes 0.02 s at n = 128 for weights +-1; for
+# weights cycling through 1..6, 1..12 and 1..30 it takes 0.75, 1.9 and
+# 4.6 s at n = 96, 96 and 90, and 1.5, 3.6 and 10 s at n = 128, 128 and
+# 120.  Catalog, golden and benchmark instances need at most 8.
 MAX_POLE_ORDER = 128
 
 
@@ -259,10 +258,11 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 f"the integral table needs up to {comb(n + d, d)} entries ({d} weights "
                 f"on nonzero Chern classes, nilpotency bound {n}), above the limit "
                 f"of {MAX_INTEGRAL_TABLE}", f.name))
-        if len(f.weights) + d * n > MAX_POLE_ORDER:
+        pole = len(f.weights) + d * n
+        if pole > MAX_POLE_ORDER:
             findings.append(Finding(
                 "ERROR", "pole-order",
-                f"the pole at t = 1 can have order up to {len(f.weights) + d * n} "
+                f"the pole at t = 1 can have order up to {pole} "
                 f"({len(f.weights)} normal directions, {d} weights on nonzero Chern "
                 f"classes, nilpotency bound {n}), above the limit of {MAX_POLE_ORDER}",
                 f.name))

@@ -20,8 +20,9 @@ order P and integer weights W_i, i < P; the residue sums a_r r**i W_i over
 the terms a_r t**r of N into one integer list at the offset zeta**r shifts
 each to, divides once, and is the cell in its own field Q(zeta_d).
 Every pole factor's series comes from one kernel, the Todd power at a wall
-(``_wall_series``); off a wall it is that power at weight e*beta, e the
-order of zeta**(-beta), times an integer root-of-unity sum.
+(``_wall_series`` over :func:`quantred.cohomology.todd_power`); off a wall
+it is that power at weight e*beta, e the order of zeta**(-beta), times an
+integer root-of-unity sum.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, keeps its arithmetic but is no longer on the engine's path.
@@ -305,7 +306,7 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
 
 @lru_cache(maxsize=None)
 def _wall_series(beta: int, m: int, length: int) -> tuple:
-    # (u / (1 - e^{-beta u}))**m, the Todd power
+    # (u / (1 - e^{-beta u}))**m, cached per shape for every site record
     return todd_power(beta, m, length)
 
 
