@@ -124,7 +124,7 @@ def _module_containers(tree):
 def _mutated_module_containers(tree):
     """(line, name) for each place a function changes a module-level
     container it does not shadow: a mutating method call, a subscript store
-    or delete, an augmented assignment, or a ``global`` statement."""
+    or delete (augmented ones included), or a ``global`` statement."""
     containers = _module_containers(tree)
     found = set()
     for func in ast.walk(tree):
@@ -141,8 +141,6 @@ def _mutated_module_containers(tree):
                 targets = [node.func.value] if node.func.attr in _MUTATORS else []
             elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
                 targets = [node.value]
-            elif isinstance(node, ast.AugAssign):
-                targets = [node.target]
             elif isinstance(node, ast.Global):
                 targets = [ast.Name(name) for name in node.names]
             else:
@@ -169,7 +167,7 @@ def test_a_mutated_module_container_is_reported():
         "_TABLE = [1]\n_SEEN: dict = {}\n_NAMES = set()\nLIMIT = 3\n"
         "def extend(n):\n    while len(_TABLE) <= n:\n        _TABLE.append(n)\n"
         "    return _TABLE[:n]\n"
-        "def remember(k, v):\n    _SEEN[k] = v\n"
+        "def remember(k, v):\n    _SEEN[k] += v\n"
         "def forget():\n    global _NAMES\n    _NAMES = set()\n"
         "def shadowed(_TABLE):\n    _TABLE.append(1)\n    _SEEN = {}\n    _SEEN[1] = 2\n"
         "def reads():\n    return sorted(_NAMES), LIMIT + 1\n")
