@@ -3,6 +3,8 @@ deleted or renamed here would break ``perfbench/run.py --trace 1``."""
 
 import importlib
 import importlib.util
+import inspect
+from collections import Counter
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -50,3 +52,45 @@ def test_a_traced_pass_runs_and_puts_everything_back():
     counts = tracer.counts()
     assert counts["oracle.window_len"] > 0
     assert counts["cohomology.class.mul.calls"] > 0
+
+
+# Arithmetic that no verification runs.  Its textbook forms (the inverse in
+# Q(zeta_N) as a product of Galois conjugates over the norm, series division
+# without skip branches) are slower than the algorithms they replaced, which
+# is acceptable only while this holds: a change that puts one of these back
+# on the verify path fails here and has to be measured.
+OFF_PATH = {
+    ("exactnum", "Cyclotomic"): ("inverse", "__truediv__", "__rtruediv__", "__pow__",
+                                 "promoted", "substituted"),
+    ("cohomology", "CohomologyClass"): ("inverse", "__truediv__", "__pow__",
+                                        "todd_factor", "is_one"),
+}
+
+
+def test_no_verification_runs_the_off_path_arithmetic(monkeypatch):
+    from test_caches import lru_caches
+
+    workloads = _load("perfbench_workloads", WORKLOADS)
+    m = workloads.import_quantred()
+    cases = [case for name in sorted(workloads.WORKLOADS) for case in workloads.build(m, name, 1)]
+    series = m["laurent"].RingSeries
+    targets = {(cls, name) for (layer, cls_name), names in OFF_PATH.items()
+               for cls in [getattr(m[layer], cls_name)] for name in names}
+    targets |= {(series, name) for name, obj in vars(series).items() if inspect.isfunction(obj)}
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls, name in targets:
+        monkeypatch.setattr(cls, name, counted(f"{cls.__name__}.{name}", vars(cls)[name]))
+    for cache in lru_caches().values():
+        cache.cache_clear()
+    for _ in range(2):  # cold, then warm
+        for name, doc, _ in cases:
+            workloads.verify_document(m, name, doc)
+    assert (series, "__truediv__") in targets
+    assert not calls, dict(calls)
