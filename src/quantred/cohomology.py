@@ -349,11 +349,6 @@ class CohomologyClass:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        """Whether this is the class 1."""
-        num = self.num
-        return self.den == 1 and len(num) == 1 and num.get(self.presentation._unit) == 1
-
     def is_nilpotent(self) -> bool:
         return self.presentation._unit not in self.num
 

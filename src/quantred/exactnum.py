@@ -13,8 +13,8 @@ operation works on integers and pays one gcd for the whole vector, where
 ``Fraction`` coefficients would pay one per coefficient.  Every reduction
 modulo ``Phi_N`` (products, embeddings, Galois images, roots of unity) sums
 cached integer rows of ``z**k mod Phi_N`` (one kernel, over rows cached per
-embedding, for every field embedding); an inverse runs a fraction-free
-extended Euclidean algorithm against the monic ``Phi_N``.
+embedding, for every field embedding).  An inverse is the product of the
+other Galois conjugates over the norm; no verification inverts in Q(zeta_N).
 
 Floating point never appears here; Python integers give us arbitrary
 precision for free.
@@ -35,12 +35,6 @@ class NotRationalError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # integer helpers (polynomials are little-endian lists of integers)
 # ---------------------------------------------------------------------------
-
-def _trim(p: list) -> list:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
 
 def _primes(n: int) -> list[int]:
     """The distinct primes of n, by trial division."""
@@ -141,30 +135,6 @@ def _reduce(n: int, terms, out=None) -> list:
             for i, r in rows[k % n]:
                 out[i] += c * r
     return out
-
-
-def _pseudo_divmod(a: list, b: list) -> tuple[int, list, list]:
-    """(m, q, r) with m * a = q * b + r, deg r < deg b, all integer and
-    m > 0: before each quotient digit the running remainder is scaled by
-    just enough (|lead(b)| / gcd) for the digit to be exact, and m collects
-    the scales."""
-    lead, db = b[-1], len(b) - 1
-    m, q, r = 1, [0] * (len(a) - db), list(a)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = r[i]
-        if not c:
-            continue
-        g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
-        scale = lead // g
-        if scale != 1:
-            m *= scale
-            q = [x * scale for x in q]
-            r = [x * scale for x in r[: i + 1]]
-        t = c // g
-        q[i - db] = t
-        for j, y in enumerate(b, i - db):
-            r[j] -= t * y
-    return m, q, _trim(r[:db])
 
 
 @lru_cache(maxsize=None)
@@ -357,36 +327,18 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse, by a fraction-free extended Euclidean
-        algorithm against the monic Phi_N.  Division by zero here signals a
-        pole factor that the series machinery should have expanded instead.
-
-        With A the numerator polynomial, every step keeps integer
-        polynomials r and s with r = s * A mod Phi_N: a pseudo-remainder
-        step, the new s reduced mod Phi_N, then the joint content of r and s
-        divided out.  When r is a nonzero constant c, the inverse is
-        den * s / c.
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm, x**-1 = prod_{a != 1} sigma_a(x) / N(x), where
+        N(x) = x * prod_{a != 1} sigma_a(x) is a nonzero rational.  Division
+        by zero here signals a pole factor that the series machinery should
+        have expanded instead.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        n, d = self.conductor, len(self.num)
-        r0, r1 = list(cyclotomic_polynomial(n)), _trim(list(self.num))
-        s0, s1 = [0] * d, [1] + [0] * (d - 1)
-        while len(r1) > 1:
-            m, q, r = _pseudo_divmod(r0, r1)
-            # r = m r0 - q r1, so its cofactor is m s0 - q s1
-            s = [m * c for c in s0] + [0] * (len(q) - 1)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1, i):
-                        s[j] -= x * y
-            s = _reduce(n, enumerate(s[d:], d), s[:d])
-            g = gcd(*r, *s)
-            if g != 1:
-                r = [c // g for c in r]
-                s = [c // g for c in s]
-            r0, r1, s0, s1 = r1, r, s1, s
-        return _canonical(n, [self.den * c for c in s1], r1[0])
+        n = self.conductor
+        others = prod((self.galois(a) for a in range(2, n) if gcd(a, n) == 1),
+                      start=Cyclotomic.from_rational(n, 1))
+        return others * (1 / (self * others).rational_part())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

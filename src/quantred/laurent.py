@@ -199,34 +199,23 @@ class RingSeries:
         (0, [1, 1, 1, 1])
         """
         self._check(other)
-        lead = other.coeffs[0]
-        # a term equal to 1 is never multiplied by, and a lead equal to 1 is
-        # not inverted: in the 0 and infinity charts every divisor is
-        # 1 - w^m e^{-c}, with the 1 first or last
-        lead_inv = None if lead.is_one() else lead.inverse()  # raises if the scalar part vanishes
-        # q[n] = lead^{-1} (a[n] - sum_{k=1..n} d_k q[n-k]), over the nonzero
-        # d_k and the nonzero q[n-k]: a two-term divisor leaves all but every
-        # m-th quotient term zero, so most products would be by zero
-        tail = [(k, None if d.is_one() else d)
-                for k, d in enumerate(other.coeffs) if k and not d.is_zero()]
+        d = other.coeffs
+        lead_inv = d[0].inverse()  # raises if the scalar part vanishes
+        # q[n] = lead^{-1} (a[n] - sum_{k=1..n} d_k q[n-k])
         q = []
-        for n in range(min(len(self.coeffs), len(other.coeffs))):
+        for n in range(min(len(self.coeffs), len(d))):
             acc = self.coeffs[n]
-            for k, d in tail:
-                if k > n:
-                    break
-                prev = q[n - k]
-                if prev.num:
-                    acc = acc - (prev if d is None else d * prev)
-            q.append(acc if lead_inv is None or not acc.num else lead_inv * acc)
+            for k in range(1, n + 1):
+                acc = acc - d[k] * q[n - k]
+            q.append(lead_inv * acc)
         return RingSeries(self.chart, self.presentation, self.low - other.low, q)
 
     def reciprocal(self) -> "RingSeries":
         """Inverse series, defined when the leading (lowest) coefficient has
         an invertible constant term.  The window length is preserved."""
-        one = series_constant(self.chart, self.presentation, self.presentation.one(),
-                              len(self.coeffs) - 1)
-        return one / self
+        pres = self.presentation
+        one = [pres.one()] + [pres.zero()] * (len(self.coeffs) - 1)
+        return RingSeries(self.chart, pres, 0, one) / self
 
     def __repr__(self):
         var = self.chart.variable
@@ -237,11 +226,6 @@ class RingSeries:
         ]
         body = " + ".join(parts) if parts else "0"
         return f"<series {body} + O({var}^{self.order + 1})>"
-
-
-def series_constant(chart, presentation, value: CohomologyClass, order: int) -> RingSeries:
-    coeffs = [value] + [presentation.zero()] * order
-    return RingSeries(chart, presentation, 0, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ OFF_PATH = {
     ("exactnum", "Cyclotomic"): ("inverse", "__truediv__", "__rtruediv__", "__pow__",
                                  "promoted", "substituted"),
     ("cohomology", "CohomologyClass"): ("inverse", "__truediv__", "__pow__",
-                                        "todd_factor", "is_one"),
+                                        "todd_factor"),
 }
 
 
