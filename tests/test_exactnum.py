@@ -136,6 +136,21 @@ def test_invert_one_minus_zeta3():
     assert inv == (2 + z) / 3
 
 
+@pytest.mark.parametrize("n", [84, 120, 180, 420])
+def test_inverse_of_one_minus_zeta_past_the_sympy_fields(n):
+    # sum_{c<N} c z^c = N / (z - 1) for z^N = 1, z != 1, so
+    # (1 - zeta_N)^(-1) = -(1/N) sum_{c<N} c zeta_N^c
+    closed = Cyclotomic.from_integers(n, [-c for c in range(n)], n)
+    assert (1 - root_of_unity(n, 1)).inverse() == closed
+
+
+def test_dense_inverse_at_conductor_420():
+    rng = random.Random(420)
+    x = Cyclotomic(420, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(phi_degree(420))])
+    assert x * x.inverse() == 1
+
+
 def test_invert_zero_raises():
     zero = root_of_unity(4, 0) - 1
     with pytest.raises(ZeroDivisionError):
