@@ -24,7 +24,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import phi_degree
@@ -65,6 +65,21 @@ MAX_INTEGRAL_TABLE = 1000
 # 4.6 s at n = 96, 96 and 90, and 1.5, 3.6 and 10 s at n = 128, 128 and
 # 120.  Catalog, golden and benchmark instances need at most 8.
 MAX_POLE_ORDER = 128
+
+# The largest work the character oracle may need, counted as the sum over
+# components of r * P * (T + |moment|): r the normal directions with a
+# nonzero Chern class, P the monomial pairs x^i x^j with x^i != 1 that the
+# ring keeps (prod m(m+1)/2 - prod m over its truncation orders m), and
+# T + |moment| the length of the oracle's integer columns, T = 2A + 4 at the
+# automatic bound A (see :func:`expansion_window`).  The oracle makes one
+# pass over a column per such pair and direction.  Measured on one core,
+# verify of CP^n under weights (0, .., 0, 1, .., 1) with O(2), whose two
+# fixed projective spaces have dimensions about n/2, takes 0.02 s at n = 16
+# (work 82,620), 0.15 s at 24 (575,874), 0.69 s at 32 (2,331,448), 1.8 s at
+# 36 (4,147,605), 3.0 s at 40 (6,953,310) and 8.4 s at 48 (17,046,900),
+# nearly all of it in the oracle.  Catalog, golden and benchmark instances
+# need at most 732.
+MAX_ORACLE_WORK = 4_000_000
 
 
 class GroupKind(Enum):
@@ -221,6 +236,17 @@ def expansion_window(p: ProblemInstance) -> int:
     return bound + 1
 
 
+def oracle_work(p: ProblemInstance, top: int) -> int:
+    """The work of the character oracle (see ``MAX_ORACLE_WORK``) when it
+    expands up to the exponent ``top``."""
+    work = 0
+    for f in p.components:
+        r = sum(1 for c in f.normal_chern if c.num)
+        pairs = prod(m * (m + 1) // 2 for m in f.ring.orders) - prod(f.ring.orders)
+        work += r * pairs * (top + abs(f.moment))
+    return work
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -234,7 +260,7 @@ def validate(p: ProblemInstance) -> list[Finding]:
     too costly (a cyclotomic field of degree above ``MAX_FIELD_DEGREE``, an
     expansion window above ``MAX_EXPANSION_WINDOW``, an integral table above
     ``MAX_INTEGRAL_TABLE``, a pole at t = 1 of order above
-    ``MAX_POLE_ORDER``).
+    ``MAX_POLE_ORDER``, oracle work above ``MAX_ORACLE_WORK``).
     WARN findings flag instances for which the two sides are not asserted to
     agree; INFO findings are informational.
     """
@@ -281,6 +307,13 @@ def validate(p: ProblemInstance) -> list[Finding]:
             "ERROR", "expansion-window",
             f"the expansion at t -> infinity needs a window of {window} "
             f"exponents, above the limit of {MAX_EXPANSION_WINDOW}"))
+    work = oracle_work(p, 2 * window + 4)  # the oracle's window at the automatic bound
+    if work > MAX_ORACLE_WORK:
+        findings.append(Finding(
+            "ERROR", "oracle-work",
+            f"the character oracle needs {work} column steps (normal directions "
+            f"on nonzero Chern classes times monomial pairs times window length), "
+            f"above the limit of {MAX_ORACLE_WORK}"))
     dims = sorted({f.dimension for f in p.components})
     if len(dims) > 1:
         findings.append(Finding(

@@ -39,10 +39,12 @@ from operator import add, floordiv, mod, mul, sub
 
 from .fixedpoint import (
     MAX_EXPANSION_WINDOW,
+    MAX_ORACLE_WORK,
     GroupKind,
     InvalidInstanceError,
     ProblemInstance,
     expansion_window,
+    oracle_work,
 )
 
 
@@ -223,6 +225,12 @@ def character_polynomial(
             f"{MAX_EXPANSION_WINDOW}"
         )
     top = bound + auto + 4  # checked tail window: (bound, top]
+    work = oracle_work(p, top)
+    if work > MAX_ORACLE_WORK:
+        raise InvalidInstanceError(
+            f"the character oracle needs {work} column steps, above the limit "
+            f"of {MAX_ORACLE_WORK}"
+        )
     parts = []  # (denominator, low, integer values at w^low, w^(low+1), ...)
     for f in p.components:
         index, rows = _monomials(f.ring.orders)

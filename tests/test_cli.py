@@ -265,6 +265,25 @@ def test_pole_order_limit_exit_two(capsys, tmp_path, monkeypatch):
         assert "order up to 300" in err and "limit of 128" in err, command
 
 
+def test_oracle_work_limit_exit_two(capsys, tmp_path, monkeypatch):
+    # CP^48 with two fixed projective spaces of dimensions 23 and 24: oracle
+    # work 17,046,900, rejected before any expansion
+    from quantred import oracle, reduction
+    from test_fixedpoint import projective_pair
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(reduction, "character_polynomial", no_oracle)
+    monkeypatch.setattr(oracle, "_monomials", no_oracle)
+    path = tmp_path / "cp48_pair.json"
+    path.write_text(json.dumps(instance_to_dict(projective_pair(48))))
+    for command in ("verify", "character"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert "17046900 column steps" in err and "limit of 4000000" in err, command
+
+
 def test_degree_bound_above_limit_exit_two(capsys):
     for command in ("verify", "character"):
         code, _, err = run(capsys, command, "--catalog", "cp1-k", "--degree-bound", "20001")

@@ -24,8 +24,8 @@ from quantred import (
 from quantred.catalog import UnknownCatalogError
 from quantred.exactnum import phi_degree
 from quantred.fixedpoint import (
-    MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, MAX_INTEGRAL_TABLE, MAX_POLE_ORDER,
-    expansion_window,
+    MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, MAX_INTEGRAL_TABLE, MAX_ORACLE_WORK,
+    MAX_POLE_ORDER, expansion_window, oracle_work,
 )
 
 POINT = RingPresentation.point()
@@ -146,8 +146,10 @@ def test_integral_table_limit():
     # C(45, 2) = 990 is below the limit, C(46, 2) = 1035 above it
     assert not has_errors(validate(dense_points(44, [1, 2])))
     assert has_errors(validate(dense_points(45, [1, 2])))
-    # directions of one weight share an index, and a zero class adds none
-    assert not has_errors(validate(dense_points(64, [3, 3, 3])))
+    # directions of one weight share an index, and a zero class adds none;
+    # three dense directions over Q[x]/x^64 are too much oracle work
+    assert [f.code for f in validate(dense_points(64, [3, 3, 3])) if f.level == "ERROR"] == [
+        "oracle-work"]
     ring = dense_points(64, [1]).components[0].ring
     assert not has_errors(validate(dense_points(64, [1, 2], [ring.gen("x"), ring.zero()])))
 
@@ -164,7 +166,7 @@ def test_no_shipped_instance_trips_the_integral_table_limit():
                   for name, doc, _ in workloads.build(m, workload, 1)]
     for p in instances:
         codes = [f.code for f in validate(p)]
-        assert "integral-table" not in codes and "pole-order" not in codes, p.name
+        assert not {"integral-table", "pole-order", "oracle-work"} & set(codes), p.name
 
 
 def test_pole_order_limit():
@@ -182,13 +184,46 @@ def test_pole_order_limit():
     assert str(MAX_POLE_ORDER) in errors[0].message
     assert not has_errors(validate(points(MAX_POLE_ORDER, 12)))
     assert has_errors(validate(points(MAX_POLE_ORDER + 1, 12)))
-    # over Q[x]/x^64 (N = 63) every direction of weight 1 carries x
+    # over Q[x]/x^64 (N = 63) every direction of weight 1 carries x, which
+    # is also too much oracle work
     r = MAX_POLE_ORDER - 63
-    assert not has_errors(validate(dense_points(64, [1] * r)))
+    assert [f.code for f in validate(dense_points(64, [1] * r)) if f.level == "ERROR"] == [
+        "oracle-work"]
     assert [f.code for f in validate(dense_points(64, [1] * (r + 1))) if f.level == "ERROR"] == [
-        "pole-order", "pole-order"]
+        "pole-order", "pole-order", "oracle-work"]
     ring = dense_points(64, [1]).components[0].ring
     assert not has_errors(validate(dense_points(64, [1] * (r + 1), [ring.zero()] * (r + 1))))
+
+
+def projective_pair(n):
+    """CP^n under the weights (0^(a+1), 1^(b+1)), a + b + 1 = n, with O(2) and
+    fibre shift 1: the fixed CP^a and CP^b, over Q[x]/x^(a+1) and
+    Q[x]/x^(b+1), with normal weights 1 and -1 on the class x."""
+    def fixed(name, dim, moment, weights):
+        ring = RingPresentation(("x",), (dim + 1,), 2 * dim, {(dim,): 1})
+        x = ring.gen("x")
+        todd = x.todd_factor() ** (dim + 1)
+        return FixedComponent(name, ring, moment, weights, [x] * len(weights), 2 * x, todd)
+
+    a = (n - 1) // 2
+    b = n - 1 - a
+    return ProblemInstance(GroupKind.U1, [fixed("F0", a, 1, [1] * (b + 1)),
+                                          fixed("F1", b, -1, [-1] * (a + 1))], f"cp{n}-pair")
+
+
+def test_oracle_work_limit():
+    # r directions on nonzero classes, times the monomial pairs x^i x^j with
+    # i > 0 that survive, times the column length 2A + 4 + |moment|: at
+    # n = 48, A = 24 * 25 + 2 and (25 * 276 + 24 * 300) * 1209
+    p = projective_pair(48)
+    assert expansion_window(p) == 602
+    assert oracle_work(p, 2 * 602 + 4) == 17046900
+    errors = [f for f in validate(p) if f.level == "ERROR"]
+    assert [(f.code, f.component) for f in errors] == [("oracle-work", None)]
+    assert "17046900" in errors[0].message and str(MAX_ORACLE_WORK) in errors[0].message
+    # n = 32 (work 2,331,448) verifies in under a second; n = 36 does not pass
+    assert not has_errors(validate(projective_pair(32)))
+    assert has_errors(validate(projective_pair(36)))
 
 
 def test_expansion_window_limit():
