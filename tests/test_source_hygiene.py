@@ -2,7 +2,9 @@
 behind when its last user is deleted is seen.  The package ``__init__`` is
 exempt: its imports are the public API.  Every private module-level name is
 read somewhere in the package, so a helper stranded by its last caller is
-seen too.  No function mutates a module-level list, dict or set, so every
+seen too, and every private module-level function is reached from code
+outside such functions, so a helper that only itself or other dead helpers
+call is seen as well.  No function mutates a module-level list, dict or set, so every
 process cache is an ``lru_cache`` that the cache tests can see and empty.
 Names are read from the source.  Importing the package loads no heavy
 standard-library module."""
@@ -97,6 +99,60 @@ def test_a_stranded_private_name_is_reported():
     }.items()}
     # b's own _stranded, which b calls, does not keep a's alive
     assert _unreferenced_private_names(trees) == [("a.py", "_gcd"), ("a.py", "_stranded")]
+
+
+def _reads(node, module):
+    """The names a node reads: (module, name) for a plain name, (None, name)
+    for an attribute or a name imported from another module."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add((module, n.id))
+        elif isinstance(n, ast.Attribute):
+            out.add((None, n.attr))
+        elif isinstance(n, ast.ImportFrom):
+            out |= {(None, alias.name) for alias in n.names}
+    return out
+
+
+def _dead_private_functions(trees):
+    """(module, name) for each module-level function with one leading
+    underscore that no live code reaches.  Code outside such functions is
+    live, and so is a private function that live code names."""
+    helpers, frontier = {}, set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                helpers[(module, node.name)] = _reads(node, module)
+            else:
+                frontier |= _reads(node, module)
+    live = set()
+    while new := {key for key in helpers.keys() - live
+                  if key in frontier or (None, key[1]) in frontier}:
+        live |= new
+        frontier = set().union(*(helpers[key] for key in new))
+    return sorted(helpers.keys() - live)
+
+
+def test_every_private_function_is_reached():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert trees
+    assert not _dead_private_functions(trees)
+
+
+def test_a_dead_private_function_is_reported():
+    trees = {name: ast.parse(source) for name, source in {
+        "a.py": "def _loop(n): return _loop(n - 1)\n"
+                "def _ping(): _pong()\ndef _pong(): _ping()\n"
+                "def _leaf(): pass\ndef _inner(): _leaf()\ndef public(): _inner()\n"
+                "def _imported(): pass\ndef _attribute(): pass\n",
+        "b.py": "from .a import _imported\nimport a\na._attribute()\ndef _leaf(): _ping()\n",
+    }.items()}
+    # b's dead _leaf reaches neither a's _ping nor, by name, a's _leaf
+    assert _dead_private_functions(trees) == [
+        ("a.py", "_loop"), ("a.py", "_ping"), ("a.py", "_pong"), ("b.py", "_leaf")]
 
 
 _MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
