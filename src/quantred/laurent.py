@@ -25,7 +25,8 @@ it is that power at weight e*beta, e the order of zeta**(-beta), times an
 integer root-of-unity sum.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
-coefficients, keeps its arithmetic but is no longer on the engine's path.
+coefficients, is on no verify path; its product and division are the
+textbook ones (division is plain long division by the inverted lead).
 Class scalars are rational, so it serves the charts whose scalars are:
 0, infinity, t = 1 and t = -1.
 """
