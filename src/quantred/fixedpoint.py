@@ -242,8 +242,9 @@ def oracle_work(p: ProblemInstance, top: int) -> int:
     work = 0
     for f in p.components:
         r = sum(1 for c in f.normal_chern if c.num)
-        pairs = prod(m * (m + 1) // 2 for m in f.ring.orders) - prod(f.ring.orders)
-        work += r * pairs * (top + abs(f.moment))
+        if r:  # most components are points, with no class at all
+            pairs = prod(m * (m + 1) // 2 for m in f.ring.orders) - prod(f.ring.orders)
+            work += r * pairs * (top + abs(f.moment))
     return work
 
 
