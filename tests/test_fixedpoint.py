@@ -298,6 +298,8 @@ CONDUCTORS_AND_FINDINGS = {
     "cp4-hyperplane-q2-k8": (4, []),
     "cp5-hyperplane-q2-k8": (4, []),
     "cp5-033331-k2-c1": (12, []),
+    "binary-quintic-k6": (120, []),
+    "binary-septic-k12": (840, []),
     "plane-037-k1-c2": (84, []),
     "plane-057-k1-c3": (140, []),
     "plane-0711-k1-c2": (308, []),
