@@ -49,7 +49,6 @@ from .laurent import (
     ChartMismatch,
     RingSeries,
     TruncationError,
-    factor_series,
     form_residue,
     outer_expansion,
 )

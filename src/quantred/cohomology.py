@@ -20,8 +20,7 @@ denominator (``integral_den``).  The ring operations work on the integers
 and pay one gcd per result, and ``integrate`` divides once.  ``Fraction``s
 appear only at the input (the constructors take ``int`` and ``Fraction``
 coefficients), in the read-only ``coeffs`` and ``integrals`` views, and in
-the output of :func:`todd_power`, the Todd coefficients and every wall
-series of :mod:`quantred.laurent` by one power recurrence on integers.
+the output of :func:`todd_coefficients`, computed on integers.
 """
 
 from __future__ import annotations
@@ -479,25 +478,20 @@ def _canonical(presentation, num: dict, den: int) -> CohomologyClass:
     return _class(presentation, num, den)
 
 
-def todd_power(beta: int, m: int, length: int) -> tuple:
-    """Taylor coefficients u**0 .. u**(length-1) of (u / (1 - exp(-beta u)))**m
-    as reduced ``Fraction``s: beta**(n-m) t_n at u**n, t the (-m)-th power of
-    g = (1 - exp(-x))/x, g_k = (-1)**k/(k+1)!, by the power recurrence
-    n t_n = sum_{k=1..n} ((1 - m) k - n) g_k t_{n-k}.  Times (n+1)! it runs
-    on s_n = n! t_n, kept as the integers s_n prod_{j<length} j (j+1) (they
-    do not grow with m).  At beta = m = 1 it is the Todd series:
+def todd_coefficients(order: int) -> list[Fraction]:
+    """Rational coefficients of x/(1 - exp(-x)) up to x**order: t_n = b_n / n!,
+    the reciprocal of g = (1 - exp(-x))/x, g_k = (-1)**k/(k+1)!, by
+    t_n = -sum_{k=1..n} g_k t_{n-k}.  Times n! it is
+    (n+1) b_n = -sum_k (-1)**k C(n+1, k+1) b_{n-k}, run on the integers
+    b_n (order+1)! (b_n, a Bernoulli number, has a denominator dividing
+    (n+1)!):
 
-    >>> [str(c) for c in todd_power(1, 1, 5)]
+    >>> [str(c) for c in todd_coefficients(4)]
     ['1', '1/2', '1/12', '0', '-1/720']
     """
-    q = prod(j * (j + 1) for j in range(1, length))
-    s = [q] if length else []
-    for n in range(1, length):
-        s.append(sum([((1 - m) * k - n) * (-1) ** k * comb(n + 1, k + 1) * s[n - k]
-                      for k in range(1, n + 1) if s[n - k]]) // (n * (n + 1)))
-    return tuple(Fraction(x * beta ** n, q * factorial(n) * beta ** m) for n, x in enumerate(s))
-
-
-def todd_coefficients(order: int) -> list[Fraction]:
-    """Rational coefficients of x/(1 - exp(-x)) up to x**order."""
-    return list(todd_power(1, 1, order + 1))
+    q = factorial(order + 1)
+    b = [q]
+    for n in range(1, order + 1):
+        b.append(-sum([(-1) ** k * comb(n + 1, k + 1) * b[n - k]
+                       for k in range(1, n + 1) if b[n - k]]) // (n + 1))
+    return [Fraction(x, q * factorial(n)) for n, x in enumerate(b)]

@@ -10,19 +10,19 @@ no stray factors of i.  At infinity, t = 1/w gives dt/t = -dw/w, so that
 residue is minus the w^0 coefficient.  At zero it is the t^0 coefficient.
 
 The residue engine expands one scalar rational function per fixed
-component, N(t) / prod_beta (1 - t**(-beta))**M with N a Laurent polynomial
-over Q (built in :mod:`quantred.lefschetz`), kept as integer coefficients
-over one common denominator.  At zero and at infinity the expansion is a
-sign, a shift and one adding recurrence per factor, on integers, with one
-division at the end.  At a root of unity one site record per denominator
-shape (``_site``) holds the root as zeta_d**j with d its order, the pole
-order P and integer weights W_i, i < P; the residue sums a_r r**i W_i over
-the terms a_r t**r of N into one integer list at the offset zeta**r shifts
-each to, divides once, and is the cell in its own field Q(zeta_d).
-Every pole factor's series comes from one kernel, the Todd power at a wall
-(``_wall_series`` over :func:`quantred.cohomology.todd_power`); off a wall
-it is that power at weight e*beta, e the order of zeta**(-beta), times an
-integer root-of-unity sum.
+component, N(t) / Q(t) with Q = prod_beta (1 - t**(-beta))**M and N a
+Laurent polynomial over Q (built in :mod:`quantred.lefschetz`), kept as
+integer coefficients over one common denominator.  At zero and at infinity
+the expansion is a sign, a shift and one adding recurrence per factor, on
+integers, with one division at the end.  At a root of unity one site record
+per root and denominator shape (``_site``) holds the root as zeta_d**j with
+d its order, the pole order P and integer weights W_i, i < P; the residue
+sums a_r r**i W_i over the terms a_r t**r of N into one integer list at the
+offset zeta**r shifts each to, divides once, and is the cell in its own
+field Q(zeta_d).  The weights come from Q itself, expanded once per shape as
+integer terms q_c t**c by the polynomial product that builds N: the Taylor
+rows T_n of Q(zeta*e^u) / u**P are integer sums of q_c zeta**c c**(P+n), the
+lead 1/T_0 has a closed form, and u**P / Q(zeta*e^u) is one reciprocal.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, is on no verify path; its product and division are the
@@ -36,10 +36,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
-from .cohomology import CohomologyClass, RingPresentation, todd_power
+from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import Cyclotomic
 
 _ZERO = Fraction(0)
@@ -290,108 +289,88 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
 
 
 @lru_cache(maxsize=None)
-def _wall_series(beta: int, m: int, length: int) -> tuple:
-    # (u / (1 - e^{-beta u}))**m, cached per shape for every site record
-    return todd_power(beta, m, length)
+def _binomial_terms(beta: int, k: int, top: int) -> tuple:
+    # s**k (1 - s)**(top - k) with s = t**(-beta), as (t-exponent, integer) pairs
+    return tuple((-beta * (k + i), (-1) ** i * comb(top - k, i)) for i in range(top - k + 1))
+
+
+def _times(poly: dict, terms) -> dict:
+    # the Laurent polynomial {t-exponent: integer} times the (exponent, integer) terms
+    out: dict = {}
+    for r, a in poly.items():
+        for e, c in terms:
+            out[r + e] = out.get(r + e, 0) + a * c
+    return out
 
 
 @lru_cache(maxsize=None)
-def _regular_series(conductor: int, k: int, beta: int, m: int, length: int) -> tuple:
-    # (1 - z e^{-beta u})**(-m), z = zeta_conductor**k != 1 of order e.  With
-    # y = z e^{-beta u}, y**e = e^{-e beta u} and 1/(1 - y) = E / (1 - y**e),
-    # E = 1 + y + .. + y**(e-1), so the series is _wall_series(e beta, m)
-    # times E**m / u**m (E is 0 at u = 0).  E**m = sum_c n_c y**c, n_c the
-    # coefficients of (1 + x + .. + x**(e-1))**m, has the u**(i+m)
-    # coefficient T_i = sum_c n_c z**c (-c beta)**(i+m) / (i+m)!, kept as
-    # integers at k c mod conductor; the u**j coefficient
-    # sum_{i<=j} T_i W_{j-i} is summed over D (j+m)!, D the W's denominator
-    e = conductor // gcd(conductor, k)
-    n = [1]
-    for _ in range(m):  # times 1 + x + .. + x**(e-1), by one running sum
-        run = list(accumulate(n + [0] * (e - 1)))
-        n = [s - run[i - e] if i >= e else s for i, s in enumerate(run)]
-    tails = [[0] * conductor for _ in range(length)]
-    for c, x in enumerate(n):
-        x *= (-c * beta) ** m
-        for row in tails:
-            row[k * c % conductor] += x
-            x *= -c * beta
-    wall = _wall_series(e * beta, m, length)
-    den = lcm(*(w.denominator for w in wall))
-    wall = [w.numerator * (den // w.denominator) for w in wall]
-    out = []
-    for j in range(length):
-        f = factorial(j + m)
-        acc = [0] * conductor
-        for i, row in enumerate(tails[:j + 1]):
-            w = wall[j - i] * (f // factorial(i + m))
-            acc = [a + w * v for a, v in zip(acc, row)]
-        out.append(Cyclotomic.from_integers(conductor, acc, den * f))
-    return tuple(out)
-
-
-def factor_series(beta: int, m: int, chart: Chart, length: int) -> tuple:
-    """Taylor coefficients u**0 .. u**(length-1) of one denominator factor
-    at t = zeta*e^u: (1 - zeta**(-beta) e^{-beta u})**(-m), times u**m when
-    zeta**beta = 1 (a wall: the factor has a pole of order m there).
-
-    The series depends on the shape (conductor, zeta**(-beta), beta, m,
-    length) alone, so one process-wide cache serves every component.  At a
-    wall it is rational.  At t = 1, u / (1 - e^{-u}) is the Todd series:
-
-    >>> [str(c) for c in factor_series(1, 1, Chart.at_one(), 5)]
-    ['1', '1/2', '1/12', '0', '-1/720']
-    """
-    if beta == 0:
-        raise ValueError("zero weight")
-    if chart.kind != "root":
-        raise ValueError("factor series are taken at a root of unity")
-    k = -chart.exponent * beta % chart.conductor
-    if k == 0:
-        return _wall_series(beta, m, length)
-    return _regular_series(chart.conductor, k, beta, m, length)
-
-
-def truncated_product(a, b, length: int) -> list:
-    """The first ``length`` Taylor coefficients of the product of two series."""
-    out = []
-    for i in range(length):
-        # sum_j a[j] b[i-j], without a rational 0 + Cyclotomic promotion
-        acc = None
-        for j in range(i + 1):
-            x, y = a[j], b[i - j]
-            if x and y:
-                acc = x * y if acc is None else acc + x * y
-        out.append(_ZERO if acc is None else acc)
-    return out
+def _denominator_terms(shape: tuple) -> tuple:
+    # Q = prod (1 - t**(-beta))**M as (t-exponent, nonzero integer) pairs,
+    # one expansion per shape for every root chart
+    poly = {0: 1}
+    for beta, m in shape:
+        poly = _times(poly, _binomial_terms(beta, 0, m))
+    return tuple([(c, q) for c, q in poly.items() if q])
 
 
 # what a root chart decides for a denominator shape (sorted (beta, M) pairs):
 # zeta_n**k as zeta_d**j, the pole order P (M summed over the walls) and
-# weights[i], the u**(P-1-i) coefficient of the factor_series' product over
-# i!, as 1 or phi(d) integers over ``common``
+# weights[i], the u**(P-1-i) coefficient of u**P / Q(zeta e^u) over i!, as 1
+# or phi(d) integers over ``common``
 Site = namedtuple("Site", "order exponent pole weights common")
 
 
 @lru_cache(maxsize=None)
 def _site(chart: Chart, shape: tuple) -> Site:
     g = gcd(chart.conductor, chart.exponent)
-    local = Chart("root", chart.conductor // g, chart.exponent // g)
-    walls = [(beta, m) for beta, m in shape if local.is_wall_for(beta)]
+    d, j = chart.conductor // g, chart.exponent // g
+    walls = [(beta, m) for beta, m in shape if j * beta % d == 0]
     pole = sum(m for _, m in walls)
     if not pole:
-        return Site(local.conductor, local.exponent, 0, (), 1)
-    # the rational wall factors first, so that fewer products are cyclotomic
-    product = None
-    for beta, m in walls + [bm for bm in shape if bm not in walls]:
-        series = factor_series(beta, m, local, pole)
-        product = series if product is None else truncated_product(product, series, pole)
+        return Site(d, j, 0, (), 1)
+    # every value is kept as integers at the powers zeta**0 .. zeta**(d-1); it
+    # is rational when d <= 2 or every factor is a wall (zeta**c = 1 at every
+    # exponent c of Q), and then it is the integers at zeta**0 minus those at
+    # zeta**1, the one other root
+    rational = d <= 2 or len(walls) == len(shape)
+    # T_n, the u**(P+n) coefficient of Q(zeta e^u) = sum_c q_c zeta**c e^(cu),
+    # is sum_c q_c zeta**c c**(P+n) / (P+n)!, for 0 < n < P
+    rows = [[0] * max(d, 2) for _ in range(1, pole)]
+    if rows:
+        for c, q in _denominator_terms(shape):
+            q *= c ** (pole + 1)
+            k = j * c % d
+            for row in rows:
+                row[k] += q
+                q *= c
+    taylor = [None] + [Fraction(row[0] - row[1], factorial(pole + n)) if rational
+                       else Cyclotomic.from_integers(d, row, factorial(pole + n))
+                       for n, row in enumerate(rows, 1)]
+    # 1/T_0 is beta**(-M) per wall and (1 - z)**(-M) per factor off the walls,
+    # z = zeta**(-beta) of order e, with 1/(1 - z) = -(1/e) sum_{i<e} i z**i
+    num, den = 1, prod(beta ** m for beta, m in walls)
+    for beta, m in shape:
+        if k := -j * beta % d:
+            e = d // gcd(d, k)
+            w = [0] * max(d, 2)
+            for i in range(1, e):
+                w[i * k % d] -= i
+            w = w[0] - w[1] if rational else Cyclotomic.from_integers(d, w)
+            for _ in range(m):
+                num, den = num * w, den * e
+    lead = Fraction(num, den) if rational else num * Fraction(1, den)
+    # u**P / Q(zeta e^u) = sum_n r_n u**n, the reciprocal of sum_n T_n u**n:
+    # r_0 = 1/T_0 and r_n = -r_0 sum_{k=1..n} T_k r_{n-k}
+    series, minus = [lead], -lead
+    for n in range(1, pole):
+        series.append(minus * sum([taylor[k] * series[n - k] for k in range(2, n + 1)],
+                                  taylor[1] * series[n - 1]))
     parts = [(c.num, c.den * factorial(i)) if isinstance(c, Cyclotomic)
              else ((c.numerator,), c.denominator * factorial(i))
-             for i, c in enumerate(reversed(product))]
+             for i, c in enumerate(reversed(series))]
     common = lcm(*(den for _, den in parts))
     weights = tuple(tuple(x * (common // den) for x in num) for num, den in parts)
-    return Site(local.conductor, local.exponent, pole, weights, common)
+    return Site(d, j, pole, weights, common)
 
 
 def form_residue(numerator, denominator, chart: Chart):
@@ -400,7 +379,7 @@ def form_residue(numerator, denominator, chart: Chart):
     * zero: the t**0 coefficient of the expansion;
     * infinity: dt/t = -dw/w, so minus the w**0 coefficient;
     * t = zeta*e^u: dt/t = du, and the residue is the u**(P-1) coefficient
-      of N(zeta*e^u) times every ``factor_series``.  With
+      of N(zeta*e^u) times u**P / Q(zeta*e^u).  With
       N = sum_r a_r t**r / D and zeta = zeta_d**j that is
       sum_r sum_{i<P} a_r r**i zeta_d**(jr) W_i / D (P and W_i from
       ``_site``), summed on integers and divided once.

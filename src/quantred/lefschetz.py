@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import sub
 
 from .exactnum import fraction_sum
 from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
-from .laurent import Chart, form_residue, outer_expansion
+from .laurent import Chart, _binomial_terms, _times, form_residue, outer_expansion
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -99,12 +98,6 @@ def _integral_table(f: FixedComponent) -> dict:
     return {k: v for k, v in table.items() if v[0]}
 
 
-@lru_cache(maxsize=None)
-def _binomial_terms(beta: int, k: int, top: int) -> tuple:
-    # s**k (1 - s)**(top - k) with s = t**(-beta), as (t-exponent, integer) pairs
-    return tuple((-beta * (k + i), (-1) ** i * comb(top - k, i)) for i in range(top - k + 1))
-
-
 def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[tuple, dict]:
     """chi_F(t) * multiplier(t) as one rational function N(t) /
     prod (1 - t**(-beta))**M (see the module docstring): the pair
@@ -145,14 +138,6 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
         numerator = {e: v // g for e, v in numerator.items()}
         scale //= g
     return (numerator, scale), {beta: r + top for (beta, r), top in zip(ranks.items(), tops)}
-
-
-def _times(poly: dict, terms) -> dict:
-    out: dict = {}
-    for r, a in poly.items():
-        for e, c in terms:
-            out[r + e] = out.get(r + e, 0) + a * c
-    return out
 
 
 def residue_of_h(f: FixedComponent, at: Chart, weyl: WeylFactor | None = None,

@@ -39,7 +39,7 @@ def lru_caches() -> dict:
 def test_the_caches_are_found():
     names = set(lru_caches())
     assert {"quantred.exactnum._galois_rows", "quantred.fixedpoint._wall_set",
-            "quantred.laurent._site", "quantred.laurent._regular_series",
+            "quantred.laurent._site", "quantred.laurent._denominator_terms",
             "quantred.reduction.root_label"} <= names
 
 
@@ -65,11 +65,11 @@ def test_verifying_the_same_documents_again_grows_no_cache():
 
 # cp3-0223-k3-c4 and the hyperplanes have pole orders 2, 4 and 5 at t = -1;
 # cp4-03331-k2-c1 and cp5-033331-k2-c1 have poles of order 3 and 4 at zeta_3
-# beside a regular factor
+# beside a regular factor; the binary septic has walls of ten orders up to 14
 @pytest.mark.parametrize("name", ["plane-0713-k1-c2", "plane-057-k1-c3", "sphere-pm30",
                                   "cp3-0223-k3-c4", "cp4-hyperplane-q2-k8",
                                   "cp5-hyperplane-q2-k8", "cp4-03331-k2-c1",
-                                  "cp5-033331-k2-c1"])
+                                  "cp5-033331-k2-c1", "binary-septic-k12"])
 @pytest.mark.parametrize("command", ["verify", "residues"])
 def test_cold_caches_print_the_golden_bytes(name, command):
     for cache in lru_caches().values():

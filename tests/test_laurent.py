@@ -15,7 +15,6 @@ from quantred import (
     RingSeries,
     TruncationError,
     component_form,
-    factor_series,
     form_residue,
     outer_expansion,
     phi_degree,
@@ -23,7 +22,7 @@ from quantred import (
     root_order,
     todd_coefficients,
 )
-from quantred.laurent import _site, _wall_series, truncated_product
+from quantred.laurent import _site
 
 from conftest import ring_classes, small_fractions
 
@@ -77,11 +76,50 @@ def denominator_series(beta, c, chart, order):
 def scalar_denominator(beta, chart, length):
     """Taylor coefficients of (1 - zeta**(-beta) e^{-beta u}) / u**w at
     t = zeta*e^u, w = 1 at a wall and 0 elsewhere: written out from the
-    exponential series, independently of ``factor_series``."""
+    exponential series, independently of the site records."""
     k = chart.exponent * -beta % chart.conductor
     z = root_of_unity(chart.conductor, k) if k else Fraction(1)
     d = [1 - z] + [-z * Fraction((-beta) ** i, factorial(i)) for i in range(1, length + 1)]
     return d[1:] if chart.is_wall_for(beta) else d[:length]
+
+
+def truncated(a, b, length):
+    """The first ``length`` Taylor coefficients of the product of two series."""
+    return [_reference_dot(a, b, i) for i in range(length)]
+
+
+def _reference_dot(a, b, i):
+    # sum_j a[j] b[i-j], without a rational 0 + Cyclotomic promotion
+    acc = None
+    for j in range(i + 1):
+        x, y = a[j], b[i - j]
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    return Fraction(0) if acc is None else acc
+
+
+def pole_order(denominator, chart):
+    return sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
+
+
+def denominator_product(denominator, chart, length):
+    """Q(zeta*e^u) / u**P to u**(length-1), the product of every factor's
+    ``scalar_denominator``."""
+    q = [Fraction(1)] + [Fraction(0)] * (length - 1)
+    for beta, m in denominator.items():
+        for _ in range(m):
+            q = truncated(q, scalar_denominator(beta, chart, length), length)
+    return q
+
+
+def site_series(chart, denominator):
+    """u**P / Q(zeta*e^u) to u**(P-1), read back off the site record: the
+    u**n coefficient is (P-1-n)! W_(P-1-n) / common, in Q(zeta_d)."""
+    site = _site(chart, tuple(sorted(denominator.items())))
+    out = [Fraction(w[0] * factorial(i), site.common) if len(w) == 1
+           else Cyclotomic.from_integers(site.order, w, site.common) * factorial(i)
+           for i, w in enumerate(site.weights)]
+    return out[::-1]
 
 
 def point_with_weight(beta, c, moment=0):
@@ -126,20 +164,27 @@ def test_geometric_series_at_infinity():
 
 
 def test_todd_type_pole_at_one():
-    # 1/(1 - e^{-u}) = u^{-1} (1 + u/2 + u^2/12 - u^4/720 + ...)
-    s = factor_series(1, 1, Chart.at_one(), 5)
-    assert s == (1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720))
+    # 1/(1 - e^{-u}) = u^{-1} (1 + u/2 + u^2/12 - u^4/720 + ...); a pole of
+    # order 5 at t = 1 holds five terms of the fifth power of that series
+    todd = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0), Fraction(-1, 720)]
+    power = todd
+    for _ in range(4):
+        power = truncated(power, todd, 5)
+    s = site_series(Chart.at_one(), {1: 5})
+    assert s == power
     assert all(type(v) is Fraction for v in s)
+    assert site_series(Chart.at_one(), {1: 1}) == [1]
     # its residue, and the u^0 coefficient as the residue of t/(1 - 1/t)
     assert form_residue(({0: 1}, 1), {1: 1}, Chart.at_one()) == 1
     assert form_residue(({1: 1}, 1), {1: 2}, Chart.at_one()) == 2  # e^u (1 + u/2)^2 / u^2
 
 
 def test_double_weight_pole_at_minus_one():
-    # t = -e^u, beta = 2: 1/(1 - e^{-2u}) = (2u)^{-1} (1 + u + u^2/3 + ...)
-    s = factor_series(2, 1, Chart.at_root(4, 2), 3)
-    assert s == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 6))  # (1/2) * (1/3)
-    assert factor_series(2, 1, Chart.at_root(2, 1), 3) == s  # the same shape
+    # t = -e^u, beta = 2: 1/(1 - e^{-2u}) = (2u)^{-1} (1 + u + u^2/3 + ...),
+    # and its cube (1/8) (1 + 3u + 4u^2 + ...)
+    s = site_series(Chart.at_root(4, 2), {2: 3})
+    assert s == [Fraction(1, 8), Fraction(3, 8), Fraction(1, 2)]
+    assert site_series(Chart.at_root(2, 1), {2: 3}) == s  # the same root
     # the cell at -1 is rational however the chart names the root
     for chart in (Chart.at_root(2, 1), Chart.at_root(4, 2), Chart.at_root(12, 6)):
         r = form_residue(({0: 1}, 1), {2: 1}, chart)
@@ -147,12 +192,13 @@ def test_double_weight_pole_at_minus_one():
 
 
 def test_regular_factor_leading_coefficient():
-    # at a non-wall root the factor is regular with value (1 - zeta^{-beta})^{-1}
+    # at a non-wall root the factor is regular with value (1 - zeta^{-beta})^{-1};
+    # beside a wall of weight 4 at t = i the lead is 1/4 times its M-th power
     chart = Chart.at_root(4, 1)
-    s = factor_series(1, 1, chart, 3)
     i = root_of_unity(4, 1)
-    assert s[0] == (1 - i.inverse()).inverse()
-    assert factor_series(1, 2, chart, 3)[0] == s[0] * s[0]
+    regular = (1 - i.inverse()).inverse()
+    assert site_series(chart, {4: 1, 1: 1})[0] == regular * Fraction(1, 4)
+    assert site_series(chart, {4: 1, 1: 2})[0] == regular * regular * Fraction(1, 4)
     # no pole there: the residue is the zero of Q(zeta_4)
     r = form_residue(({0: 1}, 1), {1: 3}, chart)
     assert type(r) is Cyclotomic and r.conductor == 4 and r.is_zero()
@@ -170,12 +216,12 @@ def long_division_reciprocal(d, length):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_regular_factor_series_matches_long_division(data):
-    # off the walls factor_series is built from the wall series at weight
-    # e beta (e the order of z) times an integer root-of-unity sum; here it
-    # must equal the reciprocal of scalar_denominator by long division,
-    # raised to the m-th power.  e beta reaches 210
+    # at zeta = zeta_n**j a factor of weight beta is regular with
+    # z = zeta**(-beta) = zeta_n**k != 1; beside a wall of weight n and
+    # multiplicity `wall`, the site record must hold the reciprocal of the
+    # product of scalar_denominator by long division
     n = data.draw(st.integers(2, 30))
-    k = data.draw(st.integers(1, n - 1))  # z = zeta_n**k
+    k = data.draw(st.integers(1, n - 1))
     beta = data.draw(st.sampled_from([b for b in range(-7, 8) if b]))
     # the roots zeta = zeta_n**j with zeta**(-beta) = z
     exponents = [j for j in range(n) if -j * beta % n == k]
@@ -183,19 +229,15 @@ def test_regular_factor_series_matches_long_division(data):
         beta, exponents = -1, [k]
     chart = Chart.at_root(n, data.draw(st.sampled_from(exponents)))
     m = data.draw(st.integers(1, 6))
-    length = data.draw(st.integers(1, 8))
-    inv = long_division_reciprocal(scalar_denominator(beta, chart, length), length)
-    power = inv
-    for _ in range(m - 1):
-        power = truncated_product(power, inv, length)
-    assert list(factor_series(beta, m, chart, length)) == power, (n, k, beta, m, length)
+    wall = data.draw(st.integers(1, 8))
+    denominator = {beta: m, n: wall}
+    order = pole_order(denominator, chart)
+    assert order == wall
+    reciprocal = long_division_reciprocal(denominator_product(denominator, chart, order), order)
+    assert site_series(chart, denominator) == reciprocal, (n, k, beta, m, wall)
 
 
 def test_zero_weight_rejected():
-    with pytest.raises(ValueError):
-        factor_series(0, 1, Chart.at_one(), 3)
-    with pytest.raises(ValueError):
-        factor_series(1, 1, Chart.at_zero(), 3)
     with pytest.raises(ValueError):
         outer_expansion(({0: 1}, 1), {1: 1}, Chart.at_one(), 0, 3)
     with pytest.raises(ValueError):
@@ -256,10 +298,12 @@ def test_factor_inverts_denominator(data):
     m = data.draw(st.integers(1, 3))
     length = 6
     if chart.kind == "root":
-        prod = factor_series(beta, m, chart, length)
-        for _ in range(m):
-            prod = truncated_product(prod, scalar_denominator(beta, chart, length), length)
-        assert prod == [1] + [0] * (length - 1), (chart, beta, m)
+        # a wall of weight conductor * 12 and multiplicity `length` beside it,
+        # so that the site record is `length` long
+        denominator = {beta: m, 12 * chart.conductor: length}
+        back = truncated(site_series(chart, denominator),
+                         denominator_product(denominator, chart, length), length)
+        assert back == [1] + [0] * (length - 1), (chart, beta, m)
         return
     # outer charts: (expansion of N / (1 - t^{-beta})^m) * (1 - t^{-beta})^m = N
     numerator = {r: data.draw(st.integers(-3, 3)) for r in range(-2, 3)}
@@ -314,12 +358,9 @@ def test_division_inverts_multiplication(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_truncation_monotone(data):
-    chart = data.draw(st.sampled_from(ROOT_CHARTS))
     beta = data.draw(st.sampled_from(WEIGHTS))
     m = data.draw(st.integers(1, 3))
     hi = data.draw(st.integers(min_value=5, max_value=9))
-    a = factor_series(beta, m, chart, 4)
-    assert factor_series(beta, m, chart, hi)[:4] == a
     outer = data.draw(st.sampled_from(OUTER_CHARTS))
     numerator = ({data.draw(st.integers(-4, 4)): 1}, 1)
     wide = outer_expansion(numerator, {beta: m}, outer, -6, hi)
@@ -335,16 +376,20 @@ def test_truncation_monotone(data):
     which=st.sampled_from([(1, 0), (4, 1), (4, 2), (12, 4), (3, 1)]),
 )
 def test_root_chart_matches_complex_evaluation(beta, m, which):
+    # u**P / Q(zeta e^u) to u**(P-1), beside a wall of weight 12 and
+    # multiplicity 8, against the product of u / (1 - t**(-beta)) per wall
+    # and 1 / (1 - t**(-beta)) per regular factor, at a small u
     conductor, exponent = which
     chart = Chart.at_root(conductor, exponent)
-    length = 14
-    s = factor_series(beta, m, chart, length)
-    pole = m if chart.is_wall_for(beta) else 0
-    u = 0.01 + 0.003j
+    denominator = {beta: m, 12: 8}
+    s = site_series(chart, denominator)
+    u = 0.002 + 0.0006j
     zeta = cmath.exp(2j * cmath.pi * exponent / conductor)
     t = zeta * cmath.exp(u)
-    exact = 1.0 / (1.0 - t ** (-beta)) ** m
-    approx = sum(complex(c) * u ** (n - pole) for n, c in enumerate(s))
+    exact = 1.0
+    for b, k in denominator.items():
+        exact *= ((u if chart.is_wall_for(b) else 1.0) / (1.0 - t ** (-b))) ** k
+    approx = sum(complex(c) * u ** n for n, c in enumerate(s))
     assert cmath.isclose(exact, approx, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -470,20 +515,10 @@ def test_dense_root_chart_division(data):
 # -- the root residue against the two-stage reference ---------------------------
 #
 # form_residue reads the residue at a root off integer weight vectors W_i
-# over one denominator.  The reference below is the earlier two-stage
-# computation, kept as an exact test oracle: the Taylor window of N(zeta*e^u)
-# as one field element per coefficient, the factor product, and one dot
-# product of the two.
-
-def _reference_dot(a, b, i):
-    # sum_j a[j] b[i-j], without a rational 0 + Cyclotomic promotion
-    acc = None
-    for j in range(i + 1):
-        x, y = a[j], b[i - j]
-        if x and y:
-            acc = x * y if acc is None else acc + x * y
-    return Fraction(0) if acc is None else acc
-
+# over one denominator.  The reference below is an exact test oracle built
+# from this file's own series: the Taylor window of N(zeta*e^u) as one field
+# element per coefficient, the reciprocal of the product of every
+# scalar_denominator by long division, and one dot product of the two.
 
 def _reference_taylor_at_root(terms, scale, chart, length):
     # the u**i coefficient of N(zeta*e^u) is sum_r a_r zeta**r r**i / (i! scale)
@@ -509,18 +544,14 @@ def _reference_taylor_at_root(terms, scale, chart, length):
 
 def reference_root_residue(numerator, denominator, chart):
     """The residue of N(t) / prod (1 - t**(-beta))**M * dt/t at a root chart:
-    the u**(P-1) coefficient of N(zeta*e^u) times every factor series."""
-    order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
+    the u**(P-1) coefficient of N(zeta*e^u) times u**P / Q(zeta*e^u)."""
+    order = pole_order(denominator, chart)
     terms, scale = numerator
     if not order or not terms:
         return Fraction(0)
-    product = None
-    for beta, m in sorted(denominator.items(), key=lambda bm: not chart.is_wall_for(bm[0])):
-        series = factor_series(beta, m, chart, order)
-        product = series if product is None else [
-            _reference_dot(product, series, i) for i in range(order)]
+    reciprocal = long_division_reciprocal(denominator_product(denominator, chart, order), order)
     return _reference_dot(_reference_taylor_at_root(terms, scale, chart, order),
-                          product, order - 1)
+                          reciprocal, order - 1)
 
 
 def _assert_matches_reference(numerator, denominator, chart):
@@ -586,18 +617,16 @@ def test_root_residue_reference_on_fixed_shapes(n, k, denominator):
         _assert_matches_reference(numerator, denominator, chart)
 
 
-# 45 = e * beta is the largest weight the wide-field workload asks of the
-# wall series through an off-wall factor
 @pytest.mark.parametrize("beta", [1, -1, 2, -2, 3, -7, 45])
 def test_wall_series_power_recurrence_matches_repeated_products(beta):
-    # (u / (1 - e^{-beta u}))**m by the power recurrence against m - 1
-    # truncated products of the series itself
-    for length in range(1, 13):
-        base = [c * Fraction(beta) ** (i - 1)
-                for i, c in enumerate(todd_coefficients(length - 1))]
-        power = base
-        for m in range(1, 9):
-            got = _wall_series(beta, m, length)
-            assert list(got) == power, (beta, m, length)
+    # (u / (1 - e^{-beta u}))**m, the site of a single wall factor, at t = 1
+    # and at a primitive |beta|-th root, against m - 1 truncated products of
+    # the Todd series at weight beta
+    base = [c * Fraction(beta) ** (i - 1) for i, c in enumerate(todd_coefficients(11))]
+    power = base
+    for m in range(1, 13):
+        for chart in (Chart.at_one(), Chart.at_root(abs(beta), 1)):
+            got = site_series(chart, {beta: m})
+            assert got == power[:m], (beta, m, chart)
             assert all(type(c) is Fraction for c in got)
-            power = truncated_product(power, base, length)
+        power = truncated(power, base, 12)

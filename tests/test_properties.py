@@ -1,9 +1,10 @@
 """Randomized whole-engine properties.
 
-Five families of fixed-point data that provably close up to compact
+Six families of fixed-point data that provably close up to compact
 manifolds (two-point spheres with a common weight, circle actions on the
 projective plane, a plane with a pointwise-fixed line, CP^3 with two
-pointwise-fixed lines and CP^n with a pointwise-fixed hyperplane), plus
+pointwise-fixed lines, CP^n with a pointwise-fixed hyperplane and SU(2) on
+binary forms, whose count is checked against Cayley-Sylvester), plus
 per-component identities that hold for arbitrary data.  Every check is an
 exact equality; stabilization of the oracle expansion certifies each random
 instance before the residue engine is trusted with it.
@@ -235,6 +236,59 @@ def test_cp_hyperplane_family_identity(case):
     assert red.total == red.main + sum(red.corrections.values())
     # the total dimension is the number of degree-k monomials in n + 1 variables
     assert character.total_dimension() == comb(k + n, n)
+
+
+# -- family 6: SU(2) on binary n-ics -------------------------------------------------
+# P(Sym^n C^2) with O(k), n odd: the points e_i, i = 0..n, with moment
+# k(n - 2i) and tangent weights 2(j - i), j != i.  Its invariant count is the
+# number of degree-k invariants of a binary n-ic, which Cayley-Sylvester gives
+# without the fixed-point data: p(nk/2; k, n) - p(nk/2 - 1; k, n), with
+# p(m; k, n) the number of partitions of m into at most k parts, each at
+# most n (none when nk is odd)
+
+def binary_form(n, k):
+    return ProblemInstance(
+        GroupKind.SU2,
+        [pt(f"e{i}", k * (n - 2 * i), [2 * (j - i) for j in range(n + 1) if j != i])
+         for i in range(n + 1)],
+        f"binary(n={n},k={k})",
+    )
+
+
+def partitions_in_box(m, parts, largest):
+    """The partitions of m into at most ``parts`` parts, each at most ``largest``."""
+    if m < 0:
+        return 0
+    ways = [[0] * (m + 1) for _ in range(parts + 1)]  # [c][s]: c parts summing to s
+    ways[0][0] = 1
+    for size in range(1, largest + 1):
+        for c in range(1, parts + 1):
+            for s in range(size, m + 1):
+                ways[c][s] += ways[c - 1][s - size]
+    return sum(row[m] for row in ways)
+
+
+def cayley_sylvester(n, k):
+    if n * k % 2:
+        return 0
+    return partitions_in_box(n * k // 2, k, n) - partitions_in_box(n * k // 2 - 1, k, n)
+
+
+def test_cayley_sylvester_known_counts():
+    # the discriminant of the binary cubic; none in degree 6 for the quintic;
+    # five invariants of degree 20 for the quintic and thirteen of degree 8
+    # for the 11-ic
+    assert [cayley_sylvester(n, k) for n, k in [(3, 4), (3, 2), (5, 6), (5, 20), (11, 8)]] \
+        == [1, 0, 0, 5, 13]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 3, 5, 7, 9) for k in range(1, 9)])
+def test_binary_form_counts_match_cayley_sylvester(n, k):
+    p = binary_form(n, k)
+    expected = cayley_sylvester(n, k)
+    assert rr_invariant(p) == expected
+    assert reduced_rr(p).total == expected
+    assert invariant_multiplicity(character_polynomial(p), p.group) == expected
 
 
 # -- mirror symmetry -----------------------------------------------------------------

@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-from quantred import cohomology, laurent, lefschetz
+from quantred import laurent, lefschetz
 from test_caches import lru_caches
 from test_golden import COMMANDS, GOLDEN, cases, render
 
@@ -41,46 +41,47 @@ def cold_caches():
         cache.cache_clear()
 
 
+def _site_mutant(anchor: str, replacement: str):
+    """``laurent._site`` with the one line ``anchor`` of its source replaced."""
+    source = inspect.getsource(laurent._site)
+    assert source.count(anchor) == 1
+    namespace = {}
+    exec(compile(source.replace(anchor, replacement), laurent.__file__, "exec"),
+         vars(laurent).copy(), namespace)
+    return namespace["_site"]
+
+
+# the line after the Taylor rows T_n of Q(zeta e^u) / u^P are made
+TAYLOR = "    # 1/T_0 is beta**(-M) per wall"
+
+
+def _doubled_rows(low: int, off_wall: bool) -> str:
+    # double T_n for n >= low at the sites with (or, for off_wall False,
+    # without) a factor off the walls
+    wanted = "len(walls) < len(shape)" if off_wall else "len(walls) == len(shape)"
+    return (f"    taylor = [x + x if n >= {low} and {wanted} else x"
+            f" for n, x in enumerate(taylor)]\n{TAYLOR}")
+
+
 def test_goldens_read_the_regular_series_past_u0(monkeypatch, cold_caches):
     # a pole of order 2 at -1 where a weight-3 factor is regular (the point
-    # e0 of cp3-0223-k3-c4) reads the u^1 coefficient of that factor
-    real = laurent._regular_series
-
-    def perturbed(*args):
-        out = list(real(*args))
-        if len(out) > 1:
-            out[1] = out[1] + out[1]
-        return tuple(out)
-
-    monkeypatch.setattr(laurent, "_regular_series", perturbed)
+    # e0 of cp3-0223-k3-c4) reads the Taylor row T_1 of a site with an
+    # off-wall factor
+    monkeypatch.setattr(laurent, "_site", _site_mutant(TAYLOR, _doubled_rows(1, True)))
     assert "cp3-0223-k3-c4" in _changed_reports()
 
 
 def test_goldens_read_the_regular_series_past_u1(monkeypatch, cold_caches):
     # a pole of order 3 at zeta_3 where a weight-1 factor is regular (the
-    # point e0 of cp4-03331-k2-c1) reads the u^2 coefficient of that factor
-    real = laurent._regular_series
-
-    def perturbed(*args):
-        out = list(real(*args))
-        out[2:] = [c + c for c in out[2:]]
-        return tuple(out)
-
-    monkeypatch.setattr(laurent, "_regular_series", perturbed)
+    # point e0 of cp4-03331-k2-c1) reads T_2 there
+    monkeypatch.setattr(laurent, "_site", _site_mutant(TAYLOR, _doubled_rows(2, True)))
     assert "cp4-03331-k2-c1" in _changed_reports()
 
 
 def test_goldens_read_the_regular_series_past_u2(monkeypatch, cold_caches):
     # a pole of order 4 at zeta_3 where a weight-1 factor is regular (the
-    # point e0 of cp5-033331-k2-c1) reads the u^3 coefficient of that factor
-    real = laurent._regular_series
-
-    def perturbed(*args):
-        out = list(real(*args))
-        out[3:] = [c + c for c in out[3:]]
-        return tuple(out)
-
-    monkeypatch.setattr(laurent, "_regular_series", perturbed)
+    # point e0 of cp5-033331-k2-c1) reads T_3 there
+    monkeypatch.setattr(laurent, "_site", _site_mutant(TAYLOR, _doubled_rows(3, True)))
     assert "cp5-033331-k2-c1" in _changed_reports()
 
 
@@ -105,27 +106,18 @@ CP4, CP5 = "cp4-hyperplane-q2-k8", "cp5-hyperplane-q2-k8"
 
 
 def test_goldens_read_the_wall_series_past_u3(monkeypatch, cold_caches):
-    real = laurent._wall_series
-
-    def perturbed(*args):
-        out = list(real(*args))
-        out[4:] = [c + c for c in out[4:]]
-        return tuple(out)
-
-    monkeypatch.setattr(laurent, "_wall_series", perturbed)
+    # the poles of order 5 at t = +-1, where every factor is a wall, read T_4
+    monkeypatch.setattr(laurent, "_site", _site_mutant(TAYLOR, _doubled_rows(4, False)))
     assert CP5 in _changed_reports()
 
 
 def test_goldens_read_the_todd_coefficients_from_degree_4(monkeypatch, cold_caches):
-    # drop the terms g_k, k >= 4, of (1 - e^{-x})/x from the power
-    # recurrence the wall series reads
-    source = inspect.getsource(cohomology.todd_power)
-    term = "for k in range(1, n + 1) if s[n - k]]"
-    assert source.count(term) == 1
-    mutant = source.replace(term, "for k in range(1, n + 1) if s[n - k] and k < 4]")
-    namespace = {}
-    exec(compile(mutant, cohomology.__file__, "exec"), vars(cohomology).copy(), namespace)
-    monkeypatch.setattr(laurent, "todd_power", namespace["todd_power"])
+    # drop the terms T_k r_(n-k), k >= 4, from the reciprocal recurrence of
+    # u^P / Q(zeta e^u), as dropping g_k, k >= 4, of (1 - e^-x)/x would
+    # from the Todd series
+    term = "for k in range(2, n + 1)]"
+    monkeypatch.setattr(laurent, "_site",
+                        _site_mutant(term, "for k in range(2, min(n + 1, 4))]"))
     assert CP5 in _changed_reports()
 
 
