@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 
 from .cohomology import CohomologyClass, RingPresentation
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, fraction_sum
 
 _ZERO = Fraction(0)
 
@@ -360,11 +360,13 @@ def _site(chart: Chart, shape: tuple) -> Site:
                 num, den = num * w, den * e
     lead = Fraction(num, den) if rational else num * Fraction(1, den)
     # u**P / Q(zeta e^u) = sum_n r_n u**n, the reciprocal of sum_n T_n u**n:
-    # r_0 = 1/T_0 and r_n = -r_0 sum_{k=1..n} T_k r_{n-k}
+    # r_0 = 1/T_0 and r_n = -r_0 sum_{k=1..n} T_k r_{n-k}, a rational sum
+    # added on integers over the lcm of its denominators
+    total = fraction_sum if rational else sum
     series, minus = [lead], -lead
     for n in range(1, pole):
-        series.append(minus * sum([taylor[k] * series[n - k] for k in range(2, n + 1)],
-                                  taylor[1] * series[n - 1]))
+        terms = [taylor[k] * series[n - k] for k in range(1, n + 1)]
+        series.append(minus * (total(terms) if n > 1 else terms[0]))
     parts = [(c.num, c.den * factorial(i)) if isinstance(c, Cyclotomic)
              else ((c.numerator,), c.denominator * factorial(i))
              for i, c in enumerate(reversed(series))]

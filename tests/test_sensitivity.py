@@ -115,9 +115,9 @@ def test_goldens_read_the_todd_coefficients_from_degree_4(monkeypatch, cold_cach
     # drop the terms T_k r_(n-k), k >= 4, from the reciprocal recurrence of
     # u^P / Q(zeta e^u), as dropping g_k, k >= 4, of (1 - e^-x)/x would
     # from the Todd series
-    term = "for k in range(2, n + 1)]"
+    term = "for k in range(1, n + 1)]"
     monkeypatch.setattr(laurent, "_site",
-                        _site_mutant(term, "for k in range(2, min(n + 1, 4))]"))
+                        _site_mutant(term, "for k in range(1, min(n + 1, 4))]"))
     assert CP5 in _changed_reports()
 
 
