@@ -57,13 +57,14 @@ MAX_INTEGRAL_TABLE = 1000
 # The largest pole order at t = 1 a component may have, bounded from the
 # data as len(weights) + d * N, d and N as for MAX_INTEGRAL_TABLE: the pole
 # order is the sum of M_beta = r_beta + K_beta over the weights, and K_beta
-# <= N is positive only on a weight with a nonzero Chern class.  Each wall
-# series is as long as the pole order at its root.  Measured on one core,
-# verify of two points with n normal directions (which then stops: such
-# data come from no manifold) takes 0.02 s at n = 128 for weights +-1; for
-# weights cycling through 1..6, 1..12 and 1..30 it takes 0.75, 1.9 and
-# 4.6 s at n = 96, 96 and 90, and 1.5, 3.6 and 10 s at n = 128, 128 and
-# 120.  Catalog, golden and benchmark instances need at most 8.
+# <= N is positive only on a weight with a nonzero Chern class.  A root's
+# site record takes O(P**2) field operations for pole order P there,
+# whatever the number of factors.  Measured on one core, verify of two
+# points with n normal directions (which then stops: such data come from no
+# manifold) takes 0.13 s at n = 128 for weights +-1; for weights cycling
+# through 1..6, 1..12 and 1..30 it takes 0.16, 0.28 and 0.6 s at n = 96, 96
+# and 90, and 0.37, 0.53 and 1.1 s at n = 128, 128 and 120.  Catalog,
+# golden and benchmark instances need at most 8.
 MAX_POLE_ORDER = 128
 
 # The largest work the character oracle may need, counted as the sum over

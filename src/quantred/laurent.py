@@ -324,7 +324,7 @@ Site = namedtuple("Site", "order exponent pole weights common")
 def _site(chart: Chart, shape: tuple) -> Site:
     g = gcd(chart.conductor, chart.exponent)
     d, j = chart.conductor // g, chart.exponent // g
-    walls = [(beta, m) for beta, m in shape if j * beta % d == 0]
+    walls = [(beta, m) for beta, m in shape if chart.is_wall_for(beta)]
     pole = sum(m for _, m in walls)
     if not pole:
         return Site(d, j, 0, (), 1)
