@@ -568,7 +568,7 @@ def _assert_matches_reference(numerator, denominator, chart):
         assert type(value) is Cyclotomic and value.conductor == d, (value, chart)
     # the site record: zeta_n^k as zeta_d^j, the pole order, and integer
     # weight vectors over one positive integer, one per power r^i, i < P
-    order = sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
+    order = pole_order(denominator, chart)
     site = _site(chart, tuple(sorted(denominator.items())))
     assert (site.order, site.pole) == (d, order)
     assert site.exponent * chart.conductor == chart.exponent * d
