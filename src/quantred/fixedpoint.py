@@ -510,22 +510,6 @@ def _class_to_dict(cls: CohomologyClass) -> dict:
     }
 
 
-def _shared(seen: dict, key, parse):
-    # what was parsed from an earlier part of the document equal to key, else
-    # parse(), remembered: looked up by repr, which tells apart the 1, 1.0
-    # and True that == equates, and confirmed by ==
-    try:
-        text = repr(key)
-    except (RecursionError, ValueError):  # too deep, or an int too long to print
-        return parse()
-    earlier = seen.get(text)
-    if earlier is not None and earlier[0] == key:
-        return earlier[1]
-    obj = parse()
-    seen[text] = key, obj
-    return obj
-
-
 def _ring_fields(obj):
     # what _parse_ring reads of a ring document
     if not isinstance(obj, dict):
@@ -577,6 +561,50 @@ def _parse_ring(obj, where) -> RingPresentation:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+class _SubDocument:
+    """A ring or class sub-document as a key of the parse caches: hashed by
+    the repr of what the parser reads of it, which tells apart the 1, 1.0
+    and True that == equates, and confirmed by ==.  A class also matches on
+    its ring, by identity, so each ring keeps classes of its own.  The place
+    ``where`` is not part of the key: a failed parse is not cached, and each
+    one names its own place."""
+
+    __slots__ = ("doc", "where", "ring", "fields", "text")
+
+    def __init__(self, fields, doc, where, ring=None):
+        self.fields, self.doc, self.where, self.ring = fields, doc, where, ring
+
+    def __hash__(self):
+        return hash((self.text, id(self.ring)))
+
+    def __eq__(self, other):
+        return (self.text == other.text and self.ring is other.ring
+                and self.fields == other.fields)
+
+
+# A batch verifies many documents over a few rings and classes; the bound
+# keeps a stream of distinct sub-documents from holding memory without end.
+@lru_cache(maxsize=1024)
+def _parsed_ring(key: _SubDocument) -> RingPresentation:
+    return _parse_ring(key.doc, key.where)
+
+
+@lru_cache(maxsize=1024)
+def _parsed_class(key: _SubDocument) -> CohomologyClass:
+    return _parse_class(key.doc, key.ring, key.where)
+
+
+def _parse_shared(parsed, key: _SubDocument):
+    # parsed(key): one parse per process for equal sub-documents, in this
+    # document or an earlier one; a sub-document whose repr fails is parsed
+    # as it is
+    try:
+        key.text = repr(key.fields)
+    except (RecursionError, ValueError):  # too deep, or an int too long to print
+        return parsed.__wrapped__(key)
+    return parsed(key)
+
+
 def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
@@ -589,7 +617,6 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
     comps_doc = doc.get("components")
     if not isinstance(comps_doc, list) or not comps_doc:
         raise SchemaError("components: expected a nonempty list")
-    rings = {}  # repr of ring fields -> (fields, (ring, its parsed classes))
     comps = []
     for i, cd in enumerate(comps_doc):
         where = f"components[{i}]"
@@ -599,8 +626,8 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
         if not isinstance(cname, str):
             raise SchemaError(f"{where}.name: expected a string")
         ring_doc = cd.get("ring", {})
-        ring, classes = _shared(rings, _ring_fields(ring_doc),
-                                lambda: (_parse_ring(ring_doc, f"{where}.ring"), {}))
+        ring = _parse_shared(_parsed_ring, _SubDocument(
+            _ring_fields(ring_doc), ring_doc, f"{where}.ring"))
         moment = cd.get("moment")
         if not isinstance(moment, int) or isinstance(moment, bool):
             raise SchemaError(f"{where}.moment: expected an integer (no floats)")
@@ -616,7 +643,7 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
             raise SchemaError(f"{where}.normal_chern: expected a list")
 
         def parse_class(obj, where):
-            return _shared(classes, obj, lambda: _parse_class(obj, ring, where))
+            return _parse_shared(_parsed_class, _SubDocument(obj, obj, where, ring))
 
         chern = [parse_class(c, f"{where}.normal_chern[{j}]") for j, c in enumerate(chern_doc)]
         omega = parse_class(cd.get("omega", {}), f"{where}.omega")

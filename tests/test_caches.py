@@ -1,7 +1,9 @@
 """The process caches of quantred are keyed by shape (weights, conductors,
-denominator shapes, series lengths), never by component: verifying the
-same documents a second time, parsed afresh, adds no entry to any of them.
-And a run with every cache empty prints the same bytes as a warm one."""
+denominator shapes, series lengths), or, in the two bounded parse caches,
+by the text of a ring or class sub-document, never by component or by its
+place in a document: verifying the same documents a second time, parsed
+afresh, adds no entry to any of them.  And a run with every cache empty
+prints the same bytes as a warm one."""
 
 import importlib
 import importlib.util
@@ -39,6 +41,7 @@ def lru_caches() -> dict:
 def test_the_caches_are_found():
     names = set(lru_caches())
     assert {"quantred.exactnum._galois_rows", "quantred.fixedpoint._wall_set",
+            "quantred.fixedpoint._parsed_ring", "quantred.fixedpoint._parsed_class",
             "quantred.laurent._site", "quantred.laurent._denominator_terms",
             "quantred.reduction.root_label"} <= names
 

@@ -25,7 +25,7 @@ from quantred.catalog import UnknownCatalogError
 from quantred.exactnum import phi_degree
 from quantred.fixedpoint import (
     MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, MAX_INTEGRAL_TABLE, MAX_ORACLE_WORK,
-    MAX_POLE_ORDER, expansion_window, oracle_work,
+    MAX_POLE_ORDER, _parsed_class, _parsed_ring, expansion_window, oracle_work,
 )
 
 POINT = RingPresentation.point()
@@ -713,3 +713,97 @@ def test_ring_documents_too_long_to_print_still_parse():
     ring = {"generators": [["x", 2]], "top_degree": 2, "integrals": {"x": huge}}
     a, b = instance_from_dict(_two_components(ring, dict(ring))).components
     assert a.ring == b.ring and a.ring.integral_num == (((1,), huge),)
+
+
+# -- one parse per process ------------------------------------------------------------
+
+def test_documents_share_the_parse_of_equal_sub_documents():
+    # two documents parsed one after the other, their ring and class
+    # documents equal but not one object: one presentation, one class each
+    first = instance_from_dict(_two_components(P1_DOC, P1_DOC))
+    second = instance_from_dict(json.loads(json.dumps(_two_components(P1_DOC, P1_DOC))))
+    for f, g in zip(first.components, second.components):
+        assert g.ring is f.ring and g.todd is f.todd and g.omega is f.omega
+        assert g.normal_chern[0] is f.normal_chern[0]
+    # the place of a sub-document is not part of its key
+    assert len({id(f.todd) for f in first.components + second.components}) == 1
+    doc = instance_to_dict(catalog("cp2-line"))
+    again = json.loads(json.dumps(doc))
+    for f, g in zip(instance_from_dict(doc).components, instance_from_dict(again).components):
+        assert g.ring is f.ring and g.todd is f.todd
+
+
+def _with_literals(ring, todd):
+    doc = _two_components(ring, ring)
+    doc["components"][0]["todd"] = todd
+    return doc
+
+
+GOOD_RING, GOOD_TODD = _p1(integrals={"x": 1}), {"1": 1, "x": 1}
+
+# after GOOD_RING and GOOD_TODD, a ring or class document in a later
+# document that == matches them (2 == 2.0, 1 == 1.0 == True) or differs
+# from them only in the type of a literal ("1" and 1), with its message, or
+# None when it parses
+LITERAL_TWINS = [
+    (_p1(integrals={"x": 1}, top_degree=2.0), GOOD_TODD,
+     "components[0].ring.top_degree: expected an integer"),
+    (_p1(integrals={"x": 1}, top_degree=True), GOOD_TODD,
+     "components[0].ring.top_degree: expected an integer"),
+    (_p1(integrals={"x": True}), GOOD_TODD,
+     "components[0].ring.integrals.x: booleans are not numbers"),
+    (_p1(integrals={"x": 1.0}), GOOD_TODD,
+     "components[0].ring.integrals.x: floats are not accepted; write an exact rational "
+     "string like \"7/3\""),
+    (_p1(integrals={"x": "1"}), GOOD_TODD, None),
+    (GOOD_RING, {"1": True, "x": 1}, "components[0].todd.1: booleans are not numbers"),
+    (GOOD_RING, {"1": 1, "x": 1.0},
+     "components[0].todd.x: floats are not accepted; write an exact rational "
+     "string like \"7/3\""),
+    (GOOD_RING, {"1": "1", "x": 1}, None),
+]
+
+
+@pytest.mark.parametrize("ring,todd,message", LITERAL_TWINS)
+def test_a_sub_document_equal_but_for_a_literal_type_is_parsed_on_its_own(ring, todd, message):
+    good = instance_from_dict(_with_literals(GOOD_RING, GOOD_TODD)).components[0]
+    if message is not None:
+        with pytest.raises(SchemaError) as info:
+            instance_from_dict(_with_literals(ring, todd))
+        assert str(info.value) == message
+        return
+    f = instance_from_dict(_with_literals(ring, todd)).components[0]
+    assert f.ring == good.ring and f.todd == good.todd and f.todd is not good.todd
+    assert (f.ring is good.ring) == (ring is GOOD_RING) and f.todd.presentation is f.ring
+
+
+def test_a_bad_class_names_its_own_place_every_time():
+    # one bad class document at two places in two documents, parsed twice
+    first = _two_components(P1_DOC, P1_DOC)
+    first["components"][0]["omega"] = {"x": "1/0"}
+    second = _two_components(P1_DOC, P1_DOC)
+    second["components"][1]["normal_chern"] = [{"x": "1/0"}]
+    for _ in range(2):
+        for doc, place in ((first, "components[0].omega"),
+                           (second, "components[1].normal_chern[0]")):
+            with pytest.raises(SchemaError) as info:
+                instance_from_dict(doc)
+            assert str(info.value) == f"{place}.x: bad rational literal '1/0'"
+
+
+def test_a_document_changed_after_its_parse_changes_no_later_parse():
+    doc = _with_literals(_p1(integrals={"x": "3"}), {"1": "1", "x": "5"})
+    copy = json.loads(json.dumps(doc))
+    before = instance_from_dict(doc).components[0]
+    doc["components"][0]["ring"]["integrals"]["x"] = "7"
+    doc["components"][0]["todd"]["x"] = "2"
+    again = instance_from_dict(copy).components[0]
+    assert again.ring.integrals == {(1,): 3} and again.todd.coeffs[(1,)] == 5
+    assert again.ring == before.ring and again.todd == before.todd
+    changed = instance_from_dict(doc).components[0]
+    assert changed.ring.integrals == {(1,): 7} and changed.todd.coeffs[(1,)] == 2
+
+
+def test_the_parse_caches_are_bounded():
+    for cache in (_parsed_ring, _parsed_class):
+        assert cache.cache_info().maxsize is not None
