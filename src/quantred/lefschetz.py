@@ -13,13 +13,15 @@ x_j = e^{-c_j} - 1 nilpotency makes their factors one finite sum,
 prod_{beta_j = beta} 1/(1 - s e^{-c_j}) = sum_n h_n s**n / (1 - s)**(r_beta + n),
 h_n the complete homogeneous polynomial of degree n in their x_j.  So the
 integral is one table I_k = integral_F e^omega Td(F) prod_beta h_{k_beta},
-one index per distinct weight, and chi_F (times a Laurent multiplier such as
-the Weyl factor) is one exact rational function
+one index per distinct weight on a nonzero class (on any other, x_j = 0 and
+h_n = 0 for n >= 1), and chi_F (times a Laurent multiplier such as the Weyl
+factor) is one exact rational function
 
     N_F(t) / prod_beta (1 - t**(-beta))**M_beta,
     N_F = t**mu * multiplier * sum_k I_k prod_beta s**k_beta (1 - s)**(K_beta - k_beta),
 
-with K_beta the largest k_beta of a nonzero I_k and M_beta = r_beta + K_beta.
+with K_beta the largest k_beta of a nonzero I_k (0 for a weight without an
+index) and M_beta = r_beta + K_beta.
 N_F is kept as integers over one common denominator D.  All ring work is the
 table; every residue is scalar work in :mod:`quantred.laurent`.
 """
@@ -66,18 +68,22 @@ _WEYL_POLYS = {
 
 def _integral_table(f: FixedComponent) -> dict:
     """{k: (n, D)} with I_k = n / D != 0 (integers, not reduced), one index
-    per distinct weight in the order of f.weights.  h_n is in the n-th power
-    of the nilpotent ideal: rows and products stop at the nilpotency bound."""
+    per distinct weight on a nonzero class in the order of f.weights, or the
+    one index 0 if there is none.  h_n is in the n-th power of the nilpotent
+    ideal: rows and products stop at the nilpotency bound."""
     bound, one, zero = f.ring.nilpotency_bound, f.ring.one(), f.ring.zero()
-    rows = {beta: [one] + [zero] * bound for beta in f.weights}
-    xs = {(1, ()): zero}  # x = e^{-c} - 1 per distinct class, keyed by its integers
+    rows = {}
+    xs = {}  # x = e^{-c} - 1 per distinct class, keyed by its integers
     for beta, c in zip(f.weights, f.normal_chern):
+        if not c.num:  # x = 0: h_n = 0 for n >= 1
+            continue
         if (x := xs.get(key := (c.den, tuple(c.num.items())))) is None:
             x = xs[key] = (-c).exp() - 1
-        row = rows[beta]  # H_j[n] = H_{j-1}[n] + x_j H_j[n-1]
-        for n in range(1, bound + 1):
+        if (row := rows.get(beta)) is None:
+            row = rows[beta] = [one] + [zero] * bound
+        for n in range(1, bound + 1):  # H_j[n] = H_{j-1}[n] + x_j H_j[n-1]
             row[n] = row[n] + x * row[n - 1]
-    *heads, last = rows.values() or [[one] + [zero] * bound]  # no weight: pair with 1
+    *heads, last = rows.values() or [[one] + [zero] * bound]  # no index: pair with 1
     classes = {(): f.omega.exp() * f.todd if f.omega.num else f.todd}
     for row in heads:
         grown = {}
@@ -115,12 +121,14 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     # product clears every denominator of N
     table_den = lcm(*(d for _, d in table.values()))
     mult_den = lcm(*(a.denominator for a in multiplier.values()))
-    ranks = {beta: f.weights.count(beta) for beta in f.weights}  # r_beta, in table order
-    tops = [max(column) for column in zip(*table)]  # K_beta
+    # the table's indices; any other weight has h_n = 0 for n >= 1, so
+    # K_beta = 0 and it only adds r_beta to M_beta
+    carried = dict.fromkeys(b for b, c in zip(f.weights, f.normal_chern) if c.num)
+    tops = dict(zip(carried, map(max, zip(*table))))  # K_beta
     body: dict[int, int] = {}
     for k, (n, d) in table.items():
         poly = {0: n * (table_den // d)}
-        for beta, kb, top in zip(ranks, k, tops):
+        for (beta, top), kb in zip(tops.items(), k):
             if top:
                 poly = _times(poly, _binomial_terms(beta, kb, top))
         for r, a in poly.items():
@@ -137,7 +145,12 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     if g != 1:
         numerator = {e: v // g for e, v in numerator.items()}
         scale //= g
-    return (numerator, scale), {beta: r + top for (beta, r), top in zip(ranks.items(), tops)}
+    poles = dict.fromkeys(f.weights, 0)  # M_beta = r_beta + K_beta, in the order of f.weights
+    for beta in f.weights:
+        poles[beta] += 1
+    for beta, top in tops.items():
+        poles[beta] += top
+    return (numerator, scale), poles
 
 
 def residue_of_h(f: FixedComponent, at: Chart, weyl: WeylFactor | None = None,
