@@ -241,6 +241,30 @@ def test_import_leaves_out_heavy_stdlib_modules():
     assert out.stdout.strip() == "[]"
 
 
+# what `quantred verify --json` runs on a document, after its imports
+_VERIFY_DOCUMENTS = """
+import json, sys
+import quantred, quantred.cli
+before = set(sys.modules)
+from quantred import catalog, instance_from_dict, instance_to_dict, validate
+from quantred.reduction import verify_quantization
+for name in ("cp1-triple", "cp2-line", "so3-s2xs2", "su2-excluded", "cp2-line"):
+    p = instance_from_dict(json.loads(json.dumps(instance_to_dict(catalog(name)))), name)
+    validate(p)
+    json.dumps(quantred.cli.report_to_json(verify_quantization(p)), indent=2)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_a_verification_imports_no_module():
+    # a module first imported by a parse, a validation or a report, on a
+    # cache miss say, is paid by every one-shot run in its cold pass
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", _VERIFY_DOCUMENTS], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_class_ring_does_not_import_the_cyclotomic_fields():
     # the class ring is rational: its scalars are ints over one denominator
     tree = ast.parse((PACKAGE / "cohomology.py").read_text(encoding="utf-8"))
