@@ -565,9 +565,11 @@ class _SubDocument:
     """A ring or class sub-document as a key of the parse caches: hashed by
     the repr of what the parser reads of it, which tells apart the 1, 1.0
     and True that == equates, and confirmed by ==.  A class also matches on
-    its ring, by identity, so each ring keeps classes of its own.  The place
-    ``where`` is not part of the key: a failed parse is not cached, and each
-    one names its own place."""
+    its ring, by identity, so each ring keeps classes of its own.  A cached
+    key keeps the caller's sub-document, so changing it later turns a match
+    into a miss, never into another result.  The place ``where`` is not part
+    of the key: a failed parse is not cached, and each one names its own
+    place."""
 
     __slots__ = ("doc", "where", "ring", "fields", "text")
 
@@ -582,8 +584,7 @@ class _SubDocument:
                 and self.fields == other.fields)
 
 
-# A batch verifies many documents over a few rings and classes; the bound
-# keeps a stream of distinct sub-documents from holding memory without end.
+# bounded: a batch reuses a few rings and classes, a stream of new ones must not pile up
 @lru_cache(maxsize=1024)
 def _parsed_ring(key: _SubDocument) -> RingPresentation:
     return _parse_ring(key.doc, key.where)
