@@ -183,7 +183,7 @@ class FixedComponent:
 
 
 class ProblemInstance:
-    __slots__ = ("group", "components", "name")
+    __slots__ = ("group", "components", "name", "_findings")
 
     def __init__(self, group, components, name="instance"):
         components = tuple(components)
@@ -195,6 +195,7 @@ class ProblemInstance:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "name", str(name))
+        object.__setattr__(self, "_findings", None)
 
     def __setattr__(self, *args):
         raise AttributeError("instances are immutable")
@@ -264,8 +265,15 @@ def validate(p: ProblemInstance) -> list[Finding]:
     ``MAX_INTEGRAL_TABLE``, a pole at t = 1 of order above
     ``MAX_POLE_ORDER``, oracle work above ``MAX_ORACLE_WORK``).
     WARN findings flag instances for which the two sides are not asserted to
-    agree; INFO findings are informational.
+    agree; INFO findings are informational.  An instance is immutable, so
+    the checks run once per instance; each call returns a new list.
     """
+    if p._findings is None:
+        object.__setattr__(p, "_findings", tuple(_checks(p)))
+    return list(p._findings)
+
+
+def _checks(p: ProblemInstance) -> list[Finding]:
     findings = []
     for f in p.components:
         if f.moment == 0:
@@ -273,7 +281,7 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 "ERROR", "moment-zero",
                 "moment value 0: the component meets the zero level, so 0 is "
                 "not a regular value", f.name))
-        if any(b == 0 for b in f.weights):
+        if 0 in f.weights:
             findings.append(Finding(
                 "ERROR", "weight-zero",
                 "zero normal weight: the circle must act nontrivially on "
@@ -294,9 +302,10 @@ def validate(p: ProblemInstance) -> list[Finding]:
                 f"({len(f.weights)} normal directions, {d} weights on nonzero Chern "
                 f"classes, nilpotency bound {n}), above the limit of {MAX_POLE_ORDER}",
                 f.name))
+    magnitudes = {abs(b) for f in p.components for b in f.weights}
     # phi(d) <= phi(|beta|) for d | beta, and phi(n) >= sqrt(n/2), so a
     # weight above 2 * limit**2 fails unfactored
-    for n in sorted({abs(b) for f in p.components for b in f.weights if b}, reverse=True):
+    for n in sorted(magnitudes - {0}, reverse=True):
         if n > 2 * MAX_FIELD_DEGREE**2 or phi_degree(n) > MAX_FIELD_DEGREE:
             findings.append(Finding(
                 "ERROR", "field-degree",
@@ -321,7 +330,7 @@ def validate(p: ProblemInstance) -> list[Finding]:
         findings.append(Finding(
             "ERROR", "dimension-mismatch",
             f"components disagree about dim M: {dims}"))
-    if all(abs(b) == 1 for f in p.components for b in f.weights):
+    if magnitudes <= {1}:
         findings.append(Finding(
             "INFO", "quasi-free",
             "all weights are +1/-1: the action is quasi-free and no "

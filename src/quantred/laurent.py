@@ -12,17 +12,20 @@ residue is minus the w^0 coefficient.  At zero it is the t^0 coefficient.
 The residue engine expands one scalar rational function per fixed
 component, N(t) / Q(t) with Q = prod_beta (1 - t**(-beta))**M and N a
 Laurent polynomial over Q (built in :mod:`quantred.lefschetz`), kept as
-integer coefficients over one common denominator.  At zero and at infinity
-the expansion is a sign, a shift and one adding recurrence per factor, on
-integers, with one division at the end.  At a root of unity one site record
-per root and denominator shape (``_site``) holds the root as zeta_d**j with
-d its order, the pole order P and integer weights W_i, i < P; the residue
-sums a_r r**i W_i over the terms a_r t**r of N into one integer list at the
-offset zeta**r shifts each to, divides once, and is the cell in its own
-field Q(zeta_d).  The weights come from Q itself, expanded once per shape as
-integer terms q_c t**c by the polynomial product that builds N: the Taylor
-rows T_n of Q(zeta*e^u) / u**P are integer sums of q_c zeta**c c**(P+n), the
-lead 1/T_0 has a closed form, and u**P / Q(zeta*e^u) is one reciprocal.
+integer coefficients over one common denominator.  Everything but N is
+fixed by the denominator shape (the sorted (beta, M) pairs), and one plan
+per shape (``_plan``) holds it for every component of that shape.  At zero
+and at infinity the plan holds a sign, a shift and one adding recurrence
+per factor, run on integers with one division at the end.  Per Galois
+orbit of the shape's wall roots it holds the site record (``_site``) of
+zeta_d, d the order: the pole order P and integer weights W_i, i < P; the
+residue sums a_r r**i W_i over the terms a_r t**r of N into one integer
+list at the offset zeta**r shifts each to, divides once, and is the cell
+in its own field Q(zeta_d), whose Galois images fill the orbit.  The
+weights come from Q itself, expanded once per shape as integer terms
+q_c t**c by the polynomial product that builds N: the Taylor rows T_n of
+Q(zeta*e^u) / u**P are integer sums of q_c zeta**c c**(P+n), the lead
+1/T_0 has a closed form, and u**P / Q(zeta*e^u) is one reciprocal.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, is on no verify path; its product and division are the
@@ -40,6 +43,7 @@ from math import comb, factorial, gcd, lcm, prod
 
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import Cyclotomic, fraction_sum
+from .fixedpoint import _wall_set
 
 _ZERO = Fraction(0)
 
@@ -254,27 +258,41 @@ def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -
     """
     if chart.kind not in ("zero", "inf"):
         raise ValueError("outer expansions are taken at zero or at infinity")
-    sigma = 1 if chart.kind == "zero" else -1
+    return _expansion(numerator, _recurrence(denominator.items(), 1 if chart.kind == "zero" else -1),
+                      low, high)
+
+
+# N / Q at zero (sign 1, var = t) or at infinity (sign -1, var = 1/t) is
+# (-1)**negate var**(-shift) N / prod (1 - var**a) over the steps a
+Recurrence = namedtuple("Recurrence", "sign negate shift steps")
+
+
+def _recurrence(pairs, sigma: int) -> Recurrence:
     negate, shift, steps = False, 0, []
-    for beta, m in denominator.items():
+    for beta, m in pairs:
         b = sigma * beta
         if b > 0:
             negate ^= m % 2 == 1
             shift += b * m
         steps += [abs(b)] * m
+    return Recurrence(sigma, negate, shift, tuple(steps))
+
+
+def _expansion(numerator, recurrence: Recurrence, low: int, high: int) -> list:
+    # the kernel at zero and at infinity: var**low .. var**high of N / Q
+    sigma, negate, shift, steps = recurrence
     terms, scale = numerator
-    terms = {sigma * r: a for r, a in terms.items()}
     out = [_ZERO] * (high - low + 1)
     if not terms:
         return out
     # the var-exponents lo .. top of N(var) / prod (1 - var**a) that land
     # in the window after the shift
-    lo, top = min(terms), high - shift
+    lo, top = min(terms) if sigma > 0 else -max(terms), high - shift
     if top < lo:
         return out
     q = [0] * (top - lo + 1)
-    for e, a in terms.items():
-        if e <= top:
+    for r, a in terms.items():
+        if (e := sigma * r) <= top:
             q[e - lo] = a
     for a in steps:
         for i in range(a, len(q)):
@@ -375,6 +393,22 @@ def _site(chart: Chart, shape: tuple) -> Site:
     return Site(d, j, pole, weights, common)
 
 
+# all a residue row needs of a denominator shape but N: the recurrences at
+# zero and infinity and, per orbit of wall roots in wall_set order, the site
+# of zeta_d (of t = 1 for d = 1) and the exponents j > 1 of its conjugates
+Plan = namedtuple("Plan", "zero inf orbits")
+
+
+@lru_cache(maxsize=None)
+def _plan(shape: tuple) -> Plan:
+    orbits = {}
+    for d, j in _wall_set(tuple(beta for beta, _ in shape)):
+        orbits.setdefault(d, []).append(j)
+    return Plan(_recurrence(shape, 1), _recurrence(shape, -1),
+                tuple((_site(Chart("root", d, first), shape), tuple(rest))
+                      for d, (first, *rest) in orbits.items()))
+
+
 def form_residue(numerator, denominator, chart: Chart):
     """Residue of N(t) / prod (1 - t**(-beta))**M * dt/t at the chart's point.
 
@@ -402,7 +436,12 @@ def form_residue(numerator, denominator, chart: Chart):
         return outer_expansion(numerator, denominator, chart, 0, 0)[0]
     if chart.kind == "inf":
         return -outer_expansion(numerator, denominator, chart, 0, 0)[0]
-    d, j, _, weights, common = _site(chart, tuple(sorted(denominator.items())))
+    return _root_residue(numerator, _site(chart, tuple(sorted(denominator.items()))))
+
+
+def _root_residue(numerator, site: Site):
+    # the root kernel: sum_r sum_{i<P} a_r r**i zeta_d**(jr) W_i / (D E)
+    d, j, _, weights, common = site
     terms, scale = numerator
     acc = [0] * (2 * d)
     for r, a in terms.items():

@@ -109,13 +109,12 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     prod (1 - t**(-beta))**M (see the module docstring): the pair
     (numerator, denominator).  The numerator is N as integers over one
     positive denominator D, the pair ({t-exponent: nonzero int}, D) in
-    lowest terms; the denominator is {beta: M}.  The integral table is
+    lowest terms; the denominator is {beta: M} over every weight of F, so
+    its walls are F's even where N = 0.  The integral table is
     the only ring work."""
     if 0 in f.weights:
         raise ValueError(f"component {f.name!r} has a zero weight")
     table = _integral_table(f)
-    if not table:
-        return ({}, 1), {}
     multiplier = multiplier or {0: Fraction(1)}
     # one denominator for the table and one for the multiplier: their
     # product clears every denominator of N

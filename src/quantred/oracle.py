@@ -160,7 +160,8 @@ class CharacterPolynomial:
         return sum(self.coefficients.values())
 
     def is_weyl_symmetric(self) -> bool:
-        return all(self[m] == self[-m] for m in self.coefficients)
+        c = self.coefficients
+        return c == {-m: v for m, v in c.items()}
 
     def __eq__(self, other):
         if isinstance(other, dict):

@@ -26,7 +26,7 @@ from .fixedpoint import (
     require_valid,
     wall_set,
 )
-from .laurent import Chart, form_residue
+from .laurent import _expansion, _plan, _root_residue
 from .lefschetz import WeylFactor, component_form, invariant_from_residues
 from .oracle import character_polynomial, invariant_multiplicity
 
@@ -132,44 +132,41 @@ def root_label(d: int, j: int) -> str:
     return "t=1" if d == 1 else f"zeta_{d}^{j}"
 
 
-_AT_ZERO, _AT_INFINITY = Chart.at_zero(), Chart.at_infinity()
-
-
 def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     """Residues of Weyl * h_F at every pole site, per component, with the
     row sums (zero, by the residue theorem on the sphere).
 
     Columns: 0, the wall roots zeta_d**j sorted by (d, j) (t = 1 first),
     then infinity.  Each component's rational function (``component_form``)
-    is built once and every cell is read off it.  On F's walls the residue
-    r_d at zeta_d is computed once per order d, in Q(zeta_d) as
-    ``form_residue`` returns it (rational for d <= 2); chi_F has rational
-    data, so the cell at zeta_d**j is its Galois image ``r_d.galois(j)``,
-    and the row's cells of order d add up to Tr(r_d).  A root off F's
-    walls is no pole of F's form, so its cell is 0.
+    is built once, and its denominator shape's plan once looked up; a cell
+    is one kernel call on the numerator and a plan piece.  On F's walls the
+    residue r_d at zeta_d is computed once per order d, in Q(zeta_d)
+    (rational for d <= 2); chi_F has rational data, so the cell at
+    zeta_d**j is its Galois image ``r_d.galois(j)``, and the row's cells of
+    order d add up to Tr(r_d).  A root off F's walls is no pole of F's
+    form, so its cell is 0.
     """
     weyl = WeylFactor(p.group).poly
-    walls = [wall_set(f) for f in p.components]
-    roots = sorted(set().union(*walls))
-    labels = [root_label(d, j) for d, j in roots]
+    roots = sorted(set().union(*(wall_set(f) for f in p.components)))
+    columns = [(root_label(*root), root) for root in roots]
     off_wall = Fraction(0)
     rows = []
-    for f, f_walls in zip(p.components, walls):
+    for f in p.components:
         numerator, denominator = component_form(f, weyl)
-        at_zero = form_residue(numerator, denominator, _AT_ZERO)
-        at_infinity = form_residue(numerator, denominator, _AT_INFINITY)
+        plan = _plan(tuple(sorted(denominator.items())))
+        at_zero = _expansion(numerator, plan.zero, 0, 0)[0]
+        at_infinity = -_expansion(numerator, plan.inf, 0, 0)[0]  # dt/t = -dw/w
         summands = [at_zero, at_infinity]  # rational cells, and each orbit by its trace
         cells = {}
-        for d, j in f_walls:  # (d, 1) comes first in its orbit
-            if j <= 1:
-                # a wall root is a valid chart as it stands
-                r = form_residue(numerator, denominator, Chart("root", d, j))
-                summands.append(r.trace() if d > 2 else r)
-                cells[d, j] = r
-            else:
+        for site, conjugates in plan.orbits:
+            r = _root_residue(numerator, site)
+            d = site.order
+            summands.append(r.trace() if d > 2 else r)
+            cells[d, site.exponent] = r
+            for j in conjugates:
                 cells[d, j] = r.galois(j)
         entries = [("zero", at_zero)]
-        entries += [(label, cells.get(root, off_wall)) for label, root in zip(labels, roots)]
+        entries += [(label, cells.get(root, off_wall)) for label, root in columns]
         entries.append(("infinity", at_infinity))
         rows.append(ResidueRow(f.name, entries, fraction_sum(summands), cells))
     return rows

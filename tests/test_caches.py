@@ -43,6 +43,7 @@ def test_the_caches_are_found():
     assert {"quantred.exactnum._galois_rows", "quantred.fixedpoint._wall_set",
             "quantred.fixedpoint._parsed_ring", "quantred.fixedpoint._parsed_class",
             "quantred.laurent._site", "quantred.laurent._denominator_terms",
+            "quantred.laurent._plan",
             "quantred.reduction.root_label"} <= names
 
 

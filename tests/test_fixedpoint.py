@@ -8,6 +8,7 @@ import pytest
 from quantred import (
     FixedComponent,
     GroupKind,
+    InvalidInstanceError,
     ProblemInstance,
     RingPresentation,
     SchemaError,
@@ -26,6 +27,7 @@ from quantred.exactnum import phi_degree
 from quantred.fixedpoint import (
     MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, MAX_INTEGRAL_TABLE, MAX_ORACLE_WORK,
     MAX_POLE_ORDER, _parsed_class, _parsed_ring, expansion_window, oracle_work,
+    require_valid,
 )
 
 POINT = RingPresentation.point()
@@ -83,6 +85,58 @@ def test_validate_clean_on_catalog_defaults():
     for name in catalog_names():
         p = catalog(name)
         assert not has_errors(validate(p)), name
+
+
+def _counted_checks(monkeypatch):
+    # the instances whose checks ran, in order
+    import quantred.fixedpoint as fp
+
+    runs, real = [], fp._checks
+
+    def counted(p):
+        runs.append(p)
+        return real(p)
+
+    monkeypatch.setattr(fp, "_checks", counted)
+    return runs
+
+
+def test_validate_runs_the_checks_once_per_instance(monkeypatch):
+    runs = _counted_checks(monkeypatch)
+    p = catalog("so3-coadjoint", 1)
+    first, second = validate(p), validate(p)
+    assert runs == [p]
+    assert first == second and first is not second
+    assert any(f.code == "so3-small-moments" for f in first)
+
+
+def test_a_changed_findings_list_changes_no_later_result():
+    p = catalog("su2-excluded")
+    first = validate(p)
+    expected = list(first)
+    first.append(first[0])
+    first[0] = None
+    assert validate(p) == expected
+    assert require_valid(p) == expected
+
+
+def test_a_tensor_power_is_validated_on_its_own(monkeypatch):
+    runs = _counted_checks(monkeypatch)
+    p = catalog("so3-coadjoint", 1)
+    assert any(f.code == "so3-small-moments" for f in validate(p))
+    power = tensor_power(p, 2)
+    assert not any(f.code == "so3-small-moments" for f in validate(power))
+    assert runs == [p, power]
+
+
+def test_an_invalid_instance_raises_on_every_call(monkeypatch):
+    runs = _counted_checks(monkeypatch)
+    p = ProblemInstance(GroupKind.U1, [point_component("f", 0, [1])])
+    for _ in range(3):
+        with pytest.raises(InvalidInstanceError) as caught:
+            require_valid(p)
+        assert [f.code for f in caught.value.findings] == ["moment-zero", "quasi-free"]
+    assert runs == [p]
 
 
 # -- wall sets ------------------------------------------------------------

@@ -171,6 +171,18 @@ def test_symmetry_violation():
     assert invariant_multiplicity(lopsided, GroupKind.U1) == 1
 
 
+@pytest.mark.parametrize("coefficients", [
+    {-2: 1, 0: 3, 1: 1, -1: 1},  # weight -2 on one side only
+    {-3: 1, -1: 2, 0: 1, 1: 3, 3: 1},  # -1 and 1 both present, counts 2 and 3
+])
+@pytest.mark.parametrize("group", [GroupKind.SO3, GroupKind.SU2])
+def test_an_asymmetric_character_raises(coefficients, group):
+    c = CharacterPolynomial(coefficients)
+    assert not c.is_weyl_symmetric()
+    with pytest.raises(SymmetryError):
+        invariant_multiplicity(c, group)
+
+
 def test_so3_ladder():
     # sum of spin-l characters: ladder multiplicities recover each a_l
     # a_0 V_0 + a_1 V_1 + a_2 V_2 with a = (2, 3, 1)

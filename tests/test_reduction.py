@@ -219,10 +219,10 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
     import quantred.lefschetz as lef
     import quantred.reduction as red
 
-    form_calls, residue_calls, validate_calls = [], [], []
+    form_calls, residue_calls, check_calls = [], [], []
     names = {}  # id of a numerator -> its component
-    real_form, real_residue = lef.component_form, red.form_residue
-    real_validate = fp.validate
+    real_form, real_outer, real_root = lef.component_form, red._expansion, red._root_residue
+    real_checks = fp._checks
 
     def counted_form(f, multiplier=None):
         form = real_form(f, multiplier)
@@ -230,24 +230,32 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
         names[id(form[0])] = f.name
         return form
 
-    def counted_residue(numerator, denominator, chart):
+    # the two plan kernels, each call with the site its plan piece is for
+    def counted_outer(numerator, recurrence, low, high):
+        chart = Chart.at_zero() if recurrence.sign == 1 else Chart.at_infinity()
         residue_calls.append((names[id(numerator)], chart))
-        return real_residue(numerator, denominator, chart)
+        return real_outer(numerator, recurrence, low, high)
 
-    def counted_validate(p):
-        validate_calls.append(p)
-        return real_validate(p)
+    def counted_root(numerator, site):
+        residue_calls.append((names[id(numerator)], Chart.at_root(site.order, site.exponent)))
+        return real_root(numerator, site)
+
+    def counted_checks(p):
+        check_calls.append(p)
+        return real_checks(p)
 
     monkeypatch.setattr(red, "component_form", counted_form)
-    monkeypatch.setattr(red, "form_residue", counted_residue)
-    monkeypatch.setattr(fp, "validate", counted_validate)
+    monkeypatch.setattr(red, "_expansion", counted_outer)
+    monkeypatch.setattr(red, "_root_residue", counted_root)
+    monkeypatch.setattr(fp, "_checks", counted_checks)
+    # built afresh, so no instance has been validated before
     instances = [catalog(name) for name in
                  ("cp1-triple", "cp2-k", "so3-s2xs2", "cp2-line-double")]
     instances.append(load_instance(PLANE_N84))
     for p in instances:
         form_calls.clear()
         residue_calls.clear()
-        validate_calls.clear()
+        check_calls.clear()
         report = red.verify_quantization(p)
         assert report.verdict == "PASS", p.name
         # one rational function per component
@@ -260,7 +268,7 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
             # one residue per wall order d > 1, at zeta_d in Q(zeta_d)
             expected += [(f.name, Chart.at_root(d, 1)) for d in _wall_orders(f)]
         assert sorted(residue_calls, key=repr) == sorted(expected, key=repr), p.name
-        assert len(validate_calls) == 1, p.name
+        assert len(check_calls) == 1, p.name
 
 
 def test_wall_cells_equal_direct_residues():
