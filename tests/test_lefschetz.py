@@ -281,8 +281,8 @@ def _reference_form(f, multiplier):
     the engine with one index per normal direction: N_F = t^mu * multiplier
     * sum_k I_k prod_j s_j^k_j (1 - s_j)^(K_j - k_j), s_j = t^-beta_j,
     I_k = integral_F e^omega Td(F) prod_j x_j^k_j, x_j = e^-c_j - 1, K_j the
-    largest k_j of a nonzero I_k (0 if there is none), and M_beta the sum of K_j + 1 over the
-    directions of weight beta."""
+    largest k_j of a nonzero I_k (0 if there is none), and M_beta the sum
+    of K_j + 1 over the directions of weight beta."""
     xs = [(-c).exp() - 1 for c in f.normal_chern]
     classes = {(): f.omega.exp() * f.todd}
     for x in xs:
