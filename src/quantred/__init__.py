@@ -51,6 +51,7 @@ from .laurent import (
     TruncationError,
     form_residue,
     outer_expansion,
+    residue_row,
 )
 from .lefschetz import (
     NonIntegerResultError,

@@ -123,14 +123,16 @@ class FixedComponent:
     __slots__ = ("name", "ring", "moment", "weights", "normal_chern", "omega", "todd")
 
     def __init__(self, name, ring, moment, weights, normal_chern, omega, todd):
-        weights = tuple(int(b) for b in weights)
+        weights = tuple(weights)
         normal_chern = tuple(normal_chern)
         if len(weights) != len(normal_chern):
             raise ValueError(
                 f"component {name!r}: {len(weights)} weights but "
                 f"{len(normal_chern)} normal Chern classes"
             )
-        if not isinstance(moment, int):
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in weights):
+            raise ValueError(f"component {name!r}: weights must be integers")
+        if not isinstance(moment, int) or isinstance(moment, bool):
             raise ValueError(f"component {name!r}: moment must be an integer")
         for c in normal_chern:
             if c.presentation != ring:
@@ -519,13 +521,6 @@ def _class_to_dict(cls: CohomologyClass) -> dict:
     }
 
 
-def _ring_fields(obj):
-    # what _parse_ring reads of a ring document
-    if not isinstance(obj, dict):
-        return None
-    return obj.get("generators", []), obj.get("top_degree", 0), obj.get("integrals")
-
-
 def _parse_ring(obj, where) -> RingPresentation:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a ring description")
@@ -572,25 +567,24 @@ def _parse_ring(obj, where) -> RingPresentation:
 
 class _SubDocument:
     """A ring or class sub-document as a key of the parse caches: hashed by
-    the repr of what the parser reads of it, which tells apart the 1, 1.0
-    and True that == equates, and confirmed by ==.  A class also matches on
-    its ring, by identity, so each ring keeps classes of its own.  A cached
-    key keeps the caller's sub-document, so changing it later turns a match
-    into a miss, never into another result.  The place ``where`` is not part
-    of the key: a failed parse is not cached, and each one names its own
-    place."""
+    its repr, which tells apart the 1, 1.0 and True that == equates, and
+    confirmed by ==.  A class also matches on its ring, by identity, so each
+    ring keeps classes of its own.  A cached key keeps the caller's
+    sub-document, so changing it later turns a match into a miss, never
+    into another result.  The place ``where`` is not part of the key: a
+    failed parse is not cached, and each one names its own place."""
 
-    __slots__ = ("doc", "where", "ring", "fields", "text")
+    __slots__ = ("doc", "where", "ring", "text")
 
-    def __init__(self, fields, doc, where, ring=None):
-        self.fields, self.doc, self.where, self.ring = fields, doc, where, ring
+    def __init__(self, doc, where, ring=None):
+        self.doc, self.where, self.ring = doc, where, ring
 
     def __hash__(self):
         return hash((self.text, id(self.ring)))
 
     def __eq__(self, other):
         return (self.text == other.text and self.ring is other.ring
-                and self.fields == other.fields)
+                and self.doc == other.doc)
 
 
 # bounded: a batch reuses a few rings and classes, a stream of new ones must not pile up
@@ -609,7 +603,7 @@ def _parse_shared(parsed, key: _SubDocument):
     # document or an earlier one; a sub-document whose repr fails is parsed
     # as it is
     try:
-        key.text = repr(key.fields)
+        key.text = repr(key.doc)
     except (RecursionError, ValueError):  # too deep, or an int too long to print
         return parsed.__wrapped__(key)
     return parsed(key)
@@ -636,8 +630,7 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
         if not isinstance(cname, str):
             raise SchemaError(f"{where}.name: expected a string")
         ring_doc = cd.get("ring", {})
-        ring = _parse_shared(_parsed_ring, _SubDocument(
-            _ring_fields(ring_doc), ring_doc, f"{where}.ring"))
+        ring = _parse_shared(_parsed_ring, _SubDocument(ring_doc, f"{where}.ring"))
         moment = cd.get("moment")
         if not isinstance(moment, int) or isinstance(moment, bool):
             raise SchemaError(f"{where}.moment: expected an integer (no floats)")
@@ -653,7 +646,7 @@ def instance_from_dict(doc: dict, name="instance") -> ProblemInstance:
             raise SchemaError(f"{where}.normal_chern: expected a list")
 
         def parse_class(obj, where):
-            return _parse_shared(_parsed_class, _SubDocument(obj, obj, where, ring))
+            return _parse_shared(_parsed_class, _SubDocument(obj, where, ring))
 
         chern = [parse_class(c, f"{where}.normal_chern[{j}]") for j, c in enumerate(chern_doc)]
         omega = parse_class(cd.get("omega", {}), f"{where}.omega")

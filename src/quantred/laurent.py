@@ -12,20 +12,22 @@ residue is minus the w^0 coefficient.  At zero it is the t^0 coefficient.
 The residue engine expands one scalar rational function per fixed
 component, N(t) / Q(t) with Q = prod_beta (1 - t**(-beta))**M and N a
 Laurent polynomial over Q (built in :mod:`quantred.lefschetz`), kept as
-integer coefficients over one common denominator.  Everything but N is
-fixed by the denominator shape (the sorted (beta, M) pairs), and one plan
-per shape (``_plan``) holds it for every component of that shape.  At zero
-and at infinity the plan holds a sign, a shift and one adding recurrence
-per factor, run on integers with one division at the end.  Per Galois
-orbit of the shape's wall roots it holds the site record (``_site``) of
-zeta_d, d the order: the pole order P and integer weights W_i, i < P; the
-residue sums a_r r**i W_i over the terms a_r t**r of N into one integer
-list at the offset zeta**r shifts each to, divides once, and is the cell
-in its own field Q(zeta_d), whose Galois images fill the orbit.  The
-weights come from Q itself, expanded once per shape as integer terms
-q_c t**c by the polynomial product that builds N: the Taylor rows T_n of
-Q(zeta*e^u) / u**P are integer sums of q_c zeta**c c**(P+n), the lead
-1/T_0 has a closed form, and u**P / Q(zeta*e^u) is one reciprocal.
+integer coefficients over one common denominator.  ``residue_row`` takes
+all its residues at once, and ``form_residue`` is one entry of that row.
+Everything but N is fixed by the denominator shape (the sorted (beta, M)
+pairs), and one plan per shape (``_plan``, read by ``residue_row`` only)
+holds it.  At zero and at infinity the plan holds a sign, a shift and one
+adding recurrence per factor, run on integers with one division at the
+end.  Per order d of the shape's wall roots it holds the site record
+(``_site``) of the primitive root zeta_d only: the pole order P and
+integer weights W_i, i < P; the residue sums a_r r**i W_i over the terms
+a_r t**r of N into one integer list at the offset zeta_d**r shifts each
+to, divides once, and is the cell in Q(zeta_d), whose Galois images fill
+the rest of its orbit.  The weights come from Q itself, expanded once per
+shape as integer terms q_c t**c by the polynomial product that builds N:
+the Taylor rows T_n of Q(zeta*e^u) / u**P are integer sums of
+q_c zeta**c c**(P+n), the lead 1/T_0 has a closed form, and
+u**P / Q(zeta*e^u) is one reciprocal.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, is on no verify path; its product and division are the
@@ -331,21 +333,18 @@ def _denominator_terms(shape: tuple) -> tuple:
     return tuple([(c, q) for c, q in poly.items() if q])
 
 
-# what a root chart decides for a denominator shape (sorted (beta, M) pairs):
-# zeta_n**k as zeta_d**j, the pole order P (M summed over the walls) and
-# weights[i], the u**(P-1-i) coefficient of u**P / Q(zeta e^u) over i!, as 1
-# or phi(d) integers over ``common``
-Site = namedtuple("Site", "order exponent pole weights common")
+# what the primitive root zeta_d decides for a denominator shape (sorted
+# (beta, M) pairs): the pole order P (M summed over the walls) and
+# weights[i], the u**(P-1-i) coefficient of u**P / Q(zeta_d e^u) over i!, as
+# 1 or phi(d) integers over ``common``
+Site = namedtuple("Site", "order pole weights common")
 
 
-@lru_cache(maxsize=None)
-def _site(chart: Chart, shape: tuple) -> Site:
-    g = gcd(chart.conductor, chart.exponent)
-    d, j = chart.conductor // g, chart.exponent // g
-    walls = [(beta, m) for beta, m in shape if chart.is_wall_for(beta)]
+def _site(d: int, shape: tuple) -> Site:
+    walls = [(beta, m) for beta, m in shape if beta % d == 0]
     pole = sum(m for _, m in walls)
-    if not pole:
-        return Site(d, j, 0, (), 1)
+    if not pole:  # zeta_d on no wall
+        return Site(d, 0, (), 1)
     # every value is kept as integers at the powers zeta**0 .. zeta**(d-1); it
     # is rational when d <= 2 or every factor is a wall (zeta**c = 1 at every
     # exponent c of Q), and then it is the integers at zeta**0 minus those at
@@ -357,7 +356,7 @@ def _site(chart: Chart, shape: tuple) -> Site:
     if rows:
         for c, q in _denominator_terms(shape):
             q *= c ** (pole + 1)
-            k = j * c % d
+            k = c % d
             for row in rows:
                 row[k] += q
                 q *= c
@@ -368,7 +367,7 @@ def _site(chart: Chart, shape: tuple) -> Site:
     # z = zeta**(-beta) of order e, with 1/(1 - z) = -(1/e) sum_{i<e} i z**i
     num, den = 1, prod(beta ** m for beta, m in walls)
     for beta, m in shape:
-        if k := -j * beta % d:
+        if k := -beta % d:
             e = d // gcd(d, k)
             w = [0] * max(d, 2)
             for i in range(1, e):
@@ -390,12 +389,12 @@ def _site(chart: Chart, shape: tuple) -> Site:
              for i, c in enumerate(reversed(series))]
     common = lcm(*(den for _, den in parts))
     weights = tuple(tuple(x * (common // den) for x in num) for num, den in parts)
-    return Site(d, j, pole, weights, common)
+    return Site(d, pole, weights, common)
 
 
 # all a residue row needs of a denominator shape but N: the recurrences at
 # zero and infinity and, per orbit of wall roots in wall_set order, the site
-# of zeta_d (of t = 1 for d = 1) and the exponents j > 1 of its conjugates
+# of zeta_d (t = 1 for d = 1), its exponent and those of its conjugates
 Plan = namedtuple("Plan", "zero inf orbits")
 
 
@@ -405,25 +404,43 @@ def _plan(shape: tuple) -> Plan:
     for d, j in _wall_set(tuple(beta for beta, _ in shape)):
         orbits.setdefault(d, []).append(j)
     return Plan(_recurrence(shape, 1), _recurrence(shape, -1),
-                tuple((_site(Chart("root", d, first), shape), tuple(rest))
+                tuple((_site(d, shape), first, tuple(rest))
                       for d, (first, *rest) in orbits.items()))
 
 
+def residue_row(numerator, denominator):
+    """Every residue of N(t) / prod (1 - t**(-beta))**M * dt/t: (at zero,
+    {(d, j): cell at zeta_d**j} over the denominator's wall set, at
+    infinity, their sum).  The residue at zeta_d is computed once per order
+    d, in Q(zeta_d) (a ``Fraction`` for d <= 2); N and Q are rational, so
+    the cell at zeta_d**j is its image under ``galois(j)`` and the orbit
+    adds up to its trace.  The sum is 0 by the residue theorem:
+
+    >>> zero, cells, infinity, total = residue_row(({1: 1}, 1), {4: 1})
+    >>> [str(cell) for cell in cells.values()], total
+    (['1/4', '-1/4', '1/4*z', '-1/4*z'], Fraction(0, 1))
+    """
+    plan = _plan(tuple(sorted(denominator.items())))
+    at_zero = _expansion(numerator, plan.zero, 0, 0)[0]
+    at_infinity = -_expansion(numerator, plan.inf, 0, 0)[0]  # dt/t = -dw/w
+    summands = [at_zero, at_infinity]  # rational cells, and each orbit by its trace
+    cells = {}
+    for site, first, conjugates in plan.orbits:
+        r = _root_residue(numerator, site)
+        d = site.order
+        summands.append(r.trace() if d > 2 else r)
+        cells[d, first] = r
+        for j in conjugates:
+            cells[d, j] = r.galois(j)
+    return at_zero, cells, at_infinity, fraction_sum(summands)
+
+
 def form_residue(numerator, denominator, chart: Chart):
-    """Residue of N(t) / prod (1 - t**(-beta))**M * dt/t at the chart's point.
-
-    * zero: the t**0 coefficient of the expansion;
-    * infinity: dt/t = -dw/w, so minus the w**0 coefficient;
-    * t = zeta*e^u: dt/t = du, and the residue is the u**(P-1) coefficient
-      of N(zeta*e^u) times u**P / Q(zeta*e^u).  With
-      N = sum_r a_r t**r / D and zeta = zeta_d**j that is
-      sum_r sum_{i<P} a_r r**i zeta_d**(jr) W_i / D (P and W_i from
-      ``_site``), summed on integers and divided once.
-
-    A ``Fraction`` at zero and infinity; at a root of order d the cell in
-    Q(zeta_d), a ``Fraction`` for d <= 2, else a ``Cyclotomic`` of conductor
-    d, zero included.  At t = i, 1/(1 - t**(-4)) has residue 1/4, times i
-    from t**1; t = -1 taken as zeta_4**2 is rational:
+    """The entry of ``residue_row`` at the chart's point: a ``Fraction`` at
+    zero and infinity; at a root of order d the cell in Q(zeta_d), a
+    ``Fraction`` for d <= 2, else a ``Cyclotomic`` of conductor d, zero off
+    the walls.  At t = i, 1/(1 - t**(-4)) has residue 1/4, times i from
+    t**1; t = -1 taken as zeta_4**2 is rational:
 
     >>> form_residue(({1: 1}, 1), {1: 1}, Chart.at_one())
     Fraction(1, 1)
@@ -432,20 +449,21 @@ def form_residue(numerator, denominator, chart: Chart):
     >>> form_residue(({0: 1}, 1), {2: 1}, Chart.at_root(4, 2))
     Fraction(1, 2)
     """
-    if chart.kind == "zero":
-        return outer_expansion(numerator, denominator, chart, 0, 0)[0]
-    if chart.kind == "inf":
-        return -outer_expansion(numerator, denominator, chart, 0, 0)[0]
-    return _root_residue(numerator, _site(chart, tuple(sorted(denominator.items()))))
+    at_zero, cells, at_infinity, _ = residue_row(numerator, denominator)
+    if chart.kind != "root":
+        return at_zero if chart.kind == "zero" else at_infinity
+    g = gcd(chart.conductor, chart.exponent)
+    d, j = chart.conductor // g, chart.exponent // g
+    return cells.get((d, j), _ZERO if d <= 2 else Cyclotomic.from_rational(d, 0))
 
 
 def _root_residue(numerator, site: Site):
-    # the root kernel: sum_r sum_{i<P} a_r r**i zeta_d**(jr) W_i / (D E)
-    d, j, _, weights, common = site
+    # the root kernel: sum_r sum_{i<P} a_r r**i zeta_d**r W_i / (D E)
+    d, _, weights, common = site
     terms, scale = numerator
     acc = [0] * (2 * d)
     for r, a in terms.items():
-        shift = j * r % d
+        shift = r % d
         for w in weights:
             for i, x in enumerate(w, shift):
                 acc[i] += a * x

@@ -115,7 +115,8 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     if 0 in f.weights:
         raise ValueError(f"component {f.name!r} has a zero weight")
     table = _integral_table(f)
-    multiplier = multiplier or {0: Fraction(1)}
+    if multiplier is None:
+        multiplier = {0: Fraction(1)}
     # one denominator for the table and one for the multiplier: their
     # product clears every denominator of N
     table_den = lcm(*(d for _, d in table.values()))
@@ -132,13 +133,9 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
                 poly = _times(poly, _binomial_terms(beta, kb, top))
         for r, a in poly.items():
             body[r] = body.get(r, 0) + a
-    numerator: dict[int, int] = {}
-    for r, a in multiplier.items():
-        a = a.numerator * (mult_den // a.denominator)
-        for e, v in body.items():
-            e += f.moment + r
-            numerator[e] = numerator.get(e, 0) + a * v
-    numerator = {e: v for e, v in numerator.items() if v}
+    shifted = {f.moment + r: a.numerator * (mult_den // a.denominator)
+               for r, a in multiplier.items()}
+    numerator = {e: v for e, v in _times(shifted, body.items()).items() if v}
     scale = table_den * mult_den
     g = gcd(scale, *numerator.values())
     if g != 1:

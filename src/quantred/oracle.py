@@ -165,7 +165,10 @@ class CharacterPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, dict):
-            other = CharacterPolynomial(other)
+            try:
+                other = CharacterPolynomial(other)
+            except (TypeError, ValueError):  # not an integral character
+                return False
         if not isinstance(other, CharacterPolynomial):
             return NotImplemented
         return self.coefficients == other.coefficients

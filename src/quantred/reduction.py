@@ -26,7 +26,7 @@ from .fixedpoint import (
     require_valid,
     wall_set,
 )
-from .laurent import _expansion, _plan, _root_residue
+from .laurent import residue_row
 from .lefschetz import WeylFactor, component_form, invariant_from_residues
 from .oracle import character_polynomial, invariant_multiplicity
 
@@ -138,13 +138,10 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
 
     Columns: 0, the wall roots zeta_d**j sorted by (d, j) (t = 1 first),
     then infinity.  Each component's rational function (``component_form``)
-    is built once, and its denominator shape's plan once looked up; a cell
-    is one kernel call on the numerator and a plan piece.  On F's walls the
-    residue r_d at zeta_d is computed once per order d, in Q(zeta_d)
-    (rational for d <= 2); chi_F has rational data, so the cell at
-    zeta_d**j is its Galois image ``r_d.galois(j)``, and the row's cells of
-    order d add up to Tr(r_d).  A root off F's walls is no pole of F's
-    form, so its cell is 0.
+    is built once and its row read off ``residue_row``: on F's walls the
+    residue at zeta_d is computed once per order d and the other cells of
+    its Galois orbit are its Galois images.  A root off F's walls is no pole
+    of F's form, so its cell is 0.
     """
     weyl = WeylFactor(p.group).poly
     roots = sorted(set().union(*(wall_set(f) for f in p.components)))
@@ -152,23 +149,11 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     off_wall = Fraction(0)
     rows = []
     for f in p.components:
-        numerator, denominator = component_form(f, weyl)
-        plan = _plan(tuple(sorted(denominator.items())))
-        at_zero = _expansion(numerator, plan.zero, 0, 0)[0]
-        at_infinity = -_expansion(numerator, plan.inf, 0, 0)[0]  # dt/t = -dw/w
-        summands = [at_zero, at_infinity]  # rational cells, and each orbit by its trace
-        cells = {}
-        for site, conjugates in plan.orbits:
-            r = _root_residue(numerator, site)
-            d = site.order
-            summands.append(r.trace() if d > 2 else r)
-            cells[d, site.exponent] = r
-            for j in conjugates:
-                cells[d, j] = r.galois(j)
+        at_zero, cells, at_infinity, total = residue_row(*component_form(f, weyl))
         entries = [("zero", at_zero)]
         entries += [(label, cells.get(root, off_wall)) for label, root in columns]
         entries.append(("infinity", at_infinity))
-        rows.append(ResidueRow(f.name, entries, fraction_sum(summands), cells))
+        rows.append(ResidueRow(f.name, entries, total, cells))
     return rows
 
 

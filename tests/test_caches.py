@@ -39,12 +39,18 @@ def lru_caches() -> dict:
 
 
 def test_the_caches_are_found():
-    names = set(lru_caches())
-    assert {"quantred.exactnum._galois_rows", "quantred.fixedpoint._wall_set",
-            "quantred.fixedpoint._parsed_ring", "quantred.fixedpoint._parsed_class",
-            "quantred.laurent._site", "quantred.laurent._denominator_terms",
-            "quantred.laurent._plan",
-            "quantred.reduction.root_label"} <= names
+    # the exact set, so that a cache added or removed shows in review
+    assert set(lru_caches()) == {
+        "quantred.exactnum._galois_rows", "quantred.exactnum._power_table",
+        "quantred.exactnum._trace_row", "quantred.exactnum.cyclotomic_polynomial",
+        "quantred.exactnum.phi_degree",
+        "quantred.fixedpoint._parsed_class", "quantred.fixedpoint._parsed_ring",
+        "quantred.fixedpoint._wall_set",
+        "quantred.laurent._binomial_terms", "quantred.laurent._denominator_terms",
+        "quantred.laurent._plan",
+        "quantred.oracle._monomials",
+        "quantred.reduction.root_label",
+    }
 
 
 def test_verifying_the_same_documents_again_grows_no_cache():

@@ -458,6 +458,18 @@ def test_component_rejects_nonnilpotent_omega():
         FixedComponent("f", POINT, 1, [1], [POINT.zero()], POINT.one(), POINT.one())
 
 
+@pytest.mark.parametrize("weights,moment", [
+    ([1.5], 1),             # once truncated to (1,)
+    ([Fraction(-3, 2)], 1),  # once truncated to (-1,)
+    ([True], 1),
+    ([1], True),
+    ([1], 1.0),
+])
+def test_component_rejects_weights_and_moments_that_are_not_integers(weights, moment):
+    with pytest.raises(ValueError, match="must be (an )?integer"):
+        FixedComponent("f", POINT, moment, weights, [POINT.zero()], POINT.zero(), POINT.one())
+
+
 def test_component_rejects_bad_todd():
     p1 = RingPresentation.projective_line()
     with pytest.raises(ValueError):

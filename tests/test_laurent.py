@@ -113,11 +113,15 @@ def denominator_product(denominator, chart, length):
 
 
 def site_series(chart, denominator):
-    """u**P / Q(zeta*e^u) to u**(P-1), read back off the site record: the
-    u**n coefficient is (P-1-n)! W_(P-1-n) / common, in Q(zeta_d)."""
-    site = _site(chart, tuple(sorted(denominator.items())))
+    """u**P / Q(zeta*e^u) to u**(P-1), read back off the site record of
+    zeta_d, d the order of the chart's root zeta_d**j: the u**n coefficient
+    at zeta_d is (P-1-n)! W_(P-1-n) / common, in Q(zeta_d), and its image
+    under galois(j) is the one at zeta_d**j."""
+    d = root_order(chart.conductor, chart.exponent)
+    j = chart.exponent * d // chart.conductor
+    site = _site(d, tuple(sorted(denominator.items())))
     out = [Fraction(w[0] * factorial(i), site.common) if len(w) == 1
-           else Cyclotomic.from_integers(site.order, w, site.common) * factorial(i)
+           else (Cyclotomic.from_integers(d, w, site.common) * factorial(i)).galois(j)
            for i, w in enumerate(site.weights)]
     return out[::-1]
 
@@ -566,12 +570,11 @@ def _assert_matches_reference(numerator, denominator, chart):
         assert type(value) is Fraction, (value, chart)
     else:
         assert type(value) is Cyclotomic and value.conductor == d, (value, chart)
-    # the site record: zeta_n^k as zeta_d^j, the pole order, and integer
-    # weight vectors over one positive integer, one per power r^i, i < P
+    # the site record of zeta_d: the pole order, and integer weight vectors
+    # over one positive integer, one per power r^i, i < P
     order = pole_order(denominator, chart)
-    site = _site(chart, tuple(sorted(denominator.items())))
+    site = _site(d, tuple(sorted(denominator.items())))
     assert (site.order, site.pole) == (d, order)
-    assert site.exponent * chart.conductor == chart.exponent * d
     assert type(site.common) is int and site.common > 0
     assert len(site.weights) == order
     for w in site.weights:

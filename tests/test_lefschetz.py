@@ -372,6 +372,16 @@ def test_integer_numerator_matches_the_fraction_formula():
     assert grouped == 2 * 2 * 2
 
 
+def test_an_empty_multiplier_gives_the_zero_form():
+    # the multiplier 0 written as {} is the zero form, as {0: 0} is; the
+    # poles are F's all the same
+    for p in _every_instance():
+        for f in p.components:
+            poles = component_form(f)[1]
+            for multiplier in ({}, {0: Fraction(0)}):
+                assert component_form(f, multiplier) == (({}, 1), poles), (p.name, f.name)
+
+
 @pytest.mark.parametrize("name", ["cp3-lines-q1-k3", "cp3-lines-q2-k3"])
 def test_a_repeated_weight_is_one_pole_order(name):
     # each line has weights (q, q) on the classes x, x over Q[x]/x^2: per

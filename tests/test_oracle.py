@@ -141,8 +141,16 @@ def test_fractional_data_flagged():
 def test_characters_reject_non_integral_terms(coefficients):
     with pytest.raises(ValueError, match="not all integral"):
         CharacterPolynomial(coefficients)
-    with pytest.raises(ValueError, match="not all integral"):
-        CharacterPolynomial({0: 1}) == coefficients
+    assert (CharacterPolynomial({0: 1}) == coefficients) is False
+
+
+@pytest.mark.parametrize("other", [
+    {0: Fraction(1, 2)},  # a non-integral count
+    {"a": 1},             # a key that is no integer
+])
+def test_a_dict_that_is_no_integral_character_compares_unequal(other):
+    c = CharacterPolynomial({0: 1})
+    assert (c == other) is False and (c != other) is True
 
 
 def test_characters_take_integral_values_of_any_type():

@@ -14,6 +14,7 @@ from quantred import (
     WeylFactor,
     catalog,
     catalog_names,
+    component_form,
     load_instance,
     rational_part,
     reduced_rr,
@@ -216,12 +217,14 @@ def _wall_orders(f):
 
 def test_verify_computes_each_residue_and_validates_once(monkeypatch):
     import quantred.fixedpoint as fp
+    import quantred.laurent as laurent
     import quantred.lefschetz as lef
     import quantred.reduction as red
 
     form_calls, residue_calls, check_calls = [], [], []
     names = {}  # id of a numerator -> its component
-    real_form, real_outer, real_root = lef.component_form, red._expansion, red._root_residue
+    real_form, real_outer, real_root = (lef.component_form, laurent._expansion,
+                                        laurent._root_residue)
     real_checks = fp._checks
 
     def counted_form(f, multiplier=None):
@@ -237,7 +240,8 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
         return real_outer(numerator, recurrence, low, high)
 
     def counted_root(numerator, site):
-        residue_calls.append((names[id(numerator)], Chart.at_root(site.order, site.exponent)))
+        # a site is at zeta_d, t = 1 for d = 1
+        residue_calls.append((names[id(numerator)], Chart.at_root(site.order, 1)))
         return real_root(numerator, site)
 
     def counted_checks(p):
@@ -245,8 +249,8 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
         return real_checks(p)
 
     monkeypatch.setattr(red, "component_form", counted_form)
-    monkeypatch.setattr(red, "_expansion", counted_outer)
-    monkeypatch.setattr(red, "_root_residue", counted_root)
+    monkeypatch.setattr(laurent, "_expansion", counted_outer)
+    monkeypatch.setattr(laurent, "_root_residue", counted_root)
     monkeypatch.setattr(fp, "_checks", counted_checks)
     # built afresh, so no instance has been validated before
     instances = [catalog(name) for name in
@@ -274,23 +278,28 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
 def test_wall_cells_equal_direct_residues():
     # each wall cell at zeta_d^j, the Galois image in Q(zeta_d) of one
     # residue per order d, embedded into the instance's Q(zeta_N) equals the
-    # residue computed directly there at zeta_N^(jN/d); the orbit sums of
-    # the direct values are the rational corrections of the report
+    # two-stage long-division reference at zeta_N^(jN/d), which shares no
+    # residue code with the engine; the orbit sums of the reference values are the
+    # rational corrections of the report
+    from test_laurent import reference_root_residue
+
     instances = [catalog(name) for name in catalog_names()]
     instances += [load_instance(SPHERE_N60), load_instance(PLANE_N84)]
     checked = 0
     for p in instances:
         n = p.conductor
-        weyl = WeylFactor(p.group)
+        weyl = WeylFactor(p.group).poly
         orbit_sums = {}
         for f, row in zip(p.components, residue_table(p)):
             assert tuple(row.walls) == wall_set(f), (p.name, f.name)
+            numerator, denominator = component_form(f, weyl)
             cells = dict(row.entries)
             for (d, j), value in row.walls.items():
                 if d == 1:
                     continue
                 assert cells[root_label(d, j)] is value
-                direct = residue_of_h(f, Chart.at_root(n, j * n // d), weyl)
+                direct = reference_root_residue(numerator, denominator,
+                                                Chart.at_root(n, j * n // d))
                 if d > 2:
                     assert value.conductor == d, (p.name, f.name, d, j)
                     value = value.promoted(n)
