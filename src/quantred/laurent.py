@@ -87,13 +87,6 @@ class Chart(namedtuple("Chart", "kind conductor exponent", defaults=(1, 0))):
     def at_one(cls) -> "Chart":
         return cls("root", 1, 0)
 
-    def is_wall_for(self, beta: int) -> bool:
-        """Whether zeta**beta == 1, i.e. the factor with weight beta has a
-        pole at this chart's base point."""
-        if self.kind != "root":
-            return False
-        return (self.exponent * beta) % self.conductor == 0
-
     @property
     def variable(self) -> str:
         return {"zero": "t", "inf": "w", "root": "u"}[self.kind]

@@ -23,7 +23,9 @@ factor) is one exact rational function
 with K_beta the largest k_beta of a nonzero I_k (0 for a weight without an
 index) and M_beta = r_beta + K_beta.
 N_F is kept as integers over one common denominator D.  All ring work is the
-table; every residue is scalar work in :mod:`quantred.laurent`.
+table, and the table runs only when some weight carries a nonzero class: with
+none (at every isolated point) I = integral_F e^omega Td(F) is one number and
+M_beta = r_beta.  Every residue is scalar work in :mod:`quantred.laurent`.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ _WEYL_POLYS = {
 
 def _integral_table(f: FixedComponent) -> dict:
     """{k: (n, D)} with I_k = n / D != 0 (integers, not reduced), one index
-    per distinct weight on a nonzero class in the order of f.weights, or the
-    one index 0 if there is none.  h_n is in the n-th power of the nilpotent
-    ideal: rows and products stop at the nilpotency bound."""
+    per distinct weight on a nonzero class in the order of f.weights.  h_n
+    is in the n-th power of the nilpotent ideal: rows and products stop at
+    the nilpotency bound."""
     bound, one, zero = f.ring.nilpotency_bound, f.ring.one(), f.ring.zero()
     rows = {}
     xs = {}  # x = e^{-c} - 1 per distinct class, keyed by its integers
@@ -83,7 +85,7 @@ def _integral_table(f: FixedComponent) -> dict:
             row = rows[beta] = [one] + [zero] * bound
         for n in range(1, bound + 1):  # H_j[n] = H_{j-1}[n] + x_j H_j[n-1]
             row[n] = row[n] + x * row[n - 1]
-    *heads, last = rows.values() or [[one] + [zero] * bound]  # no index: pair with 1
+    *heads, last = rows.values()
     classes = {(): f.omega.exp() * f.todd if f.omega.num else f.todd}
     for row in heads:
         grown = {}
@@ -110,29 +112,38 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     (numerator, denominator).  The numerator is N as integers over one
     positive denominator D, the pair ({t-exponent: nonzero int}, D) in
     lowest terms; the denominator is {beta: M} over every weight of F, so
-    its walls are F's even where N = 0.  The integral table is
-    the only ring work."""
+    its walls are F's even where N = 0.  The integral table, built only
+    for a component with a nonzero normal class, is the only ring work."""
     if 0 in f.weights:
         raise ValueError(f"component {f.name!r} has a zero weight")
-    table = _integral_table(f)
     if multiplier is None:
         multiplier = {0: Fraction(1)}
-    # one denominator for the table and one for the multiplier: their
-    # product clears every denominator of N
-    table_den = lcm(*(d for _, d in table.values()))
-    mult_den = lcm(*(a.denominator for a in multiplier.values()))
+    poles = dict.fromkeys(f.weights, 0)  # M_beta = r_beta + K_beta, in the order of f.weights
+    for beta in f.weights:
+        poles[beta] += 1
     # the table's indices; any other weight has h_n = 0 for n >= 1, so
     # K_beta = 0 and it only adds r_beta to M_beta
     carried = dict.fromkeys(b for b, c in zip(f.weights, f.normal_chern) if c.num)
-    tops = dict(zip(carried, map(max, zip(*table))))  # K_beta
-    body: dict[int, int] = {}
-    for k, (n, d) in table.items():
-        poly = {0: n * (table_den // d)}
-        for (beta, top), kb in zip(tops.items(), k):
-            if top:
-                poly = _times(poly, _binomial_terms(beta, kb, top))
-        for r, a in poly.items():
-            body[r] = body.get(r, 0) + a
+    if carried:
+        table = _integral_table(f)
+        # one denominator for the table: with the multiplier's, their
+        # product clears every denominator of N
+        table_den = lcm(*(d for _, d in table.values()))
+        tops = dict(zip(carried, map(max, zip(*table))))  # K_beta
+        body: dict[int, int] = {}
+        for k, (n, d) in table.items():
+            poly = {0: n * (table_den // d)}
+            for (beta, top), kb in zip(tops.items(), k):
+                if top:
+                    poly = _times(poly, _binomial_terms(beta, kb, top))
+            for r, a in poly.items():
+                body[r] = body.get(r, 0) + a
+        for beta, top in tops.items():
+            poles[beta] += top
+    else:  # every x_j = 0: N = t**mu * multiplier * I, one integral
+        n, table_den = (f.omega.exp() * f.todd if f.omega.num else f.todd).integral_parts()
+        body = {0: n}
+    mult_den = lcm(*(a.denominator for a in multiplier.values()))
     shifted = {f.moment + r: a.numerator * (mult_den // a.denominator)
                for r, a in multiplier.items()}
     numerator = {e: v for e, v in _times(shifted, body.items()).items() if v}
@@ -141,11 +152,6 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     if g != 1:
         numerator = {e: v // g for e, v in numerator.items()}
         scale //= g
-    poles = dict.fromkeys(f.weights, 0)  # M_beta = r_beta + K_beta, in the order of f.weights
-    for beta in f.weights:
-        poles[beta] += 1
-    for beta, top in tops.items():
-        poles[beta] += top
     return (numerator, scale), poles
 
 

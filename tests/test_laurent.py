@@ -49,6 +49,12 @@ OUTER_CHARTS = [Chart.at_zero(), Chart.at_infinity()]
 WEIGHTS = [-3, -2, -1, 1, 2, 3]
 
 
+def is_wall(chart, beta):
+    """Whether zeta**beta == 1 at a root chart: the factor of weight beta
+    has a pole at its base point."""
+    return chart.kind == "root" and chart.exponent * beta % chart.conductor == 0
+
+
 def denominator_series(beta, c, chart, order):
     """1 - t**(-beta) e^{-c} written in the chart as a class-valued series:
     the divisors of the long-division tests."""
@@ -80,7 +86,7 @@ def scalar_denominator(beta, chart, length):
     k = chart.exponent * -beta % chart.conductor
     z = root_of_unity(chart.conductor, k) if k else Fraction(1)
     d = [1 - z] + [-z * Fraction((-beta) ** i, factorial(i)) for i in range(1, length + 1)]
-    return d[1:] if chart.is_wall_for(beta) else d[:length]
+    return d[1:] if is_wall(chart, beta) else d[:length]
 
 
 def truncated(a, b, length):
@@ -99,7 +105,7 @@ def _reference_dot(a, b, i):
 
 
 def pole_order(denominator, chart):
-    return sum(m for beta, m in denominator.items() if chart.is_wall_for(beta))
+    return sum(m for beta, m in denominator.items() if is_wall(chart, beta))
 
 
 def denominator_product(denominator, chart, length):
@@ -343,7 +349,7 @@ def test_division_inverts_multiplication(data):
     # t = -1 with beta odd, 1 + e^{-c}
     divisors += [
         denominator_series(beta, c, chart, data.draw(st.integers(0, 5)))
-        for beta in (-3, -2, -1, 1, 2, 3) if not chart.is_wall_for(beta)
+        for beta in (-3, -2, -1, 1, 2, 3) if not is_wall(chart, beta)
     ]
     for d in divisors:
         q = a / d
@@ -392,7 +398,7 @@ def test_root_chart_matches_complex_evaluation(beta, m, which):
     t = zeta * cmath.exp(u)
     exact = 1.0
     for b, k in denominator.items():
-        exact *= ((u if chart.is_wall_for(b) else 1.0) / (1.0 - t ** (-b))) ** k
+        exact *= ((u if is_wall(chart, b) else 1.0) / (1.0 - t ** (-b))) ** k
     approx = sum(complex(c) * u ** n for n, c in enumerate(s))
     assert cmath.isclose(exact, approx, rel_tol=1e-9, abs_tol=1e-12)
 
@@ -499,7 +505,7 @@ def test_dense_root_chart_division(data):
     chart = Chart.at_root(2, 1)
     pres = data.draw(st.sampled_from([P1, *DEEP_RINGS]))
     beta = data.draw(st.sampled_from([-3, -1, 1, 3]))
-    assert not chart.is_wall_for(beta)
+    assert not is_wall(chart, beta)
     c = data.draw(ring_classes(pres, nilpotent=True))
     d = denominator_series(beta, c, chart, 6)
     assert all(not coeff.is_zero() for coeff in d.coeffs)

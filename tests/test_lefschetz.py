@@ -36,6 +36,7 @@ from quantred import (
     residue_of_h,
     rr_invariant,
     tensor_power,
+    verify_quantization,
     wall_set,
 )
 from quantred.lefschetz import NonIntegerResultError
@@ -419,6 +420,49 @@ def drawn_components(draw):
 @given(f=drawn_components())
 def test_grouped_form_matches_the_per_direction_formula_on_drawn_components(f):
     _assert_matches_the_per_direction_form(f)
+
+
+@st.composite
+def drawn_uncharged_components(draw, ring):
+    # every normal class zero, so N_F is t^mu times one integral
+    # I = integral e^omega Td(F): on a ring of rank >= 1, omega may be
+    # nonzero and the top monomial of Td(F) may be shifted to make I = 0
+    weights = draw(st.lists(st.sampled_from([1, -1, 2]), min_size=0, max_size=4))
+    nilpotent = ring_classes(ring, nilpotent=True)
+    omega, todd = draw(nilpotent), ring.one() + draw(nilpotent)
+    if ring.rank and draw(st.booleans()):
+        ((top, weight),) = ring.integrals.items()
+        integral = (omega.exp() * todd).integrate()
+        todd = todd - CohomologyClass(ring, {top: integral / weight})
+    return FixedComponent("f", ring, draw(st.integers(-3, 3).filter(bool)), weights,
+                          [ring.zero() for _ in weights], omega, todd)
+
+
+@pytest.mark.parametrize("ring", DRAWN_RINGS, ids=["point", "P1", "x^4", "x^2,y^2"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_component_with_no_normal_class_is_one_integral(ring, data):
+    # the form of a component without a nonzero normal class skips the
+    # integral table; it matches the per-direction form, whose M_beta is
+    # r_beta here, and is 0 where the integral is
+    f = data.draw(drawn_uncharged_components(ring))
+    for multiplier in (None, *(WeylFactor(group).poly for group in GroupKind)):
+        _assert_matches_the_per_direction_form(f, multiplier, multiplier)
+
+
+@pytest.mark.parametrize("name,tables", [("cp2-k", 0), ("so3-s2xs2", 0), ("cp2-line", 1)])
+def test_only_a_nonzero_normal_class_builds_the_integral_table(name, tables, monkeypatch):
+    # points (all of cp2-k and so3-s2xs2, the apex of cp2-line) take no
+    # table; each component with a nonzero normal class takes one
+    from quantred import lefschetz
+
+    built = []
+    table = lefschetz._integral_table
+    monkeypatch.setattr(lefschetz, "_integral_table", lambda f: built.append(f) or table(f))
+    p = catalog(name)
+    assert verify_quantization(p).verdict == "PASS"
+    charged = [f for f in p.components if any(c.num for c in f.normal_chern)]
+    assert built == charged and len(built) == tables
 
 
 def test_expansions_divide_once_by_the_numerator_denominator():

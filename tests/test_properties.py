@@ -1,16 +1,19 @@
 """Randomized whole-engine properties.
 
-Six families of fixed-point data that provably close up to compact
+Seven families of fixed-point data that provably close up to compact
 manifolds (two-point spheres with a common weight, circle actions on the
 projective plane, a plane with a pointwise-fixed line, CP^3 with two
-pointwise-fixed lines, CP^n with a pointwise-fixed hyperplane and SU(2) on
-binary forms, whose count is checked against Cayley-Sylvester), plus
-per-component identities that hold for arbitrary data.  Every check is an
-exact equality; stabilization of the oracle expansion certifies each random
-instance before the residue engine is trusted with it.
+pointwise-fixed lines, CP^n with a pointwise-fixed hyperplane, SU(2) on
+binary forms, whose count is checked against Cayley-Sylvester, and circle
+actions on CP^n with isolated fixed points, whose count is the number of
+monomials of a given weight), plus per-component identities that hold for
+arbitrary data.  Every check is an exact equality; stabilization of the
+oracle expansion certifies each random instance before the residue engine
+is trusted with it.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 import pytest
@@ -34,6 +37,7 @@ from quantred import (
     residue_of_h,
     rr_invariant,
     tensor_power,
+    verify_quantization,
     wall_set,
 )
 
@@ -289,6 +293,47 @@ def test_binary_form_counts_match_cayley_sylvester(n, k):
     assert rr_invariant(p) == expected
     assert reduced_rr(p).total == expected
     assert invariant_multiplicity(character_polynomial(p), p.group) == expected
+
+
+# -- family 7: U(1) on CP^n with isolated fixed points ------------------------------
+# distinct coordinate weights w_0..w_n, the bundle O(k) and a fibre shift C:
+# the points e_j with moment C - k*w_j and tangent weights w_i - w_j.  The
+# sections of O(k) are the degree-k monomials x^a, of weight C - sum a_i w_i,
+# so the invariant count is #{a in N^(n+1) : |a| = k, sum a_i w_i = C}
+
+def monomials_of_weight(ws, k, c_shift):
+    return sum(sum(a) == c_shift for a in combinations_with_replacement(ws, k))
+
+
+@st.composite
+def cp_point_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    ws = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=n + 1,
+                       max_size=n + 1, unique=True))
+    k = draw(st.integers(min_value=1, max_value=4))
+    # every monomial's weight lies in [k min w, k max w]; one step past each end
+    c_shift = draw(st.integers(min_value=k * min(ws) - 1, max_value=k * max(ws) + 1))
+    assume(all(c_shift != k * w for w in ws))
+    comps = [pt(f"e{j}", c_shift - k * w, [v - w for v in ws if v != w])
+             for j, w in enumerate(ws)]
+    return ProblemInstance(GroupKind.U1, comps, f"cp{n}(w={ws},k={k},C={c_shift})"), ws, k, c_shift
+
+
+def test_monomials_of_weight_known_counts():
+    # CP^1 with weights (0, 1): one monomial x0^(k-C) x1^C for 0 <= C <= k;
+    # CP^2 with weights (-1, 0, 1) and k = 2: x0 x2 and x1^2 have weight 0
+    assert [monomials_of_weight([0, 1], 3, c) for c in range(-1, 5)] == [0, 1, 1, 1, 1, 0]
+    assert monomials_of_weight([-1, 0, 1], 2, 0) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cp_point_instances())
+def test_cp_point_family_counts_monomials_of_weight(case):
+    p, ws, k, c_shift = case
+    expected = monomials_of_weight(ws, k, c_shift)
+    report = verify_quantization(p)
+    assert report.verdict == "PASS"
+    assert report.lefschetz == report.reduced.total == report.oracle == expected
 
 
 # -- mirror symmetry -----------------------------------------------------------------
