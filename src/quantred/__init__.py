@@ -49,17 +49,12 @@ from .laurent import (
     ChartMismatch,
     RingSeries,
     TruncationError,
-    form_residue,
-    outer_expansion,
     residue_row,
 )
 from .lefschetz import (
     NonIntegerResultError,
     WeylFactor,
-    character_from_chart,
     component_form,
-    residue_of_h,
-    rr_invariant,
 )
 from .oracle import (
     CharacterPolynomial,
@@ -72,7 +67,6 @@ from .oracle import (
 from .reduction import (
     ReducedRR,
     Report,
-    reduced_rr,
     residue_table,
     root_label,
     verify_quantization,

@@ -12,8 +12,8 @@ residue is minus the w^0 coefficient.  At zero it is the t^0 coefficient.
 The residue engine expands one scalar rational function per fixed
 component, N(t) / Q(t) with Q = prod_beta (1 - t**(-beta))**M and N a
 Laurent polynomial over Q (built in :mod:`quantred.lefschetz`), kept as
-integer coefficients over one common denominator.  ``residue_row`` takes
-all its residues at once, and ``form_residue`` is one entry of that row.
+integer coefficients over one common denominator.  ``residue_row``, the
+module's one public function, takes all its residues at once.
 Everything but N is fixed by the denominator shape (the sorted (beta, M)
 pairs), and one plan per shape (``_plan``, read by ``residue_row`` only)
 holds it.  At zero and at infinity the plan holds a sign, a shift and one
@@ -27,7 +27,7 @@ the rest of its orbit.  The weights come from Q itself, expanded once per
 shape as integer terms q_c t**c by the polynomial product that builds N:
 the Taylor rows T_n of Q(zeta*e^u) / u**P are integer sums of
 q_c zeta**c c**(P+n), the lead 1/T_0 has a closed form, and
-u**P / Q(zeta*e^u) is one reciprocal.
+u**P / Q(zeta*e^u) is one reciprocal, run on integers.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
 coefficients, is on no verify path; its product and division are the
@@ -46,8 +46,6 @@ from math import comb, factorial, gcd, lcm, prod
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import Cyclotomic, fraction_sum
 from .fixedpoint import _wall_set
-
-_ZERO = Fraction(0)
 
 
 class TruncationError(ArithmeticError):
@@ -236,29 +234,10 @@ class RingSeries:
 # {beta: M} of nonzero weights to positive multiplicities.
 
 
-def outer_expansion(numerator, denominator, chart: Chart, low: int, high: int) -> list:
-    """Coefficients of var**e, low <= e <= high, of N(t) / prod (1 - t**(-beta))**M
-    expanded at zero (var = t) or at infinity (var = 1/t).
-
-    With t**(-beta) = var**(-b), a factor with b > 0 is
-    -var**(-b) (1 - var**b): it gives a sign and a shift, and every factor
-    is then one over 1 - var**a with a > 0.  Dividing by that is the
-    recurrence q[n] += q[n - a], which only adds integers; the common
-    denominator of N divides once at the end.
-
-    At infinity, 1/(1 - 1/t) is the geometric series in w = 1/t:
-
-    >>> outer_expansion(({0: 1}, 1), {1: 1}, Chart.at_infinity(), 0, 3)
-    [Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
-    """
-    if chart.kind not in ("zero", "inf"):
-        raise ValueError("outer expansions are taken at zero or at infinity")
-    return _expansion(numerator, _recurrence(denominator.items(), 1 if chart.kind == "zero" else -1),
-                      low, high)
-
-
 # N / Q at zero (sign 1, var = t) or at infinity (sign -1, var = 1/t) is
-# (-1)**negate var**(-shift) N / prod (1 - var**a) over the steps a
+# (-1)**negate var**(-shift) N / prod (1 - var**a) over the steps a: a factor
+# 1 - var**(-b), b > 0, is -var**(-b) (1 - var**b), and dividing by 1 - var**a
+# is the adding recurrence q[n] += q[n - a]
 Recurrence = namedtuple("Recurrence", "sign negate shift steps")
 
 
@@ -277,7 +256,7 @@ def _expansion(numerator, recurrence: Recurrence, low: int, high: int) -> list:
     # the kernel at zero and at infinity: var**low .. var**high of N / Q
     sigma, negate, shift, steps = recurrence
     terms, scale = numerator
-    out = [_ZERO] * (high - low + 1)
+    out = [Fraction(0)] * (high - low + 1)
     if not terms:
         return out
     # the var-exponents lo .. top of N(var) / prod (1 - var**a) that land
@@ -353,9 +332,9 @@ def _site(d: int, shape: tuple) -> Site:
             for row in rows:
                 row[k] += q
                 q *= c
-    taylor = [None] + [Fraction(row[0] - row[1], factorial(pole + n)) if rational
-                       else Cyclotomic.from_integers(d, row, factorial(pole + n))
-                       for n, row in enumerate(rows, 1)]
+    # t_n = (P+n)! T_n, integers
+    taylor = [None] + [row[0] - row[1] if rational else Cyclotomic.from_integers(d, row)
+                       for row in rows]
     # 1/T_0 is beta**(-M) per wall and (1 - z)**(-M) per factor off the walls,
     # z = zeta**(-beta) of order e, with 1/(1 - z) = -(1/e) sum_{i<e} i z**i
     num, den = 1, prod(beta ** m for beta, m in walls)
@@ -368,18 +347,28 @@ def _site(d: int, shape: tuple) -> Site:
             w = w[0] - w[1] if rational else Cyclotomic.from_integers(d, w)
             for _ in range(m):
                 num, den = num * w, den * e
-    lead = Fraction(num, den) if rational else num * Fraction(1, den)
     # u**P / Q(zeta e^u) = sum_n r_n u**n, the reciprocal of sum_n T_n u**n:
-    # r_0 = 1/T_0 and r_n = -r_0 sum_{k=1..n} T_k r_{n-k}, a rational sum
-    # added on integers over the lcm of its denominators
-    total = fraction_sum if rational else sum
-    series, minus = [lead], -lead
+    # r_0 = 1/T_0 and r_n = -r_0 sum_{k=1..n} T_k r_{n-k}, run on integers (in
+    # Z[zeta]) over one running denominator, a multiple of each r_n's own
+    coords = (lambda x: (x,)) if rational else (lambda x: x.num)
+    minus, series, common = -num, [num], den  # r_n = series[n] / common
     for n in range(1, pole):
+        # s = sum_k t_k r_(n-k) (P+n)! / (P+k)! times common, by Horner in
+        # the factors P+k, and r_n = s / (den (P+n)! common)
         terms = [taylor[k] * series[n - k] for k in range(1, n + 1)]
-        series.append(minus * (total(terms) if n > 1 else terms[0]))
-    parts = [(c.num, c.den * factorial(i)) if isinstance(c, Cyclotomic)
-             else ((c.numerator,), c.denominator * factorial(i))
-             for i, c in enumerate(reversed(series))]
+        s = terms[0]
+        for k, term in enumerate(terms[1:], 2):
+            s = s * (pole + k) + term
+        s = minus * s
+        full = den * factorial(pole + n) * common
+        own = full // gcd(full, *coords(s))  # the denominator of r_n
+        if (grow := own // gcd(own, common)) != 1:
+            series = [x * grow for x in series]
+            common *= grow
+        series.append(s * common // full if rational else s * Fraction(common, full))
+    # W_i is r_(P-1-i) / i! over the lcm of their denominators in lowest terms
+    reduced = [(c, gcd(common, *c)) for c in map(coords, reversed(series))]
+    parts = [([v // g for v in c], common // g * factorial(i)) for i, (c, g) in enumerate(reduced)]
     common = lcm(*(den for _, den in parts))
     weights = tuple(tuple(x * (common // den) for x in num) for num, den in parts)
     return Site(d, pole, weights, common)
@@ -426,28 +415,6 @@ def residue_row(numerator, denominator):
         for j in conjugates:
             cells[d, j] = r.galois(j)
     return at_zero, cells, at_infinity, fraction_sum(summands)
-
-
-def form_residue(numerator, denominator, chart: Chart):
-    """The entry of ``residue_row`` at the chart's point: a ``Fraction`` at
-    zero and infinity; at a root of order d the cell in Q(zeta_d), a
-    ``Fraction`` for d <= 2, else a ``Cyclotomic`` of conductor d, zero off
-    the walls.  At t = i, 1/(1 - t**(-4)) has residue 1/4, times i from
-    t**1; t = -1 taken as zeta_4**2 is rational:
-
-    >>> form_residue(({1: 1}, 1), {1: 1}, Chart.at_one())
-    Fraction(1, 1)
-    >>> str(form_residue(({1: 1}, 1), {4: 1}, Chart.at_root(4, 1)))
-    '1/4*z'
-    >>> form_residue(({0: 1}, 1), {2: 1}, Chart.at_root(4, 2))
-    Fraction(1, 2)
-    """
-    at_zero, cells, at_infinity, _ = residue_row(numerator, denominator)
-    if chart.kind != "root":
-        return at_zero if chart.kind == "zero" else at_infinity
-    g = gcd(chart.conductor, chart.exponent)
-    d, j = chart.conductor // g, chart.exponent // g
-    return cells.get((d, j), _ZERO if d <= 2 else Cyclotomic.from_rational(d, 0))
 
 
 def _root_residue(numerator, site: Site):

@@ -1,6 +1,6 @@
-"""The invariant count: per-component character contributions, their
-residues in every chart, and the equivariant index as minus the sum of
-residues at infinity, weighted by the group's Weyl factor.
+"""The invariant count: one rational function per component, its character
+contribution weighted by the group's Weyl factor, and the equivariant index
+as minus the sum of their residues at infinity.
 
 The contribution of a fixed component F is the meromorphic function
 
@@ -22,7 +22,8 @@ factor) is one exact rational function
 
 with K_beta the largest k_beta of a nonzero I_k (0 for a weight without an
 index) and M_beta = r_beta + K_beta.
-N_F is kept as integers over one common denominator D.  All ring work is the
+N_F is kept as integers over one common denominator D, and so is the
+multiplier, which is only shifted by mu.  All ring work is the
 table, and the table runs only when some weight carries a nonzero class: with
 none (at every isolated point) I = integral_F e^omega Td(F) is one number and
 M_beta = r_beta.  Every residue is scalar work in :mod:`quantred.laurent`.
@@ -36,8 +37,8 @@ from math import gcd, lcm
 from operator import sub
 
 from .exactnum import fraction_sum
-from .fixedpoint import FixedComponent, GroupKind, ProblemInstance, require_valid
-from .laurent import Chart, _binomial_terms, _times, form_residue, outer_expansion
+from .fixedpoint import FixedComponent, GroupKind
+from .laurent import _binomial_terms, _times
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -48,19 +49,21 @@ class WeylFactor(namedtuple("WeylFactor", "group")):
     """The density from the Weyl integration formula, as a Laurent
     polynomial in t: trivial for the circle, (2 - t - 1/t)/2 for SO(3),
     (2 - t^2 - 1/t^2)/2 for SU(2) (whose positive root is twice the weight
-    lattice generator).  ``group`` is the GroupKind."""
+    lattice generator).  ``group`` is the GroupKind; ``poly`` is the density
+    as ``component_form`` takes a multiplier, ({t-exponent: int}, D)."""
 
     __slots__ = ()
 
     @property
-    def poly(self) -> dict[int, Fraction]:
-        return dict(_WEYL_POLYS[self.group])
+    def poly(self) -> tuple[dict[int, int], int]:
+        terms, den = _WEYL_POLYS[self.group]
+        return dict(terms), den
 
 
 _WEYL_POLYS = {
-    GroupKind.U1: {0: Fraction(1)},
-    GroupKind.SO3: {0: Fraction(1), 1: Fraction(-1, 2), -1: Fraction(-1, 2)},
-    GroupKind.SU2: {0: Fraction(1), 2: Fraction(-1, 2), -2: Fraction(-1, 2)},
+    GroupKind.U1: ({0: 1}, 1),
+    GroupKind.SO3: ({0: 2, 1: -1, -1: -1}, 2),
+    GroupKind.SU2: ({0: 2, 2: -1, -2: -1}, 2),
 }
 
 
@@ -106,18 +109,19 @@ def _integral_table(f: FixedComponent) -> dict:
     return {k: v for k, v in table.items() if v[0]}
 
 
-def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[tuple, dict]:
+def component_form(f: FixedComponent, multiplier: tuple | None = None) -> tuple[tuple, dict]:
     """chi_F(t) * multiplier(t) as one rational function N(t) /
     prod (1 - t**(-beta))**M (see the module docstring): the pair
     (numerator, denominator).  The numerator is N as integers over one
     positive denominator D, the pair ({t-exponent: nonzero int}, D) in
     lowest terms; the denominator is {beta: M} over every weight of F, so
-    its walls are F's even where N = 0.  The integral table, built only
+    its walls are F's even where N = 0.  The multiplier is a Laurent
+    polynomial in the numerator's layout, ({t-exponent: int}, positive D),
+    1 if None; it is only shifted by mu.  The integral table, built only
     for a component with a nonzero normal class, is the only ring work."""
     if 0 in f.weights:
         raise ValueError(f"component {f.name!r} has a zero weight")
-    if multiplier is None:
-        multiplier = {0: Fraction(1)}
+    terms, mult_den = ({0: 1}, 1) if multiplier is None else multiplier
     poles = dict.fromkeys(f.weights, 0)  # M_beta = r_beta + K_beta, in the order of f.weights
     for beta in f.weights:
         poles[beta] += 1
@@ -143,9 +147,7 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
     else:  # every x_j = 0: N = t**mu * multiplier * I, one integral
         n, table_den = (f.omega.exp() * f.todd if f.omega.num else f.todd).integral_parts()
         body = {0: n}
-    mult_den = lcm(*(a.denominator for a in multiplier.values()))
-    shifted = {f.moment + r: a.numerator * (mult_den // a.denominator)
-               for r, a in multiplier.items()}
+    shifted = {f.moment + r: a for r, a in terms.items()}
     numerator = {e: v for e, v in _times(shifted, body.items()).items() if v}
     scale = table_den * mult_den
     g = gcd(scale, *numerator.values())
@@ -153,29 +155,6 @@ def component_form(f: FixedComponent, multiplier: dict | None = None) -> tuple[t
         numerator = {e: v // g for e, v in numerator.items()}
         scale //= g
     return (numerator, scale), poles
-
-
-def residue_of_h(f: FixedComponent, at: Chart, weyl: WeylFactor | None = None,
-                 twist: int = 0):
-    """Exact residue of (weyl factor) * t**twist * h_F at the pole site
-    ``at``, in the field ``form_residue`` puts it in."""
-    poly = weyl.poly if weyl is not None else {0: Fraction(1)}
-    if twist:
-        poly = {r + twist: a for r, a in poly.items()}
-    return form_residue(*component_form(f, poly), at)
-
-
-def rr_invariant(p: ProblemInstance) -> Fraction:
-    """The virtual dimension of the invariant part: minus the sum over
-    components of the residue at infinity of (Weyl factor) * h_F.
-
-    Always an integer for consistent data; a non-integer result raises.
-    """
-    require_valid(p)
-    weyl = WeylFactor(p.group)
-    return invariant_from_residues(
-        [residue_of_h(f, Chart.at_infinity(), weyl) for f in p.components]
-    )
 
 
 def invariant_from_residues(infinity_residues) -> Fraction:
@@ -188,19 +167,3 @@ def invariant_from_residues(infinity_residues) -> Fraction:
             "data is inconsistent"
         )
     return total
-
-
-def character_from_chart(p: ProblemInstance, chart: Chart, top: int) -> dict[int, Fraction]:
-    """Coefficients of sum_F chi_F read from the expansion of every
-    component's rational function at zero or at infinity, by the recurrence
-    the residues use; used to check that the 0-chart and the infinity-chart
-    assemble the same finite Laurent polynomial.  Returns {t-exponent:
-    coefficient} for |m| <= top."""
-    out: dict[int, Fraction] = {}
-    sign = 1 if chart.kind == "zero" else -1
-    for f in p.components:
-        coeffs = outer_expansion(*component_form(f), chart, -top, top)
-        for e, v in enumerate(coeffs, -top):
-            if v:
-                out[sign * e] = out.get(sign * e, Fraction(0)) + v
-    return {m: v for m, v in out.items() if v}

@@ -45,11 +45,6 @@ class ReducedRR(namedtuple("ReducedRR", "main corrections residues_by_root total
     __slots__ = ()
 
 
-def reduced_rr(p: ProblemInstance) -> ReducedRR:
-    require_valid(p)
-    return _reduced_from_table(p, residue_table(p))
-
-
 def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
     """The reduced count read off a residue table of ``p``.
 

@@ -6,7 +6,16 @@ from math import comb
 import pytest
 from hypothesis import strategies as st
 
-from quantred import Cyclotomic, RingPresentation, CohomologyClass, phi_degree
+from quantred import (
+    Cyclotomic,
+    RingPresentation,
+    CohomologyClass,
+    component_form,
+    phi_degree,
+    residue_row,
+    root_order,
+)
+from quantred.laurent import _expansion, _recurrence
 
 
 def mobius(n: int) -> int:
@@ -60,6 +69,46 @@ def ring_classes(pres: RingPresentation, nilpotent=False, scalars=small_fraction
     return st.lists(
         scalars, min_size=len(monos), max_size=len(monos)
     ).map(lambda vs: CohomologyClass(pres, dict(zip(monos, vs))))
+
+
+def twisted(r=0, weyl=None):
+    """t**r times a WeylFactor's density (1 if None), as the multiplier
+    ``component_form`` takes: the pair ({t-exponent: int}, D)."""
+    terms, den = weyl.poly if weyl is not None else ({0: 1}, 1)
+    return {e + r: a for e, a in terms.items()}, den
+
+
+def residue_at(numerator, denominator, chart):
+    """The cell of ``residue_row(numerator, denominator)`` at a Chart: a
+    Fraction at zero and at infinity; at zeta_n**k, of order d, the cell at
+    (d, k d / n) in Q(zeta_d), a Fraction for d <= 2, and zero off the walls
+    (where the row has no cell)."""
+    at_zero, cells, at_infinity, _ = residue_row(numerator, denominator)
+    if chart.kind != "root":
+        return at_zero if chart.kind == "zero" else at_infinity
+    d = root_order(chart.conductor, chart.exponent)
+    zero = Fraction(0) if d <= 2 else Cyclotomic.from_rational(d, 0)
+    return cells.get((d, chart.exponent * d // chart.conductor), zero)
+
+
+def expansion(numerator, denominator, sigma, low, high):
+    """var**low .. var**high of N / prod (1 - t**(-beta))**M at zero
+    (sigma = 1, var = t) or at infinity (sigma = -1, var = 1/t), by the
+    engine's adding recurrence."""
+    return _expansion(numerator, _recurrence(denominator.items(), sigma), low, high)
+
+
+def chart_character(p, sigma, top):
+    """sum_F chi_F as {t-exponent: coefficient} for |m| <= top, read off
+    every component's form expanded at zero (sigma = 1) or at infinity
+    (sigma = -1): the two charts must assemble the same Laurent
+    polynomial."""
+    out = {}
+    for f in p.components:
+        for e, v in enumerate(expansion(*component_form(f), sigma, -top, top), -top):
+            if v:
+                out[sigma * e] = out.get(sigma * e, Fraction(0)) + v
+    return {m: v for m, v in out.items() if v}
 
 
 @pytest.fixture

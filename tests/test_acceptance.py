@@ -10,17 +10,15 @@ from fractions import Fraction
 from math import gcd
 
 from quantred import (
-    Chart,
     WeylFactor,
     automatic_degree_bound,
     catalog,
     catalog_names,
     character_polynomial,
+    component_form,
     rational_part,
-    reduced_rr,
-    residue_of_h,
+    residue_row,
     residue_table,
-    rr_invariant,
     tensor_power,
     validate,
     verify_quantization,
@@ -48,8 +46,8 @@ def test_criterion_01_calibration():
     p = catalog("cp1-k", 2)
     character = character_polynomial(p)
     assert character == {-1: 1, 0: 1, 1: 1}
-    lef = rr_invariant(p)
-    red = reduced_rr(p)
+    report = verify_quantization(p)
+    lef, red = report.lefschetz, report.reduced
     assert lef == 1 and red.total == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"calibration took {elapsed:.3f}s, budget is 1s"
@@ -75,8 +73,9 @@ def test_criterion_03_window_vanishing():
         for f in p.components:
             for r in range(-2, 3):
                 if -f.n_plus < f.moment + r < f.n_minus:
-                    assert residue_of_h(f, Chart.at_zero(), twist=r) == 0, (name, f.name, r)
-                    assert residue_of_h(f, Chart.at_infinity(), twist=r) == 0, (name, f.name, r)
+                    # the row of t**r h_F
+                    at_zero, _, at_infinity, _ = residue_row(*component_form(f, ({r: 1}, 1)))
+                    assert at_zero == 0 and at_infinity == 0, (name, f.name, r)
                     checked += 1
     assert checked > 0
     _ok(3, f"{checked} in-window residues all exactly zero")
@@ -86,12 +85,13 @@ def test_criterion_04_global_residue_theorem():
     rows = 0
     for name in catalog_names():
         p = catalog(name)
-        weyl = WeylFactor(p.group)
+        weyl = WeylFactor(p.group).poly
         for f in p.components:
-            total = residue_of_h(f, Chart.at_zero(), weyl)
-            total = total + residue_of_h(f, Chart.at_infinity(), weyl)
-            for d, j in wall_set(f):
-                total = total + residue_of_h(f, Chart.at_root(d, j), weyl)
+            at_zero, cells, at_infinity, _ = residue_row(*component_form(f, weyl))
+            assert set(cells) == set(wall_set(f)), (name, f.name)
+            total = at_zero + at_infinity
+            for cell in cells.values():
+                total = total + cell
             assert rational_part(total) == 0, (name, f.name)
             rows += 1
     _ok(4, f"residues over 0, walls and infinity sum to zero for {rows} components")
@@ -115,17 +115,17 @@ def test_criterion_06_quasi_free_specialization():
             continue
         if any(f.level in ("ERROR", "WARN") for f in validate(p)):
             continue
-        assert reduced_rr(p).corrections == {}, name
-        assert reduced_rr(p).main == rr_invariant(p), name
+        report = verify_quantization(p)
+        assert report.reduced.corrections == {}, name
+        assert report.reduced.main == report.lefschetz, name
         count += 1
     assert count >= 4
     _ok(6, f"{count} quasi-free instances: no corrections, two-term identity")
 
 
 def test_criterion_07_kawasaki_necessity():
-    p = catalog("cp1-double")
-    lef = rr_invariant(p)
-    red = reduced_rr(p)
+    report = verify_quantization(catalog("cp1-double"))
+    lef, red = report.lefschetz, report.reduced
     assert red.main != lef
     assert red.main == Fraction(1, 2) and lef == 0
     assert red.main + red.corrections[2] == lef
@@ -147,7 +147,7 @@ def test_criterion_08_galois_rationality():
                 for d in sorted({d for d, _ in wall_set(f)} - {1}):
                     for j in (j for j in range(1, d) if gcd(j, d) == 1):
                         orbit_sums[d] = orbit_sums.get(d, 0) + cells[f"zeta_{d}^{j}"]
-            corr = reduced_rr(p).corrections
+            corr = verify_quantization(p).reduced.corrections
             assert corr == {d: rational_part(v) for d, v in orbit_sums.items()}, p.name
             orbits += len(corr)
             for value in corr.values():
@@ -160,7 +160,7 @@ def test_criterion_09_tensor_power_polynomiality():
     for name in ("cp1-k", "cp2-k"):
         base = catalog(name)
         degree = base.dimension() // 2 - 1  # dim K = 1 for the circle
-        totals = [reduced_rr(tensor_power(base, k)).total for k in range(1, 7)]
+        totals = [verify_quantization(tensor_power(base, k)).reduced.total for k in range(1, 7)]
         diffs = list(totals)
         for _ in range(degree + 1):
             diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]

@@ -8,9 +8,8 @@ from quantred import (
     catalog,
     catalog_names,
     instance_to_dict,
-    rr_invariant,
-    reduced_rr,
     root_label,
+    verify_quantization,
 )
 from quantred.cli import main
 from quantred.cohomology import MAX_RING_MONOMIALS
@@ -386,8 +385,9 @@ def test_json_report_round_trips_exact_values(capsys):
     code, out, _ = run(capsys, "verify", "--catalog", "cp1-double", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert Fraction(doc["lefschetz"]) == rr_invariant(p)
-    red = reduced_rr(p)
+    report = verify_quantization(p)
+    assert Fraction(doc["lefschetz"]) == report.lefschetz
+    red = report.reduced
     assert Fraction(doc["reduction"]["main"]) == red.main
     assert Fraction(doc["reduction"]["total"]) == red.total
     assert {int(d): Fraction(v) for d, v in doc["reduction"]["corrections"].items()} \
@@ -402,7 +402,7 @@ def test_json_report_cyclotomic_diagnostics_round_trip(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == 2
-    residues = reduced_rr(p).residues_by_root
+    residues = verify_quantization(p).reduced.residues_by_root
     entries = doc["reduction"]["residues_by_root"]
     assert list(entries) == ["zeta_3^1", "zeta_3^2"]
     for (d, j), value in residues.items():
@@ -488,7 +488,8 @@ def test_residues_json_rows_sum_to_zero(capsys):
     # a row sum is rational cells plus traces, so always a rational string
     assert [row["sum"] for row in doc["rows"]] == ["0"] * len(doc["rows"])
     # the infinity column sums to minus the invariant count
-    assert Fraction(doc["column_sums"]["infinity"]) == -rr_invariant(catalog("cp2-k"))
+    lefschetz = verify_quantization(catalog("cp2-k")).lefschetz
+    assert Fraction(doc["column_sums"]["infinity"]) == -lefschetz
 
 
 def test_residues_text_totals_row(capsys):

@@ -15,16 +15,15 @@ from quantred import (
     RingSeries,
     TruncationError,
     component_form,
-    form_residue,
-    outer_expansion,
     phi_degree,
+    residue_row,
     root_of_unity,
     root_order,
     todd_coefficients,
 )
 from quantred.laurent import _site
 
-from conftest import ring_classes, small_fractions
+from conftest import expansion, residue_at, ring_classes, small_fractions
 
 POINT = RingPresentation.point()
 P1 = RingPresentation.projective_line()
@@ -45,7 +44,6 @@ ROOT_CHARTS = [
 CHARTS = [Chart.at_zero(), Chart.at_infinity(), *ROOT_CHARTS]
 # the charts whose scalars are rational: 0, infinity, t = 1 and t = -1
 RATIONAL_CHARTS = [Chart.at_zero(), Chart.at_infinity(), Chart.at_one(), Chart.at_root(4, 2)]
-OUTER_CHARTS = [Chart.at_zero(), Chart.at_infinity()]
 WEIGHTS = [-3, -2, -1, 1, 2, 3]
 
 
@@ -147,7 +145,7 @@ def scalar_series(chart, low, values, order=None):
 # -- expansion examples -------------------------------------------------------
 
 def test_geometric_series_at_infinity():
-    s = outer_expansion(({0: 1}, 1), {1: 1}, Chart.at_infinity(), 0, 5)
+    s = expansion(({0: 1}, 1), {1: 1}, -1, 0, 5)
     assert s == [1] * 6  # 1 + w + w^2 + ...
     assert all(type(v) is Fraction for v in s)
     # both outer charts, both signs, with a normal Chern class: with
@@ -159,18 +157,18 @@ def test_geometric_series_at_infinity():
     classes = [POINT.zero(), P1.gen("x"), -3 * P1.gen("x"), deep.gen("x") + 2 * deep.gen("y")]
     order = 13
     for c in classes:
-        for chart, sign in ((Chart.at_infinity(), 1), (Chart.at_zero(), -1)):
+        for sigma in (-1, 1):
             for beta in (-3, -1, 1, 2):
-                e = sign * beta
+                e = -sigma * beta
                 if e > 0:
                     expected = {n * e: (-n * c).exp() for n in range(order // e + 1)}
                 else:
                     expected = {-n * e: -(n * c).exp() for n in range(1, order // -e + 1)}
                 form = component_form(point_with_weight(beta, c))
-                s = outer_expansion(*form, chart, -2, order)
+                s = expansion(*form, sigma, -2, order)
                 for n in range(-2, order + 1):
                     want = expected[n].integrate() if n in expected else 0
-                    assert s[n + 2] == want, (chart, beta, c, n)
+                    assert s[n + 2] == want, (sigma, beta, c, n)
 
 
 def test_todd_type_pole_at_one():
@@ -185,8 +183,8 @@ def test_todd_type_pole_at_one():
     assert all(type(v) is Fraction for v in s)
     assert site_series(Chart.at_one(), {1: 1}) == [1]
     # its residue, and the u^0 coefficient as the residue of t/(1 - 1/t)
-    assert form_residue(({0: 1}, 1), {1: 1}, Chart.at_one()) == 1
-    assert form_residue(({1: 1}, 1), {1: 2}, Chart.at_one()) == 2  # e^u (1 + u/2)^2 / u^2
+    assert residue_row(({0: 1}, 1), {1: 1})[1] == {(1, 0): 1}
+    assert residue_row(({1: 1}, 1), {1: 2})[1] == {(1, 0): 2}  # e^u (1 + u/2)^2 / u^2
 
 
 def test_double_weight_pole_at_minus_one():
@@ -195,10 +193,9 @@ def test_double_weight_pole_at_minus_one():
     s = site_series(Chart.at_root(4, 2), {2: 3})
     assert s == [Fraction(1, 8), Fraction(3, 8), Fraction(1, 2)]
     assert site_series(Chart.at_root(2, 1), {2: 3}) == s  # the same root
-    # the cell at -1 is rational however the chart names the root
-    for chart in (Chart.at_root(2, 1), Chart.at_root(4, 2), Chart.at_root(12, 6)):
-        r = form_residue(({0: 1}, 1), {2: 1}, chart)
-        assert r == Fraction(1, 2) and type(r) is Fraction, chart
+    # the cell at -1 is rational
+    r = residue_row(({0: 1}, 1), {2: 1})[1][2, 1]
+    assert r == Fraction(1, 2) and type(r) is Fraction
 
 
 def test_regular_factor_leading_coefficient():
@@ -209,9 +206,8 @@ def test_regular_factor_leading_coefficient():
     regular = (1 - i.inverse()).inverse()
     assert site_series(chart, {4: 1, 1: 1})[0] == regular * Fraction(1, 4)
     assert site_series(chart, {4: 1, 1: 2})[0] == regular * regular * Fraction(1, 4)
-    # no pole there: the residue is the zero of Q(zeta_4)
-    r = form_residue(({0: 1}, 1), {1: 3}, chart)
-    assert type(r) is Cyclotomic and r.conductor == 4 and r.is_zero()
+    # no pole there: the row has no cell at t = i, only the one at t = 1
+    assert residue_row(({0: 1}, 1), {1: 3})[1].keys() == {(1, 0)}
 
 
 def long_division_reciprocal(d, length):
@@ -248,8 +244,6 @@ def test_regular_factor_series_matches_long_division(data):
 
 
 def test_zero_weight_rejected():
-    with pytest.raises(ValueError):
-        outer_expansion(({0: 1}, 1), {1: 1}, Chart.at_one(), 0, 3)
     with pytest.raises(ValueError):
         component_form(point_with_weight(0, POINT.zero()))
 
@@ -320,7 +314,7 @@ def test_factor_inverts_denominator(data):
     numerator = {r: a for r, a in numerator.items() if a}
     sign = 1 if chart.kind == "zero" else -1
     low, high = -40, 12
-    series = dict(enumerate(outer_expansion((numerator, 1), {beta: m}, chart, low, high), low))
+    series = dict(enumerate(expansion((numerator, 1), {beta: m}, sign, low, high), low))
     e = -sign * beta  # t^{-beta} = var^e
     for _ in range(m):  # times 1 - var^e
         series = {n: v - series[n - e] for n, v in series.items() if n - e in series}
@@ -371,10 +365,10 @@ def test_truncation_monotone(data):
     beta = data.draw(st.sampled_from(WEIGHTS))
     m = data.draw(st.integers(1, 3))
     hi = data.draw(st.integers(min_value=5, max_value=9))
-    outer = data.draw(st.sampled_from(OUTER_CHARTS))
+    sigma = data.draw(st.sampled_from([1, -1]))  # at zero or at infinity
     numerator = ({data.draw(st.integers(-4, 4)): 1}, 1)
-    wide = outer_expansion(numerator, {beta: m}, outer, -6, hi)
-    assert outer_expansion(numerator, {beta: m}, outer, -2, 4) == wide[4:11]
+    wide = expansion(numerator, {beta: m}, sigma, -6, hi)
+    assert expansion(numerator, {beta: m}, sigma, -2, 4) == wide[4:11]
 
 
 # -- numeric cross-check of scalar expansions -----------------------------------
@@ -407,10 +401,10 @@ def test_root_chart_matches_complex_evaluation(beta, m, which):
 @given(beta=st.sampled_from(WEIGHTS), m=st.integers(1, 2))
 def test_outer_charts_match_complex_evaluation(beta, m):
     order = 40
-    for chart, invert_var in ((Chart.at_infinity(), True), (Chart.at_zero(), False)):
-        s = outer_expansion(({0: 1}, 1), {beta: m}, chart, -order, order)
+    for sigma in (-1, 1):  # var = 1/t at infinity, t at zero
+        s = expansion(({0: 1}, 1), {beta: m}, sigma, -order, order)
         var = 0.1 + 0.02j  # inside the disk of convergence
-        t = 1 / var if invert_var else var
+        t = var ** sigma
         exact = 1.0 / (1.0 - t ** (-beta)) ** m
         approx = sum(complex(c) * var**n for n, c in enumerate(s, -order))
         assert cmath.isclose(exact, approx, rel_tol=1e-8, abs_tol=1e-10)
@@ -444,7 +438,7 @@ def test_residues_match_contour_integrals(data):
     sites += [(Chart.at_root(12, k), cmath.exp(2j * cmath.pi * k / 12), 0.1)
               for k in (0, 3, 4, 6)]
     for chart, center, radius in sites:
-        exact = form_residue((terms, scale), denominator, chart)
+        exact = residue_at((terms, scale), denominator, chart)
         numeric = _contour_residue({r: Fraction(a, scale) for r, a in terms.items()},
                                    denominator, center, radius)
         if chart.kind == "inf":
@@ -468,11 +462,10 @@ def test_character_polynomial_residues_balance():
 
     for name in ("cp1-k", "cp1-double", "cp2-k", "cp2-line"):
         c = character_polynomial(catalog(name))
-        poly = (dict(c.coefficients), 1)
-        at_zero = form_residue(poly, {}, Chart.at_zero())
-        assert form_residue(poly, {}, Chart.at_infinity()) == -at_zero, name
+        at_zero, cells, at_infinity, total = residue_row((dict(c.coefficients), 1), {})
+        assert at_infinity == -at_zero and total == 0, name
         assert at_zero == c.coefficients.get(0, 0)
-        assert form_residue(poly, {}, Chart.at_one()) == 0  # no pole at t = 1
+        assert cells.get((1, 0), 0) == 0  # no pole at t = 1
 
 
 # -- reciprocal ---------------------------------------------------------------
@@ -524,7 +517,7 @@ def test_dense_root_chart_division(data):
 
 # -- the root residue against the two-stage reference ---------------------------
 #
-# form_residue reads the residue at a root off integer weight vectors W_i
+# residue_row reads the residue at a root off integer weight vectors W_i
 # over one denominator.  The reference below is an exact test oracle built
 # from this file's own series: the Taylor window of N(zeta*e^u) as one field
 # element per coefficient, the reciprocal of the product of every
@@ -565,7 +558,7 @@ def reference_root_residue(numerator, denominator, chart):
 
 
 def _assert_matches_reference(numerator, denominator, chart):
-    value = form_residue(numerator, denominator, chart)
+    value = residue_at(numerator, denominator, chart)
     reference = reference_root_residue(numerator, denominator, chart)
     assert value == reference, (numerator, denominator, chart)
     # the cell in its own field Q(zeta_d), d the order of the chart's root,
@@ -593,7 +586,7 @@ WALL_WEIGHTS = [s * b for b in (1, 2, 3, 4, 6, 12) for s in (1, -1)]
 
 
 def numerators(data):
-    """A Laurent polynomial N as form_residue takes it: integer terms over a
+    """A Laurent polynomial N as residue_row takes it: integer terms over a
     positive D."""
     exponents = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
     terms = {r: data.draw(st.integers(-9, 9).filter(bool)) for r in exponents}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ring_classes
+from conftest import chart_character, expansion, ring_classes, twisted
 from quantred import (
     CohomologyClass,
     FixedComponent,
@@ -23,18 +23,14 @@ from quantred import (
     WeylFactor,
     catalog,
     catalog_names,
-    Chart,
-    character_from_chart,
     character_polynomial,
     component_form,
-    form_residue,
     invariant_multiplicity,
     load_instance,
-    outer_expansion,
     rational_part,
-    root_order,
-    residue_of_h,
-    rr_invariant,
+    residue_row,
+    residue_table,
+    root_label,
     tensor_power,
     verify_quantization,
     wall_set,
@@ -57,57 +53,54 @@ def point_component(name, moment, weights):
 def test_calibration_cp1_degree2():
     p = catalog("cp1-k", 2)
     expected = {-1: Fraction(1), 0: Fraction(1), 1: Fraction(1)}
-    assert character_from_chart(p, Chart.at_infinity(), 5) == expected
-    assert character_from_chart(p, Chart.at_zero(), 5) == expected
-    assert rr_invariant(p) == 1
+    assert chart_character(p, -1, 5) == expected
+    assert chart_character(p, 1, 5) == expected
+    assert verify_quantization(p).lefschetz == 1
 
 
 # -- per-component residues -------------------------------------------------------
 # frozen values, cross-checked three ways: the infinity-chart geometric
-# series by hand, the residue theorem (rows sum to zero), and the oracle
+# series by hand, the residue theorem (rows sum to zero), and the oracle;
+# each is a cell of the component's residue_row
 
 def test_cp1_per_component_residues_at_infinity():
     p = catalog("cp1-k", 2)
-    north, south = p.components
-    at = Chart.at_infinity()
-    assert residue_of_h(north, at) == -1
-    assert residue_of_h(south, at) == 0
-    total = -(residue_of_h(north, at) + residue_of_h(south, at))
-    assert total == 1  # dim of the invariant part
+    north, south = (residue_row(*component_form(f))[2] for f in p.components)
+    assert north == -1
+    assert south == 0
+    assert -(north + south) == 1  # dim of the invariant part
 
 
 def test_simple_pole_at_one_for_positive_moment():
     # h = t^mu dt / (t - 1) has residue exactly 1 at t = 1, any mu >= 0
     for mu in (1, 2, 5):
         f = point_component("f", mu, [1])
-        assert residue_of_h(f, Chart.at_one()) == 1
-        assert residue_of_h(f, Chart.at_zero()) == 0
-        assert residue_of_h(f, Chart.at_infinity()) == -1
-    # a double weight halves it; t = 1 is also zeta_4^0
-    f = point_component("f", 1, [2])
-    assert residue_of_h(f, Chart.at_one()) == residue_of_h(f, Chart.at_root(4, 0)) == Fraction(1, 2)
+        at_zero, cells, at_infinity, _ = residue_row(*component_form(f))
+        assert cells == {(1, 0): 1}
+        assert (at_zero, at_infinity) == (0, -1)
+    # a double weight halves it, and t = -1 is a wall too
+    _, cells, _, _ = residue_row(*component_form(point_component("f", 1, [2])))
+    assert cells == {(1, 0): Fraction(1, 2), (2, 1): Fraction(-1, 2)}
 
 
 def test_three_chart_sum_negative_moment():
-    f = point_component("f", -2, [1])
-    r0 = residue_of_h(f, Chart.at_zero())
-    r1 = residue_of_h(f, Chart.at_one())
-    rinf = residue_of_h(f, Chart.at_infinity())
-    assert (r0, r1, rinf) == (-1, 1, 0)
-    assert r0 + r1 + rinf == 0
+    r0, cells, rinf, total = residue_row(*component_form(point_component("f", -2, [1])))
+    assert (r0, cells[1, 0], rinf) == (-1, 1, 0)
+    assert r0 + cells[1, 0] + rinf == total == 0
 
 
 def test_residue_sum_over_all_poles_is_zero_per_component():
     # global residue theorem on the sphere, component by component,
-    # with the group's Weyl factor included
+    # with the group's Weyl factor included, every cell summed as it is
     for name in catalog_names():
         p = catalog(name)
-        weyl = WeylFactor(p.group)
+        weyl = WeylFactor(p.group).poly
         for f in p.components:
-            total = residue_of_h(f, Chart.at_zero(), weyl)
-            total = total + residue_of_h(f, Chart.at_infinity(), weyl)
-            for d, j in wall_set(f):
-                total = total + residue_of_h(f, Chart.at_root(d, j), weyl)
+            at_zero, cells, at_infinity, _ = residue_row(*component_form(f, weyl))
+            assert set(cells) == set(wall_set(f)), (name, f.name)
+            total = at_zero + at_infinity
+            for cell in cells.values():
+                total = total + cell
             assert rational_part(total) == 0, (name, f.name)
 
 
@@ -122,8 +115,8 @@ def test_window_vanishing_on_catalog():
         for f in p.components:
             for r in range(-2, 3):
                 if -f.n_plus < f.moment + r < f.n_minus:
-                    assert residue_of_h(f, Chart.at_zero(), twist=r) == 0, (name, f.name, r)
-                    assert residue_of_h(f, Chart.at_infinity(), twist=r) == 0, (name, f.name, r)
+                    at_zero, _, at_infinity, _ = residue_row(*component_form(f, twisted(r)))
+                    assert at_zero == 0 and at_infinity == 0, (name, f.name, r)
                     checked += 1
     assert checked >= 4  # the window is nonempty on several catalog entries
 
@@ -131,39 +124,46 @@ def test_window_vanishing_on_catalog():
 def test_window_edges_can_be_nonzero():
     # just outside the window the residues are allowed to be (and are) nonzero
     f = point_component("f", 1, [1])  # window (-1, 0) is empty
-    assert residue_of_h(f, Chart.at_infinity(), twist=-1) == -1  # mu + r = 0 = n_minus
+    assert residue_row(*component_form(f, twisted(-1)))[2] == -1  # mu + r = 0 = n_minus
 
 
 def test_poles_only_on_wall_sets():
     # at a root of unity off the component's wall set the form is regular,
-    # so the residue vanishes identically
+    # so the residue vanishes identically: the row has cells on the walls
+    # only, and the table fills every other wall column with 0
     p = catalog("cp2-k", 1)
-    n = p.conductor  # 12
-    for f in p.components:
-        walls = set(wall_set(f))
-        for k in range(n):
-            d = root_order(n, k)
-            if (d, k * d // n) not in walls:
-                value = residue_of_h(f, Chart.at_root(n, k), WeylFactor(p.group))
-                assert value == 0, (f.name, k)
+    roots = set().union(*(wall_set(f) for f in p.components))
+    off_wall = 0
+    for f, row in zip(p.components, residue_table(p)):
+        assert set(row.walls) == set(wall_set(f))
+        cells = dict(row.entries)
+        for root in roots - set(row.walls):
+            assert cells[root_label(*root)] == 0, (f.name, root)
+            off_wall += 1
+    assert off_wall
 
 
 # -- the invariant count -------------------------------------------------------------
 
+def invariant_count(p):
+    return verify_quantization(p).lefschetz
+
+
 def test_rr_invariant_worked_values():
-    assert rr_invariant(catalog("cp1-k", 2)) == 1
-    assert rr_invariant(catalog("cp1-k", 1)) == 0  # zero level outside the image
-    assert rr_invariant(catalog("cp1xcp1")) == 2
-    assert rr_invariant(catalog("cp2-line")) == 2
-    assert rr_invariant(catalog("so3-coadjoint", 2)) == 0
-    assert rr_invariant(catalog("su2-excluded")) == 1
+    assert invariant_count(catalog("cp1-k", 2)) == 1
+    assert invariant_count(catalog("cp1-k", 1)) == 0  # zero level outside the image
+    assert invariant_count(catalog("cp1xcp1")) == 2
+    assert invariant_count(catalog("cp2-line")) == 2
+    assert invariant_count(catalog("so3-coadjoint", 2)) == 0
+    assert invariant_count(catalog("su2-excluded")) == 1
 
 
 def test_rr_invariant_matches_oracle_everywhere():
+    # the oracle's count is recomputed here, apart from the report's
     for name in catalog_names():
         p = catalog(name)
         c = character_polynomial(p)
-        assert rr_invariant(p) == invariant_multiplicity(c, p.group), name
+        assert invariant_count(p) == invariant_multiplicity(c, p.group), name
 
 
 def test_rr_invariant_on_tensor_powers():
@@ -172,13 +172,13 @@ def test_rr_invariant_on_tensor_powers():
         for k in range(1, kmax + 1):
             p = tensor_power(base, k)
             expected = invariant_multiplicity(character_polynomial(p), p.group)
-            assert rr_invariant(p) == expected, (name, k)
+            assert invariant_count(p) == expected, (name, k)
 
 
 def test_rr_invariant_requires_valid_instance():
     p = ProblemInstance(GroupKind.U1, [point_component("f", 0, [1])])
     with pytest.raises(InvalidInstanceError) as excinfo:
-        rr_invariant(p)
+        invariant_count(p)
     # the error carries the findings, as it does from the reduced side
     assert [f.code for f in excinfo.value.findings] == ["moment-zero", "quasi-free"]
 
@@ -191,7 +191,7 @@ def test_non_integer_result_detected():
         FixedComponent("b", p1, -1, [-1], [p1.zero()], x * Fraction(1, 2), p1.one() + x),
     ]
     with pytest.raises(NonIntegerResultError):
-        rr_invariant(ProblemInstance(GroupKind.U1, comps))
+        invariant_count(ProblemInstance(GroupKind.U1, comps))
 
 
 # -- two-chart agreement and finiteness --------------------------------------------
@@ -233,8 +233,8 @@ def test_charts_assemble_the_same_polynomial():
 
     for name, p in cases:
         top = automatic_degree_bound(p)
-        from_inf = character_from_chart(p, Chart.at_infinity(), top)
-        from_zero = character_from_chart(p, Chart.at_zero(), top)
+        from_inf = chart_character(p, -1, top)
+        from_zero = chart_character(p, 1, top)
         assert from_inf == from_zero, name
         oracle = {m: Fraction(c) for m, c in character_polynomial(p).coefficients.items()}
         assert from_inf == oracle, name
@@ -248,7 +248,7 @@ def test_infinity_tail_vanishes_beyond_bound():
 
     p = catalog("cp2-k", 2)
     top = automatic_degree_bound(p) + 6
-    coeffs = character_from_chart(p, Chart.at_infinity(), top)
+    coeffs = chart_character(p, -1, top)
     for m, v in coeffs.items():
         assert abs(m) <= automatic_degree_bound(p) or v == 0
 
@@ -256,21 +256,22 @@ def test_infinity_tail_vanishes_beyond_bound():
 # -- Weyl factors ----------------------------------------------------------------------
 
 def test_weyl_polynomials():
-    assert WeylFactor(GroupKind.U1).poly == {0: Fraction(1)}
-    assert WeylFactor(GroupKind.SO3).poly == {
-        0: Fraction(1), 1: Fraction(-1, 2), -1: Fraction(-1, 2)
-    }
-    assert WeylFactor(GroupKind.SU2).poly == {
-        0: Fraction(1), 2: Fraction(-1, 2), -2: Fraction(-1, 2)
-    }
+    # integers over one denominator, the layout of a form's numerator
+    assert WeylFactor(GroupKind.U1).poly == ({0: 1}, 1)
+    assert WeylFactor(GroupKind.SO3).poly == ({0: 2, 1: -1, -1: -1}, 2)
+    assert WeylFactor(GroupKind.SU2).poly == ({0: 2, 2: -1, -2: -1}, 2)
+    # each call is its own dict
+    poly = WeylFactor(GroupKind.SO3).poly
+    poly[0][5] = 1
+    assert WeylFactor(GroupKind.SO3).poly == ({0: 2, 1: -1, -1: -1}, 2)
 
 
 def test_weyl_factor_nonnegative_on_circle():
     for group in (GroupKind.SO3, GroupKind.SU2):
-        poly = WeylFactor(group).poly
+        terms, den = WeylFactor(group).poly
         for j in range(16):
             t = cmath.exp(2j * cmath.pi * j / 16)
-            value = sum(complex(a) * t**r for r, a in poly.items())
+            value = sum(a / den * t**r for r, a in terms.items())
             assert abs(value.imag) < 1e-12
             assert value.real >= -1e-12
 
@@ -309,10 +310,11 @@ def _reference_form(f, multiplier):
             poly = step
         for r, a in poly.items():
             body[r] = body.get(r, 0) + a
+    terms, den = multiplier
     numerator = {}
-    for r, a in multiplier.items():
+    for r, a in terms.items():
         for e, v in body.items():
-            numerator[e + r + f.moment] = numerator.get(e + r + f.moment, 0) + a * v
+            numerator[e + r + f.moment] = numerator.get(e + r + f.moment, 0) + Fraction(a, den) * v
     denominator = {}
     for beta, top in zip(f.weights, tops):
         denominator[beta] = denominator.get(beta, 0) + top + 1
@@ -348,7 +350,7 @@ def _assert_matches_the_per_direction_form(f, multiplier=None, where=None) -> bo
     coefficients.  Grouping lowers M_beta only where a weight repeats on a
     nonzero class.  Returns whether it lowered one."""
     (terms, scale), denominator = component_form(f, multiplier)
-    numerator, expected_denominator = _reference_form(f, multiplier or {0: 1})
+    numerator, expected_denominator = _reference_form(f, multiplier or ({0: 1}, 1))
     assert type(scale) is int and scale > 0
     assert all(type(v) is int and v for v in terms.values())
     assert sorted(denominator) == sorted(expected_denominator), where
@@ -379,7 +381,7 @@ def test_an_empty_multiplier_gives_the_zero_form():
     for p in _every_instance():
         for f in p.components:
             poles = component_form(f)[1]
-            for multiplier in ({}, {0: Fraction(0)}):
+            for multiplier in (({}, 1), ({0: 0}, 1), ({}, 3)):
                 assert component_form(f, multiplier) == (({}, 1), poles), (p.name, f.name)
 
 
@@ -390,7 +392,7 @@ def test_a_repeated_weight_is_one_pole_order(name):
     p = load_instance(INSTANCES / f"{name}.json")
     for f in p.components:
         (beta,) = set(f.weights)
-        assert _reference_form(f, {0: 1})[1] == {beta: 4}
+        assert _reference_form(f, ({0: 1}, 1))[1] == {beta: 4}
         assert component_form(f)[1] == {beta: 3}
 
 
@@ -466,29 +468,27 @@ def test_only_a_nonzero_normal_class_builds_the_integral_table(name, tables, mon
 
 
 def test_expansions_divide_once_by_the_numerator_denominator():
-    # outer_expansion and form_residue read a pair (integers, D) as the
-    # integers over D: D taken 3 times too large, which no component_form
-    # returns, gives a third of every value, so the division by D is seen at
-    # every pole order; D = 1 gives D times the values.  The type of a value
-    # depends on the chart alone
+    # the expansions at zero and infinity and residue_row read a pair
+    # (integers, D) as the integers over D: D taken 3 times too large, which
+    # no component_form returns, gives a third of every value, so the
+    # division by D is seen at every pole order; D = 1 gives D times the
+    # values.  The type of a value depends on its site alone
     for p in _every_instance():
         weyl = WeylFactor(p.group).poly
         for f in p.components:
             (terms, scale), denominator = component_form(f, weyl)
-            charts = [Chart.at_zero(), Chart.at_infinity(), Chart.at_one()]
-            charts += [Chart.at_root(d, 1) for d in
-                       sorted({d for d, _ in wall_set(f)}) if d > 1]
             where = (p.name, f.name)
-            for chart in charts[:2]:
-                window = outer_expansion((terms, scale), denominator, chart, -6, 6)
+            for sigma in (1, -1):
+                window = expansion((terms, scale), denominator, sigma, -6, 6)
                 assert all(type(v) is Fraction for v in window)
-                third = outer_expansion((terms, 3 * scale), denominator, chart, -6, 6)
+                third = expansion((terms, 3 * scale), denominator, sigma, -6, 6)
                 assert third == [v / 3 for v in window], where
-                whole = outer_expansion((terms, 1), denominator, chart, -6, 6)
+                whole = expansion((terms, 1), denominator, sigma, -6, 6)
                 assert whole == [scale * v for v in window], where
-            for chart in charts:
-                value = form_residue((terms, scale), denominator, chart)
-                third = form_residue((terms, 3 * scale), denominator, chart)
-                assert third == value / 3 and type(third) is type(value), (where, chart)
-                whole = form_residue((terms, 1), denominator, chart)
-                assert whole == scale * value and type(whole) is type(value), (where, chart)
+            zero, cells, infinity, _ = residue_row((terms, scale), denominator)
+            values = [zero, infinity, *cells.values()]
+            assert all(type(v) is Fraction for v in values[:2]), where
+            for divisor, factor in ((3 * scale, Fraction(1, 3)), (1, scale)):
+                zero, cells, infinity, _ = residue_row((terms, divisor), denominator)
+                for value, other in zip(values, [zero, infinity, *cells.values()]):
+                    assert other == factor * value and type(other) is type(value), where

@@ -14,14 +14,14 @@ is trusted with it.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import chart_character, twisted
 from quantred import (
-    Chart,
     FixedComponent,
     GroupKind,
     ProblemInstance,
@@ -29,13 +29,11 @@ from quantred import (
     WeylFactor,
     catalog,
     catalog_names,
-    character_from_chart,
     character_polynomial,
+    component_form,
     invariant_multiplicity,
     rational_part,
-    reduced_rr,
-    residue_of_h,
-    rr_invariant,
+    residue_row,
     tensor_power,
     verify_quantization,
     wall_set,
@@ -82,8 +80,9 @@ def sphere_instances(draw):
 def test_sphere_family_identity(p):
     character = character_polynomial(p)  # stabilization certifies the data
     expected = invariant_multiplicity(character, p.group)
-    assert rr_invariant(p) == expected
-    red = reduced_rr(p)
+    report = verify_quantization(p)
+    assert report.lefschetz == expected
+    red = report.reduced
     assert red.total == expected
     assert red.total == red.main + sum(red.corrections.values())
 
@@ -94,8 +93,7 @@ def test_sphere_family_two_chart_agreement(p):
     from quantred import automatic_degree_bound
 
     top = automatic_degree_bound(p)
-    from_zero = character_from_chart(p, Chart.at_zero(), top)
-    assert from_zero == character_from_chart(p, Chart.at_infinity(), top)
+    assert chart_character(p, 1, top) == chart_character(p, -1, top)
 
 
 # -- family 2: circle actions on the projective plane -----------------------------
@@ -123,8 +121,8 @@ def plane_instances(draw):
 def test_plane_family_identity(p):
     character = character_polynomial(p)
     expected = invariant_multiplicity(character, p.group)
-    assert rr_invariant(p) == expected
-    assert reduced_rr(p).total == expected
+    report = verify_quantization(p)
+    assert report.lefschetz == report.reduced.total == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -162,8 +160,9 @@ def fixed_line_instances(draw):
 def test_fixed_line_family_identity(p):
     character = character_polynomial(p)
     expected = invariant_multiplicity(character, p.group)
-    assert rr_invariant(p) == expected
-    red = reduced_rr(p)
+    report = verify_quantization(p)
+    assert report.lefschetz == expected
+    red = report.reduced
     assert red.total == expected
 
 
@@ -193,8 +192,9 @@ def cp3_line_pair_instances(draw):
 def test_cp3_line_pair_family_identity(p):
     character = character_polynomial(p)
     expected = invariant_multiplicity(character, p.group)
-    assert rr_invariant(p) == expected
-    red = reduced_rr(p)
+    report = verify_quantization(p)
+    assert report.lefschetz == expected
+    red = report.reduced
     assert red.total == expected
     assert red.total == red.main + sum(red.corrections.values())
     # the total dimension is the number of degree-k monomials in 4 variables
@@ -234,8 +234,9 @@ def test_cp_hyperplane_family_identity(case):
     p, n, k = case
     character = character_polynomial(p)
     expected = invariant_multiplicity(character, p.group)
-    assert rr_invariant(p) == expected
-    red = reduced_rr(p)
+    report = verify_quantization(p)
+    assert report.lefschetz == expected
+    red = report.reduced
     assert red.total == expected
     assert red.total == red.main + sum(red.corrections.values())
     # the total dimension is the number of degree-k monomials in n + 1 variables
@@ -290,8 +291,8 @@ def test_cayley_sylvester_known_counts():
 def test_binary_form_counts_match_cayley_sylvester(n, k):
     p = binary_form(n, k)
     expected = cayley_sylvester(n, k)
-    assert rr_invariant(p) == expected
-    assert reduced_rr(p).total == expected
+    report = verify_quantization(p)
+    assert report.lefschetz == report.reduced.total == expected
     assert invariant_multiplicity(character_polynomial(p), p.group) == expected
 
 
@@ -358,8 +359,9 @@ def test_mirror_preserves_the_count(p):
     c_p = character_polynomial(p)
     c_m = character_polynomial(m)
     assert c_m.coefficients == {-k: v for k, v in c_p.coefficients.items()}
-    assert rr_invariant(m) == rr_invariant(p)
-    assert reduced_rr(m).total == reduced_rr(p).total
+    mirrored, report = verify_quantization(m), verify_quantization(p)
+    assert mirrored.lefschetz == report.lefschetz
+    assert mirrored.reduced.total == report.reduced.total
 
 
 # -- per-component identities for arbitrary (even inconsistent) data ------------------
@@ -392,11 +394,13 @@ def arbitrary_components(draw):
     twist=st.integers(min_value=-2, max_value=2),
 )
 def test_residue_theorem_for_arbitrary_components(f, group, twist):
-    weyl = WeylFactor(group)
-    total = residue_of_h(f, Chart.at_zero(), weyl, twist=twist)
-    total = total + residue_of_h(f, Chart.at_infinity(), weyl, twist=twist)
-    for d, j in wall_set(f):
-        total = total + residue_of_h(f, Chart.at_root(d, j), weyl, twist=twist)
+    # every cell of the row of t**twist times the Weyl density times h_F
+    form = component_form(f, twisted(twist, WeylFactor(group)))
+    at_zero, cells, at_infinity, _ = residue_row(*form)
+    assert set(cells) == set(wall_set(f))
+    total = at_zero + at_infinity
+    for cell in cells.values():
+        total = total + cell
     assert rational_part(total) == 0
 
 
@@ -428,8 +432,8 @@ def windowed_cases(draw):
 def test_window_vanishing_for_arbitrary_components(case):
     f, twist = case
     assert -f.n_plus < f.moment + twist < f.n_minus
-    assert residue_of_h(f, Chart.at_zero(), twist=twist) == 0
-    assert residue_of_h(f, Chart.at_infinity(), twist=twist) == 0
+    at_zero, _, at_infinity, _ = residue_row(*component_form(f, twisted(twist)))
+    assert at_zero == 0 and at_infinity == 0
 
 
 # -- the main/correction split in k ----------------------------------------------------
@@ -451,8 +455,8 @@ def assert_polynomial_split(p):
     values of k in each residue class mod every correction order; returns
     dim_C M and their reduced counts."""
     n = p.dimension() // 2
-    top = max(reduced_rr(p).corrections, default=1) * (n + 1)
-    parts = [reduced_rr(tensor_power(p, k)) for k in range(1, top + 1)]
+    top = max(verify_quantization(p).reduced.corrections, default=1) * (n + 1)
+    parts = [verify_quantization(tensor_power(p, k)).reduced for k in range(1, top + 1)]
     assert not any(differences([r.main for r in parts], n)), p.name
     for d in parts[0].corrections:
         for c in range(d):  # k = c + 1, c + 1 + d, ...
@@ -506,3 +510,35 @@ def test_point_families_split_is_polynomial_in_k(p):
 @given(p=fixed_line_instances())
 def test_fixed_line_family_split_is_polynomial_in_k(p):
     assert_polynomial_split(p)
+
+
+# -- the tensor-power family as quasi-polynomials in k ----------------------------------
+# Kawasaki's formula fixes the shape of each piece of the reduced count of
+# L**k (Meinrenken, J. AMS 9, 1996).  With E the shift k -> k + 1 and
+# n = dim_C M: (E - 1)**n annihilates the main term, (E**d - 1)**n the
+# correction c_d(k) and (E**L - 1)**n the invariant count, L the lcm of the
+# wall orders.  The sweep reads every piece off verify_quantization, whose
+# verdict checks the three counts against each other at each k.
+
+def annihilates(step, n, values):
+    """Whether (E**step - 1)**n maps the sequence to zero, on at least one
+    value: a sweep too short to tell fails."""
+    for _ in range(n):
+        values = [b - a for a, b in zip(values, values[step:])]
+    return bool(values) and not any(values)
+
+
+@pytest.mark.parametrize("name,k,top", [
+    ("cp1-triple", None, 12), ("cp2-line-double", None, 16), ("cp2-k", 1, 24),
+    ("so3-s2xs2", None, 16),
+])
+def test_tensor_powers_are_quasi_polynomials(name, k, top):
+    base = catalog(name) if k is None else catalog(name, k)
+    n = base.dimension() // 2
+    reports = [verify_quantization(tensor_power(base, j)) for j in range(1, top + 1)]
+    assert [r.verdict for r in reports] == ["PASS"] * top
+    assert annihilates(1, n, [r.reduced.main for r in reports])
+    for d in reports[0].reduced.corrections:
+        assert annihilates(d, n, [r.reduced.corrections[d] for r in reports]), d
+    period = lcm(*(d for f in base.components for d, _ in wall_set(f)))
+    assert annihilates(period, n, [r.lefschetz for r in reports]), period

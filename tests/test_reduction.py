@@ -17,12 +17,10 @@ from quantred import (
     component_form,
     load_instance,
     rational_part,
-    reduced_rr,
-    residue_of_h,
+    residue_row,
     residue_table,
     root_label,
     root_of_unity,
-    rr_invariant,
     tensor_power,
     verify_quantization,
     wall_set,
@@ -41,10 +39,19 @@ def point_component(name, moment, weights):
     )
 
 
+def reduced(p):
+    """The reduced count split into its parts, as the report gives it."""
+    return verify_quantization(p).reduced
+
+
+def invariant_count(p):
+    return verify_quantization(p).lefschetz
+
+
 # -- main term -------------------------------------------------------------------
 
 def test_main_term_cp1():
-    assert reduced_rr(catalog("cp1-k", 2)).main == 1
+    assert reduced(catalog("cp1-k", 2)).main == 1
 
 
 def test_main_term_empty_positive_side():
@@ -52,38 +59,38 @@ def test_main_term_empty_positive_side():
         GroupKind.U1,
         [point_component("a", -1, [1]), point_component("b", -2, [-1])],
     )
-    assert reduced_rr(p).main == 0
+    assert reduced(p).main == 0
 
 
 def test_main_term_is_fractional_on_orbifold_reductions():
     # the smooth-case formula alone gives a non-integer on non-quasi-free data
-    assert reduced_rr(catalog("cp1-double")).main == Fraction(1, 2)
-    assert reduced_rr(catalog("cp1-triple")).main == Fraction(1, 3)
-    assert reduced_rr(catalog("cp2-k", 4)).main == Fraction(17, 12)
-    assert reduced_rr(catalog("cp2-line-double")).main == Fraction(3, 4)
+    assert reduced(catalog("cp1-double")).main == Fraction(1, 2)
+    assert reduced(catalog("cp1-triple")).main == Fraction(1, 3)
+    assert reduced(catalog("cp2-k", 4)).main == Fraction(17, 12)
+    assert reduced(catalog("cp2-line-double")).main == Fraction(3, 4)
 
 
 def test_main_term_requires_validity():
     p = ProblemInstance(GroupKind.U1, [point_component("f", 0, [1])])
     with pytest.raises(InvalidInstanceError):
-        reduced_rr(p)
+        reduced(p)
 
 
 # -- corrections ------------------------------------------------------------------
 
 def test_quasi_free_entries_have_no_corrections():
     for name in ("cp1-k", "cp1xcp1", "cp2-line", "so3-coadjoint", "so3-s2xs2"):
-        assert reduced_rr(catalog(name)).corrections == {}, name
+        assert reduced(catalog(name)).corrections == {}, name
 
 
 def test_cp1_double_correction():
-    corr = reduced_rr(catalog("cp1-double")).corrections
+    corr = reduced(catalog("cp1-double")).corrections
     assert corr == {2: Fraction(-1, 2)}
 
 
 def test_cp1_triple_galois_orbit():
     p = catalog("cp1-triple")
-    residues = reduced_rr(p).residues_by_root  # the order-3 roots zeta_3, zeta_3^2
+    residues = reduced(p).residues_by_root  # the order-3 roots zeta_3, zeta_3^2
     assert set(residues) == {(3, 1), (3, 2)}
     assert residues[3, 1] == root_of_unity(3, 1) / 3 == root_of_unity(12, 4) / 3
     # the two residues are Galois conjugates in Q(zeta_3) ...
@@ -92,7 +99,7 @@ def test_cp1_triple_galois_orbit():
     # ... individually irrational, with rational orbit sum, the trace
     assert isinstance(residues[3, 1], Cyclotomic) and not residues[3, 1].is_rational()
     assert residues[3, 1] + residues[3, 2] == residues[3, 1].trace() == Fraction(-1, 3)
-    assert reduced_rr(p).corrections == {3: Fraction(-1, 3)}
+    assert reduced(p).corrections == {3: Fraction(-1, 3)}
 
 
 def test_corrections_ignore_negative_moment_components():
@@ -101,21 +108,20 @@ def test_corrections_ignore_negative_moment_components():
     north = p.component("north")
     # the correction equals the north residue alone: south sits at negative
     # moment and is filtered out even though -1 lies on its wall set
-    correction = reduced_rr(p).residues_by_root[2, 1]
-    assert correction == residue_of_h(north, Chart.at_root(2, 1), weyl)
-    assert correction == residue_of_h(north, Chart.at_root(4, 2), weyl)
+    correction = reduced(p).residues_by_root[2, 1]
+    assert correction == residue_row(*component_form(north, weyl.poly))[1][2, 1]
     south = p.component("south")
-    assert residue_of_h(south, Chart.at_root(2, 1), weyl) != 0
+    assert residue_row(*component_form(south, weyl.poly))[1][2, 1] != 0
 
 
 def test_cp2_default_corrections():
-    assert reduced_rr(catalog("cp2-k", 4)).corrections == {
+    assert reduced(catalog("cp2-k", 4)).corrections == {
         2: Fraction(1, 4), 3: Fraction(1, 3)
     }
 
 
 def test_nilpotent_kawasaki_term():
-    corr = reduced_rr(catalog("cp2-line-double")).corrections
+    corr = reduced(catalog("cp2-line-double")).corrections
     assert corr == {2: Fraction(-3, 4)}
 
 
@@ -125,7 +131,7 @@ def test_orbit_sums_are_rational_everywhere():
     for name in catalog_names():
         p = catalog(name)
         for q in (p, tensor_power(p, 3)):
-            assert all(type(v) is Fraction for v in reduced_rr(q).corrections.values())
+            assert all(type(v) is Fraction for v in reduced(q).corrections.values())
 
 
 # -- the identity -----------------------------------------------------------------
@@ -135,22 +141,22 @@ def test_totals_match_invariant_count():
         p = catalog(name)
         if name == "su2-excluded":
             continue
-        red = reduced_rr(p)
+        red = reduced(p)
         assert red.total == red.main + sum(red.corrections.values())
-        assert red.total == rr_invariant(p), name
+        assert red.total == invariant_count(p), name
 
 
 def test_quasi_free_two_term_identity():
     # with all weights +-1 the main term alone equals the invariant count
     for name in ("cp1-k", "cp1xcp1", "cp2-line", "so3-s2xs2"):
         p = catalog(name)
-        assert reduced_rr(p).main == rr_invariant(p), name
+        assert reduced(p).main == invariant_count(p), name
 
 
 def test_correction_is_necessary_on_cp1_double():
     p = catalog("cp1-double")
-    lef = rr_invariant(p)
-    red = reduced_rr(p)
+    lef = invariant_count(p)
+    red = reduced(p)
     assert red.main != lef
     assert red.main + red.corrections[2] == lef
 
@@ -167,7 +173,7 @@ def exact_finite_differences(values, order):
 def test_tensor_polynomiality():
     for name, degree in (("cp1-k", 0), ("cp2-k", 1)):
         base = catalog(name)
-        totals = [reduced_rr(tensor_power(base, k)).total for k in range(1, 7)]
+        totals = [reduced(tensor_power(base, k)).total for k in range(1, 7)]
         diffs = exact_finite_differences(totals, degree + 1)
         assert all(d == 0 for d in diffs), (name, totals)
 
@@ -308,7 +314,7 @@ def test_wall_cells_equal_direct_residues():
                 if f.moment > 0:
                     orbit_sums[d] = orbit_sums.get(d, Fraction(0)) + direct
         expected = {d: rational_part(v) for d, v in sorted(orbit_sums.items())}
-        assert reduced_rr(p).corrections == expected, p.name
+        assert reduced(p).corrections == expected, p.name
     assert checked == 96  # wall cells over these instances; none skipped
 
 

@@ -4,8 +4,11 @@ exempt: its imports are the public API.  Every private module-level name is
 read somewhere in the package, so a helper stranded by its last caller is
 seen too, and every private module-level function is reached from code
 outside such functions, so a helper that only itself or other dead helpers
-call is seen as well.  No function mutates a module-level list, dict or set, so every
-process cache is an ``lru_cache`` that the cache tests can see and empty.
+call is seen as well.  Every public function of the residue engine
+(``laurent``, ``lefschetz``, ``reduction``) is reached from ``cli.main``, so
+an entry point that only the tests call is seen.  No function mutates a
+module-level list, dict or set, so every process cache is an ``lru_cache``
+that the cache tests can see and empty.
 Names are read from the source.  Importing the package loads no heavy
 standard-library module."""
 
@@ -153,6 +156,66 @@ def test_a_dead_private_function_is_reported():
     # b's dead _leaf reaches neither a's _ping nor, by name, a's _leaf
     assert _dead_private_functions(trees) == [
         ("a.py", "_loop"), ("a.py", "_ping"), ("a.py", "_pong"), ("b.py", "_leaf")]
+
+
+def _unreached_public_functions(trees, root, modules):
+    """(module, name) for each public module-level function of ``modules``
+    that the function ``root``, a (module, name) pair, does not reach.  A
+    module-level function or class reads the names in its body, as
+    :func:`_dead_private_functions` reads them; a plain name is its own
+    module's definition or, through a module-level ``from .x import``, the
+    one in x.py, and an attribute or a name imported in a body is every
+    definition of that name."""
+    defs, imports, functions = {}, {}, set()
+    for module, tree in trees.items():
+        imports[module] = {alias.asname or alias.name: (f"{node.module}.py", alias.name)
+                           for node in tree.body
+                           if isinstance(node, ast.ImportFrom) and node.level == 1
+                           for alias in node.names}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[(module, node.name)] = _reads(node, module)
+                if not isinstance(node, ast.ClassDef):
+                    functions.add((module, node.name))
+
+    def named(read):
+        module, name = read
+        if module is None:
+            return {key for key in defs if key[1] == name}
+        return {imports[module].get(name, read)} & defs.keys()
+
+    live, frontier = set(), {root}
+    while frontier:
+        live |= frontier
+        frontier = set().union(*(named(read) for key in frontier for read in defs[key])) - live
+    return sorted(key for key in functions - live
+                  if key[0] in modules and not key[1].startswith("_"))
+
+
+def test_every_public_engine_function_is_reached_from_the_command_line():
+    # an engine entry point that only the tests call is a second route to
+    # numbers the command line computes one way; classes are not checked
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    engine = {"laurent.py", "lefschetz.py", "reduction.py"}
+    assert engine <= trees.keys()
+    assert not _unreached_public_functions(trees, ("cli.py", "main"), engine)
+
+
+def test_an_unreached_public_function_is_reported():
+    trees = {name: ast.parse(source) for name, source in {
+        "cli.py": "from .a import used as run, Kept\nimport b\n"
+                  "def main(): run(); Kept(); b.by_attribute()\n",
+        "a.py": "from .b import imported\ndef used(): imported()\ndef dead(): used()\n"
+                "def _private(): pass\nclass Kept:\n    def go(self): return in_method()\n"
+                "def in_method(): pass\nclass Unreached: pass\n",
+        "b.py": "def imported(): pass\ndef by_attribute(): pass\ndef used(): pass\n"
+                "def only_a_test_calls_me(): pass\n",
+    }.items()}
+    # a's used reaches b's imported, not b's used; the private helper and
+    # the unreached class are not reported
+    assert _unreached_public_functions(trees, ("cli.py", "main"), {"a.py", "b.py"}) == [
+        ("a.py", "dead"), ("b.py", "only_a_test_calls_me"), ("b.py", "used")]
 
 
 _MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
