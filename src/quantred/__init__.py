@@ -68,7 +68,6 @@ from .reduction import (
     ReducedRR,
     Report,
     residue_table,
-    root_label,
     verify_quantization,
 )
 

@@ -29,7 +29,7 @@ from .fixedpoint import (
     tensor_power,
 )
 from .oracle import character_polynomial
-from .reduction import Report, residue_table, root_label, verify_quantization
+from .reduction import Report, residue_table, verify_quantization
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -149,12 +149,28 @@ def _findings_json(findings):
     ]
 
 
-def _row_json(row, cell=scalar_json) -> dict:
-    return {
-        "component": row.component,
-        "values": {label: cell(v) for label, v in row.entries},
-        "sum": cell(row.total),
-    }
+def root_label(d: int, j: int) -> str:
+    """The column label of zeta_d**j: ``t=1`` for d = 1, else ``zeta_d^j``."""
+    return "t=1" if d == 1 else f"zeta_{d}^{j}"
+
+
+def residue_columns(rows):
+    """The printed layout of a residue table: the column labels (zero, the
+    wall roots of all rows sorted by (d, j), t = 1 first, then infinity) and
+    each row's cells under them.  A root off a row's walls is no pole of its
+    form, so its cell there is a rational 0."""
+    roots = sorted(set().union(*(row.walls for row in rows)))
+    off_wall = Fraction(0)
+    labels = ["zero", *(root_label(*root) for root in roots), "infinity"]
+    cells = [[row.zero, *(row.walls.get(root, off_wall) for root in roots), row.infinity]
+             for row in rows]
+    return labels, cells
+
+
+def _rows_json(rows, labels, cells, cell=scalar_json) -> list:
+    return [{"component": row.component,
+             "values": {label: cell(v) for label, v in zip(labels, values)},
+             "sum": cell(row.total)} for row, values in zip(rows, cells)]
 
 
 def report_to_json(report: Report) -> dict:
@@ -194,7 +210,7 @@ def report_to_json(report: Report) -> dict:
         },
         "oracle": cell(report.oracle),
         "character": {str(m): c for m, c in sorted(report.character.coefficients.items())},
-        "residues": [_row_json(row, cell) for row in report.residue_table],
+        "residues": _rows_json(report.residue_table, *residue_columns(report.residue_table), cell),
         "verdict": report.verdict,
         "timings": report.timings,
     }
@@ -251,42 +267,25 @@ def _sum_nonzero(values):
     return total
 
 
-def _column_sums(rows):
-    return [_sum_nonzero(row.entries[i][1] for row in rows)
-            for i in range(len(rows[0].entries))]
-
-
 def cmd_residues(args) -> int:
     p = resolve_instance(args)
     require_valid(p)
     rows = residue_table(p)
-    col_sums = _column_sums(rows)
+    labels, cells = residue_columns(rows)
+    col_sums = [_sum_nonzero(column) for column in zip(*cells)]
     grand = _sum_nonzero(row.total for row in rows)
     if args.json:
         print(json.dumps({
             "schema": SCHEMA,
             "instance": p.name,
-            "rows": [_row_json(row) for row in rows],
-            "column_sums": {
-                label: scalar_json(v)
-                for (label, _), v in zip(rows[0].entries, col_sums)
-            },
+            "rows": _rows_json(rows, labels, cells),
+            "column_sums": {label: scalar_json(v) for label, v in zip(labels, col_sums)},
         }, indent=2))
         return EXIT_OK
-    labels = rows[0].labels()
-    headers = ["component"] + labels + ["sum"]
-    body = []
-    for row in rows:
-        body.append(
-            [row.component]
-            + [scalar_str(v, args.decimal) for _, v in row.entries]
-            + [scalar_str(row.total, args.decimal)]
-        )
-    body.append(
-        ["(total)"]
-        + [scalar_str(v, args.decimal) for v in col_sums]
-        + [scalar_str(grand, args.decimal)]
-    )
+    headers = ["component", *labels, "sum"]
+    body = [[row.component, *values, row.total] for row, values in zip(rows, cells)]
+    body.append(["(total)", *col_sums, grand])
+    body = [[name, *(scalar_str(v, args.decimal) for v in rest)] for name, *rest in body]
     widths = [
         max(len(headers[i]), *(len(r[i]) for r in body))
         for i in range(len(headers))

@@ -240,6 +240,12 @@ def expansion_window(p: ProblemInstance) -> int:
     return bound + 1
 
 
+def oracle_top(p: ProblemInstance, bound: int) -> int:
+    """The top exponent of the character oracle's expansion, whose tail
+    (bound, top] it checks, at the support bound ``bound``."""
+    return bound + expansion_window(p) + 4
+
+
 def oracle_work(p: ProblemInstance, top: int) -> int:
     """The work of the character oracle (see ``MAX_ORACLE_WORK``) when it
     expands up to the exponent ``top``."""
@@ -320,7 +326,7 @@ def _checks(p: ProblemInstance) -> list[Finding]:
             "ERROR", "expansion-window",
             f"the expansion at t -> infinity needs a window of {window} "
             f"exponents, above the limit of {MAX_EXPANSION_WINDOW}"))
-    work = oracle_work(p, 2 * window + 4)  # the oracle's window at the automatic bound
+    work = oracle_work(p, oracle_top(p, window))  # at the automatic bound
     if work > MAX_ORACLE_WORK:
         findings.append(Finding(
             "ERROR", "oracle-work",

@@ -295,10 +295,9 @@ def _times(poly: dict, terms) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def _denominator_terms(shape: tuple) -> tuple:
     # Q = prod (1 - t**(-beta))**M as (t-exponent, nonzero integer) pairs,
-    # one expansion per shape for every root chart
+    # expanded once per site of a shape's plan, which _plan caches
     poly = {0: 1}
     for beta, m in shape:
         poly = _times(poly, _binomial_terms(beta, 0, m))

@@ -44,6 +44,7 @@ from .fixedpoint import (
     InvalidInstanceError,
     ProblemInstance,
     expansion_window,
+    oracle_top,
     oracle_work,
 )
 
@@ -204,6 +205,28 @@ def _character(coefficients: dict) -> CharacterPolynomial:
     return out
 
 
+def oracle_window(p: ProblemInstance, degree_bound: int | None = None) -> tuple[int, int]:
+    """The oracle's support bound, ``degree_bound`` raised to the automatic
+    bound, and the top exponent of its expansion.  A bound above
+    ``MAX_EXPANSION_WINDOW``, or oracle work up to that top above
+    ``MAX_ORACLE_WORK``, raises :class:`InvalidInstanceError`."""
+    auto = automatic_degree_bound(p)
+    bound = auto if degree_bound is None else max(int(degree_bound), auto)
+    if bound > MAX_EXPANSION_WINDOW:
+        raise InvalidInstanceError(
+            f"the character expansion bound {bound} is above the limit of "
+            f"{MAX_EXPANSION_WINDOW}"
+        )
+    top = oracle_top(p, bound)
+    work = oracle_work(p, top)
+    if work > MAX_ORACLE_WORK:
+        raise InvalidInstanceError(
+            f"the character oracle needs {work} column steps, above the limit "
+            f"of {MAX_ORACLE_WORK}"
+        )
+    return bound, top
+
+
 def character_polynomial(
     p: ProblemInstance, degree_bound: int | None = None
 ) -> CharacterPolynomial:
@@ -221,20 +244,7 @@ def character_polynomial(
     >>> print(character_polynomial(catalog("cp1-k", 2)))
     t^-1 + 1 + t
     """
-    auto = automatic_degree_bound(p)
-    bound = auto if degree_bound is None else max(int(degree_bound), auto)
-    if bound > MAX_EXPANSION_WINDOW:
-        raise InvalidInstanceError(
-            f"the character expansion bound {bound} is above the limit of "
-            f"{MAX_EXPANSION_WINDOW}"
-        )
-    top = bound + auto + 4  # checked tail window: (bound, top]
-    work = oracle_work(p, top)
-    if work > MAX_ORACLE_WORK:
-        raise InvalidInstanceError(
-            f"the character oracle needs {work} column steps, above the limit "
-            f"of {MAX_ORACLE_WORK}"
-        )
+    bound, top = oracle_window(p, degree_bound)  # checked tail window: (bound, top]
     parts = []  # (denominator, low, integer values at w^low, w^(low+1), ...)
     for f in p.components:
         index, rows = _monomials(f.ring.orders)

@@ -14,21 +14,13 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from types import SimpleNamespace
 
 from .exactnum import fraction_sum
-from .fixedpoint import (
-    MAX_EXPANSION_WINDOW,
-    InvalidInstanceError,
-    ProblemInstance,
-    hypotheses_hold,
-    require_valid,
-    wall_set,
-)
+from .fixedpoint import ProblemInstance, hypotheses_hold, require_valid
 from .laurent import residue_row
 from .lefschetz import WeylFactor, component_form, invariant_from_residues
-from .oracle import character_polynomial, invariant_multiplicity
+from .oracle import character_polynomial, invariant_multiplicity, oracle_window
 
 
 class ReducedRR(namedtuple("ReducedRR", "main corrections residues_by_root total")):
@@ -80,15 +72,13 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
 # the full verification report
 # ---------------------------------------------------------------------------
 
-class ResidueRow(namedtuple("ResidueRow", "component entries total walls")):
-    """One component's residues: ``entries`` lists (pole label, exact
-    scalar), ``total`` is their sum (zero by the global residue theorem) and
-    ``walls`` maps (d, j) to the cell, over the component's wall_set."""
+class ResidueRow(namedtuple("ResidueRow", "component zero walls infinity total")):
+    """One component's residues, as ``residue_row`` gives them: the cell at
+    zero, ``walls`` mapping (d, j) to the cell at zeta_d**j over the
+    component's wall_set, the cell at infinity, and ``total``, their sum
+    (zero by the global residue theorem)."""
 
     __slots__ = ()
-
-    def labels(self):
-        return [label for label, _ in self.entries]
 
 
 class Report(SimpleNamespace):
@@ -120,36 +110,17 @@ class Report(SimpleNamespace):
         )
 
 
-@lru_cache(maxsize=None)
-def root_label(d: int, j: int) -> str:
-    """The column label of zeta_d**j: ``t=1`` for d = 1, else ``zeta_d^j``;
-    built once per root."""
-    return "t=1" if d == 1 else f"zeta_{d}^{j}"
-
-
 def residue_table(p: ProblemInstance) -> list[ResidueRow]:
-    """Residues of Weyl * h_F at every pole site, per component, with the
-    row sums (zero, by the residue theorem on the sphere).
-
-    Columns: 0, the wall roots zeta_d**j sorted by (d, j) (t = 1 first),
-    then infinity.  Each component's rational function (``component_form``)
-    is built once and its row read off ``residue_row``: on F's walls the
-    residue at zeta_d is computed once per order d and the other cells of
-    its Galois orbit are its Galois images.  A root off F's walls is no pole
-    of F's form, so its cell is 0.
+    """Residues of Weyl * h_F at every pole site, one row per component,
+    with the row sums (zero, by the residue theorem on the sphere).  Each
+    component's rational function (``component_form``) is built once and its
+    row read off ``residue_row``: on F's walls the residue at zeta_d is
+    computed once per order d and the other cells of its Galois orbit are
+    its Galois images.  A root off F's walls is no pole of F's form, and
+    its row has no cell there.
     """
     weyl = WeylFactor(p.group).poly
-    roots = sorted(set().union(*(wall_set(f) for f in p.components)))
-    columns = [(root_label(*root), root) for root in roots]
-    off_wall = Fraction(0)
-    rows = []
-    for f in p.components:
-        at_zero, cells, at_infinity, total = residue_row(*component_form(f, weyl))
-        entries = [("zero", at_zero)]
-        entries += [(label, cells.get(root, off_wall)) for label, root in columns]
-        entries.append(("infinity", at_infinity))
-        rows.append(ResidueRow(f.name, entries, total, cells))
-    return rows
+    return [ResidueRow(f.name, *residue_row(*component_form(f, weyl))) for f in p.components]
 
 
 def verify_quantization(p: ProblemInstance, degree_bound: int | None = None) -> Report:
@@ -160,25 +131,21 @@ def verify_quantization(p: ProblemInstance, degree_bound: int | None = None) -> 
     NOT-ASSERTED when a hypothesis fails (the values are still reported but
     equality is not claimed), FAIL otherwise.  ERROR-level findings raise
     InvalidInstanceError instead of producing a report.  ``degree_bound``
-    raises (never lowers) the oracle's expansion bound; one above the limit
-    is rejected before any residue is computed.
+    raises (never lowers) the oracle's expansion bound; one whose window or
+    oracle work is above its limit is rejected before any residue is
+    computed.
     """
     findings = require_valid(p)
-    # the oracle's limit (validation keeps the automatic bound below it),
-    # checked before any residue is computed
-    if degree_bound is not None and int(degree_bound) > MAX_EXPANSION_WINDOW:
-        raise InvalidInstanceError(
-            f"the character expansion bound {int(degree_bound)} is above the "
-            f"limit of {MAX_EXPANSION_WINDOW}"
-        )
+    if degree_bound is not None:
+        # the oracle's limits at a raised bound (validation checks them at
+        # the automatic one), before any residue is computed
+        oracle_window(p, degree_bound)
     ok = hypotheses_hold(findings)
     timings = {}
 
     t0 = time.perf_counter()
     table = residue_table(p)
-    lefschetz_value = invariant_from_residues(
-        [row.entries[-1][1] for row in table]  # the infinity cell
-    )
+    lefschetz_value = invariant_from_residues([row.infinity for row in table])
     reduced = _reduced_from_table(p, table)
     timings["residues_s"] = time.perf_counter() - t0
 

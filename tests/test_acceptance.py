@@ -143,10 +143,9 @@ def test_criterion_08_galois_rationality():
             for f, row in zip(p.components, residue_table(p)):
                 if f.moment <= 0:
                     continue
-                cells = dict(row.entries)
                 for d in sorted({d for d, _ in wall_set(f)} - {1}):
                     for j in (j for j in range(1, d) if gcd(j, d) == 1):
-                        orbit_sums[d] = orbit_sums.get(d, 0) + cells[f"zeta_{d}^{j}"]
+                        orbit_sums[d] = orbit_sums.get(d, 0) + row.walls[d, j]
             corr = verify_quantization(p).reduced.corrections
             assert corr == {d: rational_part(v) for d, v in orbit_sums.items()}, p.name
             orbits += len(corr)

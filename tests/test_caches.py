@@ -46,10 +46,8 @@ def test_the_caches_are_found():
         "quantred.exactnum.phi_degree",
         "quantred.fixedpoint._parsed_class", "quantred.fixedpoint._parsed_ring",
         "quantred.fixedpoint._wall_set",
-        "quantred.laurent._binomial_terms", "quantred.laurent._denominator_terms",
-        "quantred.laurent._plan",
+        "quantred.laurent._binomial_terms", "quantred.laurent._plan",
         "quantred.oracle._monomials",
-        "quantred.reduction.root_label",
     }
 
 

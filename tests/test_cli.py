@@ -8,10 +8,9 @@ from quantred import (
     catalog,
     catalog_names,
     instance_to_dict,
-    root_label,
     verify_quantization,
 )
-from quantred.cli import main
+from quantred.cli import main, root_label
 from quantred.cohomology import MAX_RING_MONOMIALS
 
 
@@ -292,8 +291,8 @@ def test_degree_bound_above_limit_exit_two(capsys):
     assert code == 0
 
 
-def test_degree_bound_checked_before_residues(capsys, monkeypatch):
-    # the oracle's limit on --degree-bound is checked before the residue table
+def test_degree_bound_checked_before_residues(capsys, monkeypatch, tmp_path):
+    # the oracle's limits at --degree-bound are checked before the residue table
     import quantred.reduction as reduction_mod
 
     def residue_table(p):
@@ -311,6 +310,25 @@ def test_degree_bound_checked_before_residues(capsys, monkeypatch):
     with pytest.raises(InvalidInstanceError) as rejected:
         character_polynomial(tensor_power(catalog("cp2-line-double"), 64), 20001)
     assert str(rejected.value) == "the character expansion bound 20001 is above the limit of 20000"
+    assert str(rejected.value) in err
+    # so is its work limit: (P^1)^5 under one normal weight on a nonzero
+    # class has automatic bound 9 and work 211 * (9 + 9 + 4 + 2) = 5,064,
+    # but 211 * (20000 + 9 + 4 + 2) = 4,223,165 column steps at bound 20000
+    from quantred import (FixedComponent, GroupKind, ProblemInstance, RingPresentation,
+                          has_errors, validate)
+
+    ring = RingPresentation(tuple("abcde"), (2,) * 5, 10, {(1,) * 5: 1})
+    x = ring.gen("a")
+    p = ProblemInstance(GroupKind.U1, [FixedComponent("F", ring, 2, [1], [x], x, ring.one())])
+    assert not has_errors(validate(p))  # admitted at the automatic bound
+    path = tmp_path / "p1_power.json"
+    path.write_text(json.dumps(instance_to_dict(p)))
+    code, _, err = run(capsys, "verify", str(path), "--degree-bound", "20000")
+    assert code == 2
+    with pytest.raises(InvalidInstanceError) as rejected:
+        character_polynomial(p, 20000)
+    assert str(rejected.value) == (
+        "the character oracle needs 4223165 column steps, above the limit of 4000000")
     assert str(rejected.value) in err
 
 

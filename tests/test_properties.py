@@ -15,6 +15,7 @@ is trusted with it.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,7 +32,9 @@ from quantred import (
     catalog_names,
     character_polynomial,
     component_form,
+    hypotheses_hold,
     invariant_multiplicity,
+    load_instance,
     rational_part,
     residue_row,
     tensor_power,
@@ -518,7 +521,13 @@ def test_fixed_line_family_split_is_polynomial_in_k(p):
 # n = dim_C M: (E - 1)**n annihilates the main term, (E**d - 1)**n the
 # correction c_d(k) and (E**L - 1)**n the invariant count, L the lcm of the
 # wall orders.  The sweep reads every piece off verify_quantization, whose
-# verdict checks the three counts against each other at each k.
+# verdict checks the three counts against each other at each k.  For the
+# circle the main term is a polynomial of exact degree n - 1, the dimension
+# of the reduced space, with a positive leading difference.
+
+GOLDEN_INSTANCES = Path(__file__).resolve().with_name("golden") / "instances"
+SWEEP = 60  # tensor powers per instance: the binary septic's 60 take the longest
+
 
 def annihilates(step, n, values):
     """Whether (E**step - 1)**n maps the sequence to zero, on at least one
@@ -528,17 +537,37 @@ def annihilates(step, n, values):
     return bool(values) and not any(values)
 
 
-@pytest.mark.parametrize("name,k,top", [
-    ("cp1-triple", None, 12), ("cp2-line-double", None, 16), ("cp2-k", 1, 24),
-    ("so3-s2xs2", None, 16),
-])
+def _sweeps():
+    # (name, k, top): a few catalog entries at set lengths, then every other
+    # catalog entry at its default k and every golden instance document over
+    # SWEEP powers; the negative control su2-excluded is left out
+    listed = [("cp1-triple", None, 12), ("cp2-line-double", None, 16), ("cp2-k", 1, 24),
+              ("so3-s2xs2", None, 16)]
+    seen = {name for name, k, _ in listed if k is None} | {"su2-excluded"}
+    listed += [(name, None, SWEEP) for name in catalog_names() if name not in seen]
+    return listed + [(path.stem, None, SWEEP)
+                     for path in sorted(GOLDEN_INSTANCES.glob("*.json"))]
+
+
+@pytest.mark.parametrize("name,k,top", _sweeps())
 def test_tensor_powers_are_quasi_polynomials(name, k, top):
-    base = catalog(name) if k is None else catalog(name, k)
+    if name not in catalog_names():
+        base = load_instance(GOLDEN_INSTANCES / f"{name}.json")
+    else:
+        base = catalog(name) if k is None else catalog(name, k)
     n = base.dimension() // 2
     reports = [verify_quantization(tensor_power(base, j)) for j in range(1, top + 1)]
-    assert [r.verdict for r in reports] == ["PASS"] * top
-    assert annihilates(1, n, [r.reduced.main for r in reports])
+    for j, r in enumerate(reports, 1):
+        assert r.verdict == ("PASS" if hypotheses_hold(r.findings) else "NOT-ASSERTED"), j
+    main = [r.reduced.main for r in reports]
+    assert annihilates(1, n, main)
+    if base.group is GroupKind.U1:
+        lead = differences(main, n - 1)
+        assert lead[0] > 0 and len(set(lead)) == 1, lead
+    # a piece is checked where the sweep has a value for its annihilator
     for d in reports[0].reduced.corrections:
-        assert annihilates(d, n, [r.reduced.corrections[d] for r in reports]), d
+        if n * d < top:
+            assert annihilates(d, n, [r.reduced.corrections[d] for r in reports]), d
     period = lcm(*(d for f in base.components for d, _ in wall_set(f)))
-    assert annihilates(period, n, [r.lefschetz for r in reports]), period
+    if n * period < top:
+        assert annihilates(period, n, [r.lefschetz for r in reports]), period

@@ -19,12 +19,12 @@ from quantred import (
     rational_part,
     residue_row,
     residue_table,
-    root_label,
     root_of_unity,
     tensor_power,
     verify_quantization,
     wall_set,
 )
+from quantred.cli import residue_columns, root_label
 
 INSTANCES = Path(__file__).resolve().with_name("golden") / "instances"
 SPHERE_N60 = INSTANCES / "sphere-pm30.json"
@@ -296,10 +296,12 @@ def test_wall_cells_equal_direct_residues():
         n = p.conductor
         weyl = WeylFactor(p.group).poly
         orbit_sums = {}
-        for f, row in zip(p.components, residue_table(p)):
+        table = residue_table(p)
+        labels, layout = residue_columns(table)
+        for f, row, values in zip(p.components, table, layout):
             assert tuple(row.walls) == wall_set(f), (p.name, f.name)
             numerator, denominator = component_form(f, weyl)
-            cells = dict(row.entries)
+            cells = dict(zip(labels, values))
             for (d, j), value in row.walls.items():
                 if d == 1:
                     continue
@@ -377,13 +379,13 @@ def test_residue_rows_sum_to_zero():
 
 
 def test_residue_table_quasi_free_has_no_extra_columns():
-    rows = residue_table(catalog("cp1-k", 2))
-    assert rows[0].labels() == ["zero", "t=1", "infinity"]
+    labels, _ = residue_columns(residue_table(catalog("cp1-k", 2)))
+    assert labels == ["zero", "t=1", "infinity"]
 
 
 def test_residue_table_shows_wall_columns():
-    rows = residue_table(catalog("cp1-double"))
-    assert rows[0].labels() == ["zero", "t=1", "zeta_2^1", "infinity"]
+    labels, _ = residue_columns(residue_table(catalog("cp1-double")))
+    assert labels == ["zero", "t=1", "zeta_2^1", "infinity"]
 
 
 def test_residue_table_cell_types():
@@ -395,11 +397,13 @@ def test_residue_table_cell_types():
     for p in instances:
         roots = sorted(set().union(*(wall_set(f) for f in p.components)))
         sites = ["zero", *roots, "infinity"]
-        for f, row in zip(p.components, residue_table(p)):
+        rows = residue_table(p)
+        labels, layout = residue_columns(rows)
+        assert labels == ["zero", *(root_label(*r) for r in roots), "infinity"]
+        for f, row, values in zip(p.components, rows, layout):
             walls = wall_set(f)
-            assert row.labels() == ["zero", *(root_label(*r) for r in roots), "infinity"]
             assert type(row.total) is Fraction
-            for site, (label, value) in zip(sites, row.entries):
+            for site, label, value in zip(sites, labels, values, strict=True):
                 where = (p.name, f.name, label)
                 if site in walls and site[0] > 2:
                     assert type(value) is Cyclotomic and value.conductor == site[0], where
