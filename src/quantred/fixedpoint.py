@@ -185,7 +185,7 @@ class FixedComponent:
 
 
 class ProblemInstance:
-    __slots__ = ("group", "components", "name", "_findings")
+    __slots__ = ("group", "components", "name", "_findings", "_window")
 
     def __init__(self, group, components, name="instance"):
         components = tuple(components)
@@ -198,6 +198,7 @@ class ProblemInstance:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "_findings", None)
+        object.__setattr__(self, "_window", None)
 
     def __setattr__(self, *args):
         raise AttributeError("instances are immutable")
@@ -232,7 +233,14 @@ class ProblemInstance:
 def expansion_window(p: ProblemInstance) -> int:
     """Support bound for the character, from the data alone: beyond
     max(|moment| + sum |weights| * (1 + top_degree/2)) + 1 every coefficient
-    of the expansion at t -> infinity must vanish."""
+    of the expansion at t -> infinity must vanish.  An instance is
+    immutable, so the bound is computed once per instance."""
+    if p._window is None:
+        object.__setattr__(p, "_window", _window_of(p))
+    return p._window
+
+
+def _window_of(p: ProblemInstance) -> int:
     bound = 0
     for f in p.components:
         slack = 1 + f.ring.top_degree // 2

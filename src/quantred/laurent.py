@@ -18,12 +18,13 @@ Everything but N is fixed by the denominator shape (the sorted (beta, M)
 pairs), and one plan per shape (``_plan``, read by ``residue_row`` only)
 holds it.  At zero and at infinity the plan holds a sign, a shift and one
 adding recurrence per factor, run on integers with one division at the
-end.  Per order d of the shape's wall roots it holds the site record
-(``_site``) of the primitive root zeta_d only: the pole order P and
-integer weights W_i, i < P; the residue sums a_r r**i W_i over the terms
-a_r t**r of N into one integer list at the offset zeta_d**r shifts each
-to, divides once, and is the cell in Q(zeta_d), whose Galois images fill
-the rest of its orbit.  The weights come from Q itself, expanded once per
+end; the residue is the var**0 coefficient alone, so the last recurrence
+is one strided sum at that coefficient (``_constant_term``).  Per order d
+of the shape's wall roots it holds the site record (``_site``) of the
+primitive root zeta_d only: the pole order P and integer weights W_i,
+i < P; the residue sums a_r r**i W_i over the terms a_r t**r of N into one
+integer list at the offset zeta_d**r shifts each to, divides once, and is
+the cell in Q(zeta_d), whose Galois images fill the rest of its orbit.  The weights come from Q itself, expanded once per
 shape as integer terms q_c t**c by the polynomial product that builds N:
 the Taylor rows T_n of Q(zeta*e^u) / u**P are integer sums of
 q_c zeta**c c**(P+n), the lead 1/T_0 has a closed form, and
@@ -252,32 +253,27 @@ def _recurrence(pairs, sigma: int) -> Recurrence:
     return Recurrence(sigma, negate, shift, tuple(steps))
 
 
-def _expansion(numerator, recurrence: Recurrence, low: int, high: int) -> list:
-    # the kernel at zero and at infinity: var**low .. var**high of N / Q
+def _constant_term(numerator, recurrence: Recurrence) -> Fraction:
+    # the kernel at zero and at infinity: the var**0 coefficient of N / Q
     sigma, negate, shift, steps = recurrence
     terms, scale = numerator
-    out = [Fraction(0)] * (high - low + 1)
     if not terms:
-        return out
-    # the var-exponents lo .. top of N(var) / prod (1 - var**a) that land
-    # in the window after the shift
-    lo, top = min(terms) if sigma > 0 else -max(terms), high - shift
+        return Fraction(0)
+    # the var-exponents lo .. top of N(var) / prod (1 - var**a), top the one
+    # that lands on var**0 after the shift
+    lo, top = min(terms) if sigma > 0 else -max(terms), -shift
     if top < lo:
-        return out
+        return Fraction(0)
     q = [0] * (top - lo + 1)
     for r, a in terms.items():
         if (e := sigma * r) <= top:
             q[e - lo] = a
-    for a in steps:
+    for a in steps[:-1]:
         for i in range(a, len(q)):
             q[i] += q[i - a]
-    if negate:
-        scale = -scale
-    for e in range(max(low, lo + shift), high + 1):
-        v = q[e - shift - lo]
-        if v:
-            out[e - low] = Fraction(v, scale)
-    return out
+    # the last step only at the top: q[top] plus q[top - a], q[top - 2a], ...
+    v = sum(q[::-steps[-1]]) if steps else q[-1]
+    return Fraction(-v if negate else v, scale)
 
 
 @lru_cache(maxsize=None)
@@ -402,8 +398,8 @@ def residue_row(numerator, denominator):
     (['1/4', '-1/4', '1/4*z', '-1/4*z'], Fraction(0, 1))
     """
     plan = _plan(tuple(sorted(denominator.items())))
-    at_zero = _expansion(numerator, plan.zero, 0, 0)[0]
-    at_infinity = -_expansion(numerator, plan.inf, 0, 0)[0]  # dt/t = -dw/w
+    at_zero = _constant_term(numerator, plan.zero)
+    at_infinity = -_constant_term(numerator, plan.inf)  # dt/t = -dw/w
     summands = [at_zero, at_infinity]  # rational cells, and each orbit by its trace
     cells = {}
     for site, first, conjugates in plan.orbits:

@@ -6,7 +6,8 @@ elementary character theory.
 Each normal factor 1/(1 - w^b e^{-c}) is applied to the running series s by
 the recurrence it defines, s[e] = num[e] + X s[e - m], up to a checked tail
 window; a negative weight is first rewritten as -w^m e^{c} / (1 - w^m e^{c})
-with m = -b.  The summed expansion must vanish in that tail, which certifies
+with m = -b, and its sign is carried per component to where the components
+are summed.  The summed expansion must vanish in that tail, which certifies
 the data.
 
 The arithmetic is in integers.  A class is a flat list of ints indexed by
@@ -17,11 +18,12 @@ power of c that is nonzero) makes L X integral, and D becomes D L.  As
 N = L X - L only moves weight to higher monomials, the columns are finished
 in index order: column k is L num_k plus the quotient by L of (N S)_k shifted
 by m, which must be exact (a remainder raises ``ArithmeticError``), then the
-running sum S_k[e] += S_k[e - m], one ``accumulate`` per residue class mod m.
-Columns are combined by ``map`` over :mod:`operator` functions (``_axpy``),
-and a scale or weight of 1 is never applied.  Inputs are read off their
-integer layout (numerators over one denominator, :mod:`quantred.cohomology`);
-a ``Fraction`` appears only in the message for a non-integral coefficient.
+running sum S_k[e] += S_k[e - m], one ``accumulate`` per residue class mod m
+(over the whole column for m = 1).  Columns are combined by ``map`` over
+:mod:`operator` functions (``_axpy``), and a scale or weight of 1 is never
+applied.  Inputs are read off their integer layout (numerators over one
+denominator, :mod:`quantred.cohomology`); a ``Fraction`` appears only in the
+message for a non-integral coefficient.
 
 This module deliberately re-implements this small ring arithmetic instead of
 reusing the series/ring machinery: the point is to certify the residue
@@ -245,7 +247,7 @@ def character_polynomial(
     t^-1 + 1 + t
     """
     bound, top = oracle_window(p, degree_bound)  # checked tail window: (bound, top]
-    parts = []  # (denominator, low, integer values at w^low, w^(low+1), ...)
+    parts = []  # (denominator, sign, low, integer values at w^low, w^(low+1), ...)
     for f in p.components:
         index, rows = _monomials(f.ring.orders)
         # s[e] = sum_k series[k][e - low] x^k / den
@@ -255,28 +257,25 @@ def character_polynomial(
         g = gcd(den, *base)
         series = [[x // g] for x in base]
         den //= g
-        low = -f.moment
+        low, sign = -f.moment, 1
         for b, chern in zip(f.weights, f.normal_chern):
             if b == 0:
                 raise InvalidInstanceError(f"component {f.name!r} has a zero weight")
             # for b > 0, num is the series, X = e^{-c} and m = b; for b < 0,
-            # num is -w^m e^{c} times the series, X = e^{c} and m = -b
+            # num is -w^m e^{c} times the series, X = e^{c} and m = -b, and
+            # the sign goes to the component's sign
             m = abs(b)
             scale, step = _scaled_exp(chern, index, rows, -1 if b > 0 else 1)
             nil = [[] for _ in series]  # nil[k]: (j, N_i) with x^i x^j = x^k
             for i, x in enumerate(step[1:], 1):
                 for j, k in rows[i] if x else ():
                     nil[k].append((j, x))
-            if b > 0:
-                num = series if scale == 1 else [list(map(mul, repeat(scale), c)) for c in series]
-            else:
-                num = []
+            num = [c if scale == 1 else list(map(mul, repeat(scale), c)) for c in series]
+            if b < 0:  # L e^{c} S = L S + N S
                 for k, terms in enumerate(nil):
-                    col = [0] * len(series[k])
-                    for j, x in [(k, scale), *terms]:
-                        col = _axpy(col, -x, series[j])
-                    num.append(col)
-                low += m
+                    for j, x in terms:
+                        num[k] = _axpy(num[k], x, series[j])
+                low, sign = low + m, -sign
             den *= scale
             size = top - low + 1
             series = []
@@ -292,8 +291,12 @@ def character_polynomial(
                                 f"inexact division by {scale} in the oracle recurrence")
                         acc = map(add, col[m:], map(floordiv, acc, repeat(scale)))
                     col[m:] = acc
-                for r in range(m):  # S_k[e] += S_k[e - m], one residue class at a time
-                    col[r::m] = accumulate(col[r::m])
+                # S_k[e] += S_k[e - m], one residue class mod m at a time
+                if m == 1:
+                    col = list(accumulate(col))
+                else:
+                    for r in range(m):
+                        col[r::m] = accumulate(col[r::m])
                 series.append(col)
         # integrate with the ring's integer weights, over integral_den
         values = []
@@ -301,14 +304,14 @@ def character_polynomial(
             if w:
                 col = col if w == 1 else map(mul, repeat(w), col)
                 values = list(map(add, values, col) if values else col)
-        parts.append((den * f.ring.integral_den, low, values))
+        parts.append((den * f.ring.integral_den, sign, low, values))
     # sum the components over one common denominator; windows end by top
-    common = lcm(*(d for d, _, _ in parts))
-    lo = min(low for _, low, _ in parts)
+    common = lcm(*(d for d, _, _, _ in parts))
+    lo = min(low for _, _, low, _ in parts)
     total = [0] * (top - lo + 1)
-    for d, low, values in parts:
+    for d, sign, low, values in parts:
         i = low - lo
-        total[i:i + len(values)] = _axpy(total[i:], common // d, values)
+        total[i:i + len(values)] = _axpy(total[i:], sign * (common // d), values)
     bad = list(compress(range(bound + 1, top + 1), total[bound + 1 - lo:]))
     if bad:
         raise StabilizationError(
@@ -316,10 +319,11 @@ def character_polynomial(
             f"t^{[-e for e in bad]} beyond the bound {bound}; the "
             "data does not come from a compact manifold"
         )
-    odd = common != 1 and {lo + i for i, v in enumerate(total) if v % common}
-    if odd:
+    # the tail (bound, top] is zero, and the character is read off lo .. bound
+    if common != 1 and any(map(mod, total, repeat(common))):
+        odd = {lo + i for i, v in enumerate(total) if v % common}
         # name the first one met component by component, lowest exponent first
-        w_exp = next(low + i for _, low, values in parts
+        w_exp = next(low + i for _, _, low, values in parts
                      for i, v in enumerate(values) if v and low + i in odd)
         raise StabilizationError(
             f"character coefficient at t^{-w_exp} is "
@@ -327,7 +331,7 @@ def character_polynomial(
             "not an integer; inconsistent fixed-point data"
         )
     counts = total if common == 1 else map(floordiv, total, repeat(common))
-    return _character(dict(compress(zip(range(-lo, -lo - len(total), -1), counts), total)))
+    return _character(dict(compress(zip(range(-lo, -bound - 1, -1), counts), total)))
 
 
 def invariant_multiplicity(c: CharacterPolynomial, group: GroupKind) -> int:

@@ -15,7 +15,7 @@ from quantred import (
     residue_row,
     root_order,
 )
-from quantred.laurent import _expansion, _recurrence
+from quantred.laurent import _recurrence
 
 
 def mobius(n: int) -> int:
@@ -91,11 +91,41 @@ def residue_at(numerator, denominator, chart):
     return cells.get((d, chart.exponent * d // chart.conductor), zero)
 
 
+def window_expansion(numerator, recurrence, low, high):
+    """var**low .. var**high of N / Q for a ``laurent.Recurrence``: every
+    adding recurrence q[n] += q[n - a] run over the whole window.  The
+    reference for the engine's kernel, which reads off var**0 alone."""
+    sigma, negate, shift, steps = recurrence
+    terms, scale = numerator
+    out = [Fraction(0)] * (high - low + 1)
+    if not terms:
+        return out
+    # the var-exponents lo .. top of N(var) / prod (1 - var**a) that land
+    # in the window after the shift
+    lo, top = min(terms) if sigma > 0 else -max(terms), high - shift
+    if top < lo:
+        return out
+    q = [0] * (top - lo + 1)
+    for r, a in terms.items():
+        if (e := sigma * r) <= top:
+            q[e - lo] = a
+    for a in steps:
+        for i in range(a, len(q)):
+            q[i] += q[i - a]
+    if negate:
+        scale = -scale
+    for e in range(max(low, lo + shift), high + 1):
+        v = q[e - shift - lo]
+        if v:
+            out[e - low] = Fraction(v, scale)
+    return out
+
+
 def expansion(numerator, denominator, sigma, low, high):
     """var**low .. var**high of N / prod (1 - t**(-beta))**M at zero
     (sigma = 1, var = t) or at infinity (sigma = -1, var = 1/t), by the
-    engine's adding recurrence."""
-    return _expansion(numerator, _recurrence(denominator.items(), sigma), low, high)
+    window reference."""
+    return window_expansion(numerator, _recurrence(denominator.items(), sigma), low, high)
 
 
 def chart_character(p, sigma, top):

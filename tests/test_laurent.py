@@ -11,6 +11,8 @@ from quantred import (
     ChartMismatch,
     Cyclotomic,
     FixedComponent,
+    GroupKind,
+    ProblemInstance,
     RingPresentation,
     RingSeries,
     TruncationError,
@@ -20,10 +22,11 @@ from quantred import (
     root_of_unity,
     root_order,
     todd_coefficients,
+    verify_quantization,
 )
-from quantred.laurent import _site
+from quantred.laurent import Recurrence, _constant_term, _site
 
-from conftest import expansion, residue_at, ring_classes, small_fractions
+from conftest import expansion, residue_at, ring_classes, small_fractions, window_expansion
 
 POINT = RingPresentation.point()
 P1 = RingPresentation.projective_line()
@@ -369,6 +372,57 @@ def test_truncation_monotone(data):
     numerator = ({data.draw(st.integers(-4, 4)): 1}, 1)
     wide = expansion(numerator, {beta: m}, sigma, -6, hi)
     assert expansion(numerator, {beta: m}, sigma, -2, 4) == wide[4:11]
+
+
+# -- the one-coefficient kernel at zero and at infinity --------------------------
+
+numerators = st.tuples(
+    st.dictionaries(st.integers(-15, 15), st.integers(-9, 9).filter(bool), max_size=6),
+    st.integers(1, 6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator=numerators, sign=st.sampled_from([1, -1]), negate=st.booleans(),
+       shift=st.integers(-20, 20), steps=st.lists(st.integers(1, 7), max_size=4))
+def test_constant_term_is_the_window_at_zero(numerator, sign, negate, shift, steps):
+    # the kernel's var**0 coefficient against index 0 of the whole window
+    # run by every adding recurrence, on drawn signs, shifts and steps (a
+    # denominator shape gives a shift of at least 0 and its steps |beta|)
+    recurrence = Recurrence(sign, negate, shift, tuple(steps))
+    assert (_constant_term(numerator, recurrence)
+            == window_expansion(numerator, recurrence, 0, 0)[0]), recurrence
+
+
+@pytest.mark.parametrize("numerator, recurrence, value", [
+    # an empty numerator
+    (({}, 1), Recurrence(1, False, 0, (1, 2)), 0),
+    # top < lo: every term of N lies above var**0
+    (({5: 1, 7: 2}, 1), Recurrence(1, False, 0, (1,)), 0),
+    (({-3: 1}, 1), Recurrence(-1, True, 4, (2, 2)), 0),
+    # no step: the value is N's own var**0 coefficient, over D
+    (({0: 3, 2: 1}, 2), Recurrence(1, False, 0, ()), Fraction(3, 2)),
+    (({0: 3, -2: 1}, 2), Recurrence(-1, True, 0, ()), Fraction(-3, 2)),
+    # a single step: 1 / (1 - t**3) carries t**-9 onto t**0 and t**-8 past it
+    (({-9: 1, -8: 5}, 1), Recurrence(1, False, 0, (3,)), 1),
+    # a repeated last step: t**-4 / (1 - t**2)**2 at t**0 is 3
+    (({-4: 1}, 1), Recurrence(1, False, 0, (2, 2)), 3),
+    # mixed steps: partitions of 6 into parts 1, 2 and 3 number 7
+    (({-6: 1}, 3), Recurrence(1, False, 0, (1, 3, 2)), Fraction(7, 3)),
+])
+def test_constant_term_edge_cases(numerator, recurrence, value):
+    assert _constant_term(numerator, recurrence) == value
+    assert window_expansion(numerator, recurrence, 0, 0)[0] == value
+
+
+def test_a_component_with_no_weights_reads_its_numerator():
+    # no factor at all: both cells read N's t**0 coefficient (negated at
+    # infinity, dt/t = -dw/w), and the one weightless point verifies
+    zero, cells, infinity, total = residue_row(({0: 3, 1: 1}, 2), {})
+    assert (zero, cells, infinity, total) == (Fraction(3, 2), {(1, 0): 0}, Fraction(-3, 2), 0)
+    p = ProblemInstance(GroupKind.U1, [FixedComponent(
+        "p", POINT, 1, [], [], POINT.zero(), POINT.one())])
+    assert verify_quantization(p).verdict == "PASS"
 
 
 # -- numeric cross-check of scalar expansions -----------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ring_classes
+from conftest import expansion, ring_classes
 from quantred import (
     CharacterPolynomial,
     CohomologyClass,
@@ -17,12 +17,15 @@ from quantred import (
     RingPresentation,
     StabilizationError,
     SymmetryError,
+    WeylFactor,
     automatic_degree_bound,
     catalog,
     catalog_names,
     character_polynomial,
+    component_form,
     invariant_multiplicity,
     load_instance,
+    residue_row,
     tensor_power,
 )
 from quantred.fixedpoint import MAX_EXPANSION_WINDOW, InvalidInstanceError
@@ -565,3 +568,26 @@ def test_the_columns_leave_their_inputs_alone():
         _outcome(reversed_action(p))
         assert _outcome(p) == first, p.name
         assert _oracle_inputs(p) == before, p.name
+
+
+# -- long windows ----------------------------------------------------------------
+# Twice the high-power benchmark's windows, where both the oracle's columns and
+# the kernel at zero and at infinity run longest.
+
+LONG_WINDOWS = [
+    catalog("cp2-k", 128),
+    *(tensor_power(catalog(name), 128) for name in ("cp2-line", "cp2-line-double", "cp1xcp1")),
+    tensor_power(catalog("so3-s2xs2"), 64),
+]
+
+
+@pytest.mark.parametrize("p", LONG_WINDOWS, ids=lambda p: p.name)
+def test_long_windows_match_both_references(p):
+    weyl = WeylFactor(p.group).poly
+    for q in (p, reversed_action(p)):
+        assert isinstance(_assert_same_as_reference(q), CharacterPolynomial), q.name
+        for f in q.components:
+            numerator, denominator = component_form(f, weyl)
+            zero, _, infinity, _ = residue_row(numerator, denominator)
+            assert zero == expansion(numerator, denominator, 1, 0, 0)[0], (q.name, f.name)
+            assert infinity == -expansion(numerator, denominator, -1, 0, 0)[0], (q.name, f.name)

@@ -229,7 +229,7 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
 
     form_calls, residue_calls, check_calls = [], [], []
     names = {}  # id of a numerator -> its component
-    real_form, real_outer, real_root = (lef.component_form, laurent._expansion,
+    real_form, real_outer, real_root = (lef.component_form, laurent._constant_term,
                                         laurent._root_residue)
     real_checks = fp._checks
 
@@ -240,10 +240,10 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
         return form
 
     # the two plan kernels, each call with the site its plan piece is for
-    def counted_outer(numerator, recurrence, low, high):
+    def counted_outer(numerator, recurrence):
         chart = Chart.at_zero() if recurrence.sign == 1 else Chart.at_infinity()
         residue_calls.append((names[id(numerator)], chart))
-        return real_outer(numerator, recurrence, low, high)
+        return real_outer(numerator, recurrence)
 
     def counted_root(numerator, site):
         # a site is at zeta_d, t = 1 for d = 1
@@ -255,7 +255,7 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
         return real_checks(p)
 
     monkeypatch.setattr(red, "component_form", counted_form)
-    monkeypatch.setattr(laurent, "_expansion", counted_outer)
+    monkeypatch.setattr(laurent, "_constant_term", counted_outer)
     monkeypatch.setattr(laurent, "_root_residue", counted_root)
     monkeypatch.setattr(fp, "_checks", counted_checks)
     # built afresh, so no instance has been validated before
@@ -279,6 +279,29 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
             expected += [(f.name, Chart.at_root(d, 1)) for d in _wall_orders(f)]
         assert sorted(residue_calls, key=repr) == sorted(expected, key=repr), p.name
         assert len(check_calls) == 1, p.name
+
+
+def test_verify_computes_the_expansion_window_once(monkeypatch):
+    import quantred.fixedpoint as fp
+
+    calls = []
+    real_window = fp._window_of
+
+    def counted_window(p):
+        calls.append(p.name)
+        return real_window(p)
+
+    monkeypatch.setattr(fp, "_window_of", counted_window)
+    # built afresh, so no window has been computed before; a tensor power is
+    # a new instance and computes its own
+    base = catalog("cp2-line")
+    for p in (base, tensor_power(base, 8), tensor_power(catalog("so3-s2xs2"), 4)):
+        calls.clear()
+        assert verify_quantization(p).verdict == "PASS", p.name
+        assert calls == [p.name]
+        # a raised degree bound reads the same window
+        verify_quantization(p, 3 * fp.expansion_window(p))
+        assert calls == [p.name]
 
 
 def test_wall_cells_equal_direct_residues():
