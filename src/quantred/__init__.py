@@ -42,7 +42,6 @@ from .fixedpoint import (
     load_instance,
     tensor_power,
     validate,
-    wall_set,
 )
 from .laurent import (
     Chart,

@@ -10,7 +10,7 @@ catalog entry):
 
 Exit status: 0 on PASS or NOT-ASSERTED, 1 on FAIL, 2 on input errors,
 3 on internal computation errors.  All numbers are printed exactly;
-``--decimal`` adds clearly marked approximations.
+``--decimal`` (``verify``, ``residues``) adds clearly marked approximations.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def scalar_json(x):
     return str(x)  # an int or a Fraction
 
 
-def _add_common(sub):
+def _add_flags(sub, degree_bound: bool, decimal: bool):
     sub.add_argument("input", nargs="?", help="path to a JSON instance document")
     sub.add_argument(
         "--catalog",
@@ -82,20 +82,22 @@ def _add_common(sub):
         help="bundle power: selects k for parametrized catalog entries, "
         "applies a tensor power to fixed entries and file inputs",
     )
-    sub.add_argument(
-        "--degree-bound",
-        type=int,
-        default=None,
-        metavar="INT",
-        help="raise the character expansion bound (never lowers the "
-        "automatic bound)",
-    )
+    if degree_bound:
+        sub.add_argument(
+            "--degree-bound",
+            type=int,
+            default=None,
+            metavar="INT",
+            help="raise the character expansion bound (never lowers the "
+            "automatic bound)",
+        )
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument(
-        "--decimal",
-        action="store_true",
-        help="append decimal approximations (clearly marked) to exact values",
-    )
+    if decimal:
+        sub.add_argument(
+            "--decimal",
+            action="store_true",
+            help="append decimal approximations (clearly marked) to exact values",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,13 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
         "count with its orbifold corrections.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("verify", "compute both sides and the oracle, compare"),
-        ("character", "print the character Laurent polynomial"),
-        ("residues", "print the per-component per-pole residue table"),
+    # each subcommand takes only the flags it reads: the character is an
+    # integer polynomial, and the residue table runs no oracle
+    for name, doc, degree_bound, decimal in (
+        ("verify", "compute both sides and the oracle, compare", True, True),
+        ("character", "print the character Laurent polynomial", True, False),
+        ("residues", "print the per-component per-pole residue table", False, True),
     ):
-        sub = subs.add_parser(name, help=doc)
-        _add_common(sub)
+        _add_flags(subs.add_parser(name, help=doc), degree_bound, decimal)
     return parser
 
 

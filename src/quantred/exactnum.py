@@ -50,9 +50,9 @@ def _primes(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, lowest degree first.
+    """Coefficients of Phi_n, lowest degree first.  Not cached: the
+    library reads it only in ``_power_table``, cached per conductor.
 
     With r the product of the primes of n, Phi_n(z) = Phi_r(z^(n/r)), and
     Phi_r(z) is the Moebius product of the z^(r/d) - 1 over the divisors d

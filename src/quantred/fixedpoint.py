@@ -24,7 +24,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import phi_degree
@@ -397,20 +397,6 @@ def require_valid(p: ProblemInstance) -> list[Finding]:
             "; ".join(str(f) for f in findings if f.level == "ERROR"), findings
         )
     return findings
-
-
-def wall_set(f: FixedComponent) -> tuple[tuple[int, int], ...]:
-    """The roots of unity zeta_d**j with zeta**beta = 1 for some normal
-    weight beta, as sorted pairs (d, j): d divides a weight, 0 <= j < d and
-    gcd(j, d) = 1, so each order d brings its whole Galois orbit.  Always
-    contains (1, 0), the point t = 1.  Built once per weight tuple."""
-    return _wall_set(f.weights)
-
-
-@lru_cache(maxsize=None)
-def _wall_set(weights: tuple) -> tuple[tuple[int, int], ...]:
-    orders = {d for b in weights if b for d in range(1, abs(b) + 1) if b % d == 0}
-    return tuple((d, j) for d in sorted(orders | {1}) for j in range(d) if gcd(j, d) == 1)
 
 
 def tensor_power(p: ProblemInstance, k: int) -> ProblemInstance:

@@ -46,7 +46,6 @@ from math import comb, factorial, gcd, lcm, prod
 
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import Cyclotomic, fraction_sum
-from .fixedpoint import _wall_set
 
 
 class TruncationError(ArithmeticError):
@@ -370,28 +369,32 @@ def _site(d: int, shape: tuple) -> Site:
 
 
 # all a residue row needs of a denominator shape but N: the recurrences at
-# zero and infinity and, per orbit of wall roots in wall_set order, the site
-# of zeta_d (t = 1 for d = 1), its exponent and those of its conjugates
+# zero and infinity and, per Galois orbit of wall roots, the site of zeta_d
+# (t = 1 for d = 1), its exponent and those of its conjugates
 Plan = namedtuple("Plan", "zero inf orbits")
 
 
 @lru_cache(maxsize=None)
 def _plan(shape: tuple) -> Plan:
-    orbits = {}
-    for d, j in _wall_set(tuple(beta for beta, _ in shape)):
-        orbits.setdefault(d, []).append(j)
-    return Plan(_recurrence(shape, 1), _recurrence(shape, -1),
-                tuple((_site(d, shape), first, tuple(rest))
-                      for d, (first, *rest) in orbits.items()))
+    # the wall roots zeta_d**j, zeta**beta = 1 for a weight beta: in
+    # increasing order every d dividing a weight, and d = 1 (t = 1) always,
+    # each with its conjugates j, gcd(j, d) = 1, the representative first
+    orbits = []
+    for d in range(1, max((abs(beta) for beta, _ in shape), default=1) + 1):
+        if d == 1 or any(beta % d == 0 for beta, _ in shape):
+            first, *rest = (j for j in range(d) if gcd(j, d) == 1)
+            orbits.append((_site(d, shape), first, tuple(rest)))
+    return Plan(_recurrence(shape, 1), _recurrence(shape, -1), tuple(orbits))
 
 
 def residue_row(numerator, denominator):
     """Every residue of N(t) / prod (1 - t**(-beta))**M * dt/t: (at zero,
-    {(d, j): cell at zeta_d**j} over the denominator's wall set, at
-    infinity, their sum).  The residue at zeta_d is computed once per order
-    d, in Q(zeta_d) (a ``Fraction`` for d <= 2); N and Q are rational, so
-    the cell at zeta_d**j is its image under ``galois(j)`` and the orbit
-    adds up to its trace.  The sum is 0 by the residue theorem:
+    {(d, j): cell at zeta_d**j} over the denominator's wall roots (t = 1
+    and every zeta_d**j, gcd(j, d) = 1, with d dividing a weight beta, by
+    increasing d), at infinity, their sum).  The residue at zeta_d is
+    computed once per order d, in Q(zeta_d) (a ``Fraction`` for d <= 2); N
+    and Q are rational, so the cell at zeta_d**j is its image under
+    ``galois(j)`` and the orbit adds up to its trace.  The sum is 0 by the residue theorem:
 
     >>> zero, cells, infinity, total = residue_row(({1: 1}, 1), {4: 1})
     >>> [str(cell) for cell in cells.values()], total

@@ -1,6 +1,6 @@
 """The reduced-space count: the residue at t = 1 of the Weyl-weighted forms
 over positive-moment components (the smooth main term), plus correction
-terms at the other roots of unity lying on some component's wall set (the
+terms at the other roots of unity lying on some component's walls (the
 orbifold corrections), and the verification report comparing everything
 against the invariant count and the brute-force oracle.
 
@@ -44,10 +44,10 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
     the evaluation of the Todd class against the reduced space, which is the
     full answer exactly when the action on the zero level is free.  The
     residue at a nontrivial root zeta_d**j sums the positive-moment rows
-    whose own wall set contains it; roots on no such wall are left out (their
-    residues vanish identically).  A row's wall set holds whole Galois
-    orbits and the trace is linear, so the correction of order d is the
-    trace of the summed residue at zeta_d.
+    with a cell there, the rows on whose walls it lies; roots on no such
+    wall are left out (their residues vanish identically).  A row's cells
+    fill whole Galois orbits and the trace is linear, so the correction of
+    order d is the trace of the summed residue at zeta_d.
     """
     mains = []
     residues: dict[tuple[int, int], object] = {}
@@ -75,7 +75,7 @@ def _reduced_from_table(p: ProblemInstance, table) -> ReducedRR:
 class ResidueRow(namedtuple("ResidueRow", "component zero walls infinity total")):
     """One component's residues, as ``residue_row`` gives them: the cell at
     zero, ``walls`` mapping (d, j) to the cell at zeta_d**j over the
-    component's wall_set, the cell at infinity, and ``total``, their sum
+    component's wall roots, the cell at infinity, and ``total``, their sum
     (zero by the global residue theorem)."""
 
     __slots__ = ()

@@ -141,6 +141,16 @@ def chart_character(p, sigma, top):
     return {m: v for m, v in out.items() if v}
 
 
+def wall_roots(weights):
+    """The wall roots of normal weights, as ``residue_row`` keys its cells:
+    t = 1 and every root of unity exp(2 pi i k / |beta|) of a weight beta,
+    each as the pair (d, j) of zeta_d**j in lowest terms k / |beta| = j / d,
+    sorted.  The reference for ``laurent._plan``, which lists them by
+    order instead of by weight."""
+    roots = {Fraction(k, abs(b)) for b in weights for k in range(abs(b))}
+    return tuple(sorted((r.denominator, r.numerator) for r in roots | {Fraction(0)}))
+
+
 @pytest.fixture
 def p1_ring():
     return RingPresentation.projective_line()

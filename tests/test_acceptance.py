@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
+from conftest import wall_roots
 from quantred import (
     WeylFactor,
     automatic_degree_bound,
@@ -22,7 +23,6 @@ from quantred import (
     tensor_power,
     validate,
     verify_quantization,
-    wall_set,
 )
 
 # entries whose hypotheses hold, per the verification contract
@@ -88,7 +88,7 @@ def test_criterion_04_global_residue_theorem():
         weyl = WeylFactor(p.group).poly
         for f in p.components:
             at_zero, cells, at_infinity, _ = residue_row(*component_form(f, weyl))
-            assert set(cells) == set(wall_set(f)), (name, f.name)
+            assert tuple(cells) == wall_roots(f.weights), (name, f.name)
             total = at_zero + at_infinity
             for cell in cells.values():
                 total = total + cell
@@ -143,7 +143,7 @@ def test_criterion_08_galois_rationality():
             for f, row in zip(p.components, residue_table(p)):
                 if f.moment <= 0:
                     continue
-                for d in sorted({d for d, _ in wall_set(f)} - {1}):
+                for d in sorted({d for d, _ in wall_roots(f.weights)} - {1}):
                     for j in (j for j in range(1, d) if gcd(j, d) == 1):
                         orbit_sums[d] = orbit_sums.get(d, 0) + row.walls[d, j]
             corr = verify_quantization(p).reduced.corrections

@@ -291,6 +291,27 @@ def test_degree_bound_above_limit_exit_two(capsys):
     assert code == 0
 
 
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    # residues runs no oracle, so a degree bound would be ignored, and the
+    # character prints integers only, so --decimal would be: argparse
+    # rejects both with a usage error before any input is read
+    for command, flag in (("residues", ["--degree-bound", "999999"]),
+                          ("character", ["--decimal"])):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--catalog", "cp1-k", *flag])
+        captured = capsys.readouterr()
+        assert exited.value.code == 2, command
+        assert captured.out == "", command
+        assert captured.err.startswith("usage: quantred "), command
+        assert f"error: unrecognized arguments: {flag[0]}" in captured.err, command
+    # each is still taken where it is read
+    for command, flag in (("verify", ["--degree-bound", "20", "--decimal"]),
+                          ("character", ["--degree-bound", "20"]),
+                          ("residues", ["--decimal"])):
+        code, _, _ = run(capsys, command, "--catalog", "cp1-k", *flag)
+        assert code == 0, command
+
+
 def test_degree_bound_checked_before_residues(capsys, monkeypatch, tmp_path):
     # the oracle's limits at --degree-bound are checked before the residue table
     import quantred.reduction as reduction_mod

@@ -14,13 +14,14 @@ from quantred import (
     SchemaError,
     catalog,
     catalog_names,
+    component_form,
     has_errors,
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    residue_row,
     tensor_power,
     validate,
-    wall_set,
 )
 from quantred.catalog import UnknownCatalogError
 from quantred.exactnum import phi_degree
@@ -38,6 +39,12 @@ def point_component(name, moment, weights):
         name, POINT, moment, weights,
         [POINT.zero() for _ in weights], POINT.zero(), POINT.one(),
     )
+
+
+def row_walls(f):
+    """The roots (d, j) of zeta_d**j at which the engine's residue row of
+    F has a cell, in the row's order."""
+    return tuple(residue_row(*component_form(f))[1])
 
 
 # -- validation -----------------------------------------------------------
@@ -301,27 +308,27 @@ def test_expansion_window_limit():
 
 def test_wall_set_quasi_free():
     f = point_component("f", 1, [1, -1])
-    assert wall_set(f) == ((1, 0),)
+    assert row_walls(f) == ((1, 0),)
 
 
 def test_wall_set_weight_two():
     f = point_component("f", 1, [2])
-    assert wall_set(f) == ((1, 0), (2, 1))  # 1 and -1
+    assert row_walls(f) == ((1, 0), (2, 1))  # 1 and -1
 
 
 def test_wall_set_weights_two_three():
     f = point_component("f", 1, [2, 3])
     # 1, -1, zeta_3 and zeta_3^2, each in its own Q(zeta_d)
-    assert wall_set(f) == ((1, 0), (2, 1), (3, 1), (3, 2))
+    assert row_walls(f) == ((1, 0), (2, 1), (3, 1), (3, 2))
 
 
 def test_wall_set_respects_instance_conductor():
     p = catalog("cp2-k", 1)
     assert p.conductor == 12
     e0 = p.component("e0")  # weights 1, 3
-    assert wall_set(e0) == ((1, 0), (3, 1), (3, 2))
+    assert row_walls(e0) == ((1, 0), (3, 1), (3, 2))
     # every wall root lies in the instance's Q(zeta_N)
-    assert all(p.conductor % d == 0 for f in p.components for d, _ in wall_set(f))
+    assert all(p.conductor % d == 0 for f in p.components for d, _ in row_walls(f))
 
 
 # (conductor, [(level, code, component)]) of every catalog entry and golden
@@ -394,7 +401,7 @@ def test_cp1_k2_calibrated_data():
 def test_cp1_double_walls():
     p = catalog("cp1-double")
     assert p.conductor == 4
-    assert wall_set(p.component("north")) == ((1, 0), (2, 1))
+    assert row_walls(p.component("north")) == ((1, 0), (2, 1))
 
 
 def test_unknown_name():

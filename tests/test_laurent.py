@@ -26,7 +26,8 @@ from quantred import (
 )
 from quantred.laurent import Recurrence, _constant_term, _site
 
-from conftest import expansion, residue_at, ring_classes, small_fractions, window_expansion
+from conftest import (expansion, residue_at, ring_classes, small_fractions, wall_roots,
+                      window_expansion)
 
 POINT = RingPresentation.point()
 P1 = RingPresentation.projective_line()
@@ -423,6 +424,22 @@ def test_a_component_with_no_weights_reads_its_numerator():
     p = ProblemInstance(GroupKind.U1, [FixedComponent(
         "p", POINT, 1, [], [], POINT.zero(), POINT.one())])
     assert verify_quantization(p).verdict == "PASS"
+
+
+# a few distinct weights up to 60 in size, each drawn again and again
+repeated_weights = st.lists(st.integers(-60, 60).filter(bool), min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=repeated_weights, moment=st.integers(-3, 3))
+def test_row_cells_are_the_wall_roots(weights, moment):
+    # the engine lists the wall roots by order d and then by conjugate; the
+    # reference reads them off each weight's own roots: the same pairs in
+    # the same order, t = 1 first
+    f = FixedComponent("f", POINT, moment, weights, [POINT.zero()] * len(weights),
+                       POINT.zero(), POINT.one())
+    assert tuple(residue_row(*component_form(f))[1]) == wall_roots(weights), weights
 
 
 # -- numeric cross-check of scalar expansions -----------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chart_character, expansion, ring_classes, twisted
+from conftest import chart_character, expansion, ring_classes, twisted, wall_roots
 from quantred import (
     CohomologyClass,
     FixedComponent,
@@ -32,7 +32,6 @@ from quantred import (
     residue_table,
     tensor_power,
     verify_quantization,
-    wall_set,
 )
 from quantred.cli import residue_columns, root_label
 from quantred.lefschetz import NonIntegerResultError
@@ -97,7 +96,7 @@ def test_residue_sum_over_all_poles_is_zero_per_component():
         weyl = WeylFactor(p.group).poly
         for f in p.components:
             at_zero, cells, at_infinity, _ = residue_row(*component_form(f, weyl))
-            assert set(cells) == set(wall_set(f)), (name, f.name)
+            assert tuple(cells) == wall_roots(f.weights), (name, f.name)
             total = at_zero + at_infinity
             for cell in cells.values():
                 total = total + cell
@@ -132,12 +131,12 @@ def test_poles_only_on_wall_sets():
     # so the residue vanishes identically: the row has cells on the walls
     # only, and the printed table fills every other wall column with 0
     p = catalog("cp2-k", 1)
-    roots = set().union(*(wall_set(f) for f in p.components))
+    roots = set().union(*(wall_roots(f.weights) for f in p.components))
     off_wall = 0
     rows = residue_table(p)
     labels, layout = residue_columns(rows)
     for f, row, values in zip(p.components, rows, layout):
-        assert set(row.walls) == set(wall_set(f))
+        assert tuple(row.walls) == wall_roots(f.weights)
         cells = dict(zip(labels, values))
         for root in roots - set(row.walls):
             assert cells[root_label(*root)] == 0, (f.name, root)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chart_character, twisted
+from conftest import chart_character, twisted, wall_roots
 from quantred import (
     FixedComponent,
     GroupKind,
@@ -39,7 +39,6 @@ from quantred import (
     residue_row,
     tensor_power,
     verify_quantization,
-    wall_set,
 )
 
 POINT = RingPresentation.point()
@@ -400,7 +399,7 @@ def test_residue_theorem_for_arbitrary_components(f, group, twist):
     # every cell of the row of t**twist times the Weyl density times h_F
     form = component_form(f, twisted(twist, WeylFactor(group)))
     at_zero, cells, at_infinity, _ = residue_row(*form)
-    assert set(cells) == set(wall_set(f))
+    assert tuple(cells) == wall_roots(f.weights)
     total = at_zero + at_infinity
     for cell in cells.values():
         total = total + cell
@@ -568,6 +567,6 @@ def test_tensor_powers_are_quasi_polynomials(name, k, top):
     for d in reports[0].reduced.corrections:
         if n * d < top:
             assert annihilates(d, n, [r.reduced.corrections[d] for r in reports]), d
-    period = lcm(*(d for f in base.components for d, _ in wall_set(f)))
+    period = lcm(*(d for f in base.components for d, _ in wall_roots(f.weights)))
     if n * period < top:
         assert annihilates(period, n, [r.lefschetz for r in reports]), period

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import wall_roots
 from quantred import (
     Chart,
     Cyclotomic,
@@ -22,7 +23,6 @@ from quantred import (
     root_of_unity,
     tensor_power,
     verify_quantization,
-    wall_set,
 )
 from quantred.cli import residue_columns, root_label
 
@@ -215,12 +215,6 @@ def test_report_contents():
     assert report.reduced.residues_by_root.keys() == {(2, 1)}
 
 
-def _wall_orders(f):
-    """Orders d > 1 of the roots of unity on F's walls: the divisors of its
-    weights (an independent restatement of wall_set)."""
-    return {d for b in f.weights for d in range(2, abs(b) + 1) if b % d == 0}
-
-
 def test_verify_computes_each_residue_and_validates_once(monkeypatch):
     import quantred.fixedpoint as fp
     import quantred.laurent as laurent
@@ -276,7 +270,8 @@ def test_verify_computes_each_residue_and_validates_once(monkeypatch):
             expected += [(f.name, Chart.at_zero()), (f.name, Chart.at_one()),
                          (f.name, Chart.at_infinity())]
             # one residue per wall order d > 1, at zeta_d in Q(zeta_d)
-            expected += [(f.name, Chart.at_root(d, 1)) for d in _wall_orders(f)]
+            expected += [(f.name, Chart.at_root(d, 1))
+                         for d, j in wall_roots(f.weights) if j == 1]
         assert sorted(residue_calls, key=repr) == sorted(expected, key=repr), p.name
         assert len(check_calls) == 1, p.name
 
@@ -322,7 +317,7 @@ def test_wall_cells_equal_direct_residues():
         table = residue_table(p)
         labels, layout = residue_columns(table)
         for f, row, values in zip(p.components, table, layout):
-            assert tuple(row.walls) == wall_set(f), (p.name, f.name)
+            assert tuple(row.walls) == wall_roots(f.weights), (p.name, f.name)
             numerator, denominator = component_form(f, weyl)
             cells = dict(zip(labels, values))
             for (d, j), value in row.walls.items():
@@ -418,13 +413,13 @@ def test_residue_table_cell_types():
     instances = [catalog(name) for name in catalog_names()]
     instances += [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
     for p in instances:
-        roots = sorted(set().union(*(wall_set(f) for f in p.components)))
+        roots = sorted(set().union(*(wall_roots(f.weights) for f in p.components)))
         sites = ["zero", *roots, "infinity"]
         rows = residue_table(p)
         labels, layout = residue_columns(rows)
         assert labels == ["zero", *(root_label(*r) for r in roots), "infinity"]
         for f, row, values in zip(p.components, rows, layout):
-            walls = wall_set(f)
+            walls = wall_roots(f.weights)
             assert type(row.total) is Fraction
             for site, label, value in zip(sites, labels, values, strict=True):
                 where = (p.name, f.name, label)
