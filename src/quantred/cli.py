@@ -9,8 +9,9 @@ catalog entry):
 * ``residues``   print the per-component, per-pole residue table.
 
 Exit status: 0 on PASS or NOT-ASSERTED, 1 on FAIL, 2 on input errors,
-3 on internal computation errors.  All numbers are printed exactly;
-``--decimal`` (``verify``, ``residues``) adds clearly marked approximations.
+3 on computation errors and on internal errors (any other exception).
+All numbers are printed exactly; ``--decimal`` (``verify``, ``residues``)
+adds clearly marked approximations.
 """
 
 from __future__ import annotations
@@ -323,6 +324,10 @@ def main(argv=None) -> int:
         # (non-stabilizing expansions, non-integer counts, internal bugs) is a
         # failure of the computation
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except Exception as exc:
+        # a bug, not a broken identity: exit 1 is kept for FAIL
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

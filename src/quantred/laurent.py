@@ -24,10 +24,16 @@ of the shape's wall roots it holds the site record (``_site``) of the
 primitive root zeta_d only: the pole order P and integer weights W_i,
 i < P; the residue sums a_r r**i W_i over the terms a_r t**r of N into one
 integer list at the offset zeta_d**r shifts each to, divides once, and is
-the cell in Q(zeta_d), whose Galois images fill the rest of its orbit.  The weights come from Q itself, expanded once per
-shape as integer terms q_c t**c by the polynomial product that builds N:
-the Taylor rows T_n of Q(zeta*e^u) / u**P are integer sums of
-q_c zeta**c c**(P+n), the lead 1/T_0 has a closed form, and
+the cell in Q(zeta_d), whose Galois images fill the rest of its orbit.
+The plan lists the wall orders d from the divisors of the weights and
+builds every site in one pass.  The weights come from Q itself, expanded
+once per shape as integer terms q_c t**c by the polynomial product that
+builds N, and handed to each site of pole order 2 or more: the Taylor rows
+T_n of Q(zeta*e^u) / u**P are integer sums of q_c zeta**c c**(P+n).  The
+lead 1/T_0 has a closed form, an integer vector in Z[x]/(x**d - 1) that each
+factor off the walls multiplies by a ramp sum_{i<e} i x**(i k), a cyclic
+convolution that a running sum does on each coset of <k>; it is reduced mod
+Phi_d once.  At a simple pole the one weight is the lead; otherwise
 u**P / Q(zeta*e^u) is one reciprocal, run on integers.
 
 :class:`RingSeries`, a window of a Laurent expansion with cohomology-class
@@ -42,7 +48,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, isqrt, lcm
+from operator import mul
 
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import Cyclotomic, fraction_sum
@@ -292,7 +299,7 @@ def _times(poly: dict, terms) -> dict:
 
 def _denominator_terms(shape: tuple) -> tuple:
     # Q = prod (1 - t**(-beta))**M as (t-exponent, nonzero integer) pairs,
-    # expanded once per site of a shape's plan, which _plan caches
+    # expanded once per shape by _plan, which hands it to each of its sites
     poly = {0: 1}
     for beta, m in shape:
         poly = _times(poly, _binomial_terms(beta, 0, m))
@@ -306,53 +313,82 @@ def _denominator_terms(shape: tuple) -> tuple:
 Site = namedtuple("Site", "order pole weights common")
 
 
-def _site(d: int, shape: tuple) -> Site:
-    walls = [(beta, m) for beta, m in shape if beta % d == 0]
-    pole = sum(m for _, m in walls)
+def _ramp_product(v: list, k: int, e: int) -> list:
+    # v times sum_{i<e} i x**(i k) in Z[x]/(x**d - 1), d = len(v) and e the
+    # order of k mod d: on each coset c + <k>, with u_j = v[c + j k], it is
+    # the cyclic convolution y_j = sum_{i<e} i u_(j-i), which a running sum
+    # does, y_j = y_(j-1) + sum(u) - e u_j from y_(-1) = y_(e-1)
+    d = len(v)
+    steps = [j * k % d for j in range(e)]
+    out = [0] * d
+    for c in range(d // e):
+        u = [v[c + s] for s in steps]
+        if any(u):
+            total, y = sum(u), sum(map(mul, range(e - 1, -1, -1), u))
+            for s, x in zip(steps, u):
+                y += total - e * x
+                out[c + s] = y
+    return out
+
+
+def _site(d: int, shape: tuple, q_terms: tuple) -> Site:
+    # q_terms is Q as _denominator_terms gives it, read only when P >= 2;
+    # the lead 1/T_0 is beta**(-M) per wall and (1 - z)**(-M) per factor off
+    # the walls, z = zeta**(-beta) of order e, with 1/(1 - z) =
+    # sum_{i<e} i z**i / (-e): over den, one integer vector in Z[x]/(x**d - 1)
+    # (None for 1), times the ramp of each factor, reduced mod Phi_d once
+    pole, lead, den = 0, None, 1
+    for beta, m in shape:
+        if not (k := -beta % d):  # a wall
+            pole += m
+            den *= beta ** m
+            continue
+        e = d // gcd(d, k)
+        den *= (-e) ** m
+        for _ in range(m):
+            if lead is None:  # the ramp itself
+                lead = [0] * d
+                for i in range(e):
+                    lead[i * k % d] = i
+            else:
+                lead = _ramp_product(lead, k, e)
     if not pole:  # zeta_d on no wall
         return Site(d, 0, (), 1)
     # every value is kept as integers at the powers zeta**0 .. zeta**(d-1); it
     # is rational when d <= 2 or every factor is a wall (zeta**c = 1 at every
     # exponent c of Q), and then it is the integers at zeta**0 minus those at
     # zeta**1, the one other root
-    rational = d <= 2 or len(walls) == len(shape)
+    rational = d <= 2 or lead is None
+    if rational:
+        num, coords = 1 if lead is None else lead[0] - lead[1], lambda x: (x,)
+    else:
+        num, coords = Cyclotomic.from_integers(d, lead), lambda x: x.num
+    if pole == 1:  # W_0 is the lead, in lowest terms over a positive common
+        c = coords(num)
+        g = gcd(den, *c) if den > 0 else -gcd(den, *c)
+        return Site(d, 1, (tuple([x // g for x in c]),), den // g)
     # T_n, the u**(P+n) coefficient of Q(zeta e^u) = sum_c q_c zeta**c e^(cu),
     # is sum_c q_c zeta**c c**(P+n) / (P+n)!, for 0 < n < P
     rows = [[0] * max(d, 2) for _ in range(1, pole)]
-    if rows:
-        for c, q in _denominator_terms(shape):
-            q *= c ** (pole + 1)
-            k = c % d
-            for row in rows:
-                row[k] += q
-                q *= c
+    for c, q in q_terms:
+        q *= c ** (pole + 1)
+        k = c % d
+        for row in rows:
+            row[k] += q
+            q *= c
     # t_n = (P+n)! T_n, integers
     taylor = [None] + [row[0] - row[1] if rational else Cyclotomic.from_integers(d, row)
                        for row in rows]
-    # 1/T_0 is beta**(-M) per wall and (1 - z)**(-M) per factor off the walls,
-    # z = zeta**(-beta) of order e, with 1/(1 - z) = -(1/e) sum_{i<e} i z**i
-    num, den = 1, prod(beta ** m for beta, m in walls)
-    for beta, m in shape:
-        if k := -beta % d:
-            e = d // gcd(d, k)
-            w = [0] * max(d, 2)
-            for i in range(1, e):
-                w[i * k % d] -= i
-            w = w[0] - w[1] if rational else Cyclotomic.from_integers(d, w)
-            for _ in range(m):
-                num, den = num * w, den * e
     # u**P / Q(zeta e^u) = sum_n r_n u**n, the reciprocal of sum_n T_n u**n:
     # r_0 = 1/T_0 and r_n = -r_0 sum_{k=1..n} T_k r_{n-k}, run on integers (in
     # Z[zeta]) over one running denominator, a multiple of each r_n's own
-    coords = (lambda x: (x,)) if rational else (lambda x: x.num)
     minus, series, common = -num, [num], den  # r_n = series[n] / common
     for n in range(1, pole):
         # s = sum_k t_k r_(n-k) (P+n)! / (P+k)! times common, by Horner in
         # the factors P+k, and r_n = s / (den (P+n)! common)
-        terms = [taylor[k] * series[n - k] for k in range(1, n + 1)]
-        s = terms[0]
-        for k, term in enumerate(terms[1:], 2):
-            s = s * (pole + k) + term
+        s = taylor[1] * series[n - 1]
+        for k in range(2, n + 1):
+            s = s * (pole + k) + taylor[k] * series[n - k]
         s = minus * s
         full = den * factorial(pole + n) * common
         own = full // gcd(full, *coords(s))  # the denominator of r_n
@@ -361,11 +397,15 @@ def _site(d: int, shape: tuple) -> Site:
             common *= grow
         series.append(s * common // full if rational else s * Fraction(common, full))
     # W_i is r_(P-1-i) / i! over the lcm of their denominators in lowest terms
-    reduced = [(c, gcd(common, *c)) for c in map(coords, reversed(series))]
-    parts = [([v // g for v in c], common // g * factorial(i)) for i, (c, g) in enumerate(reduced)]
-    common = lcm(*(den for _, den in parts))
-    weights = tuple(tuple(x * (common // den) for x in num) for num, den in parts)
-    return Site(d, pole, weights, common)
+    parts, out = [], 1
+    for i, r in enumerate(reversed(series)):
+        c = coords(r)
+        g = gcd(common, *c)
+        part = common // g * factorial(i)  # the denominator of W_i, up to sign
+        parts.append((c, g, part))
+        out = lcm(out, part)
+    weights = tuple([tuple([x // g * (out // part) for x in c]) for c, g, part in parts])
+    return Site(d, pole, weights, out)
 
 
 # all a residue row needs of a denominator shape but N: the recurrences at
@@ -377,13 +417,21 @@ Plan = namedtuple("Plan", "zero inf orbits")
 @lru_cache(maxsize=None)
 def _plan(shape: tuple) -> Plan:
     # the wall roots zeta_d**j, zeta**beta = 1 for a weight beta: in
-    # increasing order every d dividing a weight, and d = 1 (t = 1) always,
+    # increasing order every divisor d of a weight, and d = 1 (t = 1) always,
     # each with its conjugates j, gcd(j, d) = 1, the representative first
+    orders, total = {1}, 0
+    for beta, m in shape:
+        b, total = abs(beta), total + m
+        for a in range(1, isqrt(b) + 1):
+            if b % a == 0:
+                orders |= {a, b // a}
+    # Q is read by the sites of pole order 2 or more, and t = 1, on every
+    # wall, has the largest pole, the total multiplicity
+    q_terms = _denominator_terms(shape) if total > 1 else ()
     orbits = []
-    for d in range(1, max((abs(beta) for beta, _ in shape), default=1) + 1):
-        if d == 1 or any(beta % d == 0 for beta, _ in shape):
-            first, *rest = (j for j in range(d) if gcd(j, d) == 1)
-            orbits.append((_site(d, shape), first, tuple(rest)))
+    for d in sorted(orders):
+        first, *rest = [j for j in range(d) if gcd(j, d) == 1]
+        orbits.append((_site(d, shape, q_terms), first, tuple(rest)))
     return Plan(_recurrence(shape, 1), _recurrence(shape, -1), tuple(orbits))
 
 

@@ -1,7 +1,7 @@
 """Shared strategies and small independent oracles for the test suite."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import strategies as st
@@ -15,7 +15,7 @@ from quantred import (
     residue_row,
     root_order,
 )
-from quantred.laurent import _recurrence
+from quantred.laurent import Site, _recurrence
 
 
 def mobius(n: int) -> int:
@@ -149,6 +149,61 @@ def wall_roots(weights):
     order instead of by weight."""
     roots = {Fraction(k, abs(b)) for b in weights for k in range(abs(b))}
     return tuple(sorted((r.denominator, r.numerator) for r in roots | {Fraction(0)}))
+
+
+def reference_site(d, shape):
+    """The site record of zeta_d for a denominator shape (sorted (beta, M)
+    pairs), by the formulas ``laurent._plan`` replaced: Q expanded for this
+    site alone, and the lead 1/T_0 as one ``Cyclotomic`` product per factor
+    off the walls.  The reference the plan's sites must equal exactly."""
+    walls = [(beta, m) for beta, m in shape if beta % d == 0]
+    pole = sum(m for _, m in walls)
+    if not pole:
+        return Site(d, 0, (), 1)
+    rational = d <= 2 or len(walls) == len(shape)
+    # Q = prod (1 - t**(-beta))**M as {t-exponent: integer}
+    q_poly = {0: 1}
+    for beta, m in shape:
+        out = {}
+        for c, q in q_poly.items():
+            for i in range(m + 1):
+                out[c - beta * i] = out.get(c - beta * i, 0) + q * (-1) ** i * comb(m, i)
+        q_poly = out
+    # (P+n)! T_n = sum_c q_c zeta**c c**(P+n), 0 < n < P, at the offsets c mod d
+    rows = [[0] * max(d, 2) for _ in range(1, pole)]
+    for c, q in q_poly.items():
+        for n, row in enumerate(rows, 1):
+            row[c % d] += q * c ** (pole + n)
+    taylor = [None] + [row[0] - row[1] if rational else Cyclotomic.from_integers(d, row)
+                       for row in rows]
+    # 1/T_0: beta**(-M) per wall, and per factor off the walls (1 - z)**(-M),
+    # z = zeta**(-beta) of order e, 1/(1 - z) = -(1/e) sum_{i<e} i z**i
+    num, den = 1, prod(beta ** m for beta, m in walls)
+    for beta, m in shape:
+        if k := -beta % d:
+            e = d // gcd(d, k)
+            w = [0] * max(d, 2)
+            for i in range(1, e):
+                w[i * k % d] -= i
+            w = w[0] - w[1] if rational else Cyclotomic.from_integers(d, w)
+            for _ in range(m):
+                num, den = num * w, den * e
+    # r_n = -r_0 sum_{k=1..n} T_k r_(n-k), in exact arithmetic
+    r = [Fraction(num, den) if rational else num * Fraction(1, den)]
+    for n in range(1, pole):
+        s = sum((taylor[k] * Fraction(1, factorial(pole + k)) * r[n - k]
+                 for k in range(2, n + 1)), taylor[1] * Fraction(1, factorial(pole + 1)) * r[n - 1])
+        r.append(-r[0] * s)
+    # W_i = r_(P-1-i) / i!, each in lowest terms (a zero W_i over i!), over
+    # the lcm of their denominators
+    parts = []
+    for i, x in enumerate(reversed(r)):
+        x = x * Fraction(1, factorial(i))
+        num, den = ((x.numerator,), x.denominator) if rational else (x.num, x.den)
+        parts.append((num, den if any(num) else factorial(i)))
+    common = lcm(*(den for _, den in parts))
+    return Site(d, pole, tuple(tuple(v * (common // den) for v in num) for num, den in parts),
+                common)
 
 
 @pytest.fixture

@@ -385,6 +385,15 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
         code, _, err = run(capsys, "verify", "--catalog", "cp1-k", "--k", "2")
         assert code == 3, exc
         assert "computation error" in err
+    # any other exception is a bug: exit 3 too, never 1 (FAIL), and no traceback
+    for exc in (TypeError("unsupported operand"), KeyError("walls")):
+        def broken(p, degree_bound=None, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "verify_quantization", broken)
+        code, _, err = run(capsys, "verify", "--catalog", "cp1-k", "--k", "2")
+        assert code == 3, exc
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_missing_input_and_catalog(capsys):

@@ -24,10 +24,11 @@ from quantred import (
     todd_coefficients,
     verify_quantization,
 )
-from quantred.laurent import Recurrence, _constant_term, _site
+from quantred import laurent
+from quantred.laurent import Recurrence, _constant_term, _denominator_terms, _plan, _site
 
-from conftest import (expansion, residue_at, ring_classes, small_fractions, wall_roots,
-                      window_expansion)
+from conftest import (expansion, reference_site, residue_at, ring_classes, small_fractions,
+                      wall_roots, window_expansion)
 
 POINT = RingPresentation.point()
 P1 = RingPresentation.projective_line()
@@ -120,6 +121,13 @@ def denominator_product(denominator, chart, length):
     return q
 
 
+def site_of(d, denominator):
+    """The site record of zeta_d for a denominator {beta: M}, as _plan
+    builds it."""
+    shape = tuple(sorted(denominator.items()))
+    return _site(d, shape, _denominator_terms(shape))
+
+
 def site_series(chart, denominator):
     """u**P / Q(zeta*e^u) to u**(P-1), read back off the site record of
     zeta_d, d the order of the chart's root zeta_d**j: the u**n coefficient
@@ -127,7 +135,7 @@ def site_series(chart, denominator):
     under galois(j) is the one at zeta_d**j."""
     d = root_order(chart.conductor, chart.exponent)
     j = chart.exponent * d // chart.conductor
-    site = _site(d, tuple(sorted(denominator.items())))
+    site = site_of(d, denominator)
     out = [Fraction(w[0] * factorial(i), site.common) if len(w) == 1
            else (Cyclotomic.from_integers(d, w, site.common) * factorial(i)).galois(j)
            for i, w in enumerate(site.weights)]
@@ -442,6 +450,49 @@ def test_row_cells_are_the_wall_roots(weights, moment):
     assert tuple(residue_row(*component_form(f))[1]) == wall_roots(weights), weights
 
 
+def assert_plan_sites_match_reference(shape):
+    # every site of the plan, one per wall order d in increasing order,
+    # equals the record the reference builds for it on its own
+    orders = sorted({d for d, _ in wall_roots([beta for beta, _ in shape])})
+    sites = [site for site, _, _ in _plan.__wrapped__(shape).orbits]
+    assert sites == [reference_site(d, shape) for d in orders], shape
+
+
+# distinct weights in +-40, multiplicities 1..3, at most 14 factors in all
+shapes = st.dictionaries(st.integers(-40, 40).filter(bool), st.integers(1, 3), max_size=7).filter(
+    lambda m: sum(m.values()) <= 14).map(lambda m: tuple(sorted(m.items())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=shapes)
+def test_plan_sites_match_the_reference(shape):
+    assert_plan_sites_match_reference(shape)
+
+
+@pytest.mark.parametrize("n", range(1, 22, 2))
+def test_plan_sites_match_the_reference_on_binary_forms(n):
+    # the points of the binary n-ic under SU(2): n factors of weights
+    # 2(j - i), many off each wall, and walls of every order up to 2n
+    for i in range(n + 1):
+        assert_plan_sites_match_reference(
+            tuple(sorted((2 * (j - i), 1) for j in range(n + 1) if j != i)))
+
+
+@pytest.mark.parametrize("shape,expanded", [
+    ((), 0), (((3, 1),), 0), (((-30, 1),), 0),
+    (((1, 2),), 1), (((-5, 1), (2, 1)), 1), (((-4, 1), (6, 3), (9, 1)), 1),
+])
+def test_a_plan_expands_q_once(monkeypatch, shape, expanded):
+    # Q is expanded once for all the sites of a shape that read it, those of
+    # pole order 2 or more, and not at all when every site has a simple pole
+    calls = []
+    real = laurent._denominator_terms
+    monkeypatch.setattr(laurent, "_denominator_terms", lambda s: calls.append(s) or real(s))
+    plan = _plan.__wrapped__(shape)
+    assert (max(site.pole for site, _, _ in plan.orbits) > 1) == (expanded == 1)
+    assert calls == [shape] * expanded
+
+
 # -- numeric cross-check of scalar expansions -----------------------------------
 
 @settings(max_examples=30, deadline=None)
@@ -643,7 +694,7 @@ def _assert_matches_reference(numerator, denominator, chart):
     # the site record of zeta_d: the pole order, and integer weight vectors
     # over one positive integer, one per power r^i, i < P
     order = pole_order(denominator, chart)
-    site = _site(d, tuple(sorted(denominator.items())))
+    site = site_of(d, denominator)
     assert (site.order, site.pole) == (d, order)
     assert type(site.common) is int and site.common > 0
     assert len(site.weights) == order

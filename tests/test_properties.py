@@ -289,7 +289,9 @@ def test_cayley_sylvester_known_counts():
         == [1, 0, 0, 5, 13]
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 3, 5, 7, 9) for k in range(1, 9)])
+# and the 21-ic at k = 2: leads with up to 20 factors off the walls, and
+# walls of every order up to 21 and every even order up to 42
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 3, 5, 7, 9) for k in range(1, 9)] + [(21, 2)])
 def test_binary_form_counts_match_cayley_sylvester(n, k):
     p = binary_form(n, k)
     expected = cayley_sylvester(n, k)

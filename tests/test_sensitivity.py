@@ -51,14 +51,15 @@ def _site_mutant(anchor: str, replacement: str):
     return namespace["_site"]
 
 
-# the line after the Taylor rows T_n of Q(zeta e^u) / u^P are made
-TAYLOR = "    # 1/T_0 is beta**(-M) per wall"
+# the line after the Taylor rows T_n of Q(zeta e^u) / u^P are made, where the
+# reciprocal of u**P / Q starts
+TAYLOR = "    # u**P / Q(zeta e^u) = sum_n r_n u**n, the reciprocal of sum_n T_n u**n:"
 
 
 def _doubled_rows(low: int, off_wall: bool) -> str:
     # double T_n for n >= low at the sites with (or, for off_wall False,
     # without) a factor off the walls
-    wanted = "len(walls) < len(shape)" if off_wall else "len(walls) == len(shape)"
+    wanted = "lead is not None" if off_wall else "lead is None"
     return (f"    taylor = [x + x if n >= {low} and {wanted} else x"
             f" for n, x in enumerate(taylor)]\n{TAYLOR}")
 
@@ -83,6 +84,19 @@ def test_goldens_read_the_regular_series_past_u2(monkeypatch, cold_caches):
     # point e0 of cp5-033331-k2-c1) reads T_3 there
     monkeypatch.setattr(laurent, "_site", _site_mutant(TAYLOR, _doubled_rows(3, True)))
     assert "cp5-033331-k2-c1" in _changed_reports()
+
+
+def test_goldens_read_the_running_sum_of_the_ramp_product(monkeypatch, cold_caches):
+    # drop the coset sum from the running sum of a lead's second and later
+    # factors off the walls: the points of the binary forms have several
+    source = inspect.getsource(laurent._ramp_product)
+    term = "y += total - e * x"
+    assert source.count(term) == 1
+    namespace = {}
+    exec(compile(source.replace(term, "y -= e * x"), laurent.__file__, "exec"),
+         vars(laurent).copy(), namespace)
+    monkeypatch.setattr(laurent, "_ramp_product", namespace["_ramp_product"])
+    assert {"binary-quintic-k6", "binary-septic-k12"} <= _changed_reports()
 
 
 def test_goldens_read_every_term_of_the_grouped_recursion(monkeypatch, cold_caches):
@@ -115,9 +129,9 @@ def test_goldens_read_the_todd_coefficients_from_degree_4(monkeypatch, cold_cach
     # drop the terms T_k r_(n-k), k >= 4, from the reciprocal recurrence of
     # u^P / Q(zeta e^u), as dropping g_k, k >= 4, of (1 - e^-x)/x would
     # from the Todd series
-    term = "for k in range(1, n + 1)]"
+    term = "for k in range(2, n + 1):"
     monkeypatch.setattr(laurent, "_site",
-                        _site_mutant(term, "for k in range(1, min(n + 1, 4))]"))
+                        _site_mutant(term, "for k in range(2, min(n + 1, 4)):"))
     assert CP5 in _changed_reports()
 
 
