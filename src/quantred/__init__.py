@@ -24,9 +24,6 @@ from .exactnum import (
     NotRationalError,
     cyclotomic_polynomial,
     phi_degree,
-    rational_part,
-    root_of_unity,
-    root_order,
 )
 from .fixedpoint import (
     Finding,

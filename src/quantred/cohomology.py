@@ -26,7 +26,6 @@ the output of :func:`todd_coefficients`, computed on integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _cartesian
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, ge
 
@@ -172,9 +171,6 @@ class RingPresentation:
     def nilpotency_bound(self) -> int:
         """Largest total exponent of a possibly-nonzero monomial."""
         return sum(m - 1 for m in self.orders)
-
-    def monomials(self):
-        return _cartesian(*(range(m) for m in self.orders))
 
     def zero(self) -> "CohomologyClass":
         return _class(self, {}, 1)
@@ -350,11 +346,6 @@ class CohomologyClass:
 
     def is_nilpotent(self) -> bool:
         return self.presentation._unit not in self.num
-
-    def nilpotent_part(self) -> "CohomologyClass":
-        unit = self.presentation._unit
-        return _canonical(
-            self.presentation, {e: v for e, v in self.num.items() if e != unit}, self.den)
 
     def exp(self) -> "CohomologyClass":
         """exp(a) = sum a^n / n!, finite by nilpotency; needs a nilpotent.

@@ -11,7 +11,7 @@ A ``Cyclotomic`` stores phi(N) integer numerators over one positive
 denominator, in lowest terms (the layout of FLINT's ``fmpq_poly``): an
 operation works on integers and pays one gcd for the whole vector, where
 ``Fraction`` coefficients would pay one per coefficient.  Every reduction
-modulo ``Phi_N`` (products, embeddings, Galois images, roots of unity) sums
+modulo ``Phi_N`` (products, embeddings, Galois images) sums
 cached integer rows of ``z**k mod Phi_N`` (one kernel, over rows cached per
 embedding, for every field embedding).  An inverse is the product of the
 other Galois conjugates over the norm; no verification inverts in Q(zeta_N).
@@ -235,16 +235,6 @@ class Cyclotomic:
         den = self.den
         return tuple([Fraction(c, den) for c in self.num])
 
-    def substituted(self, conductor: int, k: int) -> "Cyclotomic":
-        """The image of self under z -> zeta_M**k, M the given conductor: a
-        field embedding, as zeta_M**k must be a primitive N-th root of unity
-        (N = self.conductor).  ``galois(a)`` is ``substituted(N, a)`` and
-        ``promoted(M)`` is ``substituted(M, M // N)``."""
-        if root_order(conductor, k) != self.conductor:
-            raise ValueError(
-                f"zeta_{conductor}^{k} is not a primitive {self.conductor}th root of unity")
-        return self._embedded(conductor, k)
-
     def _embedded(self, m: int, k: int) -> "Cyclotomic":
         # z -> zeta_m**k, a primitive N-th root: an embedding keeps the
         # numerators' content, so the image is in lowest terms as it stands
@@ -377,8 +367,8 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def galois(self, a: int) -> "Cyclotomic":
-        """Apply the Galois automorphism z -> z**a (a coprime to N),
-        ``substituted(N, a)``.  A rational value is its own image."""
+        """Apply the Galois automorphism z -> z**a (a coprime to N).  A
+        rational value is its own image."""
         n = self.conductor
         if gcd(a, n) != 1:
             raise ValueError(f"{a} is not coprime to the conductor {n}")
@@ -482,34 +472,3 @@ def fraction_sum(values) -> Fraction:
     the denominators, added as integers, make one ``Fraction``."""
     common = lcm(*(x.denominator for x in values))
     return Fraction(sum([x.numerator * (common // x.denominator) for x in values]), common)
-
-
-def root_of_unity(n: int, k: int) -> Cyclotomic:
-    """zeta_n**k as an element of Q(zeta_n).
-
-    >>> root_of_unity(2, 1) == -1
-    True
-    """
-    if n < 1:
-        raise ValueError("conductor must be a positive integer")
-    return _new(n, tuple(_reduce(n, ((k, 1),))), 1)
-
-
-def rational_part(x) -> Fraction:
-    """The value of x as a Fraction, if x lies in Q; NotRationalError if not.
-
-    Galois-orbit sums of residues land in Q; failing this check signals an
-    incomplete orbit sum or corrupted input data.
-    """
-    if isinstance(x, Cyclotomic):
-        return x.rational_part()
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    raise TypeError(f"not an exact scalar: {x!r}")
-
-
-def root_order(n: int, k: int) -> int:
-    """Multiplicative order of zeta_n**k."""
-    return n // gcd(n, k % n or n)

@@ -217,12 +217,6 @@ class ProblemInstance:
             raise ValueError(f"components disagree about dim M: {sorted(dims)}")
         return dims.pop()
 
-    def component(self, name: str) -> FixedComponent:
-        for f in self.components:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     def __repr__(self):
         return (
             f"ProblemInstance({self.name!r}, {self.group.value}, "

@@ -49,7 +49,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .cohomology import CohomologyClass, RingPresentation
 from .exactnum import Cyclotomic, fraction_sum
@@ -476,4 +476,5 @@ def _root_residue(numerator, site: Site):
             a *= r
     if d <= 2:  # one integer weight each: zeta_2 = -1, and acc[1] = 0 at d = 1
         return Fraction(acc[0] - acc[1], scale * common)
-    return Cyclotomic.from_integers(d, acc, scale * common)
+    # zeta_d**(i + d) = zeta_d**i: only the d offsets below d are reduced mod Phi_d
+    return Cyclotomic.from_integers(d, list(map(add, acc[:d], acc[d:])), scale * common)

@@ -159,9 +159,6 @@ class CharacterPolynomial:
     def support(self):
         return sorted(self.coefficients)
 
-    def total_dimension(self) -> int:
-        return sum(self.coefficients.values())
-
     def is_weyl_symmetric(self) -> bool:
         c = self.coefficients
         return c == {-m: v for m, v in c.items()}

@@ -100,15 +100,6 @@ class Report(SimpleNamespace):
     verdict: str
     timings: dict
 
-    @property
-    def values_agree(self) -> bool:
-        return (
-            self.lefschetz is not None
-            and self.reduced is not None
-            and self.oracle is not None
-            and self.lefschetz == self.reduced.total == self.oracle
-        )
-
 
 def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     """Residues of Weyl * h_F at every pole site, one row per component,

@@ -1,6 +1,7 @@
 """Shared strategies and small independent oracles for the test suite."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 
 import pytest
@@ -13,7 +14,6 @@ from quantred import (
     component_form,
     phi_degree,
     residue_row,
-    root_order,
 )
 from quantred.laurent import Site, _recurrence
 
@@ -32,6 +32,21 @@ def mobius(n: int) -> int:
     if n > 1:
         out = -out
     return out
+
+
+def root_order(n: int, k: int) -> int:
+    """The multiplicative order of zeta_n**k."""
+    return n // gcd(n, k)
+
+
+def zeta(n: int, k: int) -> Cyclotomic:
+    """zeta_n**k as an element of Q(zeta_n)."""
+    return Cyclotomic.from_integers(n, [0] * (k % n) + [1])
+
+
+def monomials(pres: RingPresentation) -> list:
+    """The exponent vectors of a ring's monomials, the last generator fastest."""
+    return list(product(*(range(m) for m in pres.orders)))
 
 
 def bernoulli_plus(n: int) -> Fraction:
@@ -65,7 +80,7 @@ def cyclotomics(conductor: int):
 
 
 def ring_classes(pres: RingPresentation, nilpotent=False, scalars=small_fractions):
-    monos = [e for e in pres.monomials() if not (nilpotent and sum(e) == 0)]
+    monos = [e for e in monomials(pres) if not (nilpotent and sum(e) == 0)]
     return st.lists(
         scalars, min_size=len(monos), max_size=len(monos)
     ).map(lambda vs: CohomologyClass(pres, dict(zip(monos, vs))))
@@ -149,6 +164,47 @@ def wall_roots(weights):
     order instead of by weight."""
     roots = {Fraction(k, abs(b)) for b in weights for k in range(abs(b))}
     return tuple(sorted((r.denominator, r.numerator) for r in roots | {Fraction(0)}))
+
+
+def root_sum(numerator, denominator, e):
+    """S_e, the sum of the residues of N(t) / prod (1 - t**(-beta))**M * dt/t
+    over all e-th roots of unity, in ``Fraction``s alone.  Each factor
+    1 - t**(-beta) is replaced by its multiple 1 - t**(-L), L = lcm(|beta|, e)
+    sgn beta, and the numerator is multiplied by the cofactor
+    sum_{i < L/beta} t**(-beta i).  Summed over the e-th roots, the terms
+    whose exponent e does not divide cancel, and what is left is the form
+    P(s) / prod (1 - s**(-L/e))**M ds/s in s = t**e.  S_e is its residue at
+    s = 1: with s = exp(u), 1 / (1 - exp(-lam u)) is Td(lam u) / (lam u), Td
+    the Todd series sum B+_n x**n / n!."""
+    poly, scale = dict(numerator[0]), numerator[1]
+    lams = []
+    for beta, m in denominator.items():
+        big = lcm(abs(beta), e) * (1 if beta > 0 else -1)
+        for _ in range(m):
+            out = {}
+            for r, a in poly.items():
+                for i in range(big // beta):
+                    out[r - beta * i] = out.get(r - beta * i, 0) + a
+            poly = out
+        lams += [big // e] * m
+    pole = len(lams)
+    if not pole:
+        return Fraction(0)
+    # P(exp(u)) = sum_n u**n sum_r a_r (r/e)**n / n!, times each Td(lam u)
+    series = [Fraction(sum(a * (r // e) ** n for r, a in poly.items() if r % e == 0),
+                       factorial(n)) for n in range(pole)]
+    todd = [bernoulli_plus(n) / factorial(n) for n in range(pole)]
+    for lam in lams:
+        series = [sum(series[i] * todd[n - i] * lam ** (n - i) for i in range(n + 1))
+                  for n in range(pole)]
+    return series[-1] / (prod(lams) * scale)
+
+
+def orbit_sum(numerator, denominator, d):
+    """The sum of the residues over the primitive d-th roots of unity, by
+    Moebius inversion of the root sums: sum_{e | d} mu(d/e) S_e."""
+    return sum((mobius(d // e) * root_sum(numerator, denominator, e)
+                for e in range(1, d + 1) if d % e == 0), Fraction(0))
 
 
 def reference_site(d, shape):

@@ -1,7 +1,14 @@
+import copy
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantred import (
     Cyclotomic,
@@ -550,3 +557,77 @@ def test_decimal_flag_marks_approximations(capsys):
     code, out, _ = run(capsys, "residues", "--catalog", "cp1-double", "--decimal")
     assert code == 0
     assert "~ 0.5" in out or "~ -0.5" in out
+
+
+# -- the exit status under mutation -------------------------------------------------
+
+GOLDEN_DOCUMENTS = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(
+    (Path(__file__).resolve().with_name("golden") / "instances").glob("*.json"))]
+ATOMS = [None, True, 0, -1, 7, 10**6, 1.5, "", "x", "1/0", "-7/3", [], {}]
+
+
+def _places(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _places(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _places(value, (*path, i))
+
+
+def _mutated(data, doc):
+    """The document after one to three edits, each at a drawn node: an
+    integer scaled or shifted, a list grown or shrunk, a key deleted, or a
+    node replaced by an atom of another type."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        places = list(_places(doc))[1:]
+        if not places:  # every key of the root deleted
+            break
+        *parent, last = data.draw(st.sampled_from(places))
+        owner = doc
+        for key in parent:
+            owner = owner[key]
+        node = owner[last]
+        edits = ["atom"] + (["delete"] if isinstance(owner, dict) else [])
+        if isinstance(node, int) and not isinstance(node, bool):
+            edits += ["scale", "shift"]
+        if isinstance(node, list):
+            edits += ["grow"] + (["shrink"] if node else [])
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "atom":
+            owner[last] = copy.deepcopy(data.draw(st.sampled_from(ATOMS)))
+        elif edit == "delete":
+            del owner[last]
+        elif edit == "scale":
+            owner[last] = node * data.draw(st.sampled_from([-3, -2, -1, 0, 2, 3, 10]))
+        elif edit == "shift":
+            owner[last] = node + data.draw(st.integers(-3, 3))
+        elif edit == "grow":
+            node.insert(data.draw(st.integers(0, len(node))),
+                        copy.deepcopy(data.draw(st.sampled_from(node or ATOMS))))
+        else:
+            del node[data.draw(st.integers(0, len(node) - 1))]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
+    # inconsistent data that passes validation still exits 3 (a computation
+    # error), never 1 (FAIL) or with a traceback; every input error exits 2
+    doc = _mutated(data, data.draw(st.sampled_from(GOLDEN_DOCUMENTS)))
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from(["verify", "residues", "character"]))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, str(path)])
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3), (command, doc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not err.getvalue().startswith("internal error"), (command, doc, err.getvalue())
+    assert elapsed < 1, (command, doc, elapsed)

@@ -325,7 +325,7 @@ def test_wall_set_weights_two_three():
 def test_wall_set_respects_instance_conductor():
     p = catalog("cp2-k", 1)
     assert p.conductor == 12
-    e0 = p.component("e0")  # weights 1, 3
+    e0 = next(f for f in p.components if f.name == "e0")  # weights 1, 3
     assert row_walls(e0) == ((1, 0), (3, 1), (3, 2))
     # every wall root lies in the instance's Q(zeta_N)
     assert all(p.conductor % d == 0 for f in p.components for d, _ in row_walls(f))
@@ -401,7 +401,7 @@ def test_cp1_k2_calibrated_data():
 def test_cp1_double_walls():
     p = catalog("cp1-double")
     assert p.conductor == 4
-    assert row_walls(p.component("north")) == ((1, 0), (2, 1))
+    assert row_walls(next(f for f in p.components if f.name == "north")) == ((1, 0), (2, 1))
 
 
 def test_unknown_name():

@@ -19,16 +19,14 @@ from quantred import (
     component_form,
     phi_degree,
     residue_row,
-    root_of_unity,
-    root_order,
     todd_coefficients,
     verify_quantization,
 )
 from quantred import laurent
 from quantred.laurent import Recurrence, _constant_term, _denominator_terms, _plan, _site
 
-from conftest import (expansion, reference_site, residue_at, ring_classes, small_fractions,
-                      wall_roots, window_expansion)
+from conftest import (expansion, reference_site, residue_at, ring_classes, root_order,
+                      small_fractions, wall_roots, window_expansion, zeta)
 
 POINT = RingPresentation.point()
 P1 = RingPresentation.projective_line()
@@ -87,7 +85,7 @@ def scalar_denominator(beta, chart, length):
     t = zeta*e^u, w = 1 at a wall and 0 elsewhere: written out from the
     exponential series, independently of the site records."""
     k = chart.exponent * -beta % chart.conductor
-    z = root_of_unity(chart.conductor, k) if k else Fraction(1)
+    z = zeta(chart.conductor, k) if k else Fraction(1)
     d = [1 - z] + [-z * Fraction((-beta) ** i, factorial(i)) for i in range(1, length + 1)]
     return d[1:] if is_wall(chart, beta) else d[:length]
 
@@ -214,7 +212,7 @@ def test_regular_factor_leading_coefficient():
     # at a non-wall root the factor is regular with value (1 - zeta^{-beta})^{-1};
     # beside a wall of weight 4 at t = i the lead is 1/4 times its M-th power
     chart = Chart.at_root(4, 1)
-    i = root_of_unity(4, 1)
+    i = zeta(4, 1)
     regular = (1 - i.inverse()).inverse()
     assert site_series(chart, {4: 1, 1: 1})[0] == regular * Fraction(1, 4)
     assert site_series(chart, {4: 1, 1: 2})[0] == regular * regular * Fraction(1, 4)

@@ -27,7 +27,6 @@ from quantred import (
     component_form,
     invariant_multiplicity,
     load_instance,
-    rational_part,
     residue_row,
     residue_table,
     tensor_power,
@@ -100,7 +99,7 @@ def test_residue_sum_over_all_poles_is_zero_per_component():
             total = at_zero + at_infinity
             for cell in cells.values():
                 total = total + cell
-            assert rational_part(total) == 0, (name, f.name)
+            assert total == 0, (name, f.name)
 
 
 # -- vanishing windows ------------------------------------------------------------

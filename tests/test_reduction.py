@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import wall_roots
+from conftest import orbit_sum, wall_roots, zeta
 from quantred import (
     Chart,
     Cyclotomic,
@@ -17,10 +17,8 @@ from quantred import (
     catalog_names,
     component_form,
     load_instance,
-    rational_part,
     residue_row,
     residue_table,
-    root_of_unity,
     tensor_power,
     verify_quantization,
 )
@@ -92,7 +90,7 @@ def test_cp1_triple_galois_orbit():
     p = catalog("cp1-triple")
     residues = reduced(p).residues_by_root  # the order-3 roots zeta_3, zeta_3^2
     assert set(residues) == {(3, 1), (3, 2)}
-    assert residues[3, 1] == root_of_unity(3, 1) / 3 == root_of_unity(12, 4) / 3
+    assert residues[3, 1] == zeta(3, 1) / 3 == zeta(12, 4) / 3
     # the two residues are Galois conjugates in Q(zeta_3) ...
     assert residues[3, 2] == residues[3, 1].galois(2)
     assert residues[3, 1].conductor == residues[3, 2].conductor == 3
@@ -105,12 +103,12 @@ def test_cp1_triple_galois_orbit():
 def test_corrections_ignore_negative_moment_components():
     p = catalog("cp1-double")
     weyl = WeylFactor(p.group)
-    north = p.component("north")
+    north = next(f for f in p.components if f.name == "north")
     # the correction equals the north residue alone: south sits at negative
     # moment and is filtered out even though -1 lies on its wall set
     correction = reduced(p).residues_by_root[2, 1]
     assert correction == residue_row(*component_form(north, weyl.poly))[1][2, 1]
-    south = p.component("south")
+    south = next(f for f in p.components if f.name == "south")
     assert residue_row(*component_form(south, weyl.poly))[1][2, 1] != 0
 
 
@@ -185,7 +183,7 @@ def test_pass_verdicts():
                   "cp2-line-double", "so3-coadjoint", "so3-s2xs2"):
         report = verify_quantization(catalog(name))
         assert report.verdict == "PASS", name
-        assert report.values_agree
+        assert report.lefschetz == report.reduced.total == report.oracle
         assert report.hypotheses_ok
 
 
@@ -196,7 +194,6 @@ def test_not_asserted_with_differing_sides():
     assert report.lefschetz == 1
     assert report.reduced.total == 0
     assert report.oracle == 1
-    assert not report.values_agree
 
 
 def test_not_asserted_small_so3():
@@ -333,9 +330,34 @@ def test_wall_cells_equal_direct_residues():
                 checked += 1
                 if f.moment > 0:
                     orbit_sums[d] = orbit_sums.get(d, Fraction(0)) + direct
-        expected = {d: rational_part(v) for d, v in sorted(orbit_sums.items())}
-        assert reduced(p).corrections == expected, p.name
+        assert reduced(p).corrections == orbit_sums, p.name
     assert checked == 96  # wall cells over these instances; none skipped
+
+
+def test_every_orbit_sum_matches_the_rational_reference():
+    # each row's sum over the Galois orbit of zeta_d, and the report's main
+    # term and corrections, equal the Moebius route of conftest.orbit_sum,
+    # which uses no cyclotomic arithmetic: a correction is the trace of the
+    # cell at zeta_d alone, so this is what sees a wrong conjugate cell
+    instances = [catalog(name) for name in catalog_names()]
+    instances += [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
+    orbits = 0
+    for p in instances:
+        weyl = WeylFactor(p.group).poly
+        expected = {}
+        for f, row in zip(p.components, residue_table(p)):
+            form = component_form(f, weyl)
+            for d in sorted({d for d, _ in row.walls}):
+                cells = [v for (e, _), v in row.walls.items() if e == d]
+                value = orbit_sum(*form, d)
+                assert sum(cells, Fraction(0)) == value, (p.name, f.name, d)
+                orbits += 1
+                if f.moment > 0:
+                    expected[d] = expected.get(d, Fraction(0)) + value
+        red = reduced(p)
+        assert red.main == expected.pop(1, 0), p.name
+        assert red.corrections == expected, p.name
+    assert orbits > 200
 
 
 def test_verify_raises_on_invalid():
@@ -380,7 +402,7 @@ def test_su2_projective_three_space():
     report = verify_quantization(p)
     assert report.verdict == "PASS"
     assert report.lefschetz == report.reduced.total == report.oracle == 1
-    assert report.character.total_dimension() == 35
+    assert sum(report.character.coefficients.values()) == 35
     assert report.reduced.main == Fraction(1, 12)
     assert report.reduced.corrections == {
         2: Fraction(1, 12), 3: Fraction(1, 6), 4: Fraction(1, 2), 6: Fraction(1, 6),
@@ -393,7 +415,7 @@ def test_residue_rows_sum_to_zero():
     for name in catalog_names():
         rows = residue_table(catalog(name))
         for row in rows:
-            assert rational_part(row.total) == 0, (name, row.component)
+            assert row.total == 0, (name, row.component)
 
 
 def test_residue_table_quasi_free_has_no_extra_columns():

@@ -4,23 +4,31 @@ exempt: its imports are the public API.  Every private module-level name is
 read somewhere in the package, so a helper stranded by its last caller is
 seen too, and every private module-level function is reached from code
 outside such functions, so a helper that only itself or other dead helpers
-call is seen as well.  Every public function of the residue engine
-(``laurent``, ``lefschetz``, ``reduction``), of the oracle and of the
-command line is reached from ``cli.main``, and so is every public function
-of the data model (``fixedpoint``) but the schema writer, so an entry point
-that only the tests call is seen.  No function mutates a module-level list,
-dict or set, so every process cache is an ``lru_cache`` that the cache
+call is seen as well.  Every public function and every method of every
+module is reached from ``cli.main`` or from the benchmark's entry points, so
+code that only the tests call is seen.  No function mutates a module-level
+list, dict or set, so every process cache is an ``lru_cache`` that the cache
 tests can see and empty.
-Names are read from the source.  Importing the package loads no heavy
-standard-library module."""
+Names are read from the source, parsed once.  Importing the package loads no
+heavy standard-library module."""
 
 import ast
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
+from test_tracer_contract import TRACER, _load
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quantred"
+
+
+@cache
+def _package():
+    """{file name: syntax tree} of every module of the package."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _unused_imports(tree):
@@ -37,13 +45,12 @@ def _unused_imports(tree):
 
 
 def test_every_imported_name_is_used():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = {name: tree for name, tree in _package().items() if name != "__init__.py"}
     assert modules
     unused = {}
-    for path in modules:
-        found = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
-        if found:
-            unused[path.name] = found
+    for name, tree in modules.items():
+        if found := _unused_imports(tree):
+            unused[name] = found
     assert not unused, unused
 
 
@@ -89,8 +96,7 @@ def _unreferenced_private_names(trees):
 def test_every_private_name_is_used_in_the_package():
     # a helper whose last caller in the package is gone fails here, even if
     # a test still imports it
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package()
     assert trees
     assert not _unreferenced_private_names(trees)
 
@@ -108,15 +114,15 @@ def test_a_stranded_private_name_is_reported():
 
 def _reads(node, module):
     """The names a node reads: (module, name) for a plain name, (None, name)
-    for an attribute or a name imported from another module."""
+    for an attribute, and (x.py, name) for a name imported ``from .x``."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.add((module, n.id))
         elif isinstance(n, ast.Attribute):
             out.add((None, n.attr))
-        elif isinstance(n, ast.ImportFrom):
-            out |= {(None, alias.name) for alias in n.names}
+        elif isinstance(n, ast.ImportFrom) and n.level == 1:
+            out |= {(f"{n.module}.py", alias.name) for alias in n.names}
     return out
 
 
@@ -141,8 +147,7 @@ def _dead_private_functions(trees):
 
 
 def test_every_private_function_is_reached():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package()
     assert trees
     assert not _dead_private_functions(trees)
 
@@ -160,69 +165,121 @@ def test_a_dead_private_function_is_reported():
         ("a.py", "_loop"), ("a.py", "_ping"), ("a.py", "_pong"), ("b.py", "_leaf")]
 
 
-def _unreached_public_functions(trees, root, modules):
-    """(module, name) for each public module-level function of ``modules``
-    that the function ``root``, a (module, name) pair, does not reach.  A
-    module-level function or class reads the names in its body, as
-    :func:`_dead_private_functions` reads them; a plain name is its own
-    module's definition or, through a module-level ``from .x import``, the
-    one in x.py, and an attribute or a name imported in a body is every
-    definition of that name."""
-    defs, imports, functions = {}, {}, set()
+def _unreached_public_functions(trees, roots):
+    """(module, name) for each public module-level function, and each
+    method, property and classmethod as (module, "Class.name"), that the
+    reads ``roots`` do not reach.  A module-level function, class or
+    assignment (a table of functions, say) reads the names in its body or
+    value, as :func:`_dead_private_functions` reads them; a class reads its
+    bases and class-level statements and its dunders, which run implicitly,
+    and every other method reads its own body.  A plain name is its own
+    module's definition or, through a ``from .x import``, the one in x.py;
+    a qualified name ("x.py", "Class.name") is that method; an attribute,
+    (None, name), is every method of that name and no module-level
+    function."""
+    defs, imports, checked, methods = {}, {}, set(), {}
     for module, tree in trees.items():
         imports[module] = {alias.asname or alias.name: (f"{node.module}.py", alias.name)
                            for node in tree.body
                            if isinstance(node, ast.ImportFrom) and node.level == 1
                            for alias in node.names}
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[(module, node.name)] = _reads(node, module)
-                if not isinstance(node, ast.ClassDef):
-                    functions.add((module, node.name))
+                if not node.name.startswith("_"):
+                    checked.add((module, node.name))
+            elif isinstance(node, ast.ClassDef):
+                own = [*node.bases, *node.keywords, *node.decorator_list]
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        key = (module, f"{node.name}.{item.name}")
+                        defs[key] = _reads(item, module)
+                        checked.add(key)
+                        methods.setdefault(item.name, set()).add(key)
+                    else:
+                        own.append(item)
+                defs[(module, node.name)] = set().union(*(_reads(n, module) for n in own))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name):
+                            defs[(module, n.id)] = _reads(node.value, module)
 
     def named(read):
         module, name = read
         if module is None:
-            return {key for key in defs if key[1] == name}
-        return {imports[module].get(name, read)} & defs.keys()
+            return methods.get(name, set())
+        return {imports.get(module, {}).get(name, read)} & defs.keys()
 
-    live, frontier = set(), {root}
+    live, frontier = set(), set().union(*map(named, roots))
     while frontier:
         live |= frontier
         frontier = set().union(*(named(read) for key in frontier for read in defs[key])) - live
-    return sorted(key for key in functions - live
-                  if key[0] in modules and not key[1].startswith("_"))
+    return sorted(checked - live)
+
+
+def _benchmark_roots(trees):
+    """The reads by which the benchmark reaches the package: every method
+    that ``perfbench/tracer.py::HOT_METHODS`` patches by name, and every
+    attribute that ``perfbench/*.py`` reads, as a method or as a function of
+    any module (the benchmark calls through the module objects)."""
+    tracer = _load("perfbench_tracer", TRACER)
+    roots = {(f"{layer}.py", f"{cls}.{name}")
+             for cls, (layer, _label, names) in tracer.HOT_METHODS.items() for name in names}
+    attributes = {node.attr for path in TRACER.parent.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute)}
+    return roots | {(module, name) for name in attributes for module in [None, *trees]}
+
+
+# off every verification path, but HOT_METHODS names the methods of RingSeries,
+# a series in a Chart, so the benchmark's tracer keeps both as they are
+_EXEMPT_CLASSES = {("laurent.py", "Chart"), ("laurent.py", "RingSeries")}
 
 
 def test_every_public_engine_function_is_reached_from_the_command_line():
-    # an engine entry point that only the tests call is a second route to
-    # numbers the command line computes one way, and a command-line helper
-    # that main does not reach lays out nothing it prints; classes are not
-    # checked.  The data model's one exception is the schema writer, which
-    # the benchmark and the tests use to write instance documents
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
-    engine = {"laurent.py", "lefschetz.py", "reduction.py", "oracle.py", "cli.py",
-              "fixedpoint.py"}
-    assert engine <= trees.keys()
-    assert _unreached_public_functions(trees, ("cli.py", "main"), engine) == [
-        ("fixedpoint.py", "instance_to_dict")]
+    # a function or method that only the tests call is a second route to
+    # numbers the command line computes one way, or a helper for nothing it
+    # prints; the benchmark's own entry points count as reached, and dunders
+    # are not checked
+    trees = _package()
+    assert {"exactnum.py", "cohomology.py", "catalog.py", "cli.py"} <= trees.keys()
+    unreached = _unreached_public_functions(
+        trees, {("cli.py", "main")} | _benchmark_roots(trees))
+    assert [key for key in unreached
+            if (key[0], key[1].partition(".")[0]) not in _EXEMPT_CLASSES] == []
+    # an exemption goes with its class
+    assert _EXEMPT_CLASSES <= {(module, node.name) for module, tree in trees.items()
+                               for node in tree.body if isinstance(node, ast.ClassDef)}
 
 
 def test_an_unreached_public_function_is_reported():
     trees = {name: ast.parse(source) for name, source in {
         "cli.py": "from .a import used as run, Kept\nimport b\n"
-                  "def main(): run(); Kept(); b.by_attribute()\n",
+                  "def main(): run(); Kept().go(); b.by_attribute(); _TABLE['x']()\n"
+                  "def _helper(): pass\n"
+                  "_TABLE = {'x': tabled}\ndef tabled(): pass\n",
         "a.py": "from .b import imported\ndef used(): imported()\ndef dead(): used()\n"
-                "def _private(): pass\nclass Kept:\n    def go(self): return in_method()\n"
-                "def in_method(): pass\nclass Unreached: pass\n",
+                "class Kept:\n    def __init__(self): in_init()\n"
+                "    def go(self): return in_method()\n    def idle(self): pass\n"
+                "    @property\n    def size(self): return 0\n"
+                "def in_init(): pass\ndef in_method(): pass\nclass Unreached:\n"
+                "    def by_attribute(self): pass\n",
         "b.py": "def imported(): pass\ndef by_attribute(): pass\ndef used(): pass\n"
-                "def only_a_test_calls_me(): pass\n",
+                "def only_a_test_calls_me(): pass\n_UNREAD = {'y': in_a_table}\n"
+                "def in_a_table(): pass\n",
     }.items()}
-    # a's used reaches b's imported, not b's used; the private helper and
-    # the unreached class are not reported
-    assert _unreached_public_functions(trees, ("cli.py", "main"), {"a.py", "b.py"}) == [
-        ("a.py", "dead"), ("b.py", "only_a_test_calls_me"), ("b.py", "used")]
+    # a's used reaches b's imported, not b's used; b.by_attribute() reaches
+    # the method of that name, not b's function; a table that main reads
+    # reaches its entries, and one that nothing reads does not; the
+    # constructor runs with its class, but idle and size are read nowhere;
+    # the private helper and the classes themselves are not reported
+    assert _unreached_public_functions(trees, {("cli.py", "main")}) == [
+        ("a.py", "Kept.idle"), ("a.py", "Kept.size"), ("a.py", "dead"),
+        ("b.py", "by_attribute"), ("b.py", "in_a_table"), ("b.py", "only_a_test_calls_me"),
+        ("b.py", "used")]
 
 
 _MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
@@ -281,10 +338,9 @@ def test_no_function_mutates_a_module_level_container():
     # tests/test_caches.py and to the cold_caches fixture; keep it in an
     # lru_cache instead
     mutated = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        found = _mutated_module_containers(ast.parse(path.read_text(encoding="utf-8")))
-        if found:
-            mutated[path.name] = found
+    for name, tree in _package().items():
+        if found := _mutated_module_containers(tree):
+            mutated[name] = found
     assert not mutated, mutated
 
 
@@ -337,7 +393,7 @@ def test_a_verification_imports_no_module():
 
 def test_class_ring_does_not_import_the_cyclotomic_fields():
     # the class ring is rational: its scalars are ints over one denominator
-    tree = ast.parse((PACKAGE / "cohomology.py").read_text(encoding="utf-8"))
+    tree = _package()["cohomology.py"]
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names}
