@@ -261,23 +261,13 @@ def cmd_character(args) -> int:
     return EXIT_OK
 
 
-def _sum_nonzero(values):
-    # a zero cell adds nothing: a rational 0 would only be promoted into
-    # the column's Q(zeta_d)
-    total = Fraction(0)
-    for value in values:
-        if value:
-            total = total + value
-    return total
-
-
 def cmd_residues(args) -> int:
     p = resolve_instance(args)
     require_valid(p)
     rows = residue_table(p)
     labels, cells = residue_columns(rows)
-    col_sums = [_sum_nonzero(column) for column in zip(*cells)]
-    grand = _sum_nonzero(row.total for row in rows)
+    col_sums = [sum(column) for column in zip(*cells)]
+    grand = sum(row.total for row in rows)
     if args.json:
         print(json.dumps({
             "schema": SCHEMA,

@@ -25,6 +25,7 @@ the output of :func:`todd_coefficients`, computed on integers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, ge
@@ -92,20 +93,21 @@ def _combined(terms) -> dict:
     return out
 
 
-class RingPresentation:
-    """Shared, immutable description of one component's cohomology ring.
+class RingPresentation(namedtuple(
+        "RingPresentation", "generators orders top_degree integral_num integral_den")):
+    """Shared, immutable description of one component's cohomology ring, a
+    record compared and hashed by value.
 
     ``integral_num`` holds the integral table as sorted (exponent tuple,
     int) pairs over the positive denominator ``integral_den``, in lowest
     terms; ``integrals`` gives it as {exponent tuple: Fraction}."""
 
-    __slots__ = ("generators", "orders", "top_degree", "integral_num", "integral_den",
-                 "_unit")
+    __slots__ = ()
 
-    def __init__(self, generators, orders, top_degree, integrals):
+    def __new__(cls, generators, orders, top_degree, integrals):
         generators = tuple(generators)
         orders = tuple(int(m) for m in orders)
-        self.check_shape(generators, orders, top_degree)
+        cls.check_shape(generators, orders, top_degree)
         table = {}
         for expo, value in dict(integrals).items():
             expo = tuple(int(e) for e in expo)
@@ -119,13 +121,8 @@ class RingPresentation:
                 )
             table[expo] = _rational(value)
         num, den = _integers(table)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "top_degree", int(top_degree))
-        object.__setattr__(self, "integral_num", tuple(sorted(num.items())))
-        object.__setattr__(self, "integral_den", den)
-        # the exponent of the monomial 1; not part of equality or hashing
-        object.__setattr__(self, "_unit", (0,) * len(generators))
+        return super().__new__(cls, generators, orders, int(top_degree),
+                               tuple(sorted(num.items())), den)
 
     @staticmethod
     def check_shape(generators: tuple, orders: tuple, top_degree) -> None:
@@ -146,9 +143,6 @@ class RingPresentation:
         if top_degree < 0 or top_degree % 2:
             raise ValueError("top_degree must be a nonnegative even integer")
 
-    def __setattr__(self, *args):
-        raise AttributeError("presentations are immutable")
-
     @classmethod
     def point(cls) -> "RingPresentation":
         return cls((), (), 0, {(): 1})
@@ -162,6 +156,11 @@ class RingPresentation:
     def integrals(self):
         den = self.integral_den
         return {e: Fraction(w, den) for e, w in self.integral_num}
+
+    @property
+    def _unit(self) -> tuple:
+        # the exponent of the monomial 1
+        return (0,) * len(self.generators)
 
     @property
     def rank(self) -> int:
@@ -187,20 +186,6 @@ class RingPresentation:
         i = self.generators.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.rank))
         return CohomologyClass(self, {expo: 1})
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, RingPresentation)
-            and self.generators == other.generators
-            and self.orders == other.orders
-            and self.top_degree == other.top_degree
-            and self.integral_den == other.integral_den
-            and self.integral_num == other.integral_num
-        )
-
-    def __hash__(self):
-        return hash((self.generators, self.orders, self.top_degree, self.integral_num,
-                     self.integral_den))
 
     def __repr__(self):
         if not self.generators:

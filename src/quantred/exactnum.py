@@ -11,9 +11,9 @@ A ``Cyclotomic`` stores phi(N) integer numerators over one positive
 denominator, in lowest terms (the layout of FLINT's ``fmpq_poly``): an
 operation works on integers and pays one gcd for the whole vector, where
 ``Fraction`` coefficients would pay one per coefficient.  Every reduction
-modulo ``Phi_N`` (products, embeddings, Galois images) sums
-cached integer rows of ``z**k mod Phi_N`` (one kernel, over rows cached per
-embedding, for every field embedding).  An inverse is the product of the
+modulo ``Phi_N`` (products, ``from_integers``, embeddings, Galois images)
+runs through one kernel, ``_reduce``, which adds the cached integer rows of
+``z**k mod Phi_N``.  An inverse is the product of the
 other Galois conjugates over the norm; no verification inverts in Q(zeta_N).
 
 Floating point never appears here; Python integers give us arbitrary
@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul, sub
 
 
 class NotRationalError(ArithmeticError):
@@ -115,21 +115,12 @@ def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _galois_rows(n: int, m: int, k: int) -> tuple:
-    # row j: zeta_m**(j*k) mod Phi_m, j < phi(n), the image of z**j under the
-    # embedding of Q(zeta_n) into Q(zeta_m) that sends z to zeta_m**k
-    rows = _power_table(m)
-    return tuple(rows[j * k % m] for j in range(phi_degree(n)))
-
-
-def _reduce(n: int, terms, out=None) -> list:
-    """``out`` (phi(n) integers, zero if None) plus the sum of c * z**k over
-    the integer (k, c) pairs, modulo Phi_n: each pair adds c times row k mod n
-    of the power table.  This is the one reduction of the field."""
+def _reduce(n: int, terms, out: list) -> list:
+    """``out`` (phi(n) integers) plus the sum of c * z**k over the integer
+    (k, c) pairs, modulo Phi_n: each pair adds c times row k mod n of the
+    power table.  This is the one reduction of the field: products,
+    ``from_integers``, embeddings and Galois images all run through it."""
     rows = _power_table(n)
-    if out is None:
-        out = [0] * phi_degree(n)
     for k, c in terms:
         if c:
             for i, r in rows[k % n]:
@@ -238,11 +229,7 @@ class Cyclotomic:
     def _embedded(self, m: int, k: int) -> "Cyclotomic":
         # z -> zeta_m**k, a primitive N-th root: an embedding keeps the
         # numerators' content, so the image is in lowest terms as it stands
-        out = [0] * phi_degree(m)
-        for c, row in zip(self.num, _galois_rows(self.conductor, m, k % m)):
-            if c:
-                for i, r in row:
-                    out[i] += c * r
+        out = _reduce(m, ((j * k, c) for j, c in enumerate(self.num)), [0] * phi_degree(m))
         return _new(m, tuple(out), self.den)
 
     def promoted(self, conductor: int) -> "Cyclotomic":
@@ -269,15 +256,20 @@ class Cyclotomic:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        # self + sign * other, sign 1 or -1
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
         da, db = a.den, b.den
         if da == db:
-            return _canonical(a.conductor, [x + y for x, y in zip(a.num, b.num)], da)
+            return _canonical(a.conductor, list(map(add if sign > 0 else sub, a.num, b.num)), da)
+        sign *= da
         return _canonical(
-            a.conductor, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
+            a.conductor, [x * db + y * sign for x, y in zip(a.num, b.num)], da * db)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -285,14 +277,7 @@ class Cyclotomic:
         return _new(self.conductor, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        da, db = a.den, b.den
-        if da == db:
-            return _canonical(a.conductor, [x - y for x, y in zip(a.num, b.num)], da)
-        return _canonical(
-            a.conductor, [x * db - y * da for x, y in zip(a.num, b.num)], da * db)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

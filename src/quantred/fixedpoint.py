@@ -117,12 +117,14 @@ class Finding(namedtuple("Finding", "level code message component", defaults=(No
         return f"{self.level}{where}: {self.message}"
 
 
-class FixedComponent:
-    """One connected component of the fixed-point set."""
+class FixedComponent(namedtuple(
+        "FixedComponent", "name ring moment weights normal_chern omega todd")):
+    """One connected component of the fixed-point set, an immutable record
+    compared by value."""
 
-    __slots__ = ("name", "ring", "moment", "weights", "normal_chern", "omega", "todd")
+    __slots__ = ()
 
-    def __init__(self, name, ring, moment, weights, normal_chern, omega, todd):
+    def __new__(cls, name, ring, moment, weights, normal_chern, omega, todd):
         weights = tuple(weights)
         normal_chern = tuple(normal_chern)
         if len(weights) != len(normal_chern):
@@ -151,16 +153,8 @@ class FixedComponent:
             raise ValueError(
                 f"component {name!r}: Todd class must have constant term 1"
             )
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "moment", int(moment))
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "normal_chern", normal_chern)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "todd", todd)
-
-    def __setattr__(self, *args):
-        raise AttributeError("components are immutable")
+        return super().__new__(cls, str(name), ring, int(moment), weights, normal_chern,
+                               omega, todd)
 
     @property
     def n_plus(self) -> int:

@@ -483,6 +483,18 @@ def test_component_rejects_bad_todd():
         FixedComponent("f", p1, 1, [1], [p1.zero()], p1.zero(), p1.gen("x"))
 
 
+def test_records_are_immutable_and_rings_compare_by_value():
+    f = point_component("f", 1, [1])
+    p = ProblemInstance(GroupKind.U1, [f, point_component("g", -1, [-1])])
+    p1 = RingPresentation.projective_line()
+    for record, attribute in ((f, "moment"), (p1, "top_degree"), (p, "name")):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, 0)
+    twin = RingPresentation(["x"], [2], 2, {(1,): Fraction(1)})
+    assert twin == p1 and hash(twin) == hash(p1)
+    assert RingPresentation(["x"], [2], 2, {(1,): 2}) != p1
+
+
 def test_instance_needs_unique_names():
     with pytest.raises(ValueError):
         ProblemInstance(
