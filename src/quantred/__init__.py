@@ -49,7 +49,6 @@ from .laurent import (
 )
 from .lefschetz import (
     NonIntegerResultError,
-    WeylFactor,
     component_form,
 )
 from .oracle import (

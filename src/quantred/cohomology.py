@@ -405,6 +405,11 @@ class CohomologyClass:
         )
 
     def __hash__(self):
+        # == equates a class with its rational value (zero included), so it
+        # hashes as that number
+        unit = self.presentation._unit
+        if self.num.keys() <= {unit}:
+            return hash(Fraction(self.num.get(unit, 0), self.den))
         return hash((self.presentation, self.den, tuple(sorted(self.num.items()))))
 
     def __repr__(self):

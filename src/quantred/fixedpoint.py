@@ -23,7 +23,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm, prod
 
 from .cohomology import CohomologyClass, RingPresentation
@@ -35,7 +35,7 @@ from .exactnum import phi_degree
 # and 30 MB on the +-2040 sphere (phi 512), 0.6 s and 87 MB on +-2310 (480).
 MAX_FIELD_DEGREE = 512
 
-# The largest expansion window (see :func:`expansion_window`) an instance
+# The largest expansion window (``ProblemInstance.window``) an instance
 # may need.  The oracle's series and the residue engine's infinity-chart
 # windows grow with it, and so does the cost, linearly: measured on one
 # core, windows of 10^4 (powers of the catalog planes and spheres) verify in
@@ -72,7 +72,7 @@ MAX_POLE_ORDER = 128
 # nonzero Chern class, P the monomial pairs x^i x^j with x^i != 1 that the
 # ring keeps (prod m(m+1)/2 - prod m over its truncation orders m), and
 # T + |moment| the length of the oracle's integer columns, T = 2A + 4 at the
-# automatic bound A (see :func:`expansion_window`).  The oracle makes one
+# automatic bound A (``ProblemInstance.window``).  The oracle makes one
 # pass over a column per such pair and direction.  Measured on one core,
 # verify of CP^n under weights (0, .., 0, 1, .., 1) with O(2), whose two
 # fixed projective spaces have dimensions about n/2, takes 0.02 s at n = 16
@@ -91,6 +91,19 @@ class GroupKind(Enum):
     @property
     def is_rank_one_nonabelian(self) -> bool:
         return self is not GroupKind.U1
+
+    @property
+    def weyl_density(self) -> tuple[dict[int, int], int]:
+        """The density from the Weyl integration formula, as a Laurent
+        polynomial in t: trivial for the circle, (2 - t - 1/t)/2 for SO(3),
+        (2 - t^2 - 1/t^2)/2 for SU(2) (whose positive root is twice the
+        weight lattice generator).  It is the pair ({t-exponent: int}, D)
+        that :func:`quantred.lefschetz.component_form` takes as a
+        multiplier, built afresh on each read."""
+        if self is GroupKind.U1:
+            return {0: 1}, 1
+        root = 1 if self is GroupKind.SO3 else 2
+        return {0: 2, root: -1, -root: -1}, 2
 
 
 class SchemaError(ValueError):
@@ -178,21 +191,19 @@ class FixedComponent(namedtuple(
         )
 
 
-class ProblemInstance:
-    __slots__ = ("group", "components", "name", "_findings", "_window")
+class ProblemInstance(namedtuple("ProblemInstance", "group components name")):
+    """A group and its fixed components, an immutable record compared by
+    value.  Its expansion window and its validation findings are computed
+    on first use, once per instance."""
 
-    def __init__(self, group, components, name="instance"):
+    def __new__(cls, group, components, name="instance"):
         components = tuple(components)
         if not components:
             raise ValueError("an instance needs at least one fixed component")
         names = [f.name for f in components]
         if len(set(names)) != len(names):
             raise ValueError("component names must be unique")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "_findings", None)
-        object.__setattr__(self, "_window", None)
+        return super().__new__(cls, group, components, str(name))
 
     def __setattr__(self, *args):
         raise AttributeError("instances are immutable")
@@ -204,6 +215,22 @@ class ProblemInstance:
         validation nor the residue engine uses it: validation bounds
         phi(|beta|) per weight, and a cell at zeta_d**j lives in Q(zeta_d)."""
         return lcm(4, *(abs(b) for f in self.components for b in f.weights if b))
+
+    @cached_property
+    def window(self) -> int:
+        """Support bound for the character, from the data alone: beyond
+        max(|moment| + sum |weights| * (1 + top_degree/2)) + 1 every
+        coefficient of the expansion at t -> infinity must vanish."""
+        bound = 0
+        for f in self.components:
+            slack = 1 + f.ring.top_degree // 2
+            bound = max(bound, abs(f.moment) + slack * sum(abs(b) for b in f.weights))
+        return bound + 1
+
+    @cached_property
+    def findings(self) -> tuple:
+        """The validation findings (see :func:`validate`)."""
+        return tuple(_checks(self))
 
     def dimension(self) -> int:
         dims = {f.dimension for f in self.components}
@@ -218,28 +245,10 @@ class ProblemInstance:
         )
 
 
-def expansion_window(p: ProblemInstance) -> int:
-    """Support bound for the character, from the data alone: beyond
-    max(|moment| + sum |weights| * (1 + top_degree/2)) + 1 every coefficient
-    of the expansion at t -> infinity must vanish.  An instance is
-    immutable, so the bound is computed once per instance."""
-    if p._window is None:
-        object.__setattr__(p, "_window", _window_of(p))
-    return p._window
-
-
-def _window_of(p: ProblemInstance) -> int:
-    bound = 0
-    for f in p.components:
-        slack = 1 + f.ring.top_degree // 2
-        bound = max(bound, abs(f.moment) + slack * sum(abs(b) for b in f.weights))
-    return bound + 1
-
-
 def oracle_top(p: ProblemInstance, bound: int) -> int:
     """The top exponent of the character oracle's expansion, whose tail
     (bound, top] it checks, at the support bound ``bound``."""
-    return bound + expansion_window(p) + 4
+    return bound + p.window + 4
 
 
 def oracle_work(p: ProblemInstance, top: int) -> int:
@@ -269,12 +278,10 @@ def validate(p: ProblemInstance) -> list[Finding]:
     ``MAX_INTEGRAL_TABLE``, a pole at t = 1 of order above
     ``MAX_POLE_ORDER``, oracle work above ``MAX_ORACLE_WORK``).
     WARN findings flag instances for which the two sides are not asserted to
-    agree; INFO findings are informational.  An instance is immutable, so
-    the checks run once per instance; each call returns a new list.
+    agree; INFO findings are informational.  The checks run once per
+    instance (``p.findings``); each call returns a new list.
     """
-    if p._findings is None:
-        object.__setattr__(p, "_findings", tuple(_checks(p)))
-    return list(p._findings)
+    return list(p.findings)
 
 
 def _checks(p: ProblemInstance) -> list[Finding]:
@@ -316,7 +323,7 @@ def _checks(p: ProblemInstance) -> list[Finding]:
                 f"the wall roots of unity need Q(zeta_{n}), whose degree "
                 f"phi({n}) is above the limit of {MAX_FIELD_DEGREE}"))
             break
-    window = expansion_window(p)
+    window = p.window
     if window > MAX_EXPANSION_WINDOW:
         findings.append(Finding(
             "ERROR", "expansion-window",

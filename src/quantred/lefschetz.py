@@ -1,6 +1,7 @@
 """The invariant count: one rational function per component, its character
-contribution weighted by the group's Weyl factor, and the equivariant index
-as minus the sum of their residues at infinity.
+contribution weighted by the group's Weyl density (``GroupKind.weyl_density``,
+from the data model), and the equivariant index as minus the sum of their
+residues at infinity.
 
 The contribution of a fixed component F is the meromorphic function
 
@@ -15,7 +16,7 @@ h_n the complete homogeneous polynomial of degree n in their x_j.  So the
 integral is one table I_k = integral_F e^omega Td(F) prod_beta h_{k_beta},
 one index per distinct weight on a nonzero class (on any other, x_j = 0 and
 h_n = 0 for n >= 1), and chi_F (times a Laurent multiplier such as the Weyl
-factor) is one exact rational function
+density) is one exact rational function
 
     N_F(t) / prod_beta (1 - t**(-beta))**M_beta,
     N_F = t**mu * multiplier * sum_k I_k prod_beta s**k_beta (1 - s)**(K_beta - k_beta),
@@ -31,40 +32,17 @@ M_beta = r_beta.  Every residue is scalar work in :mod:`quantred.laurent`.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import sub
 
 from .exactnum import fraction_sum
-from .fixedpoint import FixedComponent, GroupKind
+from .fixedpoint import FixedComponent
 from .laurent import _binomial_terms, _times
 
 
 class NonIntegerResultError(ArithmeticError):
     """An invariant count came out non-integral: inconsistent input data."""
-
-
-class WeylFactor(namedtuple("WeylFactor", "group")):
-    """The density from the Weyl integration formula, as a Laurent
-    polynomial in t: trivial for the circle, (2 - t - 1/t)/2 for SO(3),
-    (2 - t^2 - 1/t^2)/2 for SU(2) (whose positive root is twice the weight
-    lattice generator).  ``group`` is the GroupKind; ``poly`` is the density
-    as ``component_form`` takes a multiplier, ({t-exponent: int}, D)."""
-
-    __slots__ = ()
-
-    @property
-    def poly(self) -> tuple[dict[int, int], int]:
-        terms, den = _WEYL_POLYS[self.group]
-        return dict(terms), den
-
-
-_WEYL_POLYS = {
-    GroupKind.U1: ({0: 1}, 1),
-    GroupKind.SO3: ({0: 2, 1: -1, -1: -1}, 2),
-    GroupKind.SU2: ({0: 2, 2: -1, -2: -1}, 2),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .fixedpoint import (
     GroupKind,
     InvalidInstanceError,
     ProblemInstance,
-    expansion_window,
     oracle_top,
     oracle_work,
 )
@@ -131,10 +130,10 @@ def _scaled_exp(cls, index, rows, sign=1):
 # -- character assembly -----------------------------------------------------
 
 def automatic_degree_bound(p: ProblemInstance) -> int:
-    """Support bound for the character, from the data alone: beyond
-    :func:`~quantred.fixedpoint.expansion_window` every coefficient of the
+    """Support bound for the character, from the data alone: beyond the
+    instance's expansion window (``p.window``) every coefficient of the
     summed expansion must vanish."""
-    return expansion_window(p)
+    return p.window
 
 
 class CharacterPolynomial:
@@ -155,6 +154,10 @@ class CharacterPolynomial:
 
     def __getitem__(self, m: int) -> int:
         return self.coefficients.get(m, 0)
+
+    # a missing weight reads 0, so the legacy sequence protocol would never
+    # stop: iteration and ``in`` raise TypeError instead
+    __iter__ = None
 
     def support(self):
         return sorted(self.coefficients)

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from .exactnum import fraction_sum
 from .fixedpoint import ProblemInstance, hypotheses_hold, require_valid
 from .laurent import residue_row
-from .lefschetz import WeylFactor, component_form, invariant_from_residues
+from .lefschetz import component_form, invariant_from_residues
 from .oracle import character_polynomial, invariant_multiplicity, oracle_window
 
 
@@ -110,7 +110,7 @@ def residue_table(p: ProblemInstance) -> list[ResidueRow]:
     its Galois images.  A root off F's walls is no pole of F's form, and
     its row has no cell there.
     """
-    weyl = WeylFactor(p.group).poly
+    weyl = p.group.weyl_density
     return [ResidueRow(f.name, *residue_row(*component_form(f, weyl))) for f in p.components]
 
 

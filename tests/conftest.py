@@ -86,10 +86,10 @@ def ring_classes(pres: RingPresentation, nilpotent=False, scalars=small_fraction
     ).map(lambda vs: CohomologyClass(pres, dict(zip(monos, vs))))
 
 
-def twisted(r=0, weyl=None):
-    """t**r times a WeylFactor's density (1 if None), as the multiplier
+def twisted(r=0, group=None):
+    """t**r times a group's Weyl density (1 if None), as the multiplier
     ``component_form`` takes: the pair ({t-exponent: int}, D)."""
-    terms, den = weyl.poly if weyl is not None else ({0: 1}, 1)
+    terms, den = group.weyl_density if group is not None else ({0: 1}, 1)
     return {e + r: a for e, a in terms.items()}, den
 
 

@@ -11,7 +11,6 @@ from math import gcd
 
 from conftest import wall_roots
 from quantred import (
-    WeylFactor,
     automatic_degree_bound,
     catalog,
     catalog_names,
@@ -84,7 +83,7 @@ def test_criterion_04_global_residue_theorem():
     rows = 0
     for name in catalog_names():
         p = catalog(name)
-        weyl = WeylFactor(p.group).poly
+        weyl = p.group.weyl_density
         for f in p.components:
             at_zero, cells, at_infinity, _ = residue_row(*component_form(f, weyl))
             assert tuple(cells) == wall_roots(f.weights), (name, f.name)

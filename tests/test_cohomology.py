@@ -53,6 +53,20 @@ def test_polynomial_arithmetic_mod_x_cubed():
     assert (1 + x) * (1 - x) == 1 - x * x
 
 
+def test_hash_agrees_with_equality():
+    # a class equal to a rational number hashes like its Fraction, in any ring
+    one = P1.one()
+    assert one == 1 and hash(one) == hash(1) and one in {1}
+    for pres in (POINT, P1, P1XP1):
+        for value in (Fraction(0), Fraction(1), Fraction(-7, 3)):
+            x = pres.constant(value)
+            assert x == value and hash(x) == hash(value)
+            assert len({x, value}) == 1
+    # equal classes in one ring hash alike however they were built
+    x = P1XP1.gen("x")
+    assert hash(1 + x) == hash(CohomologyClass(P1XP1, {(0, 0): 1, (1, 0): 1}))
+
+
 def test_commutative_and_associative_spot():
     x, y = P1XP1.gen("x"), P1XP1.gen("y")
     a, b, c = 1 + x, 2 + y, x + y

@@ -27,7 +27,7 @@ from quantred.catalog import UnknownCatalogError
 from quantred.exactnum import phi_degree
 from quantred.fixedpoint import (
     MAX_EXPANSION_WINDOW, MAX_FIELD_DEGREE, MAX_INTEGRAL_TABLE, MAX_ORACLE_WORK,
-    MAX_POLE_ORDER, _parsed_class, _parsed_ring, expansion_window, oracle_work,
+    MAX_POLE_ORDER, _parsed_class, _parsed_ring, oracle_work,
     require_valid,
 )
 
@@ -277,7 +277,7 @@ def test_oracle_work_limit():
     # i > 0 that survive, times the column length 2A + 4 + |moment|: at
     # n = 48, A = 24 * 25 + 2 and (25 * 276 + 24 * 300) * 1209
     p = projective_pair(48)
-    assert expansion_window(p) == 602
+    assert p.window == 602
     assert oracle_work(p, 2 * 602 + 4) == 17046900
     errors = [f for f in validate(p) if f.level == "ERROR"]
     assert [(f.code, f.component) for f in errors] == [("oracle-work", None)]
@@ -301,7 +301,7 @@ def test_expansion_window_limit():
     assert str(MAX_EXPANSION_WINDOW) in errors[0].message
     assert "1000002" in errors[0].message
     # the window of a +-q sphere with weights +-1 is q + 2
-    assert expansion_window(sphere(MAX_EXPANSION_WINDOW - 2)) == MAX_EXPANSION_WINDOW
+    assert sphere(MAX_EXPANSION_WINDOW - 2).window == MAX_EXPANSION_WINDOW
     assert not has_errors(validate(sphere(MAX_EXPANSION_WINDOW - 2)))
     assert has_errors(validate(sphere(MAX_EXPANSION_WINDOW - 1)))
 
@@ -493,6 +493,18 @@ def test_records_are_immutable_and_rings_compare_by_value():
     twin = RingPresentation(["x"], [2], 2, {(1,): Fraction(1)})
     assert twin == p1 and hash(twin) == hash(p1)
     assert RingPresentation(["x"], [2], 2, {(1,): 2}) != p1
+    # the derived values are read-only too, before and after their first read
+    for attribute in ("window", "findings", "window", "findings"):
+        with pytest.raises(AttributeError):
+            setattr(p, attribute, ())
+        getattr(p, attribute)
+    assert p.window == 3 and [f.code for f in p.findings] == ["quasi-free"]
+    # instances compare and hash by value, as components do
+    q = ProblemInstance(GroupKind.U1, [point_component("f", 1, [1]),
+                                       point_component("g", -1, [-1])])
+    assert q == p and hash(q) == hash(p)
+    assert ProblemInstance(GroupKind.SO3, p.components) != p
+    assert ProblemInstance(GroupKind.U1, p.components, "other") != p
 
 
 def test_instance_needs_unique_names():

@@ -20,7 +20,6 @@ from quantred import (
     InvalidInstanceError,
     ProblemInstance,
     RingPresentation,
-    WeylFactor,
     catalog,
     catalog_names,
     character_polynomial,
@@ -92,7 +91,7 @@ def test_residue_sum_over_all_poles_is_zero_per_component():
     # with the group's Weyl factor included, every cell summed as it is
     for name in catalog_names():
         p = catalog(name)
-        weyl = WeylFactor(p.group).poly
+        weyl = p.group.weyl_density
         for f in p.components:
             at_zero, cells, at_infinity, _ = residue_row(*component_form(f, weyl))
             assert tuple(cells) == wall_roots(f.weights), (name, f.name)
@@ -257,18 +256,18 @@ def test_infinity_tail_vanishes_beyond_bound():
 
 def test_weyl_polynomials():
     # integers over one denominator, the layout of a form's numerator
-    assert WeylFactor(GroupKind.U1).poly == ({0: 1}, 1)
-    assert WeylFactor(GroupKind.SO3).poly == ({0: 2, 1: -1, -1: -1}, 2)
-    assert WeylFactor(GroupKind.SU2).poly == ({0: 2, 2: -1, -2: -1}, 2)
-    # each call is its own dict
-    poly = WeylFactor(GroupKind.SO3).poly
+    assert GroupKind.U1.weyl_density == ({0: 1}, 1)
+    assert GroupKind.SO3.weyl_density == ({0: 2, 1: -1, -1: -1}, 2)
+    assert GroupKind.SU2.weyl_density == ({0: 2, 2: -1, -2: -1}, 2)
+    # each read is its own dict
+    poly = GroupKind.SO3.weyl_density
     poly[0][5] = 1
-    assert WeylFactor(GroupKind.SO3).poly == ({0: 2, 1: -1, -1: -1}, 2)
+    assert GroupKind.SO3.weyl_density == ({0: 2, 1: -1, -1: -1}, 2)
 
 
 def test_weyl_factor_nonnegative_on_circle():
     for group in (GroupKind.SO3, GroupKind.SU2):
-        terms, den = WeylFactor(group).poly
+        terms, den = group.weyl_density
         for j in range(16):
             t = cmath.exp(2j * cmath.pi * j / 16)
             value = sum(a / den * t**r for r, a in terms.items())
@@ -368,7 +367,7 @@ def test_integer_numerator_matches_the_fraction_formula():
     # factor; the two lines of each cp3-lines golden repeat a weight
     grouped = 0
     for p in _every_instance():
-        weyl = WeylFactor(p.group).poly
+        weyl = p.group.weyl_density
         for f in p.components:
             for multiplier in (None, weyl):
                 grouped += _assert_matches_the_per_direction_form(f, multiplier, (p.name, f.name))
@@ -448,7 +447,7 @@ def test_a_component_with_no_normal_class_is_one_integral(ring, data):
     # integral table; it matches the per-direction form, whose M_beta is
     # r_beta here, and is 0 where the integral is
     f = data.draw(drawn_uncharged_components(ring))
-    for multiplier in (None, *(WeylFactor(group).poly for group in GroupKind)):
+    for multiplier in (None, *(group.weyl_density for group in GroupKind)):
         _assert_matches_the_per_direction_form(f, multiplier, multiplier)
 
 
@@ -474,7 +473,7 @@ def test_expansions_divide_once_by_the_numerator_denominator():
     # division by D is seen at every pole order; D = 1 gives D times the
     # values.  The type of a value depends on its site alone
     for p in _every_instance():
-        weyl = WeylFactor(p.group).poly
+        weyl = p.group.weyl_density
         for f in p.components:
             (terms, scale), denominator = component_form(f, weyl)
             where = (p.name, f.name)

@@ -17,7 +17,6 @@ from quantred import (
     RingPresentation,
     StabilizationError,
     SymmetryError,
-    WeylFactor,
     automatic_degree_bound,
     catalog,
     catalog_names,
@@ -154,6 +153,19 @@ def test_characters_reject_non_integral_terms(coefficients):
 def test_a_dict_that_is_no_integral_character_compares_unequal(other):
     c = CharacterPolynomial({0: 1})
     assert (c == other) is False and (c != other) is True
+
+
+def test_a_character_is_not_iterable():
+    # indexing reads a missing weight as 0, so iterating by index would never
+    # end: iteration and membership refuse instead of hanging
+    c = CharacterPolynomial({-1: 1, 0: 1, 1: 1})
+    with pytest.raises(TypeError):
+        iter(c)
+    with pytest.raises(TypeError):
+        list(c)
+    with pytest.raises(TypeError):
+        5 in c
+    assert c[5] == 0 and c.support() == [-1, 0, 1]
 
 
 def test_characters_take_integral_values_of_any_type():
@@ -583,7 +595,7 @@ LONG_WINDOWS = [
 
 @pytest.mark.parametrize("p", LONG_WINDOWS, ids=lambda p: p.name)
 def test_long_windows_match_both_references(p):
-    weyl = WeylFactor(p.group).poly
+    weyl = p.group.weyl_density
     for q in (p, reversed_action(p)):
         assert isinstance(_assert_same_as_reference(q), CharacterPolynomial), q.name
         for f in q.components:

@@ -21,13 +21,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chart_character, twisted, wall_roots
+from conftest import chart_character, orbit_sum, twisted, wall_roots
 from quantred import (
     FixedComponent,
     GroupKind,
     ProblemInstance,
     RingPresentation,
-    WeylFactor,
     catalog,
     catalog_names,
     character_polynomial,
@@ -377,7 +376,7 @@ def arbitrary_components(draw):
     n_weights = draw(st.integers(min_value=1, max_value=2))
     weights = draw(
         st.lists(
-            st.integers(min_value=-3, max_value=3).filter(bool),
+            st.integers(min_value=-12, max_value=12).filter(bool),
             min_size=n_weights, max_size=n_weights,
         )
     )
@@ -398,13 +397,19 @@ def arbitrary_components(draw):
 )
 def test_residue_theorem_for_arbitrary_components(f, group, twist):
     # every cell of the row of t**twist times the Weyl density times h_F
-    form = component_form(f, twisted(twist, WeylFactor(group)))
+    form = component_form(f, twisted(twist, group))
     at_zero, cells, at_infinity, _ = residue_row(*form)
     assert tuple(cells) == wall_roots(f.weights)
     total = at_zero + at_infinity
     for cell in cells.values():
         total = total + cell
     assert total == 0
+    # each Galois orbit of cells sums to the rational reference's orbit sum
+    orbits = {}
+    for (d, _), cell in cells.items():
+        orbits[d] = orbits.get(d, 0) + cell
+    for d, orbit in orbits.items():
+        assert orbit == orbit_sum(*form, d), d
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from quantred import (
     InvalidInstanceError,
     ProblemInstance,
     RingPresentation,
-    WeylFactor,
     catalog,
     catalog_names,
     component_form,
@@ -102,14 +102,14 @@ def test_cp1_triple_galois_orbit():
 
 def test_corrections_ignore_negative_moment_components():
     p = catalog("cp1-double")
-    weyl = WeylFactor(p.group)
+    weyl = p.group.weyl_density
     north = next(f for f in p.components if f.name == "north")
     # the correction equals the north residue alone: south sits at negative
     # moment and is filtered out even though -1 lies on its wall set
     correction = reduced(p).residues_by_root[2, 1]
-    assert correction == residue_row(*component_form(north, weyl.poly))[1][2, 1]
+    assert correction == residue_row(*component_form(north, weyl))[1][2, 1]
     south = next(f for f in p.components if f.name == "south")
-    assert residue_row(*component_form(south, weyl.poly))[1][2, 1] != 0
+    assert residue_row(*component_form(south, weyl))[1][2, 1] != 0
 
 
 def test_cp2_default_corrections():
@@ -277,13 +277,15 @@ def test_verify_computes_the_expansion_window_once(monkeypatch):
     import quantred.fixedpoint as fp
 
     calls = []
-    real_window = fp._window_of
+    real_window = fp.ProblemInstance.window.func
 
     def counted_window(p):
         calls.append(p.name)
         return real_window(p)
 
-    monkeypatch.setattr(fp, "_window_of", counted_window)
+    counted = functools.cached_property(counted_window)
+    counted.__set_name__(fp.ProblemInstance, "window")
+    monkeypatch.setattr(fp.ProblemInstance, "window", counted)
     # built afresh, so no window has been computed before; a tensor power is
     # a new instance and computes its own
     base = catalog("cp2-line")
@@ -292,7 +294,7 @@ def test_verify_computes_the_expansion_window_once(monkeypatch):
         assert verify_quantization(p).verdict == "PASS", p.name
         assert calls == [p.name]
         # a raised degree bound reads the same window
-        verify_quantization(p, 3 * fp.expansion_window(p))
+        verify_quantization(p, 3 * p.window)
         assert calls == [p.name]
 
 
@@ -309,7 +311,7 @@ def test_wall_cells_equal_direct_residues():
     checked = 0
     for p in instances:
         n = p.conductor
-        weyl = WeylFactor(p.group).poly
+        weyl = p.group.weyl_density
         orbit_sums = {}
         table = residue_table(p)
         labels, layout = residue_columns(table)
@@ -343,7 +345,7 @@ def test_every_orbit_sum_matches_the_rational_reference():
     instances += [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
     orbits = 0
     for p in instances:
-        weyl = WeylFactor(p.group).poly
+        weyl = p.group.weyl_density
         expected = {}
         for f, row in zip(p.components, residue_table(p)):
             form = component_form(f, weyl)

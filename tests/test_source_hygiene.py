@@ -8,7 +8,9 @@ call is seen as well.  Every public function and every method of every
 module is reached from ``cli.main`` or from the benchmark's entry points, so
 code that only the tests call is seen.  No function mutates a module-level
 list, dict or set, so every process cache is an ``lru_cache`` that the cache
-tests can see and empty.
+tests can see and empty.  A class that defines ``__getitem__`` also defines
+``__iter__`` (or sets it to None), so Python's legacy sequence protocol
+never iterates it by index without end.
 Names are read from the source, parsed once.  Importing the package loads no
 heavy standard-library module."""
 
@@ -354,6 +356,47 @@ def test_a_mutated_module_container_is_reported():
         "def shadowed(_TABLE):\n    _TABLE.append(1)\n    _SEEN = {}\n    _SEEN[1] = 2\n"
         "def reads():\n    return sorted(_NAMES), LIMIT + 1\n")
     assert _mutated_module_containers(tree) == [(7, "_TABLE"), (10, "_SEEN"), (12, "_NAMES")]
+
+
+def _indexed_without_iter(tree):
+    """(line, class name) for each class whose body defines ``__getitem__``
+    but not ``__iter__``: iter() would then call ``__getitem__`` with 0, 1,
+    2, ... until it raises IndexError, and a lookup that reads a missing key
+    as a default never does."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = set()
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        if "__getitem__" in names and "__iter__" not in names:
+            found.append((cls.lineno, cls.name))
+    return found
+
+
+def test_every_indexed_class_defines_its_iteration():
+    found = {}
+    for name, tree in _package().items():
+        if classes := _indexed_without_iter(tree):
+            found[name] = classes
+    assert not found, found
+
+
+def test_an_indexed_class_without_iteration_is_reported():
+    tree = ast.parse(
+        "class Endless:\n    def __getitem__(self, k):\n        return 0\n"
+        "class Refused:\n    def __getitem__(self, k):\n        return 0\n"
+        "    __iter__ = None\n"
+        "class Iterated:\n    def __getitem__(self, k):\n        return 0\n"
+        "    def __iter__(self):\n        return iter(())\n"
+        "class Plain:\n    def __iter__(self):\n        return iter(())\n"
+        "def outer():\n    class Inner:\n        __getitem__ = dict.get\n")
+    assert _indexed_without_iter(tree) == [(1, "Endless"), (17, "Inner")]
 
 
 def test_import_leaves_out_heavy_stdlib_modules():
